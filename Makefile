@@ -3,7 +3,7 @@
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test lint race chaos fuzz bench bench-raw cover
+.PHONY: all build test lint race chaos fuzz bench bench-raw cover sysbench-test
 
 all: build test lint race chaos fuzz
 
@@ -48,6 +48,7 @@ fuzz:
 	go test ./internal/serve/ -run='^$$' -fuzz=FuzzSimulateRequest -fuzztime=20s
 	go test ./internal/serve/ -run='^$$' -fuzz=FuzzSimulateBatchRequest -fuzztime=20s
 	go test ./internal/task/ -run='^$$' -fuzz=FuzzDistributionSampler -fuzztime=20s
+	go test ./internal/task/ -run='^$$' -fuzz=FuzzBetaQuantileBitIdentical -fuzztime=20s
 	go test ./internal/serve/ -run='^$$' -fuzz=FuzzMultiCoreConfig -fuzztime=20s
 
 # bench runs the suite through cmd/rtdvs-bench: it parses ns/op, B/op
@@ -71,3 +72,10 @@ cover:
 	go test -coverprofile=$(COVER_OUT) ./...
 	go run ./cmd/rtdvs-cover -profile $(COVER_OUT) -floors COVERAGE.floors
 	go tool cover -html=$(COVER_OUT) -o cover.html
+
+# sysbench-test vets and short-tests the system benchmark (bench/). It
+# is its own Go module, so the root `go test ./...` never builds it and
+# an internal API change could otherwise break it unnoticed.
+sysbench-test:
+	go -C bench vet ./...
+	go -C bench test -short ./...

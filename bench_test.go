@@ -389,6 +389,28 @@ func benchGangOverhead(b *testing.B, policy string, n int) {
 func BenchmarkPolicyOverheadGangCCEDF64(b *testing.B) { benchGangOverhead(b, "gangCCEDF", 64) }
 func BenchmarkPolicyOverheadGangLAEDF64(b *testing.B) { benchGangOverhead(b, "gangLAEDF", 64) }
 
+// --- Demand sampling ---
+
+// BenchmarkBetaDraw measures one keyed per-invocation demand draw from a
+// parsed "beta=2,5" model: the splitmix64 key, the inverse-CDF bisection
+// and its incomplete-beta evaluations. It pins the HotpathRegistry rows
+// for the Beta sampler at 0 allocs/op.
+func BenchmarkBetaDraw(b *testing.B) {
+	b.ReportAllocs()
+	m, err := task.ParseExec("beta=2,5", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sum float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum += m.Cycles(i%8, i/8, 10)
+	}
+	if !(sum > 0) {
+		b.Fatalf("draws summed to %v", sum)
+	}
+}
+
 // --- Simulator throughput ---
 
 // BenchmarkSimulatorThroughput measures the steady-state cost of whole

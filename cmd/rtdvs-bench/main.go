@@ -80,7 +80,7 @@ func realMain(args []string, stdout, stderr *os.File) int {
 	dir := fs.String("dir", ".", "package directory to benchmark and search for baselines")
 	out := fs.String("out", "", "write the JSON report to this file (empty = stdout summary only)")
 	baseline := fs.String("baseline", "", "baseline JSON to compare against (empty = newest BENCH_*.json in -dir)")
-	gate := fs.String("gate", "SimulatorThroughput|MultiCoreThroughput|KernelThroughput|BatchThroughput|ServeSimulateBatch|PolicyOverheadFBEDF64|PolicyOverheadSTSelect64",
+	gate := fs.String("gate", "SimulatorThroughput|MultiCoreThroughput|KernelThroughput|BatchThroughput|ServeSimulateBatch|PolicyOverheadFBEDF64|PolicyOverheadSTSelect64|BetaDraw",
 		"benchmarks whose ns/op regressions fail the run (regexp)")
 	threshold := fs.Float64("threshold", 0.15, "maximum tolerated ns/op regression for gated benchmarks")
 	fs.Parse(args)

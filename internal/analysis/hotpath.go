@@ -130,6 +130,16 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/sched.LaneHeaps.swap":     "BenchmarkLaneHeaps",
 	"rtdvs/internal/sched.LaneHeaps.less":     "BenchmarkLaneHeaps",
 
+	// Keyed Beta demand draws: one DistExec.Cycles call on a parsed
+	// "beta=2,5" model allocates nothing.
+	"rtdvs/internal/task.DistExec.Cycles": "BenchmarkBetaDraw",
+	"rtdvs/internal/task.Beta.Quantile":   "BenchmarkBetaDraw",
+	"rtdvs/internal/task.betaNorm":        "BenchmarkBetaDraw",
+	"rtdvs/internal/task.regIncBeta":      "BenchmarkBetaDraw",
+	"rtdvs/internal/task.betaCF":          "BenchmarkBetaDraw",
+	"rtdvs/internal/task.sampleU01":       "BenchmarkBetaDraw",
+	"rtdvs/internal/task.splitmix64":      "BenchmarkBetaDraw",
+
 	// Metrics instrument updates: one atomic op each, pinned at exactly
 	// zero allocations so instruments may sit on the simulator hot path.
 	"rtdvs/internal/obs.atomicFloat.add":   "TestInstrumentOpsAllocate",

@@ -112,6 +112,7 @@ func TestSimulateValidation(t *testing.T) {
 		{"badCustomSpec", `{"tasks":[{"period":8,"wcet":3}],"machineSpec":{"points":[{"freq":0.5,"voltage":3}]}}`, "maximum frequency"},
 		{"badIdle", `{"tasks":[{"period":8,"wcet":3}],"idleLevel":1.5}`, "idle level"},
 		{"badExec", `{"tasks":[{"period":8,"wcet":3}],"exec":"c=2"}`, "bad execution fraction"},
+		{"betaShapeOverLimit", `{"tasks":[{"period":8,"wcet":3}],"exec":"beta=1e5,1"}`, "beta shapes must lie in"},
 		{"negativeHorizon", `{"tasks":[{"period":8,"wcet":3}],"horizon":-5}`, "non-negative"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

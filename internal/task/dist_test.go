@@ -1,6 +1,7 @@
 package task
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -51,12 +52,129 @@ func TestBetaUniformSpecialCase(t *testing.T) {
 
 func TestNewBetaRejectsBadShapes(t *testing.T) {
 	for _, c := range []struct{ a, b float64 }{
-		{0, 1}, {1, 0}, {-1, 1}, {math.NaN(), 1}, {1, math.Inf(1)}, {1e7, 1},
+		{0, 1}, {1, 0}, {-1, 1}, {math.NaN(), 1}, {1, math.Inf(1)}, {math.Inf(-1), 1},
+		{1e7, 1}, {1e5, 1}, {1, 1e5}, {math.Nextafter(maxBetaShape, math.Inf(1)), 1},
 	} {
 		if _, err := NewBeta(c.a, c.b); err == nil {
 			t.Errorf("NewBeta(%v,%v): want error", c.a, c.b)
 		}
 	}
+}
+
+// At the largest admitted shape the continued fraction still converges:
+// the symmetric Beta(1e4, 1e4) has its median at exactly 1/2. Above the
+// limit it did not (Beta(1e6, 1e6).CDF(0.5) came out as 0.49969).
+func TestBetaShapeLimitConverges(t *testing.T) {
+	d, err := NewBeta(maxBetaShape, maxBetaShape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The residual, about 1.4e-11, is the rounding of the log-gamma terms
+	// (each near 1.8e5) in the normaliser, not an unconverged fraction.
+	if got := d.CDF(0.5); math.Abs(got-0.5) > 1e-10 {
+		t.Fatalf("Beta(%g,%g).CDF(0.5) = %v, want 0.5 within 1e-10", maxBetaShape, maxBetaShape, got)
+	}
+}
+
+// refRegIncBeta and refBetaQuantile freeze the original sampler: 64
+// bisection steps from [0, 1], each CDF evaluation recomputing the three
+// log-gamma values, with no early stop. Beta.Quantile must return the
+// same bits for every shape and probability.
+func refRegIncBeta(a, b, x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	if x >= 1 {
+		return 1
+	}
+	lbeta, _ := math.Lgamma(a + b)
+	la, _ := math.Lgamma(a)
+	lb, _ := math.Lgamma(b)
+	lnPre := lbeta - la - lb + a*math.Log(x) + b*math.Log1p(-x)
+	if x < (a+1)/(a+b+2) {
+		return math.Exp(lnPre) * betaCF(a, b, x) / a
+	}
+	return 1 - math.Exp(lnPre)*betaCF(b, a, 1-x)/b
+}
+
+func refBetaQuantile(a, b, p float64) float64 {
+	if p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return 1
+	}
+	lo, hi := 0.0, 1.0
+	for i := 0; i < 64; i++ {
+		mid := 0.5 * (lo + hi)
+		if refRegIncBeta(a, b, mid) < p {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return 0.5 * (lo + hi)
+}
+
+// bitIdenticalShapes are the shapes the bit-identity pin covers: the
+// TestBetaMomentsAndInverse shapes plus edge-heavy, skewed, large and
+// limit-sized ones.
+var bitIdenticalShapes = []struct{ a, b float64 }{
+	{1, 1}, {2, 2}, {2, 5}, {5, 2}, {0.5, 0.5}, {8, 1}, {1, 8},
+	{0.3, 3}, {2, 8}, {50, 1}, {100, 200}, {1e-3, 1e-3}, {1e4, 3},
+}
+
+func TestBetaQuantileMatchesSeedBisection(t *testing.T) {
+	edges := []float64{0, 1, 5e-324, 1e-300, math.Nextafter(1, 0), 0.5}
+	for k := 0; k <= 4096; k++ {
+		edges = append(edges, float64(k)/4096)
+	}
+	keys := 100_000
+	if testing.Short() {
+		keys = 10_000
+	}
+	for si, s := range bitIdenticalShapes {
+		t.Run(fmt.Sprintf("%g,%g", s.a, s.b), func(t *testing.T) {
+			t.Parallel()
+			d, err := NewBeta(s.a, s.b)
+			if err != nil {
+				t.Fatalf("NewBeta(%v,%v): %v", s.a, s.b, err)
+			}
+			check := func(p float64) {
+				got, want := d.Quantile(p), refBetaQuantile(s.a, s.b, p)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Beta(%v,%v).Quantile(%v) = %v (%#x), reference %v (%#x)",
+						s.a, s.b, p, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+			for _, p := range edges {
+				check(p)
+			}
+			for i := 0; i < keys; i++ {
+				check(sampleU01(int64(si), i%8, i/8))
+			}
+		})
+	}
+}
+
+// FuzzBetaQuantileBitIdentical holds Beta.Quantile to the frozen
+// reference bisection, bit for bit, for any admitted shape and any p.
+func FuzzBetaQuantileBitIdentical(f *testing.F) {
+	f.Add(2.0, 5.0, 0.3)
+	f.Add(1e-3, 1e-3, 1e-300)
+	f.Add(1e4, 3.0, math.Nextafter(1, 0))
+	f.Add(0.5, 0.5, 5e-324)
+	f.Add(100.0, 200.0, math.NaN())
+	f.Fuzz(func(t *testing.T, a, b, p float64) {
+		d, err := NewBeta(a, b)
+		if err != nil {
+			t.Skip()
+		}
+		got, want := d.Quantile(p), refBetaQuantile(a, b, p)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Beta(%v,%v).Quantile(%v) = %v, reference %v", a, b, p, got, want)
+		}
+	})
 }
 
 func TestBimodalQuantileAndMass(t *testing.T) {
