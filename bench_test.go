@@ -392,8 +392,9 @@ func BenchmarkPolicyOverheadGangLAEDF64(b *testing.B) { benchGangOverhead(b, "ga
 // --- Demand sampling ---
 
 // BenchmarkBetaDraw measures one keyed per-invocation demand draw from a
-// parsed "beta=2,5" model: the splitmix64 key, the inverse-CDF bisection
-// and its incomplete-beta evaluations. It pins the HotpathRegistry rows
+// parsed "beta=2,5" model: the splitmix64 key, the Newton-started window
+// and the inverse-CDF bisection with its incomplete-beta evaluations. It
+// pins the HotpathRegistry rows
 // for the Beta sampler at 0 allocs/op.
 func BenchmarkBetaDraw(b *testing.B) {
 	b.ReportAllocs()

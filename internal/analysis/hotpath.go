@@ -135,6 +135,9 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/task.DistExec.Cycles": "BenchmarkBetaDraw",
 	"rtdvs/internal/task.Beta.Quantile":   "BenchmarkBetaDraw",
 	"rtdvs/internal/task.betaNorm":        "BenchmarkBetaDraw",
+	"rtdvs/internal/task.betaWindow":      "BenchmarkBetaDraw",
+	"rtdvs/internal/task.betaNewton":      "BenchmarkBetaDraw",
+	"rtdvs/internal/task.betaGuess":       "BenchmarkBetaDraw",
 	"rtdvs/internal/task.regIncBeta":      "BenchmarkBetaDraw",
 	"rtdvs/internal/task.betaCF":          "BenchmarkBetaDraw",
 	"rtdvs/internal/task.sampleU01":       "BenchmarkBetaDraw",

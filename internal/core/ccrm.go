@@ -117,11 +117,11 @@ func (p *ccRM) allocateCycles(budget float64) {
 
 // selectFrequency implements Figure 6's select_frequency(): the lowest fi
 // with Σd_j/s_m ≤ fi/fm, where s_m is the full-speed cycle capacity to the
-// next deadline.
+// next deadline. interval is the time from now to that deadline; callers
+// compute it once per hook and share it with allocateCycles.
 //
 //rtdvs:hotpath
-func (p *ccRM) selectFrequency(sys System) {
-	interval := p.nextDeadline(sys) - sys.Now()
+func (p *ccRM) selectFrequency(interval float64) {
 	var sum float64
 	for _, d := range p.d {
 		sum += d
@@ -143,16 +143,16 @@ func (p *ccRM) OnRelease(sys System, i int) {
 	p.cleft[i] = p.ts.Task(i).WCET
 	// Progress to match: what the statically-scaled RM schedule would
 	// retire by the next deadline.
-	sj := (p.nextDeadline(sys) - sys.Now()) * p.fstatic
-	p.allocateCycles(sj)
-	p.selectFrequency(sys)
+	interval := p.nextDeadline(sys) - sys.Now()
+	p.allocateCycles(interval * p.fstatic)
+	p.selectFrequency(interval)
 }
 
 //rtdvs:hotpath
 func (p *ccRM) OnCompletion(sys System, i int, _ float64) {
 	p.cleft[i] = 0
 	p.d[i] = 0
-	p.selectFrequency(sys)
+	p.selectFrequency(p.nextDeadline(sys) - sys.Now())
 }
 
 //rtdvs:hotpath

@@ -114,15 +114,50 @@ func (d Beta) CDF(x float64) float64 {
 	if x >= 1 {
 		return 1
 	}
-	return regIncBeta(betaNorm(d.A, d.B), d.A, d.B, x)
+	norm, _ := betaNorm(d.A, d.B)
+	return regIncBeta(norm, d.A, d.B, x)
 }
 
 // Quantile implements Dist by monotone bisection on the CDF, at most 64
-// steps from [0, 1], with no rejection loop to bound. The log normaliser
-// depends only on the shape, so it is computed once per call rather than
-// once per step. regIncBeta must keep it the first term of the prefactor
-// sum: the sum then rounds exactly as if the three log-gamma values were
-// summed in place, so every CDF evaluation has the same bits.
+// steps from [0, 1], with no rejection loop to bound. It returns the bits
+// of the original loop, which evaluated the CDF at every midpoint; it
+// only skips evaluations whose outcome is already known.
+//
+// The log normaliser depends only on the shape, so it is computed once
+// per call rather than once per step. regIncBeta must keep it the first
+// term of the prefactor sum: the sum then rounds exactly as if the three
+// log-gamma values were summed in place, so every CDF evaluation has the
+// same bits.
+//
+// Window. betaWindow finds an approximate quantile x̂ by Newton steps and
+// verifies a window [wlo, whi] around it with two evaluations of the
+// computed CDF F: F(wlo) < p−ε and F(whi) ≥ p+ε. Let δ bound the
+// absolute error of F against the exact CDF G, which is monotone. A
+// midpoint m < wlo then has F(m) ≤ G(m)+δ ≤ G(wlo)+δ ≤ F(wlo)+2δ < p, as
+// ε ≥ 2δ, so the original loop moved lo to m; this loop does so without
+// evaluating. Symmetrically a midpoint above whi has F(m) ≥ p and moves
+// hi. Midpoints inside the window are evaluated by regIncBeta as before.
+// Every step takes the original branch, so the bracket and the result
+// are unchanged.
+//
+// The bound. F is a prefactor exp(norm + a ln x + b ln(1−x)) times the
+// continued fraction, subtracted from 1 above the mean. The log
+// prefactor rounds to within a few ulps of its terms' magnitudes (the
+// three log-gamma values in norm, a|ln x| and b|ln(1−x)|); exp turns that
+// into a relative error of a term at most 1. The fraction stops at a
+// relative change of 3e-14 and rounds a few ulps per term. So
+//
+//	δ = 5e-14 + 4·2⁻⁵²·(|lnΓ(a+b)| + |lnΓ(a)| + |lnΓ(b)| + a|ln x| + b|ln(1−x)|)
+//
+// covers both with room, and ε = 2δ, taken at the last Newton point.
+// Away from x̂ a log term grows only toward the tail whose CDF term the
+// prefactor shrinks, so the bound holds at the skipped midpoints too.
+//
+// Fallback. When Newton leaves (0, 1) or does not converge, or the
+// window fails verification after windowTries widenings (NaN p, p within
+// ε of 0 or 1, a guess that underflows at tiny shapes), the window is the
+// whole [0, 1]: every midpoint is evaluated, which is the original loop
+// by construction.
 //
 // The loop stops once the midpoint is no longer strictly inside
 // (lo, hi). The midpoints are exact dyadic values while lo and hi are
@@ -130,8 +165,10 @@ func (d Beta) CDF(x float64) float64 {
 // onto lo or hi. From then on every step either leaves the bracket as it
 // is or collapses it onto that midpoint, after which it cannot move, and
 // the returned 0.5·(lo+hi) is that midpoint either way. Stopping early
-// therefore returns exactly the bits the full 64 steps would;
-// TestBetaQuantileMatchesSeedBisection pins both properties.
+// therefore returns exactly the bits the full 64 steps would.
+// TestBetaQuantileMatchesSeedBisection pins the result against the
+// original loop; TestBetaWindowBracketsReference and
+// FuzzBetaQuantileBitIdentical pin the window.
 //
 //rtdvs:hotpath
 func (d Beta) Quantile(p float64) float64 {
@@ -141,16 +178,22 @@ func (d Beta) Quantile(p float64) float64 {
 	if p >= 1 {
 		return 1
 	}
-	norm := betaNorm(d.A, d.B)
+	norm, lgMag := betaNorm(d.A, d.B)
+	wlo, whi, _ := betaWindow(norm, lgMag, d.A, d.B, p)
 	lo, hi := 0.0, 1.0
 	for i := 0; i < 64; i++ {
 		mid := 0.5 * (lo + hi)
 		if !(lo < mid && mid < hi) {
 			break
 		}
-		if regIncBeta(norm, d.A, d.B, mid) < p {
+		switch {
+		case mid < wlo:
 			lo = mid
-		} else {
+		case mid > whi:
+			hi = mid
+		case regIncBeta(norm, d.A, d.B, mid) < p:
+			lo = mid
+		default:
 			hi = mid
 		}
 	}
@@ -159,21 +202,129 @@ func (d Beta) Quantile(p float64) float64 {
 
 func (d Beta) String() string { return fmt.Sprintf("beta=%g,%g", d.A, d.B) }
 
-// betaNorm returns ln Γ(a+b) − ln Γ(a) − ln Γ(b), the log of 1/B(a, b):
-// the shape-only part of regIncBeta's prefactor.
+const (
+	// newtonSteps bounds betaNewton's iteration. From the invbetai guess
+	// the admitted shapes converge in two to four steps.
+	newtonSteps = 8
+	// windowTries bounds the window verification attempts; each failed
+	// attempt widens τ sixteenfold.
+	windowTries = 3
+)
+
+// betaWindow returns a window [lo, hi] around the p-th quantile whose
+// edges are verified against p with margin ε (see Beta.Quantile), or
+// [0, 1] and ok = false when it cannot verify one. norm and lgMag are
+// betaNorm(a, b).
 //
 //rtdvs:hotpath
-func betaNorm(a, b float64) float64 {
+func betaWindow(norm, lgMag, a, b, p float64) (lo, hi float64, ok bool) {
+	x, eps, tau := betaNewton(norm, lgMag, a, b, p)
+	if !(tau > 0) {
+		return 0, 1, false
+	}
+	okLo, okHi := false, false
+	for try := 0; try < windowTries; try++ {
+		if !okLo {
+			lo = x - tau
+			okLo = lo > 0 && regIncBeta(norm, a, b, lo) < p-eps
+		}
+		if !okHi {
+			hi = x + tau
+			okHi = hi < 1 && regIncBeta(norm, a, b, hi) >= p+eps
+		}
+		if okLo && okHi {
+			return lo, hi, true
+		}
+		tau *= 16
+	}
+	return 0, 1, false
+}
+
+// betaNewton runs safeguarded Newton steps on F(x) = p from betaGuess,
+// each with invbetai's Halley correction for the pdf's log-slope
+// (α−1)/x − (β−1)/(1−x). It returns the approximate quantile x̂, the
+// window margin ε at the last evaluated point, and the window half-width
+// τ, which is 0 when the iteration left (0, 1) or did not bring F within
+// ε of p.
+//
+//rtdvs:hotpath
+func betaNewton(norm, lgMag, a, b, p float64) (x, eps, tau float64) {
+	x = betaGuess(a, b, p)
+	for i := 0; i < newtonSteps; i++ {
+		if !(x > 0 && x < 1) {
+			return x, eps, 0
+		}
+		lx, l1x := math.Log(x), math.Log1p(-x)
+		eps = 1e-13 + 8*0x1p-52*(lgMag+a*math.Abs(lx)+b*math.Abs(l1x))
+		pdf := math.Exp(norm + (a-1)*lx + (b-1)*l1x)
+		f := regIncBeta(norm, a, b, x) - p
+		u := f / pdf
+		next := x - u/(1-0.5*math.Min(1, u*((a-1)/x-(b-1)/(1-x))))
+		// Safeguard: a step that leaves (0, 1), or is NaN, halves the
+		// distance to the edge it was heading for instead.
+		if !(next > 0) {
+			next = 0.5 * x
+		} else if !(next < 1) {
+			next = 0.5 * (x + 1)
+		}
+		x = next
+		if math.Abs(f) <= eps {
+			// F(x) was already within ε of p, so the step lands far
+			// closer than ε/pdf to the quantile; 2ε/pdf puts the window
+			// edges at about p ∓ 2ε.
+			return x, eps, 2 * eps / pdf
+		}
+	}
+	return x, eps, 0
+}
+
+// betaGuess is the initial quantile estimate of Numerical Recipes'
+// invbetai (§6.14): for α, β ≥ 1 a Cornish-Fisher style correction of a
+// normal deviate, otherwise the inverse of the CDF's leading power term
+// in whichever tail owns p.
+//
+//rtdvs:hotpath
+func betaGuess(a, b, p float64) float64 {
+	if a >= 1 && b >= 1 {
+		pp := p
+		if p >= 0.5 {
+			pp = 1 - p
+		}
+		t := math.Sqrt(-2 * math.Log(pp))
+		x := (2.30753+t*0.27061)/(1+t*(0.99229+t*0.04481)) - t
+		if p < 0.5 {
+			x = -x
+		}
+		al := (x*x - 3) / 6
+		h := 2 / (1/(2*a-1) + 1/(2*b-1))
+		w := x*math.Sqrt(al+h)/h - (1/(2*b-1)-1/(2*a-1))*(al+5.0/6-2/(3*h))
+		return a / (a + b*math.Exp(2*w))
+	}
+	t := math.Exp(a*math.Log(a/(a+b))) / a
+	u := math.Exp(b*math.Log(b/(a+b))) / b
+	w := t + u
+	if p < t/w {
+		return math.Pow(a*w*p, 1/a)
+	}
+	return 1 - math.Pow(b*w*(1-p), 1/b)
+}
+
+// betaNorm returns ln Γ(a+b) − ln Γ(a) − ln Γ(b), the log of 1/B(a, b):
+// the shape-only part of regIncBeta's prefactor. mag is
+// |lnΓ(a+b)| + |lnΓ(a)| + |lnΓ(b)|, the size norm's rounding scales with.
+//
+//rtdvs:hotpath
+func betaNorm(a, b float64) (norm, mag float64) {
 	lab, _ := math.Lgamma(a + b)
 	la, _ := math.Lgamma(a)
 	lb, _ := math.Lgamma(b)
-	return lab - la - lb
+	return lab - la - lb, math.Abs(lab) + math.Abs(la) + math.Abs(lb)
 }
 
 // regIncBeta computes the regularized incomplete beta function I_x(a, b)
 // with the standard continued-fraction expansion (Numerical Recipes
 // §6.4), using the symmetry I_x(a,b) = 1 − I_{1−x}(b,a) to stay in the
-// rapidly converging region. norm is betaNorm(a, b).
+// rapidly converging region. norm is the first result of betaNorm(a, b).
 //
 //rtdvs:hotpath
 func regIncBeta(norm, a, b, x float64) float64 {

@@ -104,7 +104,15 @@ func refBetaQuantile(a, b, p float64) float64 {
 	if p >= 1 {
 		return 1
 	}
-	lo, hi := 0.0, 1.0
+	lo, hi := refBetaBracket(a, b, p)
+	return 0.5 * (lo + hi)
+}
+
+// refBetaBracket is the reference bisection's final bracket. After its 64
+// steps it is at least 2⁻⁶⁴ wide, so below about 1e-11 it is wider than
+// the ulps of the quantile it holds.
+func refBetaBracket(a, b, p float64) (lo, hi float64) {
+	lo, hi = 0.0, 1.0
 	for i := 0; i < 64; i++ {
 		mid := 0.5 * (lo + hi)
 		if refRegIncBeta(a, b, mid) < p {
@@ -113,7 +121,7 @@ func refBetaQuantile(a, b, p float64) float64 {
 			hi = mid
 		}
 	}
-	return 0.5 * (lo + hi)
+	return lo, hi
 }
 
 // bitIdenticalShapes are the shapes the bit-identity pin covers: the
@@ -157,14 +165,79 @@ func TestBetaQuantileMatchesSeedBisection(t *testing.T) {
 	}
 }
 
+// TestBetaWindowBracketsReference pins the window Beta.Quantile skips
+// CDF evaluations outside of. Whenever betaWindow verifies a window, the
+// frozen reference quantile lies inside it, up to the width of the
+// reference's final bracket: the window overlaps that bracket. On the
+// TestBetaMomentsAndInverse shapes, the first seven of
+// bitIdenticalShapes, at least 99% of draws verify one, so an
+// implementation that always falls back fails. Edge probabilities, and
+// the lower-tail-underflowing shape (1e-3, 1e-3), reach the fallback and
+// still match bit for bit.
+func TestBetaWindowBracketsReference(t *testing.T) {
+	const (
+		keys         = 10_000
+		momentShapes = 7
+	)
+	for si, s := range bitIdenticalShapes {
+		t.Run(fmt.Sprintf("%g,%g", s.a, s.b), func(t *testing.T) {
+			t.Parallel()
+			d, err := NewBeta(s.a, s.b)
+			if err != nil {
+				t.Fatalf("NewBeta(%v,%v): %v", s.a, s.b, err)
+			}
+			norm, lgMag := betaNorm(s.a, s.b)
+			fallbackMatches := func(p float64) {
+				t.Helper()
+				if _, _, ok := betaWindow(norm, lgMag, s.a, s.b, p); ok {
+					t.Fatalf("p=%v verified a window, want the fallback", p)
+				}
+				got, want := d.Quantile(p), refBetaQuantile(s.a, s.b, p)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("fallback Quantile(%v) = %v, reference %v", p, got, want)
+				}
+			}
+			for _, p := range []float64{math.NaN(), 5e-324, math.Nextafter(1, 0)} {
+				fallbackMatches(p)
+			}
+			verified := 0
+			for i := 0; i < keys; i++ {
+				p := sampleU01(int64(si), i%8, i/8)
+				lo, hi, ok := betaWindow(norm, lgMag, s.a, s.b, p)
+				if !ok {
+					fallbackMatches(p)
+					continue
+				}
+				verified++
+				if rlo, rhi := refBetaBracket(s.a, s.b, p); !(lo <= rhi && rlo <= hi) {
+					t.Fatalf("p=%v: window [%v, %v] misses reference bracket [%v, %v]", p, lo, hi, rlo, rhi)
+				}
+			}
+			if si < momentShapes && verified < keys*99/100 {
+				t.Errorf("verified %d of %d windows, want at least 99%%", verified, keys)
+			}
+			if s.a < 0.01 && verified == keys {
+				t.Errorf("every draw verified a window; the tiny shape should reach the fallback")
+			}
+		})
+	}
+}
+
 // FuzzBetaQuantileBitIdentical holds Beta.Quantile to the frozen
-// reference bisection, bit for bit, for any admitted shape and any p.
+// reference bisection, bit for bit, for any admitted shape and any p,
+// and holds every window betaWindow verifies to bracket the reference.
+// The seeds include probabilities and shapes that reach the fallback.
 func FuzzBetaQuantileBitIdentical(f *testing.F) {
 	f.Add(2.0, 5.0, 0.3)
 	f.Add(1e-3, 1e-3, 1e-300)
 	f.Add(1e4, 3.0, math.Nextafter(1, 0))
 	f.Add(0.5, 0.5, 5e-324)
 	f.Add(100.0, 200.0, math.NaN())
+	f.Add(2.0, 5.0, math.NaN())
+	f.Add(2.0, 5.0, 1e-300)
+	f.Add(0.3, 3.0, math.Nextafter(1, 0))
+	f.Add(1e-3, 1e-3, 0.7)
+	f.Add(1e-3, 2.0, 0.5)
 	f.Fuzz(func(t *testing.T, a, b, p float64) {
 		d, err := NewBeta(a, b)
 		if err != nil {
@@ -173,6 +246,12 @@ func FuzzBetaQuantileBitIdentical(f *testing.F) {
 		got, want := d.Quantile(p), refBetaQuantile(a, b, p)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("Beta(%v,%v).Quantile(%v) = %v, reference %v", a, b, p, got, want)
+		}
+		norm, lgMag := betaNorm(a, b)
+		if lo, hi, ok := betaWindow(norm, lgMag, a, b, p); ok {
+			if rlo, rhi := refBetaBracket(a, b, p); !(lo <= rhi && rlo <= hi) {
+				t.Fatalf("Beta(%v,%v) p=%v: window [%v, %v] misses reference bracket [%v, %v]", a, b, p, lo, hi, rlo, rhi)
+			}
 		}
 	})
 }
