@@ -54,9 +54,10 @@ fuzz:
 # bench runs the suite through cmd/rtdvs-bench: it parses ns/op, B/op
 # and allocs/op, writes the JSON report (BENCH_OUT), and fails if a
 # simulator/kernel throughput benchmark regressed more than 15% in
-# ns/op against the newest prior committed BENCH_*.json baseline.
-# Override BENCH_OUT when recording the baseline for a new PR.
-BENCH_OUT ?= BENCH_PR10.json
+# ns/op against the newest prior committed BENCH_*.json baseline. The
+# default report is the untracked bench-local.json; record a new
+# baseline with `make bench BENCH_OUT=BENCH_PR<n>.json`.
+BENCH_OUT ?= bench-local.json
 bench:
 	go run ./cmd/rtdvs-bench -out $(BENCH_OUT)
 

@@ -695,12 +695,11 @@ func BenchmarkAblationClairvoyantGap(b *testing.B) {
 // batchBenchConfigs builds the K-lane benchmark workload: frame-based
 // periodic task sets (n tasks sharing one period — the paper's
 // per-frame workload shape) whose clustered releases engage the
-// BatchRunner's precomputed release table and single-frame ready
-// bitmask, each lane with its own policy instance. Lane load varies so
-// the lanes finish at staggered simulated times and the cross-lane
-// selector does real work. task.Generator draws real-valued periods and
-// so never produces a harmonic set; sweep-style batching is measured
-// separately by the figure benches.
+// simulator's precomputed release table and single-frame ready bitmask,
+// each lane with its own policy instance and its own load.
+// task.Generator draws real-valued periods and so never produces such a
+// set; the heap path is measured by SimulatorThroughput and the figure
+// benches.
 func batchBenchConfigs(b *testing.B, k, n int, policy string) []sim.Config {
 	b.Helper()
 	cfgs := make([]sim.Config, k)
@@ -728,18 +727,17 @@ func batchBenchConfigs(b *testing.B, k, n int, policy string) []sim.Config {
 
 // batchBenchPolicies are the policy variants the batch throughput
 // benches run: staticEDF isolates the engine (its hooks are empty, so
-// nearly all time is event-loop machinery, where the batch engine's
-// structural savings live), while ccEDF shows the ratio for the paper's
-// flagship policy, whose per-event hooks and O(n) utilization audit are
-// identical work in both engines and dilute the speedup.
+// nearly all time is event-loop machinery, where the release table and
+// frame bitmask save), while ccEDF adds the paper's flagship policy's
+// per-event hooks and O(n) utilization audit.
 var batchBenchPolicies = []string{"staticEDF", "ccEDF"}
 
-// BenchmarkBatchThroughput runs K=64 simulations per iteration through
-// the lockstep BatchRunner. Compare against BenchmarkBatchScalarBaseline,
-// which runs the identical configurations one at a time on a reused
-// scalar Runner: the batch engine's contract is >=2x on the
-// engine-dominated staticEDF variant with 0 allocs/op in steady state
-// (results are bit-identical either way — see sim's
+// BenchmarkBatchThroughput runs K=64 frame-set simulations per
+// iteration through a reused BatchRunner, one retained Runner per lane,
+// at 0 allocs/op in steady state. BenchmarkBatchScalarBaseline runs the
+// identical configurations on one reused Runner; both take the release
+// table and frame bitmask, so the two should match (results are
+// bit-identical either way — see sim's
 // TestBatchMatchesScalarAcrossPolicies).
 func BenchmarkBatchThroughput(b *testing.B) {
 	const K, N = 64, 16
@@ -767,9 +765,8 @@ func BenchmarkBatchThroughput(b *testing.B) {
 }
 
 // BenchmarkBatchScalarBaseline is BenchmarkBatchThroughput's control:
-// the same 64 configurations on the scalar per-set loop the experiment
-// harness used before batching (one reused Runner, sets run one at a
-// time).
+// the same 64 configurations on the per-set loop the experiment harness
+// uses (one reused Runner, sets run one at a time).
 func BenchmarkBatchScalarBaseline(b *testing.B) {
 	const K, N = 64, 16
 	for _, policy := range batchBenchPolicies {
@@ -797,9 +794,9 @@ func BenchmarkBatchScalarBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkLaneHeaps measures the flattened lane-strided heap that
-// backs the batch engine's timer and ready queues: steady-state
-// push/pop churn across 64 lanes, 0 allocs/op.
+// BenchmarkLaneHeaps measures the flattened lane-strided heap (which no
+// engine uses; the system benchmark's ladder still times it):
+// steady-state push/pop churn across 64 lanes, 0 allocs/op.
 func BenchmarkLaneHeaps(b *testing.B) {
 	b.ReportAllocs()
 	const lanes, stride = 64, 8

@@ -27,6 +27,8 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/sim.simulator.readyKey":        "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.nextReleaseTime": "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.nextAbortTime":   "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sim.simulator.fireReleases":    "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sim.simulator.abort":           "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.sortIndexes":               "BenchmarkSimulatorThroughput",
 
 	// Indexed-heap ready queue: a warmed push/drain cycle allocates
@@ -97,25 +99,18 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/machine.PointSelector.Index":   "TestSelectorMatchesLowestAtLeast",
 	"rtdvs/internal/machine.PointSelector.Len":     "TestSelectorMatchesLowestAtLeast",
 
-	// Batched lockstep engine: a reused BatchRunner pass over 64 lanes
-	// must stay at 0 allocs/op (also pinned by sim's
-	// TestBatchRunnerSteadyStateAllocs AllocsPerRun check).
-	"rtdvs/internal/sim.lane.step":                 "BenchmarkBatchThroughput",
-	"rtdvs/internal/sim.lane.fireReleases":         "BenchmarkBatchThroughput",
-	"rtdvs/internal/sim.lane.processReleasesHeap":  "BenchmarkBatchThroughput",
-	"rtdvs/internal/sim.lane.processReleasesTable": "BenchmarkBatchThroughput",
-	"rtdvs/internal/sim.lane.switchTo":             "BenchmarkBatchThroughput",
-	"rtdvs/internal/sim.lane.record":               "BenchmarkBatchThroughput",
-	"rtdvs/internal/sim.lane.timerAdd":             "BenchmarkBatchThroughput",
-	"rtdvs/internal/sim.lane.readyAdd":             "BenchmarkBatchThroughput",
-	"rtdvs/internal/sim.lane.readyPeek":            "BenchmarkBatchThroughput",
-	"rtdvs/internal/sim.lane.readyRemove":          "BenchmarkBatchThroughput",
-	"rtdvs/internal/sim.lane.readyKey":             "BenchmarkBatchThroughput",
-	"rtdvs/internal/sim.lane.selIndex":             "BenchmarkBatchThroughput",
-	"rtdvs/internal/sim.lane.nextReleaseTime":      "BenchmarkBatchThroughput",
+	// Release table and frame bitmask: a reused BatchRunner pass over 64
+	// single-frame sets drains the table and selects through the bitmask
+	// at 0 allocs/op (also pinned by sim's TestBatchRunnerSteadyStateAllocs
+	// AllocsPerRun check).
+	"rtdvs/internal/sim.releaseTable.drain":    "BenchmarkBatchThroughput",
+	"rtdvs/internal/sim.simulator.readyPeek":   "BenchmarkBatchThroughput",
+	"rtdvs/internal/sim.simulator.readyRemove": "BenchmarkBatchThroughput",
+	"rtdvs/internal/sim.simulator.selIndex":    "BenchmarkBatchThroughput",
 
-	// Flattened lane-strided heaps backing the batch engine's timer and
-	// ready queues: steady-state push/pop churn allocates nothing.
+	// Flattened lane-strided heaps (timed by the system benchmark's
+	// ladder; no engine uses them): steady-state push/pop churn
+	// allocates nothing.
 	"rtdvs/internal/sched.LaneHeaps.Push":     "BenchmarkLaneHeaps",
 	"rtdvs/internal/sched.LaneHeaps.Pop":      "BenchmarkLaneHeaps",
 	"rtdvs/internal/sched.LaneHeaps.Peek":     "BenchmarkLaneHeaps",

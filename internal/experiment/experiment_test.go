@@ -17,6 +17,36 @@ func fastOptions() Options {
 	return Options{Sets: 3, Seed: 11, Points: []float64{0.3, 0.6, 0.9}}
 }
 
+// A full sweep folded from four workers must be DeepEqual to one run
+// with a single worker, which runs the jobs in strict order: the worker
+// pool may change only speed, never results.
+func TestSweepBatchedWorkersBitIdentical(t *testing.T) {
+	base := Config{
+		NTasks:       3,
+		Machine:      machine.Machine0(),
+		Exec:         ConstantExec(0.6),
+		Utilizations: []float64{0.25, 0.5, 0.75},
+		Sets:         4,
+		Seed:         5,
+	}
+	one := base
+	one.Workers = 1
+	many := base
+	many.Workers = 4
+
+	swOne, err := Run(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swMany, err := Run(many)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(swOne, swMany) {
+		t.Error("sweep diverges between 1 and 4 workers")
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{NTasks: 0}); err == nil {
 		t.Error("NTasks=0 accepted")

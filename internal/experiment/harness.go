@@ -203,35 +203,22 @@ func execDesc(cfg Config) string {
 }
 
 // jobRunner bundles the reusable per-worker simulation state: one
-// scalar simulator, one lockstep batch engine, and pooled policy
-// instances, all reset via Runner/BatchRunner reuse and Policy.Attach
-// between runs, so a sweep of hundreds of simulations allocates per
-// worker (or per shard), not per run.
+// scalar simulator, one multi-core runner, and cached policy instances,
+// all reset via Runner reuse and Policy.Attach between runs, so a sweep
+// of hundreds of simulations allocates per worker (or per shard), not
+// per run.
 type jobRunner struct {
 	runner *sim.Runner
 	pcache map[string]core.Policy
 
-	// Batched execution state: the lockstep engine, per-(policy,
-	// chunk-slot) instance pool (interleaved lanes may never share a
-	// policy instance), and reusable chunk scratch.
-	batch   *sim.BatchRunner
-	ppool   map[string][]core.Policy
-	cfgs    []sim.Config
-	laneOK  []bool
-	jobErrs []error
-
-	// Multi-core execution state (Cores > 1): the per-worker MultiRunner
-	// and the chunk's expanded multi-core configurations.
+	// multi is the multi-core engine (Cores > 1), created on first use.
 	multi *sim.MultiRunner
-	mcfgs []sim.MultiConfig
 }
 
 func newJobRunner() *jobRunner {
 	return &jobRunner{
 		runner: sim.NewRunner(),
 		pcache: map[string]core.Policy{},
-		batch:  sim.NewBatchRunner(),
-		ppool:  map[string][]core.Policy{},
 	}
 }
 
@@ -399,51 +386,30 @@ func RunContext(ctx context.Context, cfg Config) (*Sweep, error) {
 		mu.Unlock()
 	}
 
-	// Each worker gathers jobs from the channel into a chunk and runs
-	// the chunk's simulations in lockstep on its BatchRunner. Per-job
-	// results are pure functions of (cfg, j) and batch lanes are
-	// bit-identical to the scalar Runner, so the fold is unchanged by
-	// chunking, worker count, or arrival order.
-	chunkCap := batchChunkJobs(np)
+	// Per-job results are pure functions of (cfg, j), so the fold is
+	// unchanged by worker count or arrival order.
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			jr := newJobRunner()
-			chunk := make([]int, 0, chunkCap)
-			ptrs := make([]*harnessOut, 0, chunkCap)
-			flush := func() {
-				if len(chunk) == 0 {
-					return
-				}
-				errs := jr.runChunk(ctx, cfg, policies, baseIdx, chunk, ptrs)
-				for i, j := range chunk {
-					if errs[i] != nil {
-						if !skippable(errs[i]) {
-							fail(errs[i])
-						}
-						continue
-					}
-					cfg.Metrics.jobDone()
-					if journal != nil {
-						if err := journal.record(j/cfg.Sets, j%cfg.Sets, ptrs[i]); err != nil {
-							fail(err)
-						}
-					}
-				}
-				chunk, ptrs = chunk[:0], ptrs[:0]
-			}
 			for j := range jobs {
 				if ctx.Err() != nil {
 					continue // drain the channel without doing work
 				}
-				chunk = append(chunk, j)
-				ptrs = append(ptrs, &outs[j])
-				if len(chunk) == chunkCap {
-					flush()
+				if err := jr.runOne(ctx, cfg, policies, baseIdx, j, &outs[j]); err != nil {
+					if !skippable(err) {
+						fail(err)
+					}
+					continue
+				}
+				cfg.Metrics.jobDone()
+				if journal != nil {
+					if err := journal.record(j/cfg.Sets, j%cfg.Sets, &outs[j]); err != nil {
+						fail(err)
+					}
 				}
 			}
-			flush()
 		}()
 	}
 

@@ -132,6 +132,14 @@ func RobustnessContext(ctx context.Context, cfg RobustnessConfig) (*RobustnessSw
 	if cfg.Sets <= 0 {
 		cfg.Sets = 20
 	}
+	// Every run's injector is built inside a worker; reject a bad rate,
+	// factor or tail here, where the caller gets an error, not a panic.
+	for _, rate := range cfg.Rates {
+		plan := fault.Plan{OverrunProb: rate, OverrunFactor: cfg.OverrunFactor, OverrunTail: cfg.OverrunTail}
+		if _, err := fault.New(plan); err != nil {
+			return nil, err
+		}
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -250,7 +258,7 @@ func RobustnessContext(ctx context.Context, cfg RobustnessConfig) (*RobustnessSw
 						Tasks:   ts,
 						Machine: cfg.Machine,
 						Policy:  p,
-						Faults:  fault.MustNew(plan),
+						Faults:  fault.MustNew(plan), // validated before the workers started
 						Horizon: horizon,
 					})
 					if err != nil {

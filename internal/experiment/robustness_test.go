@@ -151,3 +151,23 @@ func TestRobustnessRenderAndCSV(t *testing.T) {
 		}
 	}
 }
+
+// A fault parameter the injector rejects must come back as an error
+// before any worker starts, never as a panic inside one.
+func TestRobustnessRejectsInvalidFaultPlan(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  RobustnessConfig
+	}{
+		{"rate above 1", RobustnessConfig{Rates: []float64{1.5}}},
+		{"factor below 1", RobustnessConfig{OverrunFactor: 0.5}},
+		{"negative tail", RobustnessConfig{OverrunTail: -1}},
+	} {
+		c.cfg.Sets = 1
+		if sw, err := Robustness(c.cfg); err == nil {
+			t.Errorf("%s: accepted, got %+v", c.name, sw)
+		} else if !strings.HasPrefix(err.Error(), "fault: ") {
+			t.Errorf("%s: error %q does not come from the fault plan", c.name, err)
+		}
+	}
+}

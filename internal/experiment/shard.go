@@ -87,10 +87,8 @@ func NumJobs(cfg Config) (int, error) {
 // their results in the same order. It is the shard execution primitive
 // of the distributed sweep fabric: per-job seeding is a pure function
 // of (cfg, index), so a shard computes exactly what the local worker
-// pool would have, wherever it runs. Jobs run in lockstep chunks on one
-// reusable jobRunner's BatchRunner — shards, not jobs, are the unit of
-// parallelism, and batch lanes are bit-identical to the scalar Runner,
-// so chunking leaves shard results unchanged.
+// pool would have, wherever it runs. Jobs run one after another on one
+// reusable jobRunner — shards, not jobs, are the unit of parallelism.
 //
 // Unlike RunContext, any error — including cancellation — aborts the
 // whole call: a shard is all-or-nothing, and the caller retries it.
@@ -111,21 +109,13 @@ func RunJobs(ctx context.Context, cfg Config, jobs []int) ([]JobResult, error) {
 
 	jr := newJobRunner()
 	results := make([]JobResult, 0, len(jobs))
-	chunkCap := batchChunkJobs(np)
-	for start := 0; start < len(jobs); start += chunkCap {
-		chunk := jobs[start:min(start+chunkCap, len(jobs))]
-		outs := make([]*harnessOut, len(chunk))
-		for i := range outs {
-			outs[i] = &harnessOut{energy: make([]float64, np), misses: make([]int, np)}
+	for _, j := range jobs {
+		out := harnessOut{energy: make([]float64, np), misses: make([]int, np)}
+		if err := jr.runOne(ctx, cfg, policies, baseIdx, j, &out); err != nil {
+			return nil, err
 		}
-		errs := jr.runChunk(ctx, cfg, policies, baseIdx, chunk, outs)
-		for i, j := range chunk {
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-			cfg.Metrics.jobDone()
-			results = append(results, JobResult{Index: j, Energy: outs[i].energy, Misses: outs[i].misses, Bound: outs[i].bnd})
-		}
+		cfg.Metrics.jobDone()
+		results = append(results, JobResult{Index: j, Energy: out.energy, Misses: out.misses, Bound: out.bnd})
 	}
 	return results, nil
 }

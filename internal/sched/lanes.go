@@ -5,14 +5,14 @@ import (
 	"math"
 )
 
-// LaneHeaps is L independent priority queues — one per batch lane — in a
-// single pair of flattened, lane-strided backing slices. The batched
-// simulator (sim.BatchRunner) advances K simulations in lockstep; giving
-// every lane its own ReadyQueue would scatter K small heaps across the
-// allocator, whereas one LaneHeaps keeps all timer (or all ready) state
-// in two contiguous slices indexed by lane, so growing to K lanes is two
-// allocations total and resetting for the next batch touches no
-// allocator at all.
+// LaneHeaps is L independent priority queues — one per lane — in a
+// single pair of flattened, lane-strided backing slices. Giving every
+// lane its own ReadyQueue would scatter L small heaps across the
+// allocator, whereas one LaneHeaps keeps all state in two contiguous
+// slices indexed by lane, so growing to L lanes is two allocations total
+// and resetting touches no allocator at all. No simulator engine uses it
+// any more (every sim.Runner owns its own ReadyQueues); the system
+// benchmark's ladder (bench/ladder.go) still times it.
 //
 // Each lane's queue has exactly ReadyQueue's semantics: float64 keys,
 // lower key = higher priority, ties broken by task index, duplicate

@@ -13,7 +13,7 @@ import (
 // SimulateBatchRequest is the body of POST /v1/simulate:batch: many
 // independent simulations submitted in one request. The whole batch is
 // decoded, validated, and executed together — one HTTP round trip, one
-// concurrency slot, one lockstep BatchRunner pass — which amortizes the
+// concurrency slot, one pooled BatchRunner — which amortizes the
 // per-request overhead that dominates small simulations.
 type SimulateBatchRequest struct {
 	Items []SimulateRequest `json:"items"`
@@ -58,8 +58,8 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Validate every item up front (the decode already happened once for
 	// the whole body); invalid items get per-item errors and contribute
-	// no lanes. Each item's Config holds its own policy instance, which
-	// is what lets the lanes interleave.
+	// no lanes. Each item's Config holds its own policy instance, as
+	// BatchRunner requires.
 	resp := SimulateBatchResponse{Items: make([]SimulateBatchItem, len(req.Items))}
 	cfgs := make([]sim.Config, 0, len(req.Items))
 	laneItem := make([]int, 0, len(req.Items))

@@ -3,105 +3,33 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/bits"
-	"slices"
-	"testing"
 
 	"rtdvs/internal/core"
-	"rtdvs/internal/fpx"
-	"rtdvs/internal/machine"
-	"rtdvs/internal/sched"
-	"rtdvs/internal/task"
 )
 
-// batchMaxSlots bounds the size of a lane's precomputed release table:
-// one hyperperiod of a harmonic task set may contain at most this many
-// release instants before the lane falls back to the timer-heap path.
-// The cap keeps table construction O(small) and the table itself
-// cache-resident; real harmonic (frame-based) sets are far below it.
-const batchMaxSlots = 4096
-
-// relSlot is one entry of the release-table build scratch: a release
-// instant within the hyperperiod and the set of tasks (as a bitmask)
-// released at it.
-type relSlot struct {
-	t    float64
-	bits uint64
-}
-
-// cmpRelSlot orders build-scratch slots by time. Ties may land in any
-// order: coincident slots are OR-merged immediately after the sort.
-func cmpRelSlot(a, b relSlot) int {
-	switch {
-	case a.t < b.t:
-		return -1
-	case a.t > b.t:
-		return 1
-	}
-	return 0
-}
-
-// BatchRunner advances K independent simulations in lockstep: all lane
-// state lives in flattened, lane-strided storage (sched.LaneHeaps for
-// the per-lane timer and ready queues, one backing slice each for task
-// states and point residency), and a shared cross-lane selector always
-// steps the lane whose simulated clock is globally earliest. Per-lane
-// results are bit-identical to running each configuration on a scalar
-// Runner: the lane event loop is a faithful transcription of the scalar
-// one, so every float is accumulated in the same order.
-//
-// Two specializations make the lockstep loop cheaper than K scalar
-// loops. Lanes without fault injection or trace recording run a reduced
-// loop with the fault branches, context polls, and non-inlined
-// math.Min/Max calls compiled out. Lanes whose task set is harmonic
-// (task.Set.Hyperperiod, exactly integral periods and phases) replace
-// the release timer heap with a precomputed per-hyperperiod release
-// table: periodic releases become a cursor walk over (time, task-bitmask)
-// slots instead of O(log n) heap churn per task per period. Release
-// times on an integral grid are exact float64 integers, so the table
-// reproduces the scalar heap's times bit-for-bit.
-//
-// Lanes that do configure Faults or a Recorder are executed on embedded
-// scalar Runners (one per such lane, retained across batches), keeping
-// the full configuration space available at scalar cost.
+// BatchRunner executes a batch of independent configurations: Run
+// executes configuration l on its own retained Runner, and RunMulti
+// executes item i on its own retained MultiRunner, so every result is
+// exactly what a standalone run of the same configuration returns. Each
+// Runner picks its own release mechanism (the release table and the
+// frame bitmask of release.go, or the heaps), so a batch needs no engine
+// of its own.
 //
 // Like Runner, a BatchRunner reuses every internal buffer, so
 // steady-state batches perform no allocation; the returned Results alias
-// those buffers and are valid until the next Run call. Not safe for
-// concurrent use. Each lane must bring its OWN Policy instance (lanes
-// interleave, so a shared instance would corrupt both lanes' state —
-// shared instances are rejected) and, when the exec model is stateful,
+// those buffers and are valid until the next call. Not safe for
+// concurrent use. Each configuration must bring its OWN Policy instance
+// (shared instances are rejected) and, when the exec model is stateful,
 // its own ExecModel.
 type BatchRunner struct {
-	lanes   []lane
+	runners []*Runner
 	results []*Result
 	errs    []error
+	seen    map[core.Policy]int // duplicate policy-instance detection
 
-	// timers and ready are the lane-strided heap storage: lane l's
-	// release timer queue and EDF/RM run queue.
-	timers sched.LaneHeaps
-	ready  sched.LaneHeaps
-
-	// sel is the cross-lane next-event selector: lanes keyed by their
-	// simulated clock, ties by lane index, so Peek is always the
-	// globally-earliest lane.
-	sel sched.ReadyQueue
-
-	// states and resTime are the lane-strided per-task state and
-	// per-point residency backing slices; each lane holds a sub-slice.
-	states  []taskState
-	resTime []float64
-
-	due      []int     // scratch: timer-heap lanes' release drain
-	released []int     // scratch: release events pending policy callbacks
-	slots    []relSlot // scratch: release-table construction
-
-	fallback []*Runner           // scalar runners for fault/recorder lanes
-	seen     map[core.Policy]int // duplicate policy-instance detection
-
-	// mb is the multi-core expansion state of RunMulti (multibatch.go).
-	mb multiBatch
+	multis   []*MultiRunner
+	mresults []*MultiResult
+	merrs    []error
 }
 
 // NewBatchRunner returns an empty BatchRunner; buffers grow on first use.
@@ -114,19 +42,17 @@ func RunBatch(cfgs []Config) ([]*Result, []error) {
 }
 
 // Run executes every configuration and returns parallel slices of
-// per-lane results and errors: results[i] is non-nil exactly when
-// errs[i] is nil. The results (and the slices themselves) alias the
+// per-configuration results and errors: results[i] is non-nil exactly
+// when errs[i] is nil. The results (and the slices themselves) alias the
 // BatchRunner's buffers and are valid until the next Run call; use
 // Result.Clone to retain one.
 func (b *BatchRunner) Run(cfgs []Config) ([]*Result, []error) {
 	return b.run(nil, cfgs)
 }
 
-// RunContext is Run with cooperative cancellation: the lockstep loop
-// polls ctx every cancelCheckInterval steps, and when the context ends
-// early every unfinished lane reports a *Canceled error carrying its
-// partial result, exactly like Runner.RunContext. Finished lanes keep
-// their completed results.
+// RunContext is Run with cooperative cancellation: every configuration
+// still unfinished when the context ends reports a *Canceled error
+// carrying its partial result, exactly like Runner.RunContext.
 func (b *BatchRunner) RunContext(ctx context.Context, cfgs []Config) ([]*Result, []error) {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
@@ -134,855 +60,64 @@ func (b *BatchRunner) RunContext(ctx context.Context, cfgs []Config) ([]*Result,
 	return b.run(ctx, cfgs)
 }
 
-// lane is one simulation of a batch. Its event-loop methods are a
-// transcription of the scalar simulator's, specialized to the fault-free
-// no-recorder configuration; heavy per-lane state (task states, heaps,
-// residency) lives in the BatchRunner's lane-strided storage. lane
-// implements core.System and sched.TaskView for the policy callbacks.
-type lane struct {
-	b   *BatchRunner
-	idx int
-
-	cfg    Config
-	ts     *task.Set
-	states []taskState // view into BatchRunner.states
-	now    float64
-	kind   sched.Kind
-	res    Result
-
-	inv      *laneInvariant
-	invStore laneInvariant
-
-	hw      machine.OperatingPoint
-	hwIdx   int
-	sel     machine.PointSelector
-	resTime []float64 // view into BatchRunner.resTime
-
-	lastRun int
-	ctxErr  error
-
-	// Cached policy facets, constant after Attach: the utilization
-	// reporter assertion and the admission verdict, so the per-event
-	// invariant checks skip the interface machinery the scalar checker
-	// pays.
-	ur         UtilizationReporter
-	guaranteed bool
-
-	// cachedOp/cachedIdx memoize the last PointSelector.Index lookup —
-	// a pure function, so the cache is exact. The idle path would
-	// otherwise pay a linear table scan per idle event.
-	cachedOp   machine.OperatingPoint
-	cachedIdx  int
-	cacheValid bool
-
-	// Harmonic release table: when harmonic is true the lane never
-	// touches the timer heap — slotTime/slotBits list every release
-	// instant of one hyperperiod, and (epochBase, cursor) locate the
-	// next pending slot. tabNext caches its absolute time.
-	harmonic  bool
-	slotTime  []float64
-	slotBits  []uint64
-	hyper     float64
-	epochBase float64
-	cursor    int
-	tabNext   float64
-
-	// Single-frame fast path: when every task shares one period and one
-	// phase, all simultaneously active jobs carry the same ready key
-	// (equal deadlines under EDF, equal periods under RM), so the heap's
-	// key-then-index order degenerates to plain task-index order. The
-	// ready set is then a bitmask — insert/remove are single bit ops and
-	// peek is TrailingZeros64 — with order provably identical to the
-	// heap's. frame implies harmonic, so n ≤ 64 is already guaranteed.
-	frame     bool
-	readyBits uint64
-
-	// quantum is the span of simulated time the lane advances per
-	// selector turn. Turn granularity only shapes the interleaving of
-	// independent lanes — per-lane results are identical at any quantum —
-	// so it is chosen for locality: one turn covers enough consecutive
-	// events to keep the lane's working set hot, and the cross-lane
-	// selector is consulted once per turn instead of once per event.
-	quantum float64
-
-	fallback bool
-	done     bool
-}
-
-// --- core.System / sched.TaskView ---
-
-func (ln *lane) Now() float64 { return ln.now }
-
-func (ln *lane) Deadline(i int) float64 {
-	st := &ln.states[i]
-	if st.active {
-		return st.deadline
-	}
-	return st.nominalRel
-}
-
-func (ln *lane) NumTasks() int        { return ln.ts.Len() }
-func (ln *lane) Task(i int) task.Task { return ln.ts.Task(i) }
-func (ln *lane) Ready(i int) bool     { return ln.states[i].active }
-
-// --- batch orchestration ---
-
-// run validates and classifies every lane, executes fault/recorder lanes
-// on scalar Runners, and advances the remaining lanes in lockstep.
+// run validates each configuration the way Runner.run does, rejects a
+// Policy instance an earlier valid configuration already brought, and
+// executes the rest one after another.
 func (b *BatchRunner) run(ctx context.Context, cfgs []Config) ([]*Result, []error) {
 	k := len(cfgs)
 	b.results = growZeroed(b.results, k)
 	b.errs = growZeroed(b.errs, k)
-	if k == 0 {
-		return b.results, b.errs
-	}
-	if cap(b.lanes) >= k {
-		b.lanes = b.lanes[:k]
-	} else {
-		grown := make([]lane, k)
-		copy(grown, b.lanes)
-		b.lanes = grown
+	for i := len(b.runners); i < k; i++ {
+		b.runners = append(b.runners, NewRunner())
 	}
 	if b.seen == nil {
 		b.seen = make(map[core.Policy]int, k)
 	} else {
 		clear(b.seen)
 	}
-
-	// Pass 1: validate each configuration (mirroring Runner.run), apply
-	// defaults, classify the lane, and size the shared storage.
-	maxN, maxSel := 1, 1
-	for l := range cfgs {
-		cfg, err := b.validateLane(l, cfgs[l])
-		if err != nil {
+	for l, cfg := range cfgs {
+		if err := validate(&cfg); err != nil {
 			b.errs[l] = err
-			b.lanes[l].done = true
 			continue
 		}
-		ln := &b.lanes[l]
-		ln.cfg = cfg
-		ln.done = false
-		ln.fallback = cfg.Faults != nil || cfg.Recorder != nil
-		if n := cfg.Tasks.Len(); n > maxN {
-			maxN = n
-		}
-		if pl := cfg.Machine.Selector().Len(); pl > maxSel {
-			maxSel = pl
-		}
-	}
-
-	b.states = growZeroed(b.states, k*maxN)
-	b.resTime = growZeroed(b.resTime, k*maxSel)
-	b.timers.Reset(k, maxN)
-	b.ready.Reset(k, maxN)
-	b.sel.Reset(k)
-
-	// Pass 2: wire fast lanes into the shared storage; run fallback
-	// lanes to completion on their scalar Runners.
-	nfall := 0
-	for l := range b.lanes {
-		ln := &b.lanes[l]
-		if ln.done {
+		if prev, dup := b.seen[cfg.Policy]; dup {
+			b.errs[l] = fmt.Errorf("sim: batch lanes %d and %d share a Policy instance; every lane needs its own", prev, l)
 			continue
 		}
-		if ln.fallback {
-			r := b.fallbackRunner(nfall)
-			nfall++
-			b.results[l], b.errs[l] = r.RunContext(ctx, ln.cfg)
-			ln.done = true
-			continue
-		}
-		b.setupLane(l, maxN, maxSel)
-		if err := b.sel.Push(l, 0); err != nil {
-			panic(err) // lane indexes are unique by construction
-		}
-	}
-
-	// Lockstep at quantum granularity: each turn picks the globally
-	// earliest lane and advances it through one quantum of simulated
-	// time before re-keying it with its new clock (or retiring it once
-	// it crosses its horizon). Lanes are independent, so the selector
-	// only decides interleaving — per-lane results are bit-identical at
-	// any turn size — and the coarser turns keep each lane's working
-	// set cache-resident across a run of consecutive events instead of
-	// thrashing K lanes through the selector per event.
-	tick := 0
-turns:
-	for b.sel.Len() > 0 {
-		l := b.sel.Peek()
-		ln := &b.lanes[l]
-		limit := ln.now + ln.quantum
-		for {
-			if ctx != nil {
-				if tick--; tick <= 0 {
-					tick = cancelCheckInterval
-					if err := ctx.Err(); err != nil {
-						break turns
-					}
-				}
-			}
-			if !ln.step() {
-				b.sel.Pop()
-				b.results[l], b.errs[l] = ln.finish()
-				ln.done = true
-				continue turns
-			}
-			if ln.now >= limit {
-				b.sel.Update(l, ln.now)
-				continue turns
-			}
-		}
-	}
-	// Context ended: every lane still in the selector stops where it is
-	// and reports a partial result, like a cancelled scalar run.
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			//rtdvs:ignore ctxpoll post-cancellation drain: no lane steps again, one finish per remaining lane
-			for b.sel.Len() > 0 {
-				l := b.sel.Pop()
-				ln := &b.lanes[l]
-				ln.ctxErr = err
-				b.results[l], b.errs[l] = ln.finish()
-				ln.done = true
-			}
-		}
+		b.seen[cfg.Policy] = l
+		b.results[l], b.errs[l] = b.runners[l].exec(ctx, cfg)
 	}
 	return b.results, b.errs
 }
 
-// validateLane mirrors the scalar Runner's configuration validation and
-// defaulting, plus the batch-specific requirement that no two lanes
-// share a Policy instance (lanes interleave; Attach-time reset cannot
-// protect concurrent lanes the way it protects sequential runs).
-func (b *BatchRunner) validateLane(l int, cfg Config) (Config, error) {
-	if cfg.Tasks == nil || cfg.Tasks.Len() == 0 {
-		return cfg, task.ErrEmptySet
-	}
-	if cfg.Machine == nil {
-		return cfg, fmt.Errorf("sim: nil machine spec")
-	}
-	if err := cfg.Machine.Validate(); err != nil {
-		return cfg, err
-	}
-	if cfg.Policy == nil {
-		return cfg, fmt.Errorf("sim: nil policy")
-	}
-	if prev, dup := b.seen[cfg.Policy]; dup {
-		return cfg, fmt.Errorf("sim: batch lanes %d and %d share a Policy instance; every lane needs its own", prev, l)
-	}
-	b.seen[cfg.Policy] = l
-	if cfg.Exec == nil {
-		cfg.Exec = task.FullWCET{}
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 20 * cfg.Tasks.MaxPeriod()
-	}
-	wireDistributions(cfg.Policy, cfg.Exec)
-	if err := cfg.Policy.Attach(cfg.Tasks, cfg.Machine); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
+// RunMulti executes every multi-core configuration and returns parallel
+// slices of per-item results and errors: results[i] is non-nil exactly
+// when errs[i] is nil. The results alias the BatchRunner's buffers and
+// are valid until the next RunMulti call; use MultiResult.Clone to
+// retain one. The configurations themselves are left untouched.
+func (b *BatchRunner) RunMulti(cfgs []MultiConfig) ([]*MultiResult, []error) {
+	return b.runMulti(nil, cfgs)
 }
 
-// fallbackRunner returns the i-th scalar Runner of the fallback pool,
-// growing the pool on first use and retaining it across batches so
-// repeated batches with fault/recorder lanes stay allocation-free too.
-func (b *BatchRunner) fallbackRunner(i int) *Runner {
-	for len(b.fallback) <= i {
-		b.fallback = append(b.fallback, NewRunner())
+// RunMultiContext is RunMulti with cooperative cancellation: items
+// interrupted before their horizon report a *MultiCanceled carrying the
+// partial result, like MultiRunner.RunContext.
+func (b *BatchRunner) RunMultiContext(ctx context.Context, cfgs []MultiConfig) ([]*MultiResult, []error) {
+	if ctx != nil && ctx.Done() == nil {
+		ctx = nil
 	}
-	return b.fallback[i]
+	return b.runMulti(ctx, cfgs)
 }
 
-// setupLane initializes a fast lane exactly the way Runner.run
-// initializes the scalar simulator, then picks the release mechanism.
-func (b *BatchRunner) setupLane(l, maxN, maxSel int) {
-	ln := &b.lanes[l]
-	cfg := ln.cfg
-	n := cfg.Tasks.Len()
-	ln.b = b
-	ln.idx = l
-	ln.ts = cfg.Tasks
-	ln.now = 0
-	ln.kind = cfg.Policy.Scheduler()
-	ln.sel = cfg.Machine.Selector()
-	ln.states = b.states[l*maxN : l*maxN+n]
-	ln.resTime = b.resTime[l*maxSel : l*maxSel+ln.sel.Len()]
-	ln.lastRun = -1
-	ln.ctxErr = nil
-	ln.cacheValid = false
-
-	prt := ln.res.PointResTime
-	if prt == nil {
-		prt = make(map[machine.OperatingPoint]float64, ln.sel.Len())
-	} else {
-		clear(prt)
-	}
-	ln.res = Result{
-		Policy:       cfg.Policy.Name(),
-		Horizon:      cfg.Horizon,
-		Guaranteed:   cfg.Policy.Guaranteed(),
-		Misses:       ln.res.Misses[:0],
-		PerTask:      growZeroed(ln.res.PerTask, n),
-		PointResTime: prt,
-	}
-
-	ln.harmonic = b.buildReleaseTable(ln)
-	t0 := cfg.Tasks.Task(0)
-	ln.frame = ln.harmonic
-	ln.readyBits = 0
-	maxPeriod := 0.0
-	for i := range ln.states {
-		t := cfg.Tasks.Task(i)
-		ln.states[i] = taskState{nextRelease: t.Phase, nominalRel: t.Phase, deadline: t.Phase}
-		if !ln.harmonic {
-			ln.timerAdd(i, t.Phase)
-		}
-		//rtdvs:ignore floatcmp exact equality is the gate: the frame fast path requires identical periods and phases, not nearly equal ones
-		if t.Period != t0.Period || t.Phase != t0.Phase {
-			ln.frame = false
-		}
-		if t.Period > maxPeriod {
-			maxPeriod = t.Period
-		}
-	}
-	ln.quantum = maxPeriod
-	if ln.harmonic && ln.hyper > ln.quantum {
-		ln.quantum = ln.hyper
-	}
-	if q := cfg.Horizon / 32; q > ln.quantum {
-		ln.quantum = q
-	}
-
-	if cfg.CheckInvariants || testing.Testing() {
-		ln.invStore = laneInvariant{ln: ln}
-		ln.inv = &ln.invStore
-	} else {
-		ln.inv = nil
-	}
-	ln.ur, _ = cfg.Policy.(UtilizationReporter)
-	ln.guaranteed = cfg.Policy.Guaranteed()
-	ln.hw = cfg.Policy.Point()
-	ln.hwIdx = ln.sel.Index(ln.hw)
-	ln.inv.checkPoint(ln.hw)
-	ln.inv.checkUtilization()
-}
-
-// buildReleaseTable precomputes one hyperperiod of release instants for
-// a harmonic lane, reporting whether the lane qualifies. Qualification
-// is strict so the table is bit-exact against the scalar timer heap:
-// every period and phase must be an exact float64 integer (the scalar
-// engine accumulates release times by repeated addition, which is exact
-// on the integer grid below 2^53 — the same integers the table
-// produces), phases must precede the first period so the [0,H) slot
-// pattern repeats verbatim every hyperperiod, the task count must fit
-// the 64-bit due-bitmask, and the horizon must keep absolute slot times
-// on the exact grid.
-func (b *BatchRunner) buildReleaseTable(ln *lane) bool {
-	ts := ln.ts
-	n := ts.Len()
-	if n > 64 {
-		return false
-	}
-	h, ok := ts.Hyperperiod()
-	if !ok {
-		return false
-	}
-	if !(ln.cfg.Horizon+2*h < float64(int64(1)<<53)) {
-		return false
-	}
-	total := 0
-	for i := 0; i < n; i++ {
-		t := ts.Task(i)
-		//rtdvs:ignore floatcmp exact integrality is the gate: the release table is only valid on an exact integer grid
-		if t.Period != math.Trunc(t.Period) || t.Phase != math.Trunc(t.Phase) ||
-			t.Phase < 0 || t.Phase >= t.Period {
-			return false
-		}
-		total += int(h / t.Period)
-	}
-	if total > batchMaxSlots {
-		return false
-	}
-
-	b.slots = b.slots[:0]
-	for i := 0; i < n; i++ {
-		t := ts.Task(i)
-		bit := uint64(1) << uint(i)
-		for at := t.Phase; at < h; at += t.Period {
-			b.slots = append(b.slots, relSlot{t: at, bits: bit})
-		}
-	}
-	slices.SortFunc(b.slots, cmpRelSlot)
-	out := 0
-	for _, s := range b.slots {
-		//rtdvs:ignore floatcmp slot times sit on the exact integer grid the table gate enforces; coincident means bit-equal
-		if out > 0 && b.slots[out-1].t == s.t {
-			b.slots[out-1].bits |= s.bits
-		} else {
-			b.slots[out] = s
-			out++
-		}
-	}
-	ln.slotTime = growZeroed(ln.slotTime, out)
-	ln.slotBits = growZeroed(ln.slotBits, out)
-	for j := 0; j < out; j++ {
-		ln.slotTime[j] = b.slots[j].t
-		ln.slotBits[j] = b.slots[j].bits
-	}
-	ln.hyper = h
-	ln.epochBase = 0
-	ln.cursor = 0
-	ln.tabNext = ln.slotTime[0]
-	return true
-}
-
-// --- lane event loop (transcribed from the scalar simulator) ---
-
-// timerAdd enqueues task i's next release on the lane's timer heap
-// (timer-heap lanes only).
-//
-//rtdvs:hotpath
-func (ln *lane) timerAdd(i int, at float64) {
-	if err := ln.b.timers.Push(ln.idx, i, at); err != nil {
-		panic(err)
-	}
-}
-
-// readyKey returns task i's run-queue priority — identical to the
-// scalar simulator's readyKey.
-//
-//rtdvs:hotpath
-func (ln *lane) readyKey(i int) float64 {
-	if ln.kind == sched.RM {
-		return ln.ts.Task(i).Period
-	}
-	return ln.states[i].deadline
-}
-
-// readyAdd enqueues a newly activated task: a bit set for single-frame
-// lanes, a heap push otherwise.
-//
-//rtdvs:hotpath
-func (ln *lane) readyAdd(i int) {
-	if ln.frame {
-		ln.readyBits |= 1 << uint(i)
-		return
-	}
-	if err := ln.b.ready.Push(ln.idx, i, ln.readyKey(i)); err != nil {
-		panic(err)
-	}
-}
-
-// readyPeek returns the highest-priority active task, or -1 when idle.
-// For single-frame lanes the lowest set bit IS the heap's answer: all
-// active keys are equal, and the heap breaks ties by task index.
-//
-//rtdvs:hotpath
-func (ln *lane) readyPeek() int {
-	if ln.frame {
-		if ln.readyBits == 0 {
-			return -1
-		}
-		return bits.TrailingZeros64(ln.readyBits)
-	}
-	return ln.b.ready.Peek(ln.idx)
-}
-
-// readyRemove drops a completed or deadline-missed task from the ready
-// set.
-//
-//rtdvs:hotpath
-func (ln *lane) readyRemove(i int) {
-	if ln.frame {
-		ln.readyBits &^= 1 << uint(i)
-		return
-	}
-	ln.b.ready.Remove(ln.idx, i)
-}
-
-// nextReleaseTime returns the lane's earliest pending release: the
-// release-table cursor for harmonic lanes, the timer heap otherwise.
-//
-//rtdvs:hotpath
-func (ln *lane) nextReleaseTime() float64 {
-	if ln.harmonic {
-		return ln.tabNext
-	}
-	return ln.b.timers.PeekKey(ln.idx)
-}
-
-// selIndex returns op's machine-table index through the lane's one-entry
-// memo. PointSelector.Index is a pure linear scan, so memoizing the last
-// lookup is exact and removes the scan from the per-event idle path.
-//
-//rtdvs:hotpath
-func (ln *lane) selIndex(op machine.OperatingPoint) int {
-	if ln.cacheValid && op == ln.cachedOp {
-		return ln.cachedIdx
-	}
-	ln.cachedOp = op
-	ln.cachedIdx = ln.sel.Index(op)
-	ln.cacheValid = true
-	return ln.cachedIdx
-}
-
-// fireReleases fires every due release of task i — the per-task inner
-// loop of the scalar processReleases, minus the fault hooks fast lanes
-// never configure.
-//
-//rtdvs:hotpath
-func (ln *lane) fireReleases(i int) {
-	st := &ln.states[i]
-	for fpx.Le(st.nextRelease, ln.now) {
-		if st.active {
-			ln.res.Misses = append(ln.res.Misses, Miss{
-				Task: i, Inv: st.inv - 1, Deadline: st.deadline, Remaining: st.remaining,
-			})
-			ln.res.PerTask[i].Misses++
-			ln.inv.checkMiss(i, st.inv-1, st.deadline)
-			st.active = false
-			ln.readyRemove(i)
-			if ln.lastRun == i {
-				ln.lastRun = -1 // aborted, not preempted
-			}
-		}
-		actual := st.nextRelease
-		rel := st.nominalRel
-		p := ln.ts.Task(i)
-		wcet := p.WCET
-		c := ln.cfg.Exec.Cycles(i, st.inv, wcet)
-		if c > wcet {
-			c = wcet
-		}
-		if c <= 0 {
-			c = math.SmallestNonzeroFloat64
-		}
-		st.remaining = c
-		st.used = 0
-		st.overNotified = false
-		st.releasedAt = actual
-		st.deadline = rel + p.Period
-		st.nominalRel = rel + p.Period
-		st.nextRelease = st.nominalRel
-		st.active = true
-		st.inv++
-		ln.res.Releases++
-		ln.res.PerTask[i].Releases++
-		ln.readyAdd(i)
-		ln.b.released = append(ln.b.released, i)
-	}
-}
-
-// processReleasesHeap is the scalar processReleases on the lane's slice
-// of the lane-strided timer heap.
-//
-//rtdvs:hotpath
-func (ln *lane) processReleasesHeap() {
-	b := ln.b
-	if !fpx.Le(b.timers.PeekKey(ln.idx), ln.now) {
-		return
-	}
-	b.due = b.due[:0]
-	for fpx.Le(b.timers.PeekKey(ln.idx), ln.now) {
-		b.due = append(b.due, b.timers.Pop(ln.idx))
-	}
-	sortIndexes(b.due)
-	b.released = b.released[:0]
-	for _, i := range b.due {
-		ln.fireReleases(i)
-		ln.timerAdd(i, ln.states[i].nextRelease)
-	}
-	for _, i := range b.released {
-		ln.cfg.Policy.OnRelease(ln, i)
-	}
-	if len(b.released) > 0 {
-		ln.inv.checkUtilization()
-	}
-}
-
-// processReleasesTable drains the release table instead of a timer heap:
-// every slot at or before now contributes its task bitmask, and the due
-// tasks replay in ascending index order via the bit scan — the same
-// event order the heap drain plus index sort produces. Slot times and
-// the per-task accumulated release times are the same exact integers,
-// so the fpx comparisons agree bit-for-bit with the heap path.
-//
-//rtdvs:hotpath
-func (ln *lane) processReleasesTable() {
-	if !fpx.Le(ln.tabNext, ln.now) {
-		return
-	}
-	due := uint64(0)
-	for fpx.Le(ln.tabNext, ln.now) {
-		due |= ln.slotBits[ln.cursor]
-		ln.cursor++
-		if ln.cursor == len(ln.slotTime) {
-			ln.cursor = 0
-			ln.epochBase += ln.hyper
-		}
-		ln.tabNext = ln.epochBase + ln.slotTime[ln.cursor]
-	}
-	b := ln.b
-	b.released = b.released[:0]
-	for due != 0 {
-		i := bits.TrailingZeros64(due)
-		due &= due - 1
-		ln.fireReleases(i)
-	}
-	for _, i := range b.released {
-		ln.cfg.Policy.OnRelease(ln, i)
-	}
-	if len(b.released) > 0 {
-		ln.inv.checkUtilization()
-	}
-}
-
-// switchTo is the scalar switchTo minus the fault hooks, with the
-// memoized point-index lookup.
-//
-//rtdvs:hotpath
-func (ln *lane) switchTo(op machine.OperatingPoint) {
-	if op == ln.hw {
-		return
-	}
-	var halt float64
-	if ln.cfg.Overhead != nil {
-		halt = ln.cfg.Overhead.Halt(ln.hw, op)
-	}
-	idx := ln.selIndex(op)
-	ln.res.Switches++
-	if halt > 0 {
-		end := ln.now + halt
-		if ln.cfg.Horizon < end {
-			end = ln.cfg.Horizon
-		}
-		ln.record(ln.now, end, op, idx)
-		ln.res.HaltTime += end - ln.now
-		ln.now = end
-	}
-	ln.hw, ln.hwIdx = op, idx
-	ln.inv.checkPoint(op)
-}
-
-// record accounts an execution/idle segment's point residency. Fast
-// lanes have no Recorder, so only the dense residency array (or the
-// foreign-point fallback map) is touched.
-//
-//rtdvs:hotpath
-func (ln *lane) record(start, end float64, op machine.OperatingPoint, opIdx int) {
-	if opIdx >= 0 {
-		ln.resTime[opIdx] += end - start
-	} else {
-		ln.res.PointResTime[op] += end - start
-	}
-}
-
-// step advances the lane by one event-loop iteration — the body of the
-// scalar run loop, transcribed with the fault branches and context polls
-// removed and math.Min/Max replaced by branches (exact for the
-// non-negative finite operands involved). It reports false once the
-// lane has crossed its horizon.
-//
-//rtdvs:hotpath
-func (ln *lane) step() bool {
-	if !fpx.Lt(ln.now, ln.cfg.Horizon) {
-		return false
-	}
-	ln.res.Events++
-	if ln.harmonic {
-		ln.processReleasesTable()
-	} else {
-		ln.processReleasesHeap()
-	}
-
-	nextRel := ln.nextReleaseTime()
-	if ln.cfg.Horizon < nextRel {
-		nextRel = ln.cfg.Horizon
-	}
-	pick := ln.readyPeek()
-
-	if pick < 0 {
-		// Idle until the next release at the policy's idle point.
-		op := ln.cfg.Policy.IdlePoint()
-		ln.switchTo(op)
-		start := ln.now
-		end := nextRel
-		if start > end {
-			end = start
-		}
-		if end > start {
-			dur := end - start
-			e := ln.cfg.Machine.IdlePower(op) * dur
-			ln.res.IdleEnergy += e
-			ln.res.IdleTime += dur
-			ln.record(start, end, op, ln.selIndex(op))
-			ln.now = end
-			ln.inv.checkEnergy()
-		} else {
-			ln.now = nextRel
-		}
-		return true
-	}
-
-	op := ln.cfg.Policy.Point()
-	ln.switchTo(op)
-	if fpx.Ge(ln.now, ln.cfg.Horizon) {
-		return false
-	}
-	if fpx.Le(ln.nextReleaseTime(), ln.now) {
-		// A release became due during the stop interval; process it
-		// (and let the policy react) before execution resumes.
-		return true
-	}
-	nextRel = ln.nextReleaseTime()
-	if ln.cfg.Horizon < nextRel {
-		nextRel = ln.cfg.Horizon
-	}
-
-	if ln.lastRun >= 0 && ln.lastRun != pick && ln.states[ln.lastRun].active {
-		ln.res.Preemptions++
-	}
-	ln.lastRun = pick
-
-	st := &ln.states[pick]
-	finish := ln.now + st.remaining/ln.hw.Freq
-	end := finish
-	if nextRel < end {
-		end = nextRel
-	}
-	dur := end - ln.now
-	cycles := dur * ln.hw.Freq
-	if cycles > st.remaining || fpx.Le(finish, end) {
-		cycles = st.remaining
-	}
-	st.remaining -= cycles
-	st.used += cycles
-	ln.res.CyclesDone += cycles
-	ln.res.PerTask[pick].Cycles += cycles
-	ln.res.ExecEnergy += cycles * ln.hw.EnergyPerCycle()
-	ln.res.BusyTime += dur
-	ln.record(ln.now, end, ln.hw, ln.hwIdx)
-	ln.now = end
-	ln.inv.checkEnergy()
-	ln.cfg.Policy.OnExecute(pick, cycles)
-
-	if fpx.Le(st.remaining, 0) {
-		st.remaining = 0
-		st.active = false
-		ln.readyRemove(pick)
-		ln.res.Completions++
-		ln.res.PerTask[pick].Completions++
-		if resp := ln.now - st.releasedAt; resp > ln.res.PerTask[pick].MaxResponse {
-			ln.res.PerTask[pick].MaxResponse = resp
-		}
-		ln.lastRun = -1
-		ln.cfg.Policy.OnCompletion(ln, pick, st.used)
-		ln.inv.checkUtilization()
-	}
-	return true
-}
-
-// finish closes out a lane the way Runner.run closes out a scalar run:
-// final energy total and check, invariant verdict, residency fold,
-// cancellation, then metrics observation on success.
-func (ln *lane) finish() (*Result, error) {
-	ln.res.TotalEnergy = ln.res.ExecEnergy + ln.res.IdleEnergy
-	ln.inv.checkEnergy()
-	if err := ln.inv.Err(); err != nil {
-		return nil, err
-	}
-	for i, d := range ln.resTime {
-		if d > 0 {
-			ln.res.PointResTime[ln.cfg.Machine.Points[i]] += d
-		}
-	}
-	if ln.ctxErr != nil {
-		return nil, &Canceled{At: ln.now, Partial: &ln.res, Cause: ln.ctxErr}
-	}
-	if ln.cfg.Metrics != nil {
-		ln.cfg.Metrics.observe(&ln.res, ln.resTime, ln.cfg.Machine)
-	}
-	return &ln.res, nil
-}
-
-// laneInvariant is the batch counterpart of invariantChecker: identical
-// checks and messages, with the utilization-reporter assertion and the
-// admission verdict read from the lane's attach-time cache instead of
-// re-derived per call. Fast lanes never configure fault injection, so
-// the fault-provenance stand-down is vacuously absent.
-type laneInvariant struct {
-	ln        *lane
-	lastTotal float64
-	err       error
-}
-
-// Err returns the first recorded violation, if any.
-func (c *laneInvariant) Err() error {
-	if c == nil {
-		return nil
-	}
-	return c.err
-}
-
-func (c *laneInvariant) failf(format string, args ...interface{}) {
-	if c.err == nil {
-		c.err = fmt.Errorf("sim: invariant violated at t=%g: %s",
-			c.ln.now, fmt.Sprintf(format, args...))
-	}
-}
-
-func (c *laneInvariant) checkPoint(op machine.OperatingPoint) {
-	if c == nil || c.err != nil {
-		return
-	}
-	for _, p := range c.ln.cfg.Machine.Points {
-		if p == op {
-			return
-		}
-	}
-	c.failf("policy %s selected operating point (f=%g, V=%g), which is not "+
-		"one of the machine's discrete points",
-		c.ln.cfg.Policy.Name(), op.Freq, op.Voltage)
-}
-
-func (c *laneInvariant) checkEnergy() {
-	if c == nil || c.err != nil {
-		return
-	}
-	exec, idle := c.ln.res.ExecEnergy, c.ln.res.IdleEnergy
-	if exec < 0 || idle < 0 {
-		c.failf("negative energy component (exec=%g, idle=%g)", exec, idle)
-		return
-	}
-	total := exec + idle
-	if fpx.Lt(total, c.lastTotal) {
-		c.failf("total energy decreased from %g to %g", c.lastTotal, total)
-		return
-	}
-	c.lastTotal = total
-}
-
-func (c *laneInvariant) checkUtilization() {
-	if c == nil || c.err != nil {
-		return
-	}
-	ur := c.ln.ur
-	if ur == nil || !c.ln.guaranteed {
-		return
-	}
-	if u := ur.ReservedUtilization(); fpx.Gt(u, 1) {
-		c.failf("policy %s reserves utilization %g > 1 for an admitted "+
-			"task set", c.ln.cfg.Policy.Name(), u)
-	}
-}
-
-func (c *laneInvariant) checkMiss(i, inv int, deadline float64) {
-	if c == nil || c.err != nil {
-		return
-	}
-	if c.ln.guaranteed {
-		c.failf("task %d invocation %d missed its deadline %g under %s, "+
-			"which guaranteed the set", i, inv, deadline, c.ln.cfg.Policy.Name())
-	}
+func (b *BatchRunner) runMulti(ctx context.Context, cfgs []MultiConfig) ([]*MultiResult, []error) {
+	k := len(cfgs)
+	b.mresults = growZeroed(b.mresults, k)
+	b.merrs = growZeroed(b.merrs, k)
+	for i := len(b.multis); i < k; i++ {
+		b.multis = append(b.multis, NewMultiRunner())
+	}
+	for i, cfg := range cfgs {
+		b.mresults[i], b.merrs[i] = b.multis[i].run(ctx, cfg)
+	}
+	return b.mresults, b.merrs
 }

@@ -28,64 +28,69 @@ func harmonicSet(t testing.TB, tasks ...task.Task) *task.Set {
 	return ts
 }
 
+// paperPolicies are the paper's six RT-DVS policies.
+var paperPolicies = []string{"none", "staticEDF", "staticRM", "ccEDF", "ccRM", "laEDF"}
+
+// harmonicShapes are hand-built integral task sets — with phases, with
+// switch overhead, with clustered frame releases — that engage the
+// release table (and, for the pure frame, the frame bitmask). Each call
+// returns a fresh Config without Policy and Machine.
+var harmonicShapes = []func(t testing.TB) Config{
+	func(t testing.TB) Config { // pure frame-based: all periods equal
+		return Config{
+			Tasks: harmonicSet(t,
+				task.Task{Period: 20, WCET: 4},
+				task.Task{Period: 20, WCET: 3},
+				task.Task{Period: 20, WCET: 5},
+			),
+			Exec:    task.ConstantFraction{C: 0.7},
+			Horizon: 500,
+		}
+	},
+	func(t testing.TB) Config { // nested harmonic periods with phases
+		return Config{
+			Tasks: harmonicSet(t,
+				task.Task{Period: 10, WCET: 2, Phase: 3},
+				task.Task{Period: 20, WCET: 4},
+				task.Task{Period: 40, WCET: 9, Phase: 7},
+				task.Task{Period: 40, WCET: 3},
+			),
+			Exec:    task.UniformFraction{Lo: 0.2, Hi: 1, Rand: rand.New(rand.NewSource(9))},
+			Horizon: 777.5,
+		}
+	},
+	func(t testing.TB) Config { // switch overhead: halts jump time across releases
+		return Config{
+			Tasks: harmonicSet(t,
+				task.Task{Period: 8, WCET: 3},
+				task.Task{Period: 16, WCET: 5},
+			),
+			Exec:     task.FullWCET{},
+			Horizon:  333,
+			Overhead: &machine.SwitchOverhead{FreqOnly: 0.1, VoltageChange: 0.4},
+		}
+	},
+}
+
+// harmonicConfig builds harmonic shape mk under a fresh instance of the
+// named policy on Machine1.
+func harmonicConfig(t *testing.T, mk func(testing.TB) Config, policy string) Config {
+	t.Helper()
+	cfg := mk(t)
+	cfg.Policy = mustPolicy(t, policy)
+	cfg.Machine = machine.Machine1()
+	return cfg
+}
+
 // batchTestConfigs builds a varied batch: the scalar runner test's
-// generated (non-harmonic) shapes across all six policies, plus
-// hand-built harmonic shapes — with phases, with switch overhead, with
-// clustered frame releases — that exercise the release-table path.
+// generated (non-harmonic) shapes across all six policies, plus the
+// harmonic shapes under each of them.
 func batchTestConfigs(t *testing.T) []func() Config {
 	t.Helper()
 	mk := runnerTestConfigs(t)
-	for _, pname := range []string{"none", "staticEDF", "staticRM", "ccEDF", "ccRM", "laEDF"} {
-		pname := pname
-		harmonics := []func(t testing.TB) Config{
-			func(t testing.TB) Config { // pure frame-based: all periods equal
-				return Config{
-					Tasks: harmonicSet(t,
-						task.Task{Period: 20, WCET: 4},
-						task.Task{Period: 20, WCET: 3},
-						task.Task{Period: 20, WCET: 5},
-					),
-					Exec:    task.ConstantFraction{C: 0.7},
-					Horizon: 500,
-				}
-			},
-			func(t testing.TB) Config { // nested harmonic periods with phases
-				return Config{
-					Tasks: harmonicSet(t,
-						task.Task{Period: 10, WCET: 2, Phase: 3},
-						task.Task{Period: 20, WCET: 4},
-						task.Task{Period: 40, WCET: 9, Phase: 7},
-						task.Task{Period: 40, WCET: 3},
-					),
-					Exec:    task.UniformFraction{Lo: 0.2, Hi: 1, Rand: rand.New(rand.NewSource(9))},
-					Horizon: 777.5,
-				}
-			},
-			func(t testing.TB) Config { // switch overhead: halts jump time across releases
-				return Config{
-					Tasks: harmonicSet(t,
-						task.Task{Period: 8, WCET: 3},
-						task.Task{Period: 16, WCET: 5},
-					),
-					Exec:     task.FullWCET{},
-					Horizon:  333,
-					Overhead: &machine.SwitchOverhead{FreqOnly: 0.1, VoltageChange: 0.4},
-				}
-			},
-		}
-		for hi, mkh := range harmonics {
-			mkh := mkh
-			_ = hi
-			mk = append(mk, func() Config {
-				cfg := mkh(t)
-				p, err := core.ByName(pname)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Policy = p
-				cfg.Machine = machine.Machine1()
-				return cfg
-			})
+	for _, pname := range paperPolicies {
+		for _, mkh := range harmonicShapes {
+			mk = append(mk, func() Config { return harmonicConfig(t, mkh, pname) })
 		}
 	}
 	return mk
@@ -113,7 +118,7 @@ func requireSameAsScalar(t *testing.T, label string, got *Result, gotErr error, 
 	}
 }
 
-// The tentpole contract: every per-lane BatchRunner result must be
+// The batch contract: every per-lane BatchRunner result must be
 // bit-identical (DeepEqual) to the scalar Runner's result for the same
 // configuration, across all six policies and both generated and
 // harmonic workload shapes, with the invariant checker live (it always
@@ -135,34 +140,39 @@ func TestBatchMatchesScalarAcrossPolicies(t *testing.T) {
 }
 
 // The harmonic shapes must actually engage the release-table path —
-// otherwise the identity test above exercises nothing new.
+// otherwise the identity tests exercise nothing new. The table needs an
+// integral grid and no fault injector; the frame bitmask additionally
+// needs one shared period and phase.
 func TestBatchHarmonicLanesUseReleaseTable(t *testing.T) {
-	p1, _ := core.ByName("ccEDF")
-	p2, _ := core.ByName("ccEDF")
-	cfgs := []Config{
-		{
-			Tasks: harmonicSet(t,
-				task.Task{Period: 10, WCET: 2},
-				task.Task{Period: 20, WCET: 4, Phase: 5}),
-			Machine: machine.Machine0(), Policy: p1, Horizon: 100,
-		},
-		{ // non-integral period: must stay on the timer heap
-			Tasks:   mustSet(t, task.Task{Period: 10.5, WCET: 2}),
-			Machine: machine.Machine0(), Policy: p2, Horizon: 100,
-		},
+	nested := harmonicSet(t,
+		task.Task{Period: 10, WCET: 2},
+		task.Task{Period: 20, WCET: 4, Phase: 5})
+	frame := harmonicSet(t,
+		task.Task{Period: 20, WCET: 4},
+		task.Task{Period: 20, WCET: 3})
+	cases := []struct {
+		name         string
+		cfg          Config
+		table, frame bool
+	}{
+		{"integral harmonic", Config{Tasks: nested}, true, false},
+		{"single frame", Config{Tasks: frame}, true, true},
+		{"non-integral period", Config{Tasks: mustSet(t, task.Task{Period: 10.5, WCET: 2})}, false, false},
+		{"faults", Config{Tasks: frame, Faults: fault.MustNew(fault.Plan{Seed: 3})}, false, false},
 	}
-	br := NewBatchRunner()
-	_, errs := br.Run(cfgs)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("lane %d: %v", i, err)
+	r := NewRunner()
+	for _, c := range cases {
+		cfg := c.cfg
+		cfg.Machine = machine.Machine0()
+		cfg.Policy = mustPolicy(t, "ccEDF")
+		cfg.Horizon = 100
+		if _, err := r.Run(cfg); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
-	if !br.lanes[0].harmonic {
-		t.Error("integral harmonic lane did not engage the release table")
-	}
-	if br.lanes[1].harmonic {
-		t.Error("non-integral lane engaged the release table")
+		if r.s.table != c.table || r.s.frame != c.frame {
+			t.Errorf("%s: table=%v frame=%v, want table=%v frame=%v",
+				c.name, r.s.table, r.s.frame, c.table, c.frame)
+		}
 	}
 }
 
@@ -185,8 +195,8 @@ func TestBatchOfOneEqualsScalar(t *testing.T) {
 }
 
 // Metamorphic: permuting the lane order must leave every per-lane
-// result bit-identical — lanes are independent, so the lockstep
-// interleaving order cannot matter.
+// result bit-identical — lanes are independent, so their order cannot
+// matter.
 func TestBatchLanePermutationInvariant(t *testing.T) {
 	mks := batchTestConfigs(t)
 	n := len(mks)
@@ -215,9 +225,9 @@ func TestBatchLanePermutationInvariant(t *testing.T) {
 	}
 }
 
-// Lanes with fault injection or trace recording fall back to embedded
-// scalar Runners; mixed batches must still report every lane identical
-// to a standalone scalar run.
+// Lanes with fault injection (which runs the heaps) or trace recording
+// mixed with plain lanes must still report every lane identical to a
+// standalone scalar run.
 func TestBatchMixedFallbackLanes(t *testing.T) {
 	mkFault := func() *fault.Injector {
 		return fault.MustNew(fault.Plan{Seed: 11, OverrunProb: 0.3, OverrunFactor: 1.5})
@@ -274,7 +284,7 @@ func TestBatchMixedFallbackLanes(t *testing.T) {
 }
 
 // Sharing one Policy instance between two lanes must be rejected: the
-// lanes interleave, so the shared state would corrupt both.
+// batch contract gives every lane its own instance.
 func TestBatchRejectsSharedPolicyInstance(t *testing.T) {
 	p, err := core.ByName("ccEDF")
 	if err != nil {
@@ -395,5 +405,28 @@ func TestBatchRunnerSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state batch Run allocated %v times per run, want 0", allocs)
+	}
+}
+
+// RunMulti must leave its input alone: a Horizon 0 item keeps its zero
+// in the caller's slice, while the result reports the default horizon,
+// 20× the longest period, exactly as RunMulti does.
+func TestBatchRunMultiLeavesInputUnchanged(t *testing.T) {
+	ts := harmonicSet(t, task.Task{Period: 10, WCET: 2}, task.Task{Period: 25, WCET: 5})
+	cfgs := []MultiConfig{{Tasks: ts, Machine: machine.Machine0(), Policy: "ccEDF"}}
+	orig := append([]MultiConfig(nil), cfgs...)
+	results, errs := NewBatchRunner().RunMulti(cfgs)
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if !reflect.DeepEqual(cfgs, orig) {
+		t.Errorf("RunMulti rewrote its input: %+v, was %+v", cfgs[0], orig[0])
+	}
+	single, err := RunMulti(orig[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 20 * ts.MaxPeriod(); results[0].Horizon != want || single.Horizon != want {
+		t.Errorf("horizon: batch %g, single %g, want %g", results[0].Horizon, single.Horizon, want)
 	}
 }

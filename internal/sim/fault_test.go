@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -54,6 +55,38 @@ func TestSilentInjectorBitIdentical(t *testing.T) {
 		b.Faults = nil
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: silent injector changed the run:\nnil:    %+v\nsilent: %+v", name, a, b)
+		}
+	}
+
+	// The release table and the frame bitmask engage only without an
+	// injector, so a silent one runs the harmonic shapes on the heaps:
+	// the heap path is the reference both specializations must match.
+	// Switch halts longer than the spacing of the release instants drain
+	// several table slots in one event.
+	longHalts := func(t testing.TB) Config {
+		return Config{
+			Tasks: harmonicSet(t,
+				task.Task{Period: 10, WCET: 3},
+				task.Task{Period: 10, WCET: 2, Phase: 1},
+				task.Task{Period: 20, WCET: 4, Phase: 2}),
+			Exec:     task.UniformFraction{Lo: 0.1, Hi: 1, Rand: rand.New(rand.NewSource(5))},
+			Horizon:  400,
+			Overhead: &machine.SwitchOverhead{FreqOnly: 1.1, VoltageChange: 2.2},
+		}
+	}
+	for _, name := range paperPolicies {
+		for si, mk := range append(harmonicShapes, longHalts) {
+			table, tableErr := Run(harmonicConfig(t, mk, name))
+			cfg := harmonicConfig(t, mk, name)
+			cfg.Faults = fault.MustNew(fault.Plan{Seed: 99})
+			heap, heapErr := Run(cfg)
+			if heap != nil {
+				if heap.Faults == nil || heap.Faults.Total() != 0 {
+					t.Fatalf("%s shape %d: silent injector fired: %+v", name, si, heap.Faults)
+				}
+				heap.Faults = nil
+			}
+			requireSameAsScalar(t, fmt.Sprintf("%s shape %d", name, si), table, tableErr, heap, heapErr)
 		}
 	}
 }

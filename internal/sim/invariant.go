@@ -44,9 +44,22 @@ type UtilizationReporter interface {
 // on for every run. All methods are safe on a nil receiver so the
 // simulator's hook sites need no guards.
 type invariantChecker struct {
-	s         *simulator
+	s *simulator
+
+	// ur and guaranteed are the policy's utilization-reporter facet and
+	// admission verdict, both fixed by Attach, read once per run so the
+	// per-event checks skip the interface machinery.
+	ur         UtilizationReporter
+	guaranteed bool
+
 	lastTotal float64
 	err       error
+}
+
+// newInvariantChecker returns a checker for the run s has just attached.
+func newInvariantChecker(s *simulator) invariantChecker {
+	ur, _ := s.cfg.Policy.(UtilizationReporter)
+	return invariantChecker{s: s, ur: ur, guaranteed: s.cfg.Policy.Guaranteed()}
 }
 
 // Err returns the first recorded violation, if any.
@@ -116,17 +129,12 @@ func (c *invariantChecker) modelViolated() bool {
 // beyond the declared WCET pushes cc_i/P_i past the reservation the
 // test admitted — so the check stands down once the model is violated.
 func (c *invariantChecker) checkUtilization() {
-	if c == nil || c.err != nil {
+	if c == nil || c.err != nil || c.ur == nil || !c.guaranteed || c.modelViolated() {
 		return
 	}
-	pol := c.s.cfg.Policy
-	ur, ok := pol.(UtilizationReporter)
-	if !ok || !pol.Guaranteed() || c.modelViolated() {
-		return
-	}
-	if u := ur.ReservedUtilization(); fpx.Gt(u, 1) {
+	if u := c.ur.ReservedUtilization(); fpx.Gt(u, 1) {
 		c.failf("policy %s reserves utilization %g > 1 for an admitted "+
-			"task set", pol.Name(), u)
+			"task set", c.s.cfg.Policy.Name(), u)
 	}
 }
 
@@ -139,9 +147,8 @@ func (c *invariantChecker) checkMiss(i, inv int, deadline float64) {
 	if c == nil || c.err != nil {
 		return
 	}
-	pol := c.s.cfg.Policy
-	if pol.Guaranteed() && !c.modelViolated() {
+	if c.guaranteed && !c.modelViolated() {
 		c.failf("task %d invocation %d missed its deadline %g under %s, "+
-			"which guaranteed the set", i, inv, deadline, pol.Name())
+			"which guaranteed the set", i, inv, deadline, c.s.cfg.Policy.Name())
 	}
 }

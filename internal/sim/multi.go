@@ -269,7 +269,7 @@ func (r *MultiRunner) run(ctx context.Context, cfg MultiConfig) (*MultiResult, e
 
 // validateMulti checks the placement-independent parts of a MultiConfig,
 // applies the default horizon in place, and returns the core count. Both
-// MultiRunner and the batched multi-core path share it.
+// MultiRunner.run applies it to its own copy of the configuration.
 func validateMulti(cfg *MultiConfig) (int, error) {
 	if cfg.Tasks == nil || cfg.Tasks.Len() == 0 {
 		return 0, task.ErrEmptySet

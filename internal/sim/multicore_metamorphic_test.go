@@ -141,8 +141,8 @@ func TestMultiCorePartitionDeterminism(t *testing.T) {
 	}
 }
 
-// TestMultiCoreBatchMatchesSingle pins the lockstep batch engine
-// against the one-at-a-time runner at m > 1: the same MultiConfig must
+// TestMultiCoreBatchMatchesSingle pins BatchRunner.RunMulti against
+// the one-at-a-time runner at m > 1: the same MultiConfig must
 // produce DeepEqual results on both, for partitioned and global
 // placements.
 func TestMultiCoreBatchMatchesSingle(t *testing.T) {

@@ -150,8 +150,8 @@ func TestMultiCoreM1BitIdentical(t *testing.T) {
 	}
 }
 
-// TestMultiCoreM1BatchBitIdentical runs the same pin through the
-// lockstep BatchRunner: every lane of a mixed-policy multi-core batch
+// TestMultiCoreM1BatchBitIdentical runs the same pin through
+// BatchRunner.RunMulti: every lane of a mixed-policy multi-core batch
 // at m = 1 must match the scalar engine.
 func TestMultiCoreM1BatchBitIdentical(t *testing.T) {
 	ts := regressionSet(t, 7)

@@ -14,15 +14,20 @@
 // pending releases live in an index-heap timer queue and ready tasks in
 // an index-heap run queue (both from internal/sched), so each event costs
 // O(log n) instead of a full task scan, and all per-run state is held in
-// reusable buffers. A Runner amortizes those buffers across sequential
-// runs — the experiment harness executes hundreds of simulations per
-// worker on a single Runner without reallocating.
+// reusable buffers. Two task-set properties specialize those queues
+// (release.go): a set on an exact integer grid replaces the timer heap
+// with a precomputed per-hyperperiod release table, and a single-frame
+// set replaces the run queue with a bitmask. A Runner amortizes every
+// buffer across sequential runs — the experiment harness executes
+// hundreds of simulations per worker on a single Runner without
+// reallocating.
 package sim
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"rtdvs/internal/core"
@@ -244,12 +249,28 @@ type simulator struct {
 	hwIdx int                    // machine table index of hw, -1 if foreign
 	sel   machine.PointSelector
 
+	// memoOp/memoIdx memoize the last PointSelector.Index lookup — a pure
+	// function, so the memo is exact. The idle path would otherwise pay a
+	// linear table scan per idle event.
+	memoOp    machine.OperatingPoint
+	memoIdx   int
+	memoValid bool
+
 	// timers holds every task keyed by its next release time; ready holds
 	// the active tasks keyed by the scheduling discipline (absolute
 	// deadline under EDF, period under RM — identical pick order to the
 	// sched package's linear scan, ties by task index).
 	timers sched.ReadyQueue
 	ready  sched.ReadyQueue
+
+	// With table set, releases come from tab and the timer heap stays
+	// empty; with frame set (which implies table), the ready set is the
+	// readyBits bitmask instead of the run queue. Both need a fault-free
+	// run: injected release delays leave the integer grid.
+	table     bool
+	tab       releaseTable
+	frame     bool
+	readyBits uint64
 
 	due      []int     // scratch: tasks drained from timers this instant
 	released []int     // scratch: release events pending policy callbacks
@@ -314,21 +335,27 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return r.run(ctx, cfg)
 }
 
-// run validates cfg, resets every piece of runner state — a previous
-// errored or cancelled run must not be able to poison this one — and
-// executes the event loop.
+// run validates cfg and executes it.
 func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Tasks == nil || cfg.Tasks.Len() == 0 {
-		return nil, task.ErrEmptySet
-	}
-	if cfg.Machine == nil {
-		return nil, fmt.Errorf("sim: nil machine spec")
-	}
-	if err := cfg.Machine.Validate(); err != nil {
+	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
+	return r.exec(ctx, cfg)
+}
+
+// validate checks cfg and applies its defaults in place.
+func validate(cfg *Config) error {
+	if cfg.Tasks == nil || cfg.Tasks.Len() == 0 {
+		return task.ErrEmptySet
+	}
+	if cfg.Machine == nil {
+		return fmt.Errorf("sim: nil machine spec")
+	}
+	if err := cfg.Machine.Validate(); err != nil {
+		return err
+	}
 	if cfg.Policy == nil {
-		return nil, fmt.Errorf("sim: nil policy")
+		return fmt.Errorf("sim: nil policy")
 	}
 	if cfg.Exec == nil {
 		cfg.Exec = task.FullWCET{}
@@ -336,6 +363,13 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 20 * cfg.Tasks.MaxPeriod()
 	}
+	return nil
+}
+
+// exec attaches the policy of a validated cfg, resets every piece of
+// runner state — a previous errored or cancelled run must not be able
+// to poison this one — and executes the event loop.
+func (r *Runner) exec(ctx context.Context, cfg Config) (*Result, error) {
 	wireDistributions(cfg.Policy, cfg.Exec)
 	if err := cfg.Policy.Attach(cfg.Tasks, cfg.Machine); err != nil {
 		return nil, err
@@ -348,6 +382,7 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 	s.now = 0
 	s.kind = cfg.Policy.Scheduler()
 	s.sel = cfg.Machine.Selector()
+	s.memoValid = false
 	s.states = growZeroed(s.states, n)
 	s.resTime = growZeroed(s.resTime, s.sel.Len())
 	s.due = s.due[:0]
@@ -373,6 +408,9 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 		PerTask:      growZeroed(s.res.PerTask, n),
 		PointResTime: prt,
 	}
+	s.table = cfg.Faults == nil && s.tab.build(cfg.Tasks, cfg.Horizon)
+	s.frame = s.table && frameSet(cfg.Tasks)
+	s.readyBits = 0
 	for i := range s.states {
 		// Deadline of the "previous" (nonexistent) invocation is the
 		// first release: deadline == next release holds from the start.
@@ -385,16 +423,18 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 			st.nextRelease += cfg.Faults.ReleaseDelay(phase, i, 0)
 		}
 		s.states[i] = st
-		s.timerAdd(i, st.nextRelease)
+		if !s.table {
+			s.timerAdd(i, st.nextRelease)
+		}
 	}
 	if cfg.CheckInvariants || testing.Testing() {
-		s.invStore = invariantChecker{s: s}
+		s.invStore = newInvariantChecker(s)
 		s.inv = &s.invStore
 	} else {
 		s.inv = nil
 	}
 	s.hw = cfg.Policy.Point()
-	s.hwIdx = s.sel.Index(s.hw)
+	s.hwIdx = s.selIndex(s.hw)
 	s.inv.checkPoint(s.hw)
 	s.inv.checkUtilization()
 	s.run()
@@ -477,100 +517,169 @@ func (s *simulator) readyKey(i int) float64 {
 	return s.states[i].deadline
 }
 
-// readyAdd enqueues a newly activated task. Activation is always paired
-// with deactivation (completion, miss, abort), so a duplicate is an
-// engine bug.
+// readyAdd enqueues a newly activated task: a bit set for a single-frame
+// set, a run-queue push otherwise. Activation is always paired with
+// deactivation (completion, miss, abort), so a duplicate is an engine
+// bug.
 //
 //rtdvs:hotpath
 func (s *simulator) readyAdd(i int) {
+	if s.frame {
+		s.readyBits |= 1 << uint(i)
+		return
+	}
 	if err := s.ready.Push(i, s.readyKey(i)); err != nil {
 		panic(err)
 	}
 }
 
-// nextReleaseTime returns the earliest pending release.
+// readyPeek returns the highest-priority active task, or -1 when idle.
+// For a single-frame set the lowest set bit IS the run queue's answer:
+// all active keys are equal, and the queue breaks ties by task index.
+//
+//rtdvs:hotpath
+func (s *simulator) readyPeek() int {
+	if s.frame {
+		if s.readyBits == 0 {
+			return -1
+		}
+		return bits.TrailingZeros64(s.readyBits)
+	}
+	return s.ready.Peek()
+}
+
+// readyRemove drops a completed or aborted task from the ready set.
+//
+//rtdvs:hotpath
+func (s *simulator) readyRemove(i int) {
+	if s.frame {
+		s.readyBits &^= 1 << uint(i)
+		return
+	}
+	s.ready.Remove(i)
+}
+
+// nextReleaseTime returns the earliest pending release: the release
+// table's cursor, or the timer heap's minimum.
 //
 //rtdvs:hotpath
 func (s *simulator) nextReleaseTime() float64 {
+	if s.table {
+		return s.tab.next
+	}
 	return s.timers.PeekKey()
 }
 
-// processReleases fires every release scheduled at or before now: checks
-// the previous invocation for a deadline miss (aborting any overrun),
-// draws the new invocation's actual demand, updates deadlines, and then
-// notifies the policy once per released task. Due tasks are drained from
-// the timer heap and replayed in ascending task-index order — the event
-// order of the original full-scan implementation — so miss records,
-// release counters, and policy callbacks are bit-identical to it.
+// selIndex returns op's machine-table index through the one-entry memo.
+//
+//rtdvs:hotpath
+func (s *simulator) selIndex(op machine.OperatingPoint) int {
+	if s.memoValid && op == s.memoOp {
+		return s.memoIdx
+	}
+	s.memoOp, s.memoIdx, s.memoValid = op, s.sel.Index(op), true
+	return s.memoIdx
+}
+
+// processReleases fires every release scheduled at or before now and
+// then notifies the policy once per released task. Due tasks come from
+// the release table's bitmask or are drained from the timer heap, and
+// either way replay in ascending task-index order — the event order of
+// the original full-scan implementation — so miss records, release
+// counters, and policy callbacks are bit-identical to it.
 //
 //rtdvs:hotpath
 func (s *simulator) processReleases() {
-	if !fpx.Le(s.timers.PeekKey(), s.now) {
+	if !fpx.Le(s.nextReleaseTime(), s.now) {
 		return
 	}
-	s.due = s.due[:0]
-	for fpx.Le(s.timers.PeekKey(), s.now) {
-		s.due = append(s.due, s.timers.Pop())
-	}
-	sortIndexes(s.due)
 	s.released = s.released[:0]
-	for _, i := range s.due {
-		st := &s.states[i]
-		for fpx.Le(st.nextRelease, s.now) {
-			if st.active {
-				// Overrun: the previous invocation failed to finish by its
-				// deadline (== this release). Record and abort it.
-				s.res.Misses = append(s.res.Misses, Miss{
-					Task: i, Inv: st.inv - 1, Deadline: st.deadline, Remaining: st.remaining,
-				})
-				s.res.PerTask[i].Misses++
-				s.inv.checkMiss(i, st.inv-1, st.deadline)
-				st.active = false
-				s.ready.Remove(i)
-				if s.lastRun == i {
-					s.lastRun = -1 // aborted, not preempted
-				}
-			}
-			actual := st.nextRelease // possibly delayed fire time
-			rel := st.nominalRel     // nominal tick: the deadline grid
-			p := s.ts.Task(i)
-			wcet := p.WCET
-			c := s.cfg.Exec.Cycles(i, st.inv, wcet)
-			if c > wcet {
-				c = wcet
-			}
-			if c <= 0 {
-				c = math.SmallestNonzeroFloat64
-			}
-			if s.cfg.Faults != nil {
-				// An injected overrun inflates the demand strictly past
-				// the declared worst case the admission test assumed.
-				c = s.cfg.Faults.Demand(rel, i, st.inv, wcet, c)
-			}
-			st.remaining = c
-			st.used = 0
-			st.overNotified = false
-			st.releasedAt = actual
-			st.deadline = rel + p.Period
-			st.nominalRel = rel + p.Period
-			st.nextRelease = st.nominalRel
-			if s.cfg.Faults != nil {
-				st.nextRelease += s.cfg.Faults.ReleaseDelay(st.nominalRel, i, st.inv+1)
-			}
-			st.active = true
-			st.inv++
-			s.res.Releases++
-			s.res.PerTask[i].Releases++
-			s.readyAdd(i)
-			s.released = append(s.released, i)
+	if s.table {
+		for due := s.tab.drain(s.now); due != 0; due &= due - 1 {
+			s.fireReleases(bits.TrailingZeros64(due))
 		}
-		s.timerAdd(i, st.nextRelease)
+	} else {
+		s.due = s.due[:0]
+		for fpx.Le(s.timers.PeekKey(), s.now) {
+			s.due = append(s.due, s.timers.Pop())
+		}
+		sortIndexes(s.due)
+		for _, i := range s.due {
+			s.fireReleases(i)
+			s.timerAdd(i, s.states[i].nextRelease)
+		}
 	}
 	for _, i := range s.released {
 		s.cfg.Policy.OnRelease(s, i)
 	}
 	if len(s.released) > 0 {
 		s.inv.checkUtilization()
+	}
+}
+
+// fireReleases fires every due release of task i: aborts a previous
+// invocation still running at its deadline (== this release), draws the
+// new invocation's actual demand, advances the deadline grid, and queues
+// the task for its OnRelease callback.
+//
+//rtdvs:hotpath
+func (s *simulator) fireReleases(i int) {
+	st := &s.states[i]
+	for fpx.Le(st.nextRelease, s.now) {
+		if st.active {
+			s.abort(i)
+		}
+		actual := st.nextRelease // possibly delayed fire time
+		rel := st.nominalRel     // nominal tick: the deadline grid
+		p := s.ts.Task(i)
+		wcet := p.WCET
+		c := s.cfg.Exec.Cycles(i, st.inv, wcet)
+		if c > wcet {
+			c = wcet
+		}
+		if c <= 0 {
+			c = math.SmallestNonzeroFloat64
+		}
+		if s.cfg.Faults != nil {
+			// An injected overrun inflates the demand strictly past
+			// the declared worst case the admission test assumed.
+			c = s.cfg.Faults.Demand(rel, i, st.inv, wcet, c)
+		}
+		st.remaining = c
+		st.used = 0
+		st.overNotified = false
+		st.releasedAt = actual
+		st.deadline = rel + p.Period
+		st.nominalRel = rel + p.Period
+		st.nextRelease = st.nominalRel
+		if s.cfg.Faults != nil {
+			st.nextRelease += s.cfg.Faults.ReleaseDelay(st.nominalRel, i, st.inv+1)
+		}
+		st.active = true
+		st.inv++
+		s.res.Releases++
+		s.res.PerTask[i].Releases++
+		s.readyAdd(i)
+		s.released = append(s.released, i)
+	}
+}
+
+// abort records task i's active invocation as a deadline miss and drops
+// it. The policy gets no callback for an aborted job, so its bookkeeping
+// resets at the task's next OnRelease.
+//
+//rtdvs:hotpath
+func (s *simulator) abort(i int) {
+	st := &s.states[i]
+	s.res.Misses = append(s.res.Misses, Miss{
+		Task: i, Inv: st.inv - 1, Deadline: st.deadline, Remaining: st.remaining,
+	})
+	s.res.PerTask[i].Misses++
+	s.inv.checkMiss(i, st.inv-1, st.deadline)
+	st.active = false
+	s.readyRemove(i)
+	if s.lastRun == i {
+		s.lastRun = -1 // aborted, not preempted
 	}
 }
 
@@ -611,29 +720,15 @@ func (s *simulator) nextAbortTime() float64 {
 // processAborts kills every active invocation whose deadline has passed,
 // recording the miss. With injected release delays a deadline can
 // precede the (late) next release, and the job must stop at the
-// deadline rather than run zombie cycles until the release fires. The
-// policy gets no callback for an aborted job — exactly like the
-// fault-free abort-at-release path — so its bookkeeping resets at the
-// task's next OnRelease.
+// deadline rather than run zombie cycles until the release fires. Like
+// nextAbortTime it is called only when faults are enabled.
 //
 //rtdvs:hotpath
 func (s *simulator) processAborts() {
-	if s.cfg.Faults == nil {
-		return
-	}
 	for i := range s.states {
 		st := &s.states[i]
 		if st.active && fpx.Le(st.deadline, s.now) {
-			s.res.Misses = append(s.res.Misses, Miss{
-				Task: i, Inv: st.inv - 1, Deadline: st.deadline, Remaining: st.remaining,
-			})
-			s.res.PerTask[i].Misses++
-			s.inv.checkMiss(i, st.inv-1, st.deadline)
-			st.active = false
-			s.ready.Remove(i)
-			if s.lastRun == i {
-				s.lastRun = -1 // aborted, not preempted
-			}
+			s.abort(i)
 		}
 	}
 }
@@ -662,10 +757,13 @@ func (s *simulator) switchTo(op machine.OperatingPoint) {
 		}
 		halt = adj
 	}
-	idx := s.sel.Index(op)
+	idx := s.selIndex(op)
 	s.res.Switches++
 	if halt > 0 {
-		end := math.Min(s.now+halt, s.cfg.Horizon)
+		end := s.now + halt
+		if s.cfg.Horizon < end {
+			end = s.cfg.Horizon
+		}
 		s.record(trace.SwitchHalt, s.now, end, op, idx)
 		s.res.HaltTime += end - s.now
 		s.now = end
@@ -711,6 +809,8 @@ func (s *simulator) pollCtx() bool {
 
 // run is the main loop: process releases due now, pick a task, execute it
 // until completion or the next release, and account energy along the way.
+// Minima and maxima are branches rather than math.Min/Max calls: every
+// operand is a non-negative time (or +Inf), where the two agree exactly.
 //
 //rtdvs:hotpath
 func (s *simulator) run() {
@@ -719,24 +819,32 @@ func (s *simulator) run() {
 			break
 		}
 		s.res.Events++
-		s.processAborts()
+		if s.cfg.Faults != nil {
+			s.processAborts()
+		}
 		s.processReleases()
 
-		nextRel := math.Min(s.nextReleaseTime(), s.cfg.Horizon)
-		pick := s.ready.Peek()
+		nextRel := s.nextReleaseTime()
+		if s.cfg.Horizon < nextRel {
+			nextRel = s.cfg.Horizon
+		}
+		pick := s.readyPeek()
 
 		if pick < 0 {
 			// Idle until the next release at the policy's idle point.
 			op := s.cfg.Policy.IdlePoint()
 			s.switchTo(op)
 			start := s.now
-			end := math.Max(nextRel, s.now)
+			end := nextRel
+			if start > end {
+				end = start
+			}
 			if end > start {
 				dur := end - start
 				e := s.cfg.Machine.IdlePower(op) * dur
 				s.res.IdleEnergy += e
 				s.res.IdleTime += dur
-				s.record(trace.Idle, start, end, op, s.sel.Index(op))
+				s.record(trace.Idle, start, end, op, s.selIndex(op))
 				s.now = end
 				s.inv.checkEnergy()
 			} else {
@@ -760,7 +868,10 @@ func (s *simulator) run() {
 			// job before executing further.
 			continue
 		}
-		nextRel = math.Min(s.nextReleaseTime(), s.cfg.Horizon)
+		nextRel = s.nextReleaseTime()
+		if s.cfg.Horizon < nextRel {
+			nextRel = s.cfg.Horizon
+		}
 
 		// A different task taking the processor while the previous one is
 		// still mid-invocation is a preemption (under EDF/RM the displaced
@@ -773,16 +884,23 @@ func (s *simulator) run() {
 		st := &s.states[pick]
 		wcet := s.ts.Task(pick).WCET
 		finish := s.now + st.remaining/s.hw.Freq
-		end := math.Min(finish, nextRel)
+		end := finish
+		if nextRel < end {
+			end = nextRel
+		}
 		budgetEnd := math.Inf(1)
 		if s.cfg.Faults != nil {
 			// Stop at pending deadline aborts, and split the segment the
 			// moment an overrunning job exhausts its declared budget — the
 			// earliest point the overrun is observable.
-			end = math.Min(end, s.nextAbortTime())
+			if abort := s.nextAbortTime(); abort < end {
+				end = abort
+			}
 			if left := wcet - st.used; left > 0 && fpx.Lt(left, st.remaining) {
 				budgetEnd = s.now + left/s.hw.Freq
-				end = math.Min(end, budgetEnd)
+				if budgetEnd < end {
+					end = budgetEnd
+				}
 			}
 		}
 		dur := end - s.now
@@ -806,7 +924,7 @@ func (s *simulator) run() {
 		if fpx.Le(st.remaining, 0) {
 			st.remaining = 0
 			st.active = false
-			s.ready.Remove(pick)
+			s.readyRemove(pick)
 			s.res.Completions++
 			s.res.PerTask[pick].Completions++
 			if resp := s.now - st.releasedAt; resp > s.res.PerTask[pick].MaxResponse {
