@@ -83,16 +83,11 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/core.gangLA.OnCompletion":  "BenchmarkPolicyOverheadGangLAEDF64",
 	"rtdvs/internal/core.gangLA.OnExecute":     "BenchmarkPolicyOverheadGangLAEDF64",
 
-	// Global-EDF gang event loop: a reused MultiRunner pass on a 4-core
-	// spec must stay at 0 allocs/op.
-	"rtdvs/internal/sim.multiSim.run":             "BenchmarkMultiCoreThroughput",
-	"rtdvs/internal/sim.multiSim.processReleases": "BenchmarkMultiCoreThroughput",
-	"rtdvs/internal/sim.multiSim.switchTo":        "BenchmarkMultiCoreThroughput",
-	"rtdvs/internal/sim.multiSim.assign":          "BenchmarkMultiCoreThroughput",
-	"rtdvs/internal/sim.multiSim.pollCtx":         "BenchmarkMultiCoreThroughput",
-	"rtdvs/internal/sim.multiSim.timerAdd":        "BenchmarkMultiCoreThroughput",
-	"rtdvs/internal/sim.multiSim.readyAdd":        "BenchmarkMultiCoreThroughput",
-	"rtdvs/internal/sim.multiSim.readyKey":        "BenchmarkMultiCoreThroughput",
+	// Global placement's slot segment on the same event loop: a reused
+	// MultiRunner pass on a 4-core spec must stay at 0 allocs/op.
+	"rtdvs/internal/sim.simulator.execSlots": "BenchmarkMultiCoreThroughput",
+	"rtdvs/internal/sim.simulator.pickSlots": "BenchmarkMultiCoreThroughput",
+	"rtdvs/internal/sim.simulator.assign":    "BenchmarkMultiCoreThroughput",
 
 	// Closure-free operating-point lookup used by every dynamic policy.
 	"rtdvs/internal/machine.PointSelector.AtLeast": "TestSelectorMatchesLowestAtLeast",

@@ -11,7 +11,8 @@ import (
 // utilization bookkeeping (cycle-conserving EDF reports ΣU_i, look-ahead
 // EDF the peak cumulative utilization of its deferral walk). The
 // invariant checker asserts the reported value stays within the
-// schedulability bound (≤ 1) for admitted task sets.
+// schedulability bound (≤ 1, or ≤ m for a gang policy on m cores) for
+// admitted task sets.
 type UtilizationReporter interface {
 	ReservedUtilization() float64
 }
@@ -19,7 +20,8 @@ type UtilizationReporter interface {
 // invariantChecker validates runtime invariants of a simulation as it
 // executes. It is enabled by Config.CheckInvariants and automatically
 // under `go test` (testing.Testing()), so every test in the repository
-// runs with the checker live. The invariants:
+// runs with the checker live. One checker serves scalar and global runs
+// alike. The invariants:
 //
 //  1. the hardware operating point is always one of the machine's
 //     discrete points — policies must not fabricate frequency/voltage
@@ -27,9 +29,12 @@ type UtilizationReporter interface {
 //  2. energy accounting is physical: components are non-negative and the
 //     running total never decreases;
 //  3. a policy with utilization bookkeeping never reserves more than the
-//     full-speed capacity (≤ 1) while its admission guarantee holds;
+//     full-speed capacity (≤ 1 per run slot) while its admission
+//     guarantee holds;
 //  4. a policy whose schedulability test admitted the set (Guaranteed)
-//     never produces a deadline miss — the paper's central claim.
+//     never produces a deadline miss — the paper's central claim;
+//  5. in a global run, every occupied slot holds an active job and no
+//     job occupies two slots at once.
 //
 // Invariants 3 and 4 carry fault provenance: both are derived from the
 // task model the admission test ran against, so once an injected fault
@@ -37,8 +42,9 @@ type UtilizationReporter interface {
 // overrun, a late release, a refused speed-up) a miss or an over-reserve
 // no longer falsifies the policy and the check stands down. The
 // relaxation is exactly that narrow: a configured-but-silent injector
-// relaxes nothing, and invariants 1 and 2 (point discreteness, physical
-// energy accounting) hold unconditionally — no fault excuses them.
+// relaxes nothing, and invariants 1, 2 and 5 (point discreteness,
+// physical energy accounting, slot occupancy) hold unconditionally — no
+// fault excuses them.
 //
 // Only the first violation is recorded; checks are cheap enough to stay
 // on for every run. All methods are safe on a nil receiver so the
@@ -124,17 +130,18 @@ func (c *invariantChecker) modelViolated() bool {
 }
 
 // checkUtilization asserts that a utilization-reporting policy stays
-// within the full-speed capacity bound while its guarantee holds. An
-// injected overrun legitimately breaks the bound — completion usage
-// beyond the declared WCET pushes cc_i/P_i past the reservation the
-// test admitted — so the check stands down once the model is violated.
+// within the full-speed capacity of the run's m slots while its
+// guarantee holds. An injected overrun legitimately breaks the bound —
+// completion usage beyond the declared WCET pushes cc_i/P_i past the
+// reservation the test admitted — so the check stands down once the
+// model is violated.
 func (c *invariantChecker) checkUtilization() {
 	if c == nil || c.err != nil || c.ur == nil || !c.guaranteed || c.modelViolated() {
 		return
 	}
-	if u := c.ur.ReservedUtilization(); fpx.Gt(u, 1) {
-		c.failf("policy %s reserves utilization %g > 1 for an admitted "+
-			"task set", c.s.cfg.Policy.Name(), u)
+	if u := c.ur.ReservedUtilization(); fpx.Gt(u, float64(c.s.m)) {
+		c.failf("policy %s reserves utilization %g > %d for an admitted "+
+			"task set", c.s.cfg.Policy.Name(), u, c.s.m)
 	}
 }
 
@@ -150,5 +157,29 @@ func (c *invariantChecker) checkMiss(i, inv int, deadline float64) {
 	if c.guaranteed && !c.modelViolated() {
 		c.failf("task %d invocation %d missed its deadline %g under %s, "+
 			"which guaranteed the set", i, inv, deadline, c.s.cfg.Policy.Name())
+	}
+}
+
+// checkOccupancy asserts a global run's slot assignment: every occupied
+// slot holds an active job, and no job occupies two slots at once.
+func (c *invariantChecker) checkOccupancy() {
+	if c == nil || c.err != nil {
+		return
+	}
+	running := c.s.running
+	for a, t := range running {
+		if t < 0 {
+			continue
+		}
+		if !c.s.states[t].active {
+			c.failf("inactive task %d scheduled on core %d", t, a)
+			return
+		}
+		for b := a + 1; b < len(running); b++ {
+			if running[b] == t {
+				c.failf("task %d scheduled on cores %d and %d at once", t, a, b)
+				return
+			}
+		}
 	}
 }

@@ -121,6 +121,51 @@ func TestInvariantEnergyMonotone(t *testing.T) {
 	}
 }
 
+// TestInvariantReservationBoundPerSlot drives the utilization check
+// directly: a policy reserving 1.5 fits the capacity of two run slots
+// but not of one.
+func TestInvariantReservationBoundPerSlot(t *testing.T) {
+	p := &overReservePolicy{}
+	s := &simulator{m: 2}
+	s.cfg.Policy = p
+	c := &invariantChecker{s: s, ur: p, guaranteed: true}
+	c.checkUtilization()
+	if c.Err() != nil {
+		t.Fatalf("reservation within two slots flagged: %v", c.Err())
+	}
+	s.m = 1
+	c.checkUtilization()
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "reserves utilization 1.5 > 1") {
+		t.Fatalf("want over-reservation violation, got %v", err)
+	}
+}
+
+// TestInvariantSlotOccupancy drives the occupancy check directly: the
+// slot assignment itself never places an inactive job or one job twice,
+// so both violations are modeled by editing the slots.
+func TestInvariantSlotOccupancy(t *testing.T) {
+	s := &simulator{states: make([]taskState, 2), running: []int{0, -1, 1}}
+	s.states[0].active, s.states[1].active = true, true
+	c := &invariantChecker{s: s}
+	c.checkOccupancy()
+	if c.Err() != nil {
+		t.Fatalf("valid assignment flagged: %v", c.Err())
+	}
+	s.running = []int{1, -1, 1}
+	c.checkOccupancy()
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "task 1 scheduled on cores 0 and 2 at once") {
+		t.Fatalf("want double-occupancy violation, got %v", err)
+	}
+
+	c = &invariantChecker{s: s}
+	s.running = []int{-1, 0, -1}
+	s.states[0].active = false
+	c.checkOccupancy()
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "inactive task 0 scheduled on core 1") {
+		t.Fatalf("want inactive-job violation, got %v", err)
+	}
+}
+
 // TestInvariantsCleanOnRealPolicies runs every registered policy over a
 // schedulable set with the checker explicitly enabled: the positive
 // counterpart of the violation tests above.

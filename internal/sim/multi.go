@@ -3,9 +3,9 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
+	"math/bits"
+	"slices"
 	"sort"
-	"testing"
 
 	"rtdvs/internal/core"
 	"rtdvs/internal/fpx"
@@ -28,10 +28,11 @@ import (
 //
 // Global: one system-wide EDF queue whose m earliest-deadline jobs
 // occupy the m cores, jobs migrate freely, and a single gang policy
-// drives the shared voltage/frequency rail. This mode runs on its own
-// event loop (multiSim below) with deterministic cross-core
-// tie-breaking: picks in (deadline, task index) order, sticky-core
-// placement, remaining jobs to the lowest-indexed free core.
+// drives the shared voltage/frequency rail. This mode runs on the
+// scalar engine's event loop with m run slots (execSlots below) and
+// deterministic cross-core tie-breaking: picks in (deadline, task
+// index) order, sticky-core placement, remaining jobs to the
+// lowest-indexed free core.
 
 // execSeedStride separates the per-core execution-model seeds of a
 // partitioned run. Each core's model is seeded from the run seed plus
@@ -72,7 +73,7 @@ type MultiConfig struct {
 	// partitioned runs support it (a multi-core trace would interleave
 	// per-core segments with clashing task indexes).
 	Recorder *trace.Recorder
-	// CheckInvariants enables the runtime invariant checkers; always on
+	// CheckInvariants enables the runtime invariant checker; always on
 	// under `go test`.
 	CheckInvariants bool
 	// Metrics optionally accumulates rtdvs_core_* observables once per
@@ -206,7 +207,7 @@ func (e *MultiCanceled) Unwrap() error { return e.Cause }
 
 // MultiRunner executes multi-core runs back to back, reusing the
 // per-core scalar Runners, cached policy instances, and the global
-// engine's buffers across runs. Not safe for concurrent use. The
+// run's simulator across runs. Not safe for concurrent use. The
 // returned MultiResult aliases the runner's buffers and is valid until
 // the next Run call; use Clone to retain one.
 type MultiRunner struct {
@@ -217,7 +218,7 @@ type MultiRunner struct {
 	pols    []core.Policy
 	polName string
 
-	g   multiSim // global-EDF gang engine state
+	g   simulator // global placement: the one event loop with m run slots
 	res MultiResult
 
 	subTasks []task.Task // scratch: per-core sub-set construction
@@ -268,7 +269,7 @@ func (r *MultiRunner) run(ctx context.Context, cfg MultiConfig) (*MultiResult, e
 }
 
 // validateMulti checks the placement-independent parts of a MultiConfig,
-// applies the default horizon in place, and returns the core count. Both
+// applies the default horizon in place, and returns the core count.
 // MultiRunner.run applies it to its own copy of the configuration.
 func validateMulti(cfg *MultiConfig) (int, error) {
 	if cfg.Tasks == nil || cfg.Tasks.Len() == 0 {
@@ -319,8 +320,8 @@ func resolvePartition(cfg MultiConfig, m int) (sched.Partition, error) {
 }
 
 // polFor returns the i-th cached policy instance for name, rebuilding
-// the cache when the name changes. Attach (called by the scalar Runner
-// or the global engine) resets all instance state, so reuse is safe.
+// the cache when the name changes. Attach (called by the simulator at
+// the start of every run) resets all instance state, so reuse is safe.
 func (r *MultiRunner) polFor(name string, i int) (core.Policy, error) {
 	if name != r.polName {
 		r.pols = r.pols[:0]
@@ -553,17 +554,7 @@ func foldCore(res *MultiResult, pc *CoreStats, sres *Result, coreTasks []int) {
 	pc.Completions = sres.Completions
 	pc.Misses = len(sres.Misses)
 
-	res.ExecEnergy += sres.ExecEnergy
-	res.IdleEnergy += sres.IdleEnergy
-	res.CyclesDone += sres.CyclesDone
-	res.BusyTime += sres.BusyTime
-	res.IdleTime += sres.IdleTime
-	res.HaltTime += sres.HaltTime
-	res.Switches += sres.Switches
-	res.Releases += sres.Releases
-	res.Completions += sres.Completions
-	res.Events += sres.Events
-	res.Preemptions += sres.Preemptions
+	addTotals(res, sres)
 	for li, gi := range coreTasks {
 		res.PerTask[gi] = sres.PerTask[li]
 	}
@@ -575,9 +566,27 @@ func foldCore(res *MultiResult, pc *CoreStats, sres *Result, coreTasks []int) {
 	}
 }
 
+// addTotals accumulates a scalar result's run totals (all but the total
+// energy, which the caller sums once at the end) into the multi-core
+// totals.
+func addTotals(res *MultiResult, sres *Result) {
+	res.ExecEnergy += sres.ExecEnergy
+	res.IdleEnergy += sres.IdleEnergy
+	res.CyclesDone += sres.CyclesDone
+	res.BusyTime += sres.BusyTime
+	res.IdleTime += sres.IdleTime
+	res.HaltTime += sres.HaltTime
+	res.Switches += sres.Switches
+	res.Releases += sres.Releases
+	res.Completions += sres.Completions
+	res.Events += sres.Events
+	res.Preemptions += sres.Preemptions
+}
+
 // --- global-EDF gang execution ---
 
-// runGlobal executes the configuration on the global-EDF gang engine.
+// runGlobal executes the configuration on the simulator with m run
+// slots under the gang policy.
 func (r *MultiRunner) runGlobal(ctx context.Context, cfg MultiConfig, m int) (*MultiResult, error) {
 	pol, err := r.polFor(cfg.Policy, 0)
 	if err != nil {
@@ -590,21 +599,27 @@ func (r *MultiRunner) runGlobal(ctx context.Context, cfg MultiConfig, m int) (*M
 	if err != nil {
 		return nil, err
 	}
-	wireDistributions(pol, exec)
-	if err := pol.Attach(cfg.Tasks, cfg.Machine); err != nil {
-		return nil, err
-	}
-
 	res := r.resetResult(cfg, m)
-	res.Guaranteed = pol.Guaranteed()
-	res.Feasible = sched.GlobalEDFTest(cfg.Tasks, m, 1)
-
 	g := &r.g
-	g.init(cfg, pol, exec, m, res, ctx)
-	g.run()
-	if err := g.invErr; err != nil {
+	if err := g.exec(ctx, Config{
+		Tasks:           cfg.Tasks,
+		Machine:         cfg.Machine,
+		Policy:          pol,
+		Exec:            exec,
+		Horizon:         cfg.Horizon,
+		Overhead:        cfg.Overhead,
+		CheckInvariants: cfg.CheckInvariants,
+	}, res.PerCore); err != nil {
 		return nil, err
 	}
+
+	addTotals(res, &g.res)
+	res.TotalEnergy = res.ExecEnergy + res.IdleEnergy
+	res.Migrations = g.migrations
+	copy(res.PerTask, g.res.PerTask)
+	res.Misses = append(res.Misses, g.res.Misses...)
+	res.Guaranteed = g.res.Guaranteed
+	res.Feasible = sched.GlobalEDFTest(cfg.Tasks, m, 1)
 	sortMisses(res.Misses)
 	if g.ctxErr != nil {
 		return nil, &MultiCanceled{At: g.now, Partial: res, Cause: g.ctxErr}
@@ -615,507 +630,144 @@ func (r *MultiRunner) runGlobal(ctx context.Context, cfg MultiConfig, m int) (*M
 	return res, nil
 }
 
-// multiSim is the global-EDF gang event loop: a shared release timer
-// heap, one system-wide EDF ready queue, and m cores on one voltage
-// rail. All state lives in reusable buffers. It implements core.System
-// for the gang policy's callbacks.
-type multiSim struct {
-	cfg    MultiConfig
-	pol    core.Policy
-	exec   task.ExecModel
-	ts     *task.Set
-	m      int
-	kind   sched.Kind
-	states []taskState
-	now    float64
-	res    *MultiResult
+// execSlots is a global run's execution segment: the m highest-priority
+// jobs take the run slots, execute in slot order until the first
+// completion or the next release, and complete in ascending task-index
+// order. Every slot accrues its own per-core stats; a vacant slot idles
+// at the rail's current point.
+//
+//rtdvs:hotpath
+func (s *simulator) execSlots(nextRel float64) {
+	s.pickSlots()
+	s.assign()
+	s.inv.checkOccupancy()
 
-	hw    machine.OperatingPoint
-	hwIdx int
-	sel   machine.PointSelector
-
-	timers sched.ReadyQueue
-	ready  sched.ReadyQueue
-
-	due      []int // scratch: timer drain, replayed in ascending index order
-	released []int // scratch: releases pending policy callbacks
-	picks    []int // this segment's EDF picks, in (deadline, index) order
-	lastRun  []int // previous segment's picks (for preemption counting)
-	finished []int // scratch: completions this segment
-
-	running  []int // per core: running task index, or -1
-	taskCore []int // per task: core it last ran on, or -1
-
-	checks bool // invariant checking enabled
-	invErr error
-
-	ctx     context.Context
-	ctxTick int
-	ctxErr  error
-}
-
-// init resets the engine for a new run.
-func (g *multiSim) init(cfg MultiConfig, pol core.Policy, exec task.ExecModel, m int, res *MultiResult, ctx context.Context) {
-	n := cfg.Tasks.Len()
-	g.cfg = cfg
-	g.pol = pol
-	g.exec = exec
-	g.ts = cfg.Tasks
-	g.m = m
-	g.kind = pol.Scheduler()
-	g.states = growZeroed(g.states, n)
-	g.now = 0
-	g.res = res
-	g.sel = cfg.Machine.Selector()
-	g.timers.Reset(n)
-	g.ready.Reset(n)
-	g.due = g.due[:0]
-	g.released = g.released[:0]
-	g.picks = g.picks[:0]
-	g.lastRun = g.lastRun[:0]
-	g.finished = g.finished[:0]
-	g.running = growZeroed(g.running, m)
-	g.taskCore = growZeroed(g.taskCore, n)
-	for i := range g.taskCore {
-		g.taskCore[i] = -1
-	}
-	g.checks = cfg.CheckInvariants || testing.Testing()
-	g.invErr = nil
-	g.ctx = ctx
-	g.ctxTick = 0
-	g.ctxErr = nil
-
-	for i := range g.states {
-		phase := cfg.Tasks.Task(i).Phase
-		g.states[i] = taskState{nextRelease: phase, nominalRel: phase, deadline: phase}
-		g.timerAdd(i, phase)
-	}
-	g.hw = pol.Point()
-	g.hwIdx = g.sel.Index(g.hw)
-	g.checkPoint(g.hw)
-}
-
-// --- core.System ---
-
-func (g *multiSim) Now() float64 { return g.now }
-
-func (g *multiSim) Deadline(i int) float64 {
-	st := &g.states[i]
-	if st.active {
-		return st.deadline
-	}
-	return st.nominalRel
-}
-
-// --- invariants ---
-
-func (g *multiSim) failf(format string, args ...interface{}) {
-	if g.invErr == nil {
-		g.invErr = fmt.Errorf("sim: invariant violated at t=%g: %s",
-			g.now, fmt.Sprintf(format, args...))
-	}
-}
-
-func (g *multiSim) checkPoint(op machine.OperatingPoint) {
-	if !g.checks || g.invErr != nil {
-		return
-	}
-	for _, p := range g.cfg.Machine.Points {
-		if p == op {
-			return
-		}
-	}
-	g.failf("policy %s selected operating point (f=%g, V=%g), which is not one of the machine's discrete points",
-		g.pol.Name(), op.Freq, op.Voltage)
-}
-
-// checkOccupancy enforces the multi-core scheduling invariant: a core
-// runs at most one job (structural: running is core-indexed) and a job
-// runs on at most one core at any instant.
-func (g *multiSim) checkOccupancy() {
-	if !g.checks || g.invErr != nil {
-		return
-	}
-	for a := 0; a < g.m; a++ {
-		t := g.running[a]
+	// Segment end: next release, horizon, or earliest finish among the
+	// running jobs.
+	end := nextRel
+	for _, t := range s.running {
 		if t < 0 {
 			continue
 		}
-		if !g.states[t].active {
-			g.failf("inactive task %d scheduled on core %d", t, a)
-			return
-		}
-		for b := a + 1; b < g.m; b++ {
-			if g.running[b] == t {
-				g.failf("task %d scheduled on cores %d and %d at once", t, a, b)
-				return
-			}
+		if finish := s.now + s.states[t].remaining/s.hw.Freq; finish < end {
+			end = finish
 		}
 	}
-}
-
-func (g *multiSim) checkUtilization() {
-	if !g.checks || g.invErr != nil || !g.res.Guaranteed {
-		return
+	dur := end - s.now
+	for c, t := range s.running {
+		pc := &s.cores[c]
+		if t < 0 {
+			e := s.cfg.Machine.IdlePower(s.hw) * dur
+			pc.IdleEnergy += e
+			pc.IdleTime += dur
+			s.res.IdleEnergy += e
+			s.res.IdleTime += dur
+			continue
+		}
+		st := &s.states[t]
+		finish := s.now + st.remaining/s.hw.Freq
+		cycles := dur * s.hw.Freq
+		if cycles > st.remaining || fpx.Le(finish, end) {
+			cycles = st.remaining
+		}
+		st.remaining -= cycles
+		st.used += cycles
+		e := cycles * s.hw.EnergyPerCycle()
+		pc.CyclesDone += cycles
+		pc.ExecEnergy += e
+		pc.BusyTime += dur
+		s.res.CyclesDone += cycles
+		s.res.ExecEnergy += e
+		s.res.BusyTime += dur
+		s.res.PerTask[t].Cycles += cycles
+		s.cfg.Policy.OnExecute(t, cycles)
 	}
-	if ur, ok := g.pol.(UtilizationReporter); ok {
-		// A gang policy reserves aggregate utilization across m cores.
-		if u := ur.ReservedUtilization(); fpx.Gt(u, float64(g.m)) {
-			g.failf("policy %s reserves utilization %g > %d cores for an admitted task set",
-				g.pol.Name(), u, g.m)
+	s.now = end
+	s.inv.checkEnergy()
+
+	s.finished = s.finished[:0]
+	for _, t := range s.running {
+		if t >= 0 && fpx.Le(s.states[t].remaining, 0) {
+			s.finished = append(s.finished, t)
 		}
 	}
-}
-
-func (g *multiSim) checkMiss(i, inv int, deadline float64) {
-	if !g.checks || g.invErr != nil {
-		return
+	sortIndexes(s.finished)
+	for _, t := range s.finished {
+		c := s.taskCore[t]
+		s.running[c] = -1 // completed, not preempted
+		st := &s.states[t]
+		st.remaining = 0
+		st.active = false
+		s.readyRemove(t)
+		s.res.Completions++
+		s.res.PerTask[t].Completions++
+		s.cores[c].Completions++
+		s.cores[c].Releases++ // invocation fully hosted: release credited where it completed
+		if resp := s.now - st.releasedAt; resp > s.res.PerTask[t].MaxResponse {
+			s.res.PerTask[t].MaxResponse = resp
+		}
+		s.cfg.Policy.OnCompletion(s, t, st.used)
 	}
-	if g.res.Guaranteed {
-		g.failf("task %d invocation %d missed its deadline %g under %s, which guaranteed the set",
-			i, inv, deadline, g.pol.Name())
-	}
-}
-
-// --- engine ---
-
-//rtdvs:hotpath
-func (g *multiSim) timerAdd(i int, at float64) {
-	if err := g.timers.Push(i, at); err != nil {
-		panic(err)
-	}
-}
-
-//rtdvs:hotpath
-func (g *multiSim) readyKey(i int) float64 {
-	if g.kind == sched.RM {
-		return g.ts.Task(i).Period
-	}
-	return g.states[i].deadline
-}
-
-//rtdvs:hotpath
-func (g *multiSim) readyAdd(i int) {
-	if err := g.ready.Push(i, g.readyKey(i)); err != nil {
-		panic(err)
+	if len(s.finished) > 0 {
+		s.inv.checkUtilization()
 	}
 }
 
-//rtdvs:hotpath
-func (g *multiSim) pollCtx() bool {
-	if g.ctxTick--; g.ctxTick > 0 {
-		return false
-	}
-	g.ctxTick = cancelCheckInterval
-	if err := g.ctx.Err(); err != nil {
-		g.ctxErr = err
-		return true
-	}
-	return false
-}
-
-// processReleases is the scalar simulator's release processing on the
-// shared timer heap: misses abort at the release that doubles as the
-// deadline, due tasks replay in ascending index order, and the gang
-// policy hears one OnRelease per released task.
+// pickSlots collects the (up to) m highest-priority active jobs in
+// priority order, ties by task index: the lowest m set bits of a frame
+// set's bitmask, or the run queue's first m pops, pushed back unchanged.
 //
 //rtdvs:hotpath
-func (g *multiSim) processReleases() {
-	if !fpx.Le(g.timers.PeekKey(), g.now) {
+func (s *simulator) pickSlots() {
+	s.picks = s.picks[:0]
+	if s.frame {
+		for b := s.readyBits; b != 0 && len(s.picks) < s.m; b &= b - 1 {
+			s.picks = append(s.picks, bits.TrailingZeros64(b))
+		}
 		return
 	}
-	g.due = g.due[:0]
-	for fpx.Le(g.timers.PeekKey(), g.now) {
-		g.due = append(g.due, g.timers.Pop())
+	for range min(s.ready.Len(), s.m) {
+		s.picks = append(s.picks, s.ready.Pop())
 	}
-	sortIndexes(g.due)
-	g.released = g.released[:0]
-	for _, i := range g.due {
-		st := &g.states[i]
-		for fpx.Le(st.nextRelease, g.now) {
-			if st.active {
-				g.res.Misses = append(g.res.Misses, Miss{
-					Task: i, Inv: st.inv - 1, Deadline: st.deadline, Remaining: st.remaining,
-				})
-				g.res.PerTask[i].Misses++
-				if c := g.taskCore[i]; c >= 0 {
-					g.res.PerCore[c].Misses++
-				}
-				g.checkMiss(i, st.inv-1, st.deadline)
-				st.active = false
-				g.ready.Remove(i)
-			}
-			rel := st.nominalRel
-			p := g.ts.Task(i)
-			wcet := p.WCET
-			c := g.exec.Cycles(i, st.inv, wcet)
-			if c > wcet {
-				c = wcet
-			}
-			if c <= 0 {
-				c = math.SmallestNonzeroFloat64
-			}
-			st.remaining = c
-			st.used = 0
-			st.releasedAt = st.nextRelease
-			st.deadline = rel + p.Period
-			st.nominalRel = rel + p.Period
-			st.nextRelease = st.nominalRel
-			st.active = true
-			st.inv++
-			g.res.Releases++
-			g.res.PerTask[i].Releases++
-			g.readyAdd(i)
-			g.released = append(g.released, i)
-		}
-		g.timerAdd(i, st.nextRelease)
-	}
-	for _, i := range g.released {
-		g.pol.OnRelease(g, i)
-	}
-	if len(g.released) > 0 {
-		g.checkUtilization()
+	for _, t := range s.picks {
+		s.readyAdd(t)
 	}
 }
 
-// switchTo moves the shared rail to the requested point. All m cores
-// halt together through the stop interval (one rail, one transition —
-// counted as one switch), so HaltTime accrues m core-milliseconds per
-// millisecond of wall halt.
+// assign maps this segment's picks onto the run slots. A slot still
+// holding a job that was not picked is a preemption: slots are vacated
+// when their job completes or is aborted, so that job is the same
+// invocation, displaced. Then the first pass keeps every pick on the
+// slot it last ran on when that slot is free (sticky, in pick order),
+// and the second sends the rest to the lowest-indexed free slots,
+// counting migrations. Both passes walk picks in priority order, so the
+// assignment is a pure function of the engine state.
 //
 //rtdvs:hotpath
-func (g *multiSim) switchTo(op machine.OperatingPoint) {
-	if op == g.hw {
-		return
-	}
-	var halt float64
-	if g.cfg.Overhead != nil {
-		halt = g.cfg.Overhead.Halt(g.hw, op)
-	}
-	g.res.Switches++
-	if halt > 0 {
-		end := math.Min(g.now+halt, g.cfg.Horizon)
-		dur := end - g.now
-		for c := 0; c < g.m; c++ {
-			g.res.PerCore[c].HaltTime += dur
-			g.res.HaltTime += dur
+func (s *simulator) assign() {
+	for c, t := range s.running {
+		if t >= 0 && !slices.Contains(s.picks, t) {
+			s.res.Preemptions++
 		}
-		g.now = end
+		s.running[c] = -1
 	}
-	g.hw = op
-	g.hwIdx = g.sel.Index(op)
-	g.checkPoint(op)
-}
-
-// assign maps this segment's EDF picks onto cores: first pass keeps
-// every pick on the core it last ran on when that core is free (sticky,
-// in pick order), second pass sends the rest to the lowest-indexed free
-// cores, counting migrations. Both passes walk picks in (deadline,
-// index) order, so the assignment is a pure function of the engine
-// state.
-//
-//rtdvs:hotpath
-func (g *multiSim) assign() {
-	for c := range g.running {
-		g.running[c] = -1
-	}
-	for _, t := range g.picks {
-		if c := g.taskCore[t]; c >= 0 && g.running[c] < 0 {
-			g.running[c] = t
+	for _, t := range s.picks {
+		if c := s.taskCore[t]; c >= 0 && s.running[c] < 0 {
+			s.running[c] = t
 		}
 	}
 	next := 0
-	for _, t := range g.picks {
-		if c := g.taskCore[t]; c >= 0 && g.running[c] == t {
+	for _, t := range s.picks {
+		if c := s.taskCore[t]; c >= 0 && s.running[c] == t {
 			continue
 		}
-		for g.running[next] >= 0 {
+		for s.running[next] >= 0 {
 			next++
 		}
-		g.running[next] = t
-		if g.taskCore[t] >= 0 {
-			g.res.Migrations++
+		s.running[next] = t
+		if s.taskCore[t] >= 0 {
+			s.migrations++
 		}
-		g.taskCore[t] = next
-	}
-}
-
-// run is the main loop: process releases, pick the m earliest-deadline
-// jobs, place them on cores, advance to the next event, account per-core
-// energy, and deliver completions in ascending task-index order.
-//
-//rtdvs:hotpath
-func (g *multiSim) run() {
-	for fpx.Lt(g.now, g.cfg.Horizon) {
-		if g.ctx != nil && g.pollCtx() {
-			break
-		}
-		g.res.Events++
-		g.processReleases()
-
-		nextRel := math.Min(g.timers.PeekKey(), g.cfg.Horizon)
-
-		if g.ready.Len() == 0 {
-			// All cores idle until the next release at the policy's idle
-			// point.
-			op := g.pol.IdlePoint()
-			g.switchTo(op)
-			start := g.now
-			end := math.Max(nextRel, g.now)
-			if end > start {
-				dur := end - start
-				e := g.cfg.Machine.IdlePower(op) * dur
-				for c := 0; c < g.m; c++ {
-					g.res.PerCore[c].IdleEnergy += e
-					g.res.PerCore[c].IdleTime += dur
-					g.res.IdleEnergy += e
-					g.res.IdleTime += dur
-				}
-				g.now = end
-				g.checkEnergy()
-			} else {
-				g.now = nextRel
-			}
-			continue
-		}
-
-		op := g.pol.Point()
-		g.switchTo(op)
-		if fpx.Ge(g.now, g.cfg.Horizon) {
-			break
-		}
-		if fpx.Le(g.timers.PeekKey(), g.now) {
-			// A release became due during the stop interval.
-			continue
-		}
-		nextRel = math.Min(g.timers.PeekKey(), g.cfg.Horizon)
-
-		// Pick the m earliest-deadline jobs, ties by task index — pop
-		// then restore, so pick order is exactly the heap order.
-		k := g.ready.Len()
-		if k > g.m {
-			k = g.m
-		}
-		g.picks = g.picks[:0]
-		for i := 0; i < k; i++ {
-			g.picks = append(g.picks, g.ready.Pop())
-		}
-		for _, t := range g.picks {
-			g.readyAdd(t)
-		}
-
-		// A job that ran last segment, is still active, and lost its
-		// core was preempted by an earlier deadline.
-		for _, t := range g.lastRun {
-			if !g.states[t].active {
-				continue // completed or aborted, not preempted
-			}
-			onCore := false
-			for _, p := range g.picks {
-				if p == t {
-					onCore = true
-					break
-				}
-			}
-			if !onCore {
-				g.res.Preemptions++
-			}
-		}
-
-		g.assign()
-		g.checkOccupancy()
-
-		// Segment end: next release, horizon, or earliest finish among
-		// the running jobs.
-		end := nextRel
-		for c := 0; c < g.m; c++ {
-			t := g.running[c]
-			if t < 0 {
-				continue
-			}
-			if finish := g.now + g.states[t].remaining/g.hw.Freq; finish < end {
-				end = finish
-			}
-		}
-		dur := end - g.now
-
-		// Execute the segment core by core in ascending core order.
-		for c := 0; c < g.m; c++ {
-			t := g.running[c]
-			pc := &g.res.PerCore[c]
-			if t < 0 {
-				e := g.cfg.Machine.IdlePower(g.hw) * dur
-				pc.IdleEnergy += e
-				pc.IdleTime += dur
-				g.res.IdleEnergy += e
-				g.res.IdleTime += dur
-				continue
-			}
-			st := &g.states[t]
-			finish := g.now + st.remaining/g.hw.Freq
-			cycles := dur * g.hw.Freq
-			if cycles > st.remaining || fpx.Le(finish, end) {
-				cycles = st.remaining
-			}
-			st.remaining -= cycles
-			st.used += cycles
-			e := cycles * g.hw.EnergyPerCycle()
-			pc.CyclesDone += cycles
-			pc.ExecEnergy += e
-			pc.BusyTime += dur
-			g.res.CyclesDone += cycles
-			g.res.ExecEnergy += e
-			g.res.BusyTime += dur
-			g.res.PerTask[t].Cycles += cycles
-			g.pol.OnExecute(t, cycles)
-		}
-		g.now = end
-		g.checkEnergy()
-
-		// Deliver completions in ascending task-index order.
-		g.finished = g.finished[:0]
-		for c := 0; c < g.m; c++ {
-			t := g.running[c]
-			if t >= 0 && fpx.Le(g.states[t].remaining, 0) {
-				g.finished = append(g.finished, t)
-			}
-		}
-		sortIndexes(g.finished)
-		for _, t := range g.finished {
-			st := &g.states[t]
-			st.remaining = 0
-			st.active = false
-			g.ready.Remove(t)
-			g.res.Completions++
-			g.res.PerTask[t].Completions++
-			if c := g.taskCore[t]; c >= 0 {
-				g.res.PerCore[c].Completions++
-				g.res.PerCore[c].Releases++ // invocation fully hosted: release credited where it completed
-			}
-			if resp := g.now - st.releasedAt; resp > g.res.PerTask[t].MaxResponse {
-				g.res.PerTask[t].MaxResponse = resp
-			}
-			g.pol.OnCompletion(g, t, st.used)
-		}
-		if len(g.finished) > 0 {
-			g.checkUtilization()
-		}
-		//rtdvs:ignore hotalloc reset-and-refill of g.lastRun reuses its backing array; no growth after the first poll
-		g.lastRun = append(g.lastRun[:0], g.picks...)
-	}
-	g.res.TotalEnergy = g.res.ExecEnergy + g.res.IdleEnergy
-	g.checkEnergy()
-}
-
-// checkEnergy verifies energy components stay non-negative and the
-// total monotone — the scalar checker's conditions on the multi-core
-// accumulators.
-func (g *multiSim) checkEnergy() {
-	if !g.checks || g.invErr != nil {
-		return
-	}
-	if g.res.ExecEnergy < 0 || g.res.IdleEnergy < 0 {
-		g.failf("negative energy component (exec=%g, idle=%g)",
-			g.res.ExecEnergy, g.res.IdleEnergy)
+		s.taskCore[t] = next
 	}
 }

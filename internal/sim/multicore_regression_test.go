@@ -301,43 +301,53 @@ func TestMultiCoreM1Cancellation(t *testing.T) {
 }
 
 // TestGangM1ScalarEquivalent pins each gang policy at one core to its
-// uniprocessor counterpart: on a single core the global engine and the
-// gang formulas (GFB admission at m = 1, Graham pacing at m = 1) reduce
-// exactly to the scalar engine running the original policy.
+// uniprocessor counterpart: on a single core the global run's slot
+// segment and the gang formulas (GFB admission at m = 1, Graham pacing
+// at m = 1) reduce exactly to the scalar engine running the original
+// policy. Every shared field but the policy name must agree bit for bit,
+// event and preemption counts included, on admitted sets and on an
+// overloaded one whose jobs miss.
 func TestGangM1ScalarEquivalent(t *testing.T) {
 	pairs := [][2]string{
 		{"gangStaticEDF", "staticEDF"},
 		{"gangCCEDF", "ccEDF"},
 		{"gangLAEDF", "laEDF"},
 	}
+	type gangCase struct {
+		seed     int64
+		util     float64
+		execSpec string
+		pairs    [][2]string
+	}
+	cases := []gangCase{{seed: 1, util: 1.2, execSpec: "wcet", pairs: pairs[:1]}}
 	for seed := int64(1); seed <= 4; seed++ {
-		g := task.Generator{N: 5, Utilization: 0.6, Rand: rand.New(rand.NewSource(seed))}
+		cases = append(cases, gangCase{seed: seed, util: 0.6, execSpec: "c=0.7", pairs: pairs})
+	}
+	for _, tc := range cases {
+		g := task.Generator{N: 5, Utilization: tc.util, Rand: rand.New(rand.NewSource(tc.seed))}
 		ts, err := g.Generate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pr := range pairs {
+		for _, pr := range tc.pairs {
 			mres, err := RunMulti(MultiConfig{
 				Tasks:     ts,
 				Machine:   machine.Machine0().WithCores(1),
 				Policy:    pr[0],
 				Placement: sched.Global,
-				Exec:      "c=0.7",
-				Seed:      seed,
+				Exec:      tc.execSpec,
+				Seed:      tc.seed,
 				Horizon:   800,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sres := scalarRun(t, ts, pr[1], "c=0.7", seed, 800)
-			if mres.TotalEnergy != sres.TotalEnergy ||
-				mres.Switches != sres.Switches ||
-				mres.CyclesDone != sres.CyclesDone ||
-				mres.Guaranteed != sres.Guaranteed ||
-				mres.MissCount() != sres.MissCount() {
-				t.Errorf("seed %d: %s at m=1 diverges from %s: energy %g vs %g, switches %d vs %d, guaranteed %v vs %v",
-					seed, pr[0], pr[1], mres.TotalEnergy, sres.TotalEnergy,
-					mres.Switches, sres.Switches, mres.Guaranteed, sres.Guaranteed)
+			got := multiTotals(mres)
+			want := scalarTotals(scalarRun(t, ts, pr[1], tc.execSpec, tc.seed, 800))
+			got.Policy, want.Policy = "", ""
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d U=%g %s: %s at m=1 diverges from %s\ngot  %+v\nwant %+v",
+					tc.seed, tc.util, tc.execSpec, pr[0], pr[1], got, want)
 			}
 		}
 	}

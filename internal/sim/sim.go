@@ -10,6 +10,10 @@
 // machine's idle-level fraction of a normal cycle. Task execution reduces
 // to counting cycles, so no instruction traces are needed.
 //
+// The same loop runs global multicore placement (multi.go): m identical
+// cores on one voltage rail are the uniprocessor schedule with m run
+// slots, and only the execution segment differs between the two.
+//
 // The event loop is designed to be allocation-free in steady state:
 // pending releases live in an index-heap timer queue and ready tasks in
 // an index-heap run queue (both from internal/sched), so each event costs
@@ -231,9 +235,9 @@ type taskState struct {
 	releasedAt   float64 // release time of current invocation
 }
 
-// simulator runs one configuration. It implements core.System and
-// sched.TaskView. All of its state lives in reusable buffers so a Runner
-// can replay configurations without reallocating.
+// simulator runs one configuration. It implements core.System. All of
+// its state lives in reusable buffers so a Runner or MultiRunner can
+// replay configurations without reallocating.
 type simulator struct {
 	cfg    Config
 	ts     *task.Set
@@ -277,8 +281,23 @@ type simulator struct {
 	resTime  []float64 // per machine-table point index: residency time
 
 	// lastRun is the task index executed by the most recent execution
-	// segment (-1 before any), for preemption counting.
+	// segment (-1 before any, or once that job completed or was
+	// aborted), for preemption counting.
 	lastRun int
+
+	// Global placement: m run slots on one rail (m is 1 for a scalar
+	// run). cores aliases the MultiResult's per-core stats, one per
+	// slot; running holds each slot's job (-1 when vacant), vacated when
+	// the job completes or is aborted like lastRun; taskCore holds the
+	// slot each task last ran on (-1 before any).
+	global     bool
+	m          int
+	cores      []CoreStats
+	running    []int
+	taskCore   []int
+	picks      []int // scratch: this segment's picks, in priority order
+	finished   []int // scratch: this segment's completions
+	migrations int
 
 	// Cooperative cancellation: ctx is nil when the run is not
 	// cancellable (plain Run), so the hot path pays one nil check per
@@ -366,16 +385,41 @@ func validate(cfg *Config) error {
 	return nil
 }
 
-// exec attaches the policy of a validated cfg, resets every piece of
-// runner state — a previous errored or cancelled run must not be able
-// to poison this one — and executes the event loop.
+// exec runs a validated cfg on the scalar loop and folds the result.
 func (r *Runner) exec(ctx context.Context, cfg Config) (*Result, error) {
-	wireDistributions(cfg.Policy, cfg.Exec)
-	if err := cfg.Policy.Attach(cfg.Tasks, cfg.Machine); err != nil {
+	s := &r.s
+	if err := s.exec(ctx, cfg, nil); err != nil {
 		return nil, err
 	}
+	for i, d := range s.resTime {
+		if d > 0 {
+			s.res.PointResTime[cfg.Machine.Points[i]] += d
+		}
+	}
+	if cfg.Faults != nil {
+		rec := cfg.Faults.Record()
+		s.res.Faults = &rec
+	}
+	if s.ctxErr != nil {
+		return nil, &Canceled{At: s.now, Partial: &s.res, Cause: s.ctxErr}
+	}
+	if cfg.Metrics != nil {
+		cfg.Metrics.observe(&s.res, s.resTime, cfg.Machine)
+	}
+	return &s.res, nil
+}
 
-	s := &r.s
+// exec attaches the policy of a validated cfg, resets every piece of
+// simulator state — a previous errored or cancelled run must not be able
+// to poison this one — and executes the event loop. A nil cores runs
+// the scalar loop; a global run passes its per-core stats, one per run
+// slot.
+func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) error {
+	wireDistributions(cfg.Policy, cfg.Exec)
+	if err := cfg.Policy.Attach(cfg.Tasks, cfg.Machine); err != nil {
+		return err
+	}
+
 	n := cfg.Tasks.Len()
 	s.cfg = cfg
 	s.ts = cfg.Tasks
@@ -390,6 +434,14 @@ func (r *Runner) exec(ctx context.Context, cfg Config) (*Result, error) {
 	s.timers.Reset(n)
 	s.ready.Reset(n)
 	s.lastRun = -1
+	s.global = cores != nil
+	s.m = max(len(cores), 1)
+	s.cores = cores
+	if s.global {
+		s.running = fillInts(s.running, s.m, -1)
+		s.taskCore = fillInts(s.taskCore, n, -1)
+		s.migrations = 0
+	}
 	s.ctx = ctx
 	s.ctxTick = 0 // poll before the first event: an expired ctx does no work
 	s.ctxErr = nil
@@ -438,25 +490,7 @@ func (r *Runner) exec(ctx context.Context, cfg Config) (*Result, error) {
 	s.inv.checkPoint(s.hw)
 	s.inv.checkUtilization()
 	s.run()
-	if err := s.inv.Err(); err != nil {
-		return nil, err
-	}
-	for i, d := range s.resTime {
-		if d > 0 {
-			s.res.PointResTime[cfg.Machine.Points[i]] += d
-		}
-	}
-	if cfg.Faults != nil {
-		rec := cfg.Faults.Record()
-		s.res.Faults = &rec
-	}
-	if s.ctxErr != nil {
-		return nil, &Canceled{At: s.now, Partial: &s.res, Cause: s.ctxErr}
-	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.observe(&s.res, s.resTime, cfg.Machine)
-	}
-	return &s.res, nil
+	return s.inv.Err()
 }
 
 // growZeroed returns a zeroed slice of length n, reusing s's backing
@@ -467,6 +501,16 @@ func growZeroed[T any](s []T, n int) []T {
 	}
 	s = s[:n]
 	clear(s)
+	return s
+}
+
+// fillInts returns a slice of length n with every element v, reusing
+// s's backing array when its capacity suffices.
+func fillInts(s []int, n, v int) []int {
+	s = growZeroed(s, n)
+	for i := range s {
+		s[i] = v
+	}
 	return s
 }
 
@@ -485,12 +529,6 @@ func (s *simulator) Deadline(i int) float64 {
 	// equals nextRelease.
 	return st.nominalRel
 }
-
-// --- sched.TaskView ---
-
-func (s *simulator) NumTasks() int        { return s.ts.Len() }
-func (s *simulator) Task(i int) task.Task { return s.ts.Task(i) }
-func (s *simulator) Ready(i int) bool     { return s.states[i].active }
 
 // --- engine ---
 
@@ -665,7 +703,8 @@ func (s *simulator) fireReleases(i int) {
 }
 
 // abort records task i's active invocation as a deadline miss and drops
-// it. The policy gets no callback for an aborted job, so its bookkeeping
+// it, vacating its run slot: an aborted job is not a preemption victim.
+// The policy gets no callback for an aborted job, so its bookkeeping
 // resets at the task's next OnRelease.
 //
 //rtdvs:hotpath
@@ -675,11 +714,19 @@ func (s *simulator) abort(i int) {
 		Task: i, Inv: st.inv - 1, Deadline: st.deadline, Remaining: st.remaining,
 	})
 	s.res.PerTask[i].Misses++
+	if s.global {
+		if c := s.taskCore[i]; c >= 0 {
+			s.cores[c].Misses++
+			if s.running[c] == i {
+				s.running[c] = -1
+			}
+		}
+	}
 	s.inv.checkMiss(i, st.inv-1, st.deadline)
 	st.active = false
 	s.readyRemove(i)
 	if s.lastRun == i {
-		s.lastRun = -1 // aborted, not preempted
+		s.lastRun = -1
 	}
 }
 
@@ -736,7 +783,9 @@ func (s *simulator) processAborts() {
 // switchTo moves the hardware to the requested operating point, charging
 // the mandatory stop interval if an overhead model is configured. Time
 // spent halted produces no energy (the processor does not operate during
-// the switching interval) but does elapse. With fault injection active
+// the switching interval) but does elapse. The m slots of a global run
+// share the rail, so they halt together: one switch, m core-intervals
+// of HaltTime. With fault injection active
 // the transition may be denied or stuck — the hardware then silently
 // stays put and the main loop retries at the next scheduling event — or
 // its stop interval inflated.
@@ -765,7 +814,13 @@ func (s *simulator) switchTo(op machine.OperatingPoint) {
 			end = s.cfg.Horizon
 		}
 		s.record(trace.SwitchHalt, s.now, end, op, idx)
-		s.res.HaltTime += end - s.now
+		dur := end - s.now
+		for range s.m {
+			s.res.HaltTime += dur
+		}
+		for c := range s.cores {
+			s.cores[c].HaltTime += dur
+		}
 		s.now = end
 	}
 	s.hw, s.hwIdx = op, idx
@@ -809,6 +864,7 @@ func (s *simulator) pollCtx() bool {
 
 // run is the main loop: process releases due now, pick a task, execute it
 // until completion or the next release, and account energy along the way.
+// A global run executes its segment on m slots instead (execSlots).
 // Minima and maxima are branches rather than math.Min/Max calls: every
 // operand is a non-negative time (or +Inf), where the two agree exactly.
 //
@@ -831,24 +887,25 @@ func (s *simulator) run() {
 		pick := s.readyPeek()
 
 		if pick < 0 {
-			// Idle until the next release at the policy's idle point.
+			// Idle until the next release at the policy's idle point. A
+			// stop interval that ends past that release leaves nothing to
+			// idle: the release is processed when the halt ends.
 			op := s.cfg.Policy.IdlePoint()
 			s.switchTo(op)
-			start := s.now
-			end := nextRel
-			if start > end {
-				end = start
-			}
-			if end > start {
-				dur := end - start
+			if nextRel > s.now {
+				dur := nextRel - s.now
 				e := s.cfg.Machine.IdlePower(op) * dur
-				s.res.IdleEnergy += e
-				s.res.IdleTime += dur
-				s.record(trace.Idle, start, end, op, s.selIndex(op))
-				s.now = end
-				s.inv.checkEnergy()
-			} else {
+				for range s.m {
+					s.res.IdleEnergy += e
+					s.res.IdleTime += dur
+				}
+				for c := range s.cores {
+					s.cores[c].IdleEnergy += e
+					s.cores[c].IdleTime += dur
+				}
+				s.record(trace.Idle, s.now, nextRel, op, s.selIndex(op))
 				s.now = nextRel
+				s.inv.checkEnergy()
 			}
 			continue
 		}
@@ -871,6 +928,10 @@ func (s *simulator) run() {
 		nextRel = s.nextReleaseTime()
 		if s.cfg.Horizon < nextRel {
 			nextRel = s.cfg.Horizon
+		}
+		if s.global {
+			s.execSlots(nextRel)
+			continue
 		}
 
 		// A different task taking the processor while the previous one is
