@@ -27,8 +27,9 @@ lint:
 	go run ./cmd/rtdvs-vet ./...
 
 # race exercises the packages with real concurrency: the experiment
-# harness worker pool, the RTOS kernel, and the HTTP serving layer
+# panels' one worker pool, the RTOS kernel, and the HTTP serving layer
 # (including the soak-smoke load test and its clean-drain assertion).
+# CI's race step runs this target.
 race:
 	go test -race ./internal/experiment/... ./internal/rtos/... ./internal/serve/... ./cmd/rtdvs-serve/...
 

@@ -10,6 +10,7 @@ package rtdvs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -98,7 +99,7 @@ func benchFigure9(b *testing.B, n int) {
 	var sw *experiment.Sweep
 	for i := 0; i < b.N; i++ {
 		var err error
-		sw, err = experiment.Figure9(n, benchOptions(101))
+		sw, err = experiment.Figure9(context.Background(), n, benchOptions(101))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func benchFigure10(b *testing.B, level float64) {
 	var sw *experiment.Sweep
 	for i := 0; i < b.N; i++ {
 		var err error
-		sw, err = experiment.Figure10(level, benchOptions(102))
+		sw, err = experiment.Figure10(context.Background(), level, benchOptions(102))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +137,7 @@ func benchFigure11(b *testing.B, spec *machine.Spec) {
 	var sw *experiment.Sweep
 	for i := 0; i < b.N; i++ {
 		var err error
-		sw, err = experiment.Figure11(spec, benchOptions(103))
+		sw, err = experiment.Figure11(context.Background(), spec, benchOptions(103))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func benchFigure12(b *testing.B, c float64) {
 	var sw *experiment.Sweep
 	for i := 0; i < b.N; i++ {
 		var err error
-		sw, err = experiment.Figure12(c, benchOptions(104))
+		sw, err = experiment.Figure12(context.Background(), c, benchOptions(104))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func BenchmarkFigure13Uniform(b *testing.B) {
 	var sw *experiment.Sweep
 	for i := 0; i < b.N; i++ {
 		var err error
-		sw, err = experiment.Figure13(benchOptions(105))
+		sw, err = experiment.Figure13(context.Background(), benchOptions(105))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,7 +190,7 @@ func BenchmarkFigure16ActualPlatform(b *testing.B) {
 	var ps *experiment.PowerSweep
 	for i := 0; i < b.N; i++ {
 		var err error
-		ps, err = experiment.Figure16(experiment.Options{Sets: 3, Seed: 106, Points: []float64{0.3, 0.6, 0.9}})
+		ps, err = experiment.Figure16(context.Background(), experiment.Options{Sets: 3, Seed: 106, Points: []float64{0.3, 0.6, 0.9}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +209,7 @@ func BenchmarkFigure17SimulatedPlatform(b *testing.B) {
 	var ps *experiment.PowerSweep
 	for i := 0; i < b.N; i++ {
 		var err error
-		ps, err = experiment.Figure17(experiment.Options{Sets: 3, Seed: 106, Points: []float64{0.3, 0.6, 0.9}})
+		ps, err = experiment.Figure17(context.Background(), experiment.Options{Sets: 3, Seed: 106, Points: []float64{0.3, 0.6, 0.9}})
 		if err != nil {
 			b.Fatal(err)
 		}

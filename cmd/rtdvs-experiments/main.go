@@ -5,7 +5,13 @@
 //
 //	rtdvs-experiments [-exp all|table1|table4|fig9|fig10|fig11|fig12|fig13|fig16|fig17|robustness|multicore]
 //	                  [-sets N] [-seed S] [-workers W] [-step U]
+//	                  [-checkpoint f [-resume]] [-timeout d]
 //	                  [-cpuprofile f] [-memprofile f]
+//
+// -checkpoint journals every completed job of the utilization-axis
+// panels (figures 9-13, 16, 17 and multicore), one file per panel, so
+// an interrupted run continues with -resume. The robustness experiment
+// has no journal and refuses -checkpoint.
 //
 // The profiling flags write standard pprof profiles of the run
 // (`go tool pprof` reads them), which is how the simulator hot path is
@@ -52,7 +58,7 @@ func main() {
 	step := flag.Float64("step", 0.05, "utilization axis step")
 	format := flag.String("format", "text", "output format: text, csv, json")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
-	checkpoint := flag.String("checkpoint", "", "journal completed sweep jobs to this file (figures 9-13)")
+	checkpoint := flag.String("checkpoint", "", "journal completed sweep jobs, one file per panel derived from this path (fig9-13, fig16, fig17, multicore; not robustness)")
 	resume := flag.Bool("resume", false, "skip jobs already recorded in the -checkpoint journal")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -69,7 +75,7 @@ func main() {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)
 	}
-	if err := validateFlags(*sets, *step, *workers, *timeout, *checkpoint, *resume); err != nil {
+	if err := validateFlags(*exp, *sets, *step, *workers, *timeout, *checkpoint, *resume); err != nil {
 		fatal(err)
 	}
 	switch *format {
@@ -114,11 +120,7 @@ func main() {
 		}()
 	}
 
-	var points []float64
-	for u := *step; u <= 1.0+1e-9; u += *step {
-		points = append(points, u)
-	}
-	o := experiment.Options{Sets: *sets, Seed: *seed, Workers: *workers, Points: points}
+	o := experiment.Options{Sets: *sets, Seed: *seed, Workers: *workers, Points: utilizationAxis(*step)}
 	all := core.Names()
 
 	// panel derives per-panel options: figures with several panels each
@@ -188,7 +190,7 @@ func main() {
 
 		case "fig9":
 			for _, n := range []int{5, 10, 15} {
-				sw, err := experiment.Figure9Context(ctx, n, panel(fmt.Sprintf("fig9-n%d", n)))
+				sw, err := experiment.Figure9(ctx, n, panel(fmt.Sprintf("fig9-n%d", n)))
 				if err != nil {
 					fail(err)
 				}
@@ -197,7 +199,7 @@ func main() {
 
 		case "fig10":
 			for _, lvl := range []float64{0.01, 0.1, 1.0} {
-				sw, err := experiment.Figure10Context(ctx, lvl, panel(fmt.Sprintf("fig10-idle%g", lvl)))
+				sw, err := experiment.Figure10(ctx, lvl, panel(fmt.Sprintf("fig10-idle%g", lvl)))
 				if err != nil {
 					fail(err)
 				}
@@ -206,7 +208,7 @@ func main() {
 
 		case "fig11":
 			for _, spec := range []*machine.Spec{machine.Machine0(), machine.Machine1(), machine.Machine2()} {
-				sw, err := experiment.Figure11Context(ctx, spec, panel("fig11-"+spec.Name))
+				sw, err := experiment.Figure11(ctx, spec, panel("fig11-"+spec.Name))
 				if err != nil {
 					fail(err)
 				}
@@ -215,7 +217,7 @@ func main() {
 
 		case "fig12":
 			for _, c := range []float64{0.9, 0.7, 0.5} {
-				sw, err := experiment.Figure12Context(ctx, c, panel(fmt.Sprintf("fig12-c%g", c)))
+				sw, err := experiment.Figure12(ctx, c, panel(fmt.Sprintf("fig12-c%g", c)))
 				if err != nil {
 					fail(err)
 				}
@@ -223,21 +225,21 @@ func main() {
 			}
 
 		case "fig13":
-			sw, err := experiment.Figure13Context(ctx, panel("fig13"))
+			sw, err := experiment.Figure13(ctx, panel("fig13"))
 			if err != nil {
 				fail(err)
 			}
 			emit(sw, "Figure 13: normalized energy, uniform computation", true)
 
 		case "fig16":
-			ps, err := experiment.Figure16Context(ctx, o)
+			ps, err := experiment.Figure16(ctx, panel("fig16"))
 			if err != nil {
 				fail(err)
 			}
 			emitPower(ps)
 
 		case "fig17":
-			ps, err := experiment.Figure17Context(ctx, o)
+			ps, err := experiment.Figure17(ctx, panel("fig17"))
 			if err != nil {
 				fail(err)
 			}
@@ -245,7 +247,7 @@ func main() {
 
 		case "multicore":
 			for _, m := range []int{2, 4} {
-				sw, err := experiment.MulticoreContext(ctx, m, panel(fmt.Sprintf("multicore-m%d", m)))
+				sw, err := experiment.Multicore(ctx, m, panel(fmt.Sprintf("multicore-m%d", m)))
 				if err != nil {
 					fail(err)
 				}
@@ -253,7 +255,7 @@ func main() {
 			}
 
 		case "robustness":
-			sw, err := experiment.RobustnessContext(ctx, experiment.RobustnessConfig{
+			sw, err := experiment.Robustness(ctx, experiment.RobustnessConfig{
 				Sets: *sets, Seed: *seed, Workers: *workers,
 			})
 			if err != nil {
@@ -271,7 +273,7 @@ func main() {
 			default:
 				fmt.Println(sw.Render(nil))
 			}
-			grid, err := experiment.GridContext(ctx, experiment.GridConfig{
+			grid, err := experiment.Grid(ctx, experiment.GridConfig{
 				Sets: *sets, Seed: *seed, Workers: *workers,
 			})
 			if err != nil {
@@ -306,10 +308,11 @@ func main() {
 	run(*exp)
 }
 
-// validateFlags rejects nonsensical numeric flags up front with
-// actionable messages instead of hanging, spinning, or silently
-// producing empty sweeps.
-func validateFlags(sets int, step float64, workers int, timeout time.Duration, checkpoint string, resume bool) error {
+// validateFlags rejects nonsensical flags up front with actionable
+// messages instead of hanging, spinning, silently producing empty
+// sweeps, or silently running without the journal -checkpoint asked
+// for.
+func validateFlags(exp string, sets int, step float64, workers int, timeout time.Duration, checkpoint string, resume bool) error {
 	switch {
 	case sets <= 0:
 		return fmt.Errorf("-sets must be positive, got %d", sets)
@@ -323,8 +326,21 @@ func validateFlags(sets int, step float64, workers int, timeout time.Duration, c
 		return fmt.Errorf("-timeout must be non-negative, got %v", timeout)
 	case resume && checkpoint == "":
 		return fmt.Errorf("-resume requires -checkpoint")
+	case checkpoint != "" && exp == "robustness":
+		return fmt.Errorf("-checkpoint journals the utilization-axis panels only; -exp robustness has no journal")
 	}
 	return nil
+}
+
+// utilizationAxis returns the points step, 2·step, … up to 1. Point i
+// is computed as i·step, not by repeated addition, so the default step
+// reproduces experiment.DefaultUtilizations bit for bit.
+func utilizationAxis(step float64) []float64 {
+	var points []float64
+	for i := 1; float64(i)*step <= 1.0+1e-9; i++ {
+		points = append(points, float64(i)*step)
+	}
+	return points
 }
 
 // panelCheckpoint derives a per-panel journal path from the base

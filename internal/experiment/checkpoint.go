@@ -15,10 +15,11 @@ import (
 // looking like a successful resume.
 
 // harnessRecord journals one completed (utilization, set) job: the
-// total energy and miss count of every policy, plus the theoretical
-// bound. Floats survive the JSON round trip exactly (Go emits the
-// shortest representation that parses back to the same float64), which
-// is what makes a resumed sweep bit-identical to an uninterrupted one.
+// value (total energy, or average power in Figures 16 and 17) and miss
+// count of every policy, plus the theoretical bound. Floats survive the
+// JSON round trip exactly (Go emits the shortest representation that
+// parses back to the same float64), which is what makes a resumed sweep
+// bit-identical to an uninterrupted one.
 type harnessRecord struct {
 	UI     int       `json:"ui"`
 	SI     int       `json:"si"`
@@ -27,92 +28,94 @@ type harnessRecord struct {
 	Bnd    float64   `json:"bnd"`
 }
 
-// harnessJournal serializes concurrent workers' appends onto one
-// checkpoint log.
-type harnessJournal struct {
-	mu  sync.Mutex
-	log *checkpoint.Log
+// journal serializes concurrent workers' appends onto one checkpoint
+// log. A nil *journal — a panel run without a Checkpoint path — records
+// nothing.
+type journal struct {
+	mu   sync.Mutex
+	log  *checkpoint.Log
+	sets int
 }
 
-// openHarnessJournal opens cfg.Checkpoint — resuming the existing
-// journal when cfg.Resume is set, starting fresh otherwise — verifies
-// the header fingerprint, and replays completed job records into outs.
-func openHarnessJournal(cfg Config, policies []string, outs []harnessOut) (*harnessJournal, error) {
-	want := sweepHeader(cfg, policies)
-	if !cfg.Resume {
-		log, err := checkpoint.Create(cfg.Checkpoint)
-		if err != nil {
-			return nil, err
-		}
-		j := &harnessJournal{log: log}
-		if err := j.append(want); err != nil {
-			log.Close()
-			return nil, err
-		}
-		return j, nil
+// openJournal opens cfg.Checkpoint — resuming the existing journal when
+// cfg.Resume is set, starting fresh otherwise — verifies that its header
+// is the panel's (kind, cfg, policies), and replays completed job
+// records into outs, marking them done. Without a Checkpoint path it
+// opens no journal. cfg must be normalized.
+func openJournal(cfg Config, kind string, policies []string, outs []harnessOut, done []bool) (j *journal, err error) {
+	path := cfg.Checkpoint
+	if path == "" {
+		return nil, nil
 	}
-
-	log, records, err := checkpoint.Open(cfg.Checkpoint)
+	want := sweepHeader(cfg, policies)
+	want.Kind = kind
+	var log *checkpoint.Log
+	var records [][]byte
+	if cfg.Resume {
+		log, records, err = checkpoint.Open(path)
+	} else {
+		log, err = checkpoint.Create(path)
+	}
 	if err != nil {
 		return nil, err
 	}
-	j := &harnessJournal{log: log}
-	if len(records) == 0 {
-		// A journal that never got its header (created but crashed before
-		// the first sync, or simply absent): start it now.
-		if err := j.append(want); err != nil {
+	j = &journal{log: log, sets: want.Sets}
+	defer func() {
+		if err != nil {
 			log.Close()
-			return nil, err
+			j = nil
 		}
-		return j, nil
+	}()
+	if len(records) == 0 {
+		// A fresh journal, or one that never got its header (created but
+		// crashed before the first sync, or simply absent): start it now.
+		return j, j.append(want)
 	}
 	var got SweepHeader
 	if err := json.Unmarshal(records[0], &got); err != nil {
-		log.Close()
-		return nil, fmt.Errorf("experiment: checkpoint %s: bad header: %w", cfg.Checkpoint, err)
+		return nil, fmt.Errorf("experiment: checkpoint %s: bad header: %w", path, err)
 	}
 	// Compare by fingerprint — the same definition of "same
 	// configuration" the distributed-sweep result cache keys on.
 	gotFP, err := checkpoint.Fingerprint(got)
 	if err != nil {
-		log.Close()
 		return nil, err
 	}
 	wantFP, err := checkpoint.Fingerprint(want)
 	if err != nil {
-		log.Close()
 		return nil, err
 	}
 	if gotFP != wantFP {
-		log.Close()
 		return nil, fmt.Errorf("experiment: checkpoint %s was written by a differently-parameterized sweep; "+
-			"use a fresh checkpoint file (journal %+v, sweep %+v)", cfg.Checkpoint, got, want)
+			"use a fresh checkpoint file (journal %+v, sweep %+v)", path, got, want)
 	}
-	np := len(policies)
+	np := len(want.Policies)
 	for ri, raw := range records[1:] {
 		var rec harnessRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("experiment: checkpoint %s: record %d: %w", cfg.Checkpoint, ri+1, err)
+			return nil, fmt.Errorf("experiment: checkpoint %s: record %d: %w", path, ri+1, err)
 		}
-		idx := rec.UI*cfg.Sets + rec.SI
-		if rec.UI < 0 || rec.SI < 0 || rec.SI >= cfg.Sets || idx >= len(outs) ||
+		idx := rec.UI*want.Sets + rec.SI
+		if rec.UI < 0 || rec.SI < 0 || rec.SI >= want.Sets || idx >= len(outs) ||
 			len(rec.Energy) != np || len(rec.Misses) != np {
-			log.Close()
 			return nil, fmt.Errorf("experiment: checkpoint %s: record %d does not fit the sweep "+
-				"(ui=%d si=%d, %d policies)", cfg.Checkpoint, ri+1, rec.UI, rec.SI, np)
+				"(ui=%d si=%d, %d policies)", path, ri+1, rec.UI, rec.SI, np)
 		}
-		outs[idx] = harnessOut{ok: true, energy: rec.Energy, misses: rec.Misses, bnd: rec.Bnd}
+		outs[idx] = harnessOut{energy: rec.Energy, misses: rec.Misses, bnd: rec.Bnd}
+		done[idx] = true
 	}
 	return j, nil
 }
 
-// record journals one completed job. Safe for concurrent workers.
-func (j *harnessJournal) record(ui, si int, out *harnessOut) error {
-	return j.append(harnessRecord{UI: ui, SI: si, Energy: out.energy, Misses: out.misses, Bnd: out.bnd})
+// record journals completed job jobIdx. Safe for concurrent workers.
+func (j *journal) record(jobIdx int, out *harnessOut) error {
+	if j == nil {
+		return nil
+	}
+	return j.append(harnessRecord{UI: jobIdx / j.sets, SI: jobIdx % j.sets, Energy: out.energy, Misses: out.misses, Bnd: out.bnd})
 }
 
-func (j *harnessJournal) append(v any) error {
+func (j *journal) append(v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return err
@@ -122,7 +125,10 @@ func (j *harnessJournal) append(v any) error {
 	return j.log.Append(payload)
 }
 
-func (j *harnessJournal) Close() error {
+func (j *journal) Close() error {
+	if j == nil {
+		return nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.log.Close()

@@ -2,12 +2,11 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"rtdvs/internal/checkpoint"
 )
@@ -23,14 +22,14 @@ func checkpointConfig(path string) Config {
 // unjournaled one.
 func TestCheckpointFreshRunMatches(t *testing.T) {
 	cfg := checkpointConfig("")
-	want, err := Run(cfg)
+	want, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	cfg.Checkpoint = path
-	got, err := Run(cfg)
+	got, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func TestCheckpointFreshRunMatches(t *testing.T) {
 // tail is a torn (mid-record) write.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	cfg := checkpointConfig("")
-	want, err := Run(cfg)
+	want, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +59,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	// Build a complete journal, then replay prefixes of it.
 	full := filepath.Join(t.TempDir(), "full.ckpt")
 	cfg.Checkpoint = full
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	log, records, err := checkpoint.Open(full)
@@ -108,7 +107,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			rcfg := cfg
 			rcfg.Checkpoint = path
 			rcfg.Resume = true
-			got, err := Run(rcfg)
+			got, err := RunContext(context.Background(), rcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,35 +116,36 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// A cancelled checkpointed sweep journals its completed jobs; resuming
-// finishes the remainder and matches the uninterrupted run.
+// A cancelled checkpointed panel journals its completed jobs; resuming
+// finishes the remainder and matches the uninterrupted run. Figures
+// 9–13 and the multicore panel journal through RunContext; Figures 16
+// and 17 through the power panel.
 func TestCheckpointResumeAfterCancel(t *testing.T) {
-	cfg := checkpointConfig("")
-	cfg.Sets = 6 // more jobs so the cancel lands mid-sweep
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, p := range panelEntries() {
+		if p.name != "RunContext" && p.name != "Figure16" && p.name != "Figure17" {
+			continue
+		}
+		t.Run(p.name, func(t *testing.T) {
+			count := newErrCountdown(0)
+			want, err := p.run(count, "", false)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	cfg.Checkpoint = path
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	_, err = RunContext(ctx, cfg)
-	var pe *PartialError
-	if err == nil {
-		t.Skip("sweep finished before the deadline; nothing to resume")
+			path := filepath.Join(t.TempDir(), "panel.ckpt")
+			_, err = p.run(newErrCountdown(count.calls/2), path, false)
+			if pe := wantPartial(t, err); pe.Done <= 0 || pe.Done >= pe.Total {
+				t.Fatalf("cancel landed outside the sweep: %+v", pe)
+			}
+			got, err := p.run(context.Background(), path, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("resumed panel differs:\nwant %+v\ngot  %+v", want, got)
+			}
+		})
 	}
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %T %v, want *PartialError", err, err)
-	}
-
-	cfg.Resume = true
-	got, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSweepsEqual(t, want, got)
 }
 
 // Resume must refuse a journal written by a differently-parameterized
@@ -153,19 +153,29 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 func TestCheckpointFingerprintMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	cfg := checkpointConfig(path)
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 
 	other := cfg
 	other.Seed++
 	other.Resume = true
-	_, err := Run(other)
+	_, err := RunContext(context.Background(), other)
 	if err == nil {
 		t.Fatal("resume with a mismatched seed succeeded")
 	}
 	if !strings.Contains(err.Error(), "differently-parameterized") {
 		t.Fatalf("error %v does not explain the fingerprint mismatch", err)
+	}
+
+	// Figures 16 and 17 share a workload but not a journal.
+	o := Options{Sets: 1, Seed: 3, Points: []float64{0.5}, Workers: 1, Checkpoint: path}
+	if _, err := Figure16(context.Background(), o); err != nil {
+		t.Fatal(err)
+	}
+	o.Resume = true
+	if _, err := Figure17(context.Background(), o); err == nil || !strings.Contains(err.Error(), "differently-parameterized") {
+		t.Fatalf("Figure 17 resumed from a Figure 16 journal: err = %v", err)
 	}
 }
 
@@ -173,14 +183,14 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 func TestCheckpointFreshTruncatesStale(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	cfg := checkpointConfig(path)
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 
 	// Re-running with different parameters and no Resume must succeed:
 	// the stale journal is discarded, not validated.
 	cfg.Seed++
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 }

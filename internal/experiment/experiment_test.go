@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -34,11 +35,11 @@ func TestSweepBatchedWorkersBitIdentical(t *testing.T) {
 	many := base
 	many.Workers = 4
 
-	swOne, err := Run(one)
+	swOne, err := RunContext(context.Background(), one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	swMany, err := Run(many)
+	swMany, err := RunContext(context.Background(), many)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +49,13 @@ func TestSweepBatchedWorkersBitIdentical(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{NTasks: 0}); err == nil {
+	if _, err := RunContext(context.Background(), Config{NTasks: 0}); err == nil {
 		t.Error("NTasks=0 accepted")
 	}
 }
 
 func TestSweepStructure(t *testing.T) {
-	sw, err := Figure9(5, fastOptions())
+	sw, err := Figure9(context.Background(), 5, fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestSweepStructure(t *testing.T) {
 // policy saves energy versus plain EDF, and laEDF is within a modest
 // factor of the theoretical bound.
 func TestMidUtilizationSavings(t *testing.T) {
-	sw, err := Figure9(8, Options{Sets: 5, Seed: 3, Points: []float64{0.5}})
+	sw, err := Figure9(context.Background(), 8, Options{Sets: 5, Seed: 3, Points: []float64{0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +103,11 @@ func TestMidUtilizationSavings(t *testing.T) {
 // policies improve as c drops.
 func TestFigure12StaticInvariantDynamicImproves(t *testing.T) {
 	o := Options{Sets: 4, Seed: 5, Points: []float64{0.7}}
-	hi, err := Figure12(0.9, o)
+	hi, err := Figure12(context.Background(), 0.9, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, err := Figure12(0.5, o)
+	lo, err := Figure12(context.Background(), 0.5, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +132,11 @@ func TestFigure12StaticInvariantDynamicImproves(t *testing.T) {
 // mechanisms.
 func TestFigure13MatchesConstantHalf(t *testing.T) {
 	o := Options{Sets: 6, Seed: 8, Points: []float64{0.6}}
-	uni, err := Figure13(o)
+	uni, err := Figure13(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	half, err := Figure12(0.5, o)
+	half, err := Figure12(context.Background(), 0.5, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +154,11 @@ func TestFigure13MatchesConstantHalf(t *testing.T) {
 // at U=0.6 (static frequency 0.75, idle at 0.5).
 func TestFigure10DynamicGainsWithIdleLevel(t *testing.T) {
 	o := Options{Sets: 4, Seed: 9, Points: []float64{0.6}}
-	low, err := Figure10(0.01, o)
+	low, err := Figure10(context.Background(), 0.01, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := Figure10(1.0, o)
+	high, err := Figure10(context.Background(), 1.0, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestFigure10DynamicGainsWithIdleLevel(t *testing.T) {
 // Figure 11's observation: machine 2's many close-together settings let
 // ccEDF track the bound and beat laEDF.
 func TestFigure11Machine2CCEDFBeatsLAEDF(t *testing.T) {
-	sw, err := Figure11(machine.Machine2(), Options{Sets: 5, Seed: 13, Points: []float64{0.5, 0.7}})
+	sw, err := Figure11(context.Background(), machine.Machine2(), Options{Sets: 5, Seed: 13, Points: []float64{0.5, 0.7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestFigure11Machine2CCEDFBeatsLAEDF(t *testing.T) {
 }
 
 func TestRenderContainsRows(t *testing.T) {
-	sw, err := Figure9(5, fastOptions())
+	sw, err := Figure9(context.Background(), 5, fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +253,11 @@ func TestExampleTrace(t *testing.T) {
 // curve sits on the constant baseline overhead.
 func TestFigure16And17Agree(t *testing.T) {
 	o := Options{Sets: 3, Seed: 21, Points: []float64{0.4, 0.7}}
-	f16, err := Figure16(o)
+	f16, err := Figure16(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f17, err := Figure17(o)
+	f17, err := Figure17(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestFigure16And17Agree(t *testing.T) {
 // in job-submission order.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) *Sweep {
-		sw, err := Run(Config{
+		sw, err := RunContext(context.Background(), Config{
 			NTasks:       5,
 			Sets:         4,
 			Seed:         77,
@@ -329,22 +330,22 @@ func TestPowerSweepDeterministicAcrossWorkers(t *testing.T) {
 	opts := func(workers int) Options {
 		return Options{Sets: 3, Seed: 5, Points: []float64{0.4, 0.9}, Workers: workers}
 	}
-	f17a, err := Figure17(opts(1))
+	f17a, err := Figure17(context.Background(), opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f17b, err := Figure17(opts(runtime.GOMAXPROCS(0)))
+	f17b, err := Figure17(context.Background(), opts(runtime.GOMAXPROCS(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(f17a, f17b) {
 		t.Errorf("figure 17 differs across worker counts:\n%+v\nvs\n%+v", f17a, f17b)
 	}
-	f16a, err := Figure16(opts(1))
+	f16a, err := Figure16(context.Background(), opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f16b, err := Figure16(opts(runtime.GOMAXPROCS(0)))
+	f16b, err := Figure16(context.Background(), opts(runtime.GOMAXPROCS(0)))
 	if err != nil {
 		t.Fatal(err)
 	}

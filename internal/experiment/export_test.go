@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"strconv"
@@ -12,7 +13,7 @@ import (
 )
 
 func TestSweepWriteCSV(t *testing.T) {
-	sw, err := Figure9(5, fastOptions())
+	sw, err := Figure9(context.Background(), 5, fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestSweepWriteCSV(t *testing.T) {
 }
 
 func TestSweepWriteCSVUnknownPolicy(t *testing.T) {
-	sw, err := Figure9(5, fastOptions())
+	sw, err := Figure9(context.Background(), 5, fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestSweepWriteCSVUnknownPolicy(t *testing.T) {
 }
 
 func TestSweepWriteJSONRoundTrip(t *testing.T) {
-	sw, err := Figure9(5, fastOptions())
+	sw, err := Figure9(context.Background(), 5, fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestSweepWriteJSONRoundTrip(t *testing.T) {
 }
 
 func TestPowerSweepExport(t *testing.T) {
-	ps, err := Figure17(Options{Sets: 2, Seed: 3, Points: []float64{0.5}})
+	ps, err := Figure17(context.Background(), Options{Sets: 2, Seed: 3, Points: []float64{0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestPowerSweepExport(t *testing.T) {
 }
 
 func TestPowerSweepRender(t *testing.T) {
-	ps, err := Figure17(Options{Sets: 2, Seed: 3, Points: []float64{0.5}})
+	ps, err := Figure17(context.Background(), Options{Sets: 2, Seed: 3, Points: []float64{0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}

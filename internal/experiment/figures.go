@@ -12,14 +12,18 @@ import (
 
 // Options tunes how much work a figure regeneration does. The zero value
 // selects the defaults (20 sets per point, seed 1, full utilization axis).
+// Every panel function runs under the context it takes first; when the
+// context ends, the panel drains its worker pool and returns a
+// *PartialError.
 type Options struct {
 	Sets    int
 	Seed    int64
 	Points  []float64 // utilization axis override
 	Workers int
-	// Checkpoint/Resume enable crash-safe journaling of the sweep (see
-	// Config.Checkpoint). Figures that regenerate several panels derive
-	// one journal file per panel from this path.
+	// Checkpoint/Resume enable crash-safe journaling of the panel (see
+	// Config.Checkpoint): Figures 9–13, Multicore, 16 and 17 journal one
+	// panel to this path, so a caller that runs several panels gives
+	// each its own file.
 	Checkpoint string
 	Resume     bool
 }
@@ -41,12 +45,7 @@ func (o Options) config(base Config) Config {
 // Figure9 regenerates one panel of Figure 9: absolute energy consumption
 // versus worst-case utilization for the given task count, all policies
 // plus the bound, machine 0, perfect halt, tasks consuming full WCET.
-func Figure9(nTasks int, o Options) (*Sweep, error) {
-	return Figure9Context(context.Background(), nTasks, o)
-}
-
-// Figure9Context is Figure9 under a context (see RunContext).
-func Figure9Context(ctx context.Context, nTasks int, o Options) (*Sweep, error) {
+func Figure9(ctx context.Context, nTasks int, o Options) (*Sweep, error) {
 	return RunContext(ctx, o.config(Config{
 		NTasks:  nTasks,
 		Machine: machine.Machine0(),
@@ -56,12 +55,7 @@ func Figure9Context(ctx context.Context, nTasks int, o Options) (*Sweep, error) 
 
 // Figure10 regenerates one panel of Figure 10: normalized energy with an
 // imperfect halt feature at the given idle level, 8 tasks, machine 0.
-func Figure10(idleLevel float64, o Options) (*Sweep, error) {
-	return Figure10Context(context.Background(), idleLevel, o)
-}
-
-// Figure10Context is Figure10 under a context (see RunContext).
-func Figure10Context(ctx context.Context, idleLevel float64, o Options) (*Sweep, error) {
+func Figure10(ctx context.Context, idleLevel float64, o Options) (*Sweep, error) {
 	return RunContext(ctx, o.config(Config{
 		NTasks:  8,
 		Machine: machine.Machine0().WithIdleLevel(idleLevel),
@@ -71,12 +65,7 @@ func Figure10Context(ctx context.Context, idleLevel float64, o Options) (*Sweep,
 
 // Figure11 regenerates one panel of Figure 11: normalized energy on the
 // given platform specification, 8 tasks, perfect halt, full WCET.
-func Figure11(spec *machine.Spec, o Options) (*Sweep, error) {
-	return Figure11Context(context.Background(), spec, o)
-}
-
-// Figure11Context is Figure11 under a context (see RunContext).
-func Figure11Context(ctx context.Context, spec *machine.Spec, o Options) (*Sweep, error) {
+func Figure11(ctx context.Context, spec *machine.Spec, o Options) (*Sweep, error) {
 	return RunContext(ctx, o.config(Config{
 		NTasks:  8,
 		Machine: spec,
@@ -87,12 +76,7 @@ func Figure11Context(ctx context.Context, spec *machine.Spec, o Options) (*Sweep
 // Figure12 regenerates one panel of Figure 12: normalized energy when
 // every invocation consumes the constant fraction c of its worst case,
 // 8 tasks, machine 0.
-func Figure12(c float64, o Options) (*Sweep, error) {
-	return Figure12Context(context.Background(), c, o)
-}
-
-// Figure12Context is Figure12 under a context (see RunContext).
-func Figure12Context(ctx context.Context, c float64, o Options) (*Sweep, error) {
+func Figure12(ctx context.Context, c float64, o Options) (*Sweep, error) {
 	return RunContext(ctx, o.config(Config{
 		NTasks:  8,
 		Machine: machine.Machine0(),
@@ -102,12 +86,7 @@ func Figure12Context(ctx context.Context, c float64, o Options) (*Sweep, error) 
 
 // Figure13 regenerates Figure 13: normalized energy with per-invocation
 // computation drawn uniformly from (0, WCET], 8 tasks, machine 0.
-func Figure13(o Options) (*Sweep, error) {
-	return Figure13Context(context.Background(), o)
-}
-
-// Figure13Context is Figure13 under a context (see RunContext).
-func Figure13Context(ctx context.Context, o Options) (*Sweep, error) {
+func Figure13(ctx context.Context, o Options) (*Sweep, error) {
 	return RunContext(ctx, o.config(Config{
 		NTasks:  8,
 		Machine: machine.Machine0(),
@@ -124,12 +103,7 @@ func Figure13Context(ctx context.Context, o Options) (*Sweep, error) {
 // (bound.PartitionedEnergy). Near U = m the bin packing necessarily
 // fails for some sets and the overflow cores miss deadlines, the
 // multiprocessor analogue of the paper's high-U RM misses.
-func Multicore(cores int, o Options) (*Sweep, error) {
-	return MulticoreContext(context.Background(), cores, o)
-}
-
-// MulticoreContext is Multicore under a context (see RunContext).
-func MulticoreContext(ctx context.Context, cores int, o Options) (*Sweep, error) {
+func Multicore(ctx context.Context, cores int, o Options) (*Sweep, error) {
 	cfg := o.config(Config{
 		NTasks:    16,
 		Machine:   machine.Machine0(),

@@ -5,10 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 
 	"rtdvs/internal/core"
 	"rtdvs/internal/fault"
@@ -111,14 +108,11 @@ type RobustnessGrid struct {
 	Cells [][]GridCell `json:"cells"`
 }
 
-// Grid executes the policy × fault-regime robustness grid.
-func Grid(cfg GridConfig) (*RobustnessGrid, error) {
-	return GridContext(context.Background(), cfg)
-}
-
-// GridContext executes the robustness grid under ctx; cancellation
-// drains the worker pool promptly and returns a *PartialError.
-func GridContext(ctx context.Context, cfg GridConfig) (*RobustnessGrid, error) {
+// Grid executes the policy × fault-regime robustness grid under ctx;
+// cancellation drains the worker pool and returns a *PartialError. The
+// kernel runs have no internal preemption point, so cancellation lands
+// between jobs rather than inside one.
+func Grid(ctx context.Context, cfg GridConfig) (*RobustnessGrid, error) {
 	if cfg.Policies == nil {
 		cfg.Policies = GridPolicies()
 	}
@@ -137,10 +131,6 @@ func GridContext(ctx context.Context, cfg GridConfig) (*RobustnessGrid, error) {
 	if cfg.Sets <= 0 {
 		cfg.Sets = 12
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	policies := ensureBaseline(cfg.Policies)
 	for _, regime := range cfg.Regimes {
 		if _, _, err := gridPlan(regime, 0); err != nil {
@@ -149,108 +139,41 @@ func GridContext(ctx context.Context, cfg GridConfig) (*RobustnessGrid, error) {
 	}
 	nr, np := len(cfg.Regimes), len(policies)
 
-	// Per-run scalars land in per-job slots and a sequential fold adds
-	// them in (regime, set, policy) order, so the means are bit-identical
-	// for any worker count — the same discipline as the other sweeps.
-	type jobOut struct {
-		ok  bool
-		pol []gridPolOut
-	}
-	outs := make([]jobOut, nr*cfg.Sets)
-	for i := range outs {
-		outs[i] = jobOut{pol: make([]gridPolOut, np)}
-	}
-	baseIdx := policyIndex(policies, "none")
-
-	cfg.Metrics.jobsPlanned(len(outs))
-	jobs := make(chan int)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	// runs[j*np+pi] is policy pi's run in job j = ri*Sets+si.
+	runs := make([]faultRun, nr*cfg.Sets*np)
+	err := runPool(ctx, cfg.Workers, cfg.Metrics, make([]bool, nr*cfg.Sets), func() (func(int) error, error) {
+		pols, err := newPolicies(policies)
+		if err != nil {
+			return nil, err
 		}
-		mu.Unlock()
-	}
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pcache := map[string]core.Policy{}
-			for j := range jobs {
-				if ctx.Err() != nil {
-					continue
-				}
-				ri, si := j/cfg.Sets, j%cfg.Sets
-				setSeed := cfg.Seed + int64(si)*7919
-				r := rand.New(rand.NewSource(setSeed))
-				g := task.Generator{N: cfg.NTasks, Utilization: cfg.Utilization, Rand: r}
-				ts, err := g.Generate()
-				if err != nil {
-					fail(err)
-					continue
-				}
-				horizon := cfg.Horizon
-				if horizon <= 0 {
-					horizon = 20 * ts.MaxPeriod()
-				}
-				plan, faulty, err := gridPlan(cfg.Regimes[ri], setSeed^0x9E3779B9)
-				if err != nil {
-					fail(err)
-					continue
-				}
-
-				out := &outs[j]
-				ok := true
-				for pi, pname := range policies {
-					if ctx.Err() != nil {
-						ok = false
-						break
-					}
-					p := pcache[pname]
-					if p == nil {
-						p, err = core.ExtendedByName(pname)
-						if err != nil {
-							fail(err)
-							ok = false
-							break
-						}
-						pcache[pname] = p
-					}
-					po, err := gridRun(cfg, ts, p, plan, faulty, horizon)
-					if err != nil {
-						fail(err)
-						ok = false
-						break
-					}
-					out.pol[pi] = po
-					cfg.Metrics.simRun(po.missCount)
-					cfg.Metrics.gridRun(po.missCount, po.sheds)
-				}
-				out.ok = ok
-				if ok {
-					cfg.Metrics.jobDone()
-				}
+		return func(j int) error {
+			ri, si := j/cfg.Sets, j%cfg.Sets
+			setSeed := cfg.Seed + int64(si)*7919
+			ts, err := newSet(cfg.NTasks, cfg.Utilization, setSeed)
+			if err != nil {
+				return err
 			}
-		}()
-	}
-
-	feed(ctx, jobs, len(outs), nil)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		done := 0
-		for i := range outs {
-			if outs[i].ok {
-				done++
+			horizon := cfg.Horizon
+			if horizon <= 0 {
+				horizon = 20 * ts.MaxPeriod()
 			}
-		}
-		return nil, &PartialError{Done: done, Total: len(outs), Cause: err}
+			plan, faulty, err := gridPlan(cfg.Regimes[ri], setSeed^0x9E3779B9)
+			if err != nil {
+				return err
+			}
+			for pi, p := range pols {
+				r := &runs[j*np+pi]
+				if *r, err = gridRun(cfg, ts, p, plan, faulty, horizon); err != nil {
+					return err
+				}
+				cfg.Metrics.simRun(r.misses)
+				cfg.Metrics.gridRun(r.misses, r.sheds)
+			}
+			return nil
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	grid := &RobustnessGrid{
@@ -262,6 +185,7 @@ func GridContext(ctx context.Context, cfg GridConfig) (*RobustnessGrid, error) {
 		Regimes:     append([]string(nil), cfg.Regimes...),
 		Cells:       make([][]GridCell, nr),
 	}
+	baseIdx := policyIndex(policies, "none")
 	for ri := 0; ri < nr; ri++ {
 		grid.Cells[ri] = make([]GridCell, np)
 		miss := make([]stats.Accumulator, np)
@@ -270,24 +194,15 @@ func GridContext(ctx context.Context, cfg GridConfig) (*RobustnessGrid, error) {
 		sheds := make([]stats.Accumulator, np)
 		skips := make([]stats.Accumulator, np)
 		for si := 0; si < cfg.Sets; si++ {
-			out := &outs[ri*cfg.Sets+si]
-			if !out.ok {
-				continue
-			}
-			base := &out.pol[baseIdx]
-			for pi := range policies {
-				po := &out.pol[pi]
-				if po.releases > 0 {
-					miss[pi].Add(float64(po.missCount) / float64(po.releases))
+			job := runs[(ri*cfg.Sets+si)*np:][:np]
+			for pi := range job {
+				r := &job[pi]
+				r.addRates(&job[baseIdx], &miss[pi], &norm[pi])
+				if r.latN > 0 {
+					lat[pi].Add(r.latSum / float64(r.latN))
 				}
-				if base.energy > 0 {
-					norm[pi].Add(po.energy / base.energy)
-				}
-				if po.latN > 0 {
-					lat[pi].Add(po.latSum / float64(po.latN))
-				}
-				sheds[pi].Add(float64(po.sheds))
-				skips[pi].Add(float64(po.skipped))
+				sheds[pi].Add(float64(r.sheds))
+				skips[pi].Add(float64(r.skipped))
 			}
 		}
 		for pi := range policies {
@@ -303,20 +218,9 @@ func GridContext(ctx context.Context, cfg GridConfig) (*RobustnessGrid, error) {
 	return grid, nil
 }
 
-// gridPolOut holds the per-run scalars one grid cell run contributes.
-type gridPolOut struct {
-	releases  int
-	missCount int
-	energy    float64
-	latSum    float64
-	latN      int
-	sheds     int
-	skipped   int
-}
-
 // gridRun executes one kernel run of the grid: one policy, one task set,
 // one fault regime, load shedder armed.
-func gridRun(cfg GridConfig, ts *task.Set, p core.Policy, plan fault.Plan, faulty bool, horizon float64) (out gridPolOut, err error) {
+func gridRun(cfg GridConfig, ts *task.Set, p core.Policy, plan fault.Plan, faulty bool, horizon float64) (out faultRun, err error) {
 	k, err := rtos.NewKernel(cfg.Machine, machine.SwitchOverhead{}, p)
 	if err != nil {
 		return out, err
@@ -353,7 +257,7 @@ func gridRun(cfg GridConfig, ts *task.Set, p core.Policy, plan fault.Plan, fault
 	for _, st := range k.Tasks() {
 		out.releases += st.Releases
 	}
-	out.missCount = len(k.Misses())
+	out.misses = len(k.Misses())
 	out.energy = k.CPU().Energy()
 	if cr, isCR := p.(core.ContainmentReporter); isCR {
 		out.latSum, out.latN = cr.ContainmentLatency()

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 func smallGrid(t *testing.T, workers int) *RobustnessGrid {
 	t.Helper()
-	g, err := Grid(GridConfig{
+	g, err := Grid(context.Background(), GridConfig{
 		Policies: []string{"staticEDF", "laEDF", "fbEDF", "fbEDF+contain"},
 		Sets:     6,
 		Seed:     3,
@@ -96,7 +97,7 @@ func TestGridDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestGridRejectsUnknownRegime(t *testing.T) {
-	if _, err := Grid(GridConfig{Regimes: []string{"gamma-rays"}, Sets: 1}); err == nil {
+	if _, err := Grid(context.Background(), GridConfig{Regimes: []string{"gamma-rays"}, Sets: 1}); err == nil {
 		t.Error("unknown regime accepted")
 	}
 }
@@ -104,7 +105,7 @@ func TestGridRejectsUnknownRegime(t *testing.T) {
 func TestGridRenderCSVAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	g, err := Grid(GridConfig{
+	g, err := Grid(context.Background(), GridConfig{
 		Policies: []string{"fbEDF"},
 		Regimes:  []string{"clean", "sustained"},
 		Sets:     2,

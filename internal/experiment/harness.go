@@ -9,8 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"rtdvs/internal/bound"
 	"rtdvs/internal/core"
@@ -43,9 +41,10 @@ func UniformExec() ExecFactory {
 
 // Config parameterizes a utilization sweep.
 type Config struct {
-	// Policies to evaluate; nil means core.Names(). The plain-EDF
-	// baseline is always run (it normalizes the results and anchors the
-	// lower bound), whether or not it is listed.
+	// Policies to evaluate, by any name core.ExtendedByName resolves;
+	// nil means core.Names(). The plain-EDF baseline is always run (it
+	// normalizes the results and anchors the lower bound), whether or
+	// not it is listed.
 	Policies []string
 	// NTasks is the number of tasks per generated set.
 	NTasks int
@@ -96,18 +95,22 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// harnessOut is one job's scalar outputs: each worker writes only its
-// own preallocated slot (no locking, no shared accumulators), and a
-// single sequential fold afterwards adds the slots in (utilization, set,
-// policy) order. That order is exactly what one worker draining the job
-// channel produces, so the streaming means are bit-identical for any
-// worker count — and identical again when slots are replayed from a
-// checkpoint journal instead of recomputed.
+// harnessOut is one job's scalar outputs: the value of each policy
+// (energy, or average power in Figures 16 and 17), indexed like the
+// panel's policies, its miss count, and the lower bound.
 type harnessOut struct {
-	ok     bool
-	energy []float64 // per policy, indexed like policies
+	energy []float64
 	misses []int
 	bnd    float64
+}
+
+// newOuts allocates one output slot per job for np policies.
+func newOuts(njobs, np int) []harnessOut {
+	outs := make([]harnessOut, njobs)
+	for i := range outs {
+		outs[i] = harnessOut{energy: make([]float64, np), misses: make([]int, np)}
+	}
+	return outs
 }
 
 // Sweep is the result of a utilization sweep: one row per utilization,
@@ -141,19 +144,18 @@ func DefaultUtilizations() []float64 {
 	return us
 }
 
-// Run executes the sweep.
-func Run(cfg Config) (*Sweep, error) {
-	return RunContext(context.Background(), cfg)
-}
-
 // normalize applies Config defaults and validates the fields every
-// entry point (RunContext, RunJobs, FoldJobs, Header) depends on, so
-// the grid geometry and per-job seeding are identical no matter which
-// entry point — local pool, checkpoint replay, or remote shard —
-// executes a job.
+// entry point (RunContext, RunJobs, FoldJobs, NumJobs, Header) depends
+// on, so the grid geometry and per-job seeding are identical no matter
+// which entry point — local pool, checkpoint replay, or remote shard —
+// executes a job, and an unknown policy is rejected before any job is
+// scheduled.
 func normalize(cfg Config) (Config, error) {
 	if cfg.Policies == nil {
 		cfg.Policies = core.Names()
+	}
+	if _, err := newPolicies(cfg.Policies); err != nil {
+		return cfg, err
 	}
 	if cfg.NTasks <= 0 {
 		return cfg, fmt.Errorf("experiment: NTasks must be positive, got %d", cfg.NTasks)
@@ -202,59 +204,94 @@ func execDesc(cfg Config) string {
 	return cfg.Exec(rand.New(rand.NewSource(1))).String()
 }
 
-// jobRunner bundles the reusable per-worker simulation state: one
-// scalar simulator, one multi-core runner, and cached policy instances,
-// all reset via Runner reuse and Policy.Attach between runs, so a sweep
-// of hundreds of simulations allocates per worker (or per shard), not
-// per run.
-type jobRunner struct {
-	runner *sim.Runner
-	pcache map[string]core.Policy
-
-	// multi is the multi-core engine (Cores > 1), created on first use.
-	multi *sim.MultiRunner
+// newSet generates the n-task set of worst-case utilization u that seed
+// selects: the draw every panel's job starts from.
+func newSet(n int, u float64, seed int64) (*task.Set, error) {
+	g := task.Generator{N: n, Utilization: u, Rand: rand.New(rand.NewSource(seed))}
+	return g.Generate()
 }
 
-func newJobRunner() *jobRunner {
-	return &jobRunner{
-		runner: sim.NewRunner(),
-		pcache: map[string]core.Policy{},
+// newPolicies returns one fresh instance per name, in order. A worker
+// builds its instances once and reuses them across jobs: Attach resets
+// an instance's state at the start of every run.
+func newPolicies(names []string) ([]core.Policy, error) {
+	ps := make([]core.Policy, len(names))
+	for i, name := range names {
+		p, err := core.ExtendedByName(name)
+		if err != nil {
+			return nil, err
+		}
+		ps[i] = p
 	}
+	return ps, nil
 }
 
-// runOne executes flat job j (= ui*Sets+si) of cfg's grid into out.
-// cfg must be normalized and policies must include the baseline. The
-// computation — per-job seeding included — is a pure function of
-// (cfg, j), which is what makes local, checkpoint-replayed, and
-// remotely-sharded executions of the same job bit-identical.
-func (jr *jobRunner) runOne(ctx context.Context, cfg Config, policies []string, baseIdx, j int, out *harnessOut) error {
+// jobSet draws the task set of job j (= ui*Sets+si) of a utilization
+// grid and returns it with the job's seed and horizon. The utilization
+// sweeps and Figures 16 and 17 share it. cfg must be normalized.
+func jobSet(cfg Config, j int) (ts *task.Set, seed int64, horizon float64, err error) {
 	ui, si := j/cfg.Sets, j%cfg.Sets
-	u := cfg.Utilizations[ui]
-	seed := cfg.Seed + int64(ui)*1_000_003 + int64(si)*7919
-	r := rand.New(rand.NewSource(seed))
-	g := task.Generator{N: cfg.NTasks, Utilization: u, Rand: r}
-	ts, err := g.Generate()
+	seed = cfg.Seed + int64(ui)*1_000_003 + int64(si)*7919
+	ts, err = newSet(cfg.NTasks, cfg.Utilizations[ui], seed)
 	if err != nil {
-		return err
+		return nil, 0, 0, err
 	}
-	horizon := cfg.Horizon
+	horizon = cfg.Horizon
 	if horizon <= 0 {
 		horizon = 10 * ts.MaxPeriod()
 	}
+	return ts, seed, horizon, nil
+}
+
+// jobRunner bundles a sweep's normalized config, its baseline-complete
+// policy list, and the reusable per-worker simulation state: one scalar
+// simulator with one instance of each policy, or, for multi-core
+// sweeps, one multi-core runner (which resolves its policies by name,
+// one instance per core). Both are reset between runs, so a sweep of
+// hundreds of simulations allocates per worker (or per shard), not per
+// run.
+type jobRunner struct {
+	cfg      Config
+	policies []string
+	baseIdx  int
+
+	runner *sim.Runner
+	pols   []core.Policy
+	multi  *sim.MultiRunner
+}
+
+// newJobRunner builds a worker's state for cfg, which must be
+// normalized; policies must include the baseline.
+func newJobRunner(cfg Config, policies []string) (*jobRunner, error) {
+	jr := &jobRunner{cfg: cfg, policies: policies, baseIdx: policyIndex(policies, "none")}
 	if cfg.Machine.NumCores() > 1 {
-		return jr.runOneMulti(ctx, cfg, policies, baseIdx, seed, ts, horizon, out)
+		jr.multi = sim.NewMultiRunner()
+		return jr, nil
+	}
+	pols, err := newPolicies(policies)
+	if err != nil {
+		return nil, err
+	}
+	jr.runner, jr.pols = sim.NewRunner(), pols
+	return jr, nil
+}
+
+// runOne executes flat job j (= ui*Sets+si) of the grid into out. The
+// computation — per-job seeding included — is a pure function of
+// (cfg, j), which is what makes local, checkpoint-replayed, and
+// remotely-sharded executions of the same job bit-identical.
+func (jr *jobRunner) runOne(ctx context.Context, j int, out *harnessOut) error {
+	cfg := jr.cfg
+	ts, seed, horizon, err := jobSet(cfg, j)
+	if err != nil {
+		return err
+	}
+	if jr.multi != nil {
+		return jr.runOneMulti(ctx, seed, ts, horizon, out)
 	}
 
 	var baseCycles float64
-	for pi, pname := range policies {
-		p := jr.pcache[pname]
-		if p == nil {
-			p, err = core.ByName(pname)
-			if err != nil {
-				return err
-			}
-			jr.pcache[pname] = p
-		}
+	for pi, p := range jr.pols {
 		// Each policy sees the same per-set randomness for its
 		// execution-time draws.
 		execR := rand.New(rand.NewSource(seed ^ 0x5DEECE66D))
@@ -273,31 +310,23 @@ func (jr *jobRunner) runOne(ctx context.Context, cfg Config, policies []string, 
 		cfg.Metrics.simRun(res.MissCount())
 		out.energy[pi] = res.TotalEnergy
 		out.misses[pi] = res.MissCount()
-		if pi == baseIdx {
+		if pi == jr.baseIdx {
 			baseCycles = res.CyclesDone
 		}
 	}
-	bnd, err := bound.Energy(cfg.Machine, baseCycles, horizon)
-	if err != nil {
-		return err
-	}
-	out.bnd = bnd
-	out.ok = true
-	return nil
+	out.bnd, err = bound.Energy(cfg.Machine, baseCycles, horizon)
+	return err
 }
 
 // runOneMulti is runOne's multi-core tail: the same per-job seeding and
 // policy order, each policy simulated as a partitioned multi-core run,
 // and the lower bound computed per partition (the per-core hull bounds
 // sum — a statically partitioned system cannot shift work across
-// cores). Policies are resolved by name inside the MultiRunner, which
-// builds one instance per core.
-func (jr *jobRunner) runOneMulti(ctx context.Context, cfg Config, policies []string, baseIdx int, seed int64, ts *task.Set, horizon float64, out *harnessOut) error {
-	if jr.multi == nil {
-		jr.multi = sim.NewMultiRunner()
-	}
+// cores).
+func (jr *jobRunner) runOneMulti(ctx context.Context, seed int64, ts *task.Set, horizon float64, out *harnessOut) error {
+	cfg := jr.cfg
 	var coreCycles []float64
-	for pi, pname := range policies {
+	for pi, pname := range jr.policies {
 		res, err := jr.multi.RunContext(ctx, sim.MultiConfig{
 			Tasks:     ts,
 			Machine:   cfg.Machine,
@@ -313,20 +342,16 @@ func (jr *jobRunner) runOneMulti(ctx context.Context, cfg Config, policies []str
 		cfg.Metrics.simRun(res.MissCount())
 		out.energy[pi] = res.TotalEnergy
 		out.misses[pi] = res.MissCount()
-		if pi == baseIdx {
+		if pi == jr.baseIdx {
 			coreCycles = make([]float64, len(res.PerCore))
 			for c := range res.PerCore {
 				coreCycles[c] = res.PerCore[c].CyclesDone
 			}
 		}
 	}
-	bnd, err := bound.PartitionedEnergy(cfg.Machine, coreCycles, horizon)
-	if err != nil {
-		return err
-	}
-	out.bnd = bnd
-	out.ok = true
-	return nil
+	var err error
+	out.bnd, err = bound.PartitionedEnergy(cfg.Machine, coreCycles, horizon)
+	return err
 }
 
 // RunContext executes the sweep under ctx. Cancellation drains the
@@ -339,96 +364,31 @@ func RunContext(ctx context.Context, cfg Config) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	policies := ensureBaseline(cfg.Policies)
-	np := len(policies)
-	baseIdx := policyIndex(policies, "none")
-
-	outs := make([]harnessOut, len(cfg.Utilizations)*cfg.Sets)
-	for i := range outs {
-		outs[i] = harnessOut{energy: make([]float64, np), misses: make([]int, np)}
+	outs := newOuts(len(cfg.Utilizations)*cfg.Sets, len(policies))
+	done := make([]bool, len(outs))
+	journal, err := openJournal(cfg, "harness", policies, outs, done)
+	if err != nil {
+		return nil, err
 	}
+	defer journal.Close()
 
-	// Checkpointing: open (or resume) the journal, replay completed jobs
-	// into their slots, and journal each job as its worker finishes it.
-	var journal *harnessJournal
-	if cfg.Checkpoint != "" {
-		var err error
-		journal, err = openHarnessJournal(cfg, policies, outs)
+	err = runPool(ctx, cfg.Workers, cfg.Metrics, done, func() (func(int) error, error) {
+		jr, err := newJobRunner(cfg, policies)
 		if err != nil {
 			return nil, err
 		}
-		defer journal.Close()
-	}
-	skip := make([]bool, len(outs))
-	for i := range outs {
-		skip[i] = outs[i].ok
-		if skip[i] {
-			cfg.Metrics.jobReplayed()
-		}
-	}
-	cfg.Metrics.jobsPlanned(len(outs))
-
-	jobs := make(chan int)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-
-	// Per-job results are pure functions of (cfg, j), so the fold is
-	// unchanged by worker count or arrival order.
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			jr := newJobRunner()
-			for j := range jobs {
-				if ctx.Err() != nil {
-					continue // drain the channel without doing work
-				}
-				if err := jr.runOne(ctx, cfg, policies, baseIdx, j, &outs[j]); err != nil {
-					if !skippable(err) {
-						fail(err)
-					}
-					continue
-				}
-				cfg.Metrics.jobDone()
-				if journal != nil {
-					if err := journal.record(j/cfg.Sets, j%cfg.Sets, &outs[j]); err != nil {
-						fail(err)
-					}
-				}
+		return func(j int) error {
+			if err := jr.runOne(ctx, j, &outs[j]); err != nil {
+				return err
 			}
-		}()
+			return journal.record(j, &outs[j])
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	feed(ctx, jobs, len(outs), skip)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		done := 0
-		for i := range outs {
-			if outs[i].ok {
-				done++
-			}
-		}
-		return nil, &PartialError{Done: done, Total: len(outs), Cause: err}
-	}
-
-	return fold(cfg, policies, baseIdx, outs), nil
+	return fold(cfg, policies, outs), nil
 }
 
 // fold adds the completed job slots in (utilization, set, policy)
@@ -437,52 +397,10 @@ func RunContext(ctx context.Context, cfg Config) (*Sweep, error) {
 // slots are replayed from a checkpoint journal, and when they were
 // computed by remote shard workers (internal/fabric). cfg must be
 // normalized.
-func fold(cfg Config, policies []string, baseIdx int, outs []harnessOut) *Sweep {
-	nu := len(cfg.Utilizations)
-	type cell struct {
-		energy map[string]*stats.Accumulator
-		norm   map[string]*stats.Accumulator
-		bnd    *stats.Accumulator
-		bndN   *stats.Accumulator
-		misses map[string]int
-	}
-	cells := make([]cell, nu)
-	for i := range cells {
-		cells[i] = cell{
-			energy: map[string]*stats.Accumulator{},
-			norm:   map[string]*stats.Accumulator{},
-			bnd:    &stats.Accumulator{},
-			bndN:   &stats.Accumulator{},
-			misses: map[string]int{},
-		}
-		for _, p := range policies {
-			cells[i].energy[p] = &stats.Accumulator{}
-			cells[i].norm[p] = &stats.Accumulator{}
-		}
-	}
-
-	for ui := 0; ui < nu; ui++ {
-		c := &cells[ui]
-		for si := 0; si < cfg.Sets; si++ {
-			out := &outs[ui*cfg.Sets+si]
-			if !out.ok {
-				continue
-			}
-			baseE := out.energy[baseIdx]
-			for pi, pname := range policies {
-				c.energy[pname].Add(out.energy[pi])
-				if baseE > 0 {
-					c.norm[pname].Add(out.energy[pi] / baseE)
-				}
-				c.misses[pname] += out.misses[pi]
-			}
-			c.bnd.Add(out.bnd)
-			if baseE > 0 {
-				c.bndN.Add(out.bnd / baseE)
-			}
-		}
-	}
-
+func fold(cfg Config, policies []string, outs []harnessOut) *Sweep {
+	nu, np := len(cfg.Utilizations), len(policies)
+	baseIdx := policyIndex(policies, "none")
+	col := columns(policies)
 	sw := &Sweep{
 		Machine:      cfg.Machine.Name,
 		NTasks:       cfg.NTasks,
@@ -500,16 +418,45 @@ func fold(cfg Config, policies []string, baseIdx int, outs []harnessOut) *Sweep 
 		sw.Normalized[p] = make([]float64, nu)
 		sw.Misses[p] = make([]int, nu)
 	}
-	for i := range cells {
-		for _, p := range policies {
-			sw.Energy[p][i] = cells[i].energy[p].Mean()
-			sw.Normalized[p][i] = cells[i].norm[p].Mean()
-			sw.Misses[p][i] = cells[i].misses[p]
+	energy, norm := make([]stats.Accumulator, np), make([]stats.Accumulator, np)
+	for ui := 0; ui < nu; ui++ {
+		clear(energy)
+		clear(norm)
+		var bnd, bndN stats.Accumulator
+		for si := 0; si < cfg.Sets; si++ {
+			out := &outs[ui*cfg.Sets+si]
+			baseE := out.energy[baseIdx]
+			for pi, c := range col {
+				energy[c].Add(out.energy[pi])
+				if baseE > 0 {
+					norm[c].Add(out.energy[pi] / baseE)
+				}
+				sw.Misses[policies[pi]][ui] += out.misses[pi]
+			}
+			bnd.Add(out.bnd)
+			if baseE > 0 {
+				bndN.Add(out.bnd / baseE)
+			}
 		}
-		sw.Bound[i] = cells[i].bnd.Mean()
-		sw.BoundNorm[i] = cells[i].bndN.Mean()
+		for pi, c := range col {
+			sw.Energy[policies[pi]][ui] = energy[c].Mean()
+			sw.Normalized[policies[pi]][ui] = norm[c].Mean()
+		}
+		sw.Bound[ui] = bnd.Mean()
+		sw.BoundNorm[ui] = bndN.Mean()
 	}
 	return sw
+}
+
+// columns maps each policy position to the first position of its name,
+// so a policy listed twice accumulates into one column: the results are
+// keyed by name.
+func columns(policies []string) []int {
+	col := make([]int, len(policies))
+	for pi, p := range policies {
+		col[pi] = policyIndex(policies, p)
+	}
+	return col
 }
 
 // ensureBaseline returns the policy list with "none" included.

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -26,7 +27,7 @@ func TestHarnessMetrics(t *testing.T) {
 		Checkpoint:   ckpt,
 		Metrics:      m,
 	}
-	sw, err := Run(cfg)
+	sw, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestHarnessMetrics(t *testing.T) {
 
 	// Resuming a complete journal replays everything and computes nothing.
 	cfg.Resume = true
-	sw2, err := Run(cfg)
+	sw2, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestRobustnessMetrics(t *testing.T) {
 		Seed:     7,
 		Workers:  2,
 	}
-	bare, err := Robustness(cfg)
+	bare, err := Robustness(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestRobustnessMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	cfg.Metrics = m
-	sw, err := Robustness(cfg)
+	sw, err := Robustness(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestMulticoreSweepDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) *Sweep {
 		cfg := multiConfig()
 		cfg.Workers = workers
-		sw, err := Run(cfg)
+		sw, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestMulticoreSweepDeterministicAcrossWorkers(t *testing.T) {
 // must agree with the local pool at Cores > 1 for any job partitioning.
 func TestMulticoreRunJobsFoldMatchesRun(t *testing.T) {
 	cfg := multiConfig()
-	want, err := Run(cfg)
+	want, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestMulticoreRunJobsFoldMatchesRun(t *testing.T) {
 // harness at 2 cores — dynamic policies save energy, none is the unit
 // baseline, and the partitioned bound stays below every policy.
 func TestMulticoreSweepOrdering(t *testing.T) {
-	sw, err := Run(multiConfig())
+	sw, err := RunContext(context.Background(), multiConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +113,12 @@ func TestMulticoreSweepOrdering(t *testing.T) {
 func TestMulticoreConfigValidation(t *testing.T) {
 	cfg := multiConfig()
 	cfg.Placement = sched.Global
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "global") {
+	if _, err := RunContext(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "global") {
 		t.Errorf("global placement: err = %v, want global rejection", err)
 	}
 	cfg = multiConfig()
 	cfg.Cores = 10_000
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "MaxCores") {
+	if _, err := RunContext(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "MaxCores") {
 		t.Errorf("huge Cores: err = %v, want MaxCores rejection", err)
 	}
 }
@@ -151,7 +151,7 @@ func TestMulticoreHeaderPlacement(t *testing.T) {
 // TestMulticorePanel: the Figure-style multicore panel runs end to end
 // and scales the utilization axis by the core count.
 func TestMulticorePanel(t *testing.T) {
-	sw, err := Multicore(2, Options{Sets: 2, Seed: 3, Points: []float64{0.3, 0.5}})
+	sw, err := Multicore(context.Background(), 2, Options{Sets: 2, Seed: 3, Points: []float64{0.3, 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,17 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 
 	"rtdvs/internal/core"
 	"rtdvs/internal/fault"
 	"rtdvs/internal/machine"
 	"rtdvs/internal/sim"
 	"rtdvs/internal/stats"
-	"rtdvs/internal/task"
 )
 
 // RobustnessConfig parameterizes a fault-rate sweep: the same random task
@@ -102,15 +98,36 @@ type RobustnessSweep struct {
 	OverrunsPerRun []float64 `json:"overrunsPerRun"`
 }
 
-// Robustness executes the fault-rate sweep.
-func Robustness(cfg RobustnessConfig) (*RobustnessSweep, error) {
-	return RobustnessContext(context.Background(), cfg)
+// faultRun holds the scalars one run of a fault panel (Robustness or
+// Grid) contributes to its fold.
+type faultRun struct {
+	releases, misses int
+	energy           float64
+	// overruns counts the injected overruns (Robustness);
+	// containments, latSum and latN are the containment counters of a
+	// core.ContainmentReporter policy, zero for any other.
+	overruns, containments int
+	latSum                 float64
+	latN                   int
+	// sheds and skipped are the kernel's load-shed demotions and
+	// dropped jobs (Grid).
+	sheds, skipped int
 }
 
-// RobustnessContext executes the fault-rate sweep under ctx;
-// cancellation drains the worker pool promptly and returns a
-// *PartialError.
-func RobustnessContext(ctx context.Context, cfg RobustnessConfig) (*RobustnessSweep, error) {
+// addRates adds r's miss rate (misses per release) to miss and its
+// energy relative to the baseline run base to norm.
+func (r *faultRun) addRates(base *faultRun, miss, norm *stats.Accumulator) {
+	if r.releases > 0 {
+		miss.Add(float64(r.misses) / float64(r.releases))
+	}
+	if base.energy > 0 {
+		norm.Add(r.energy / base.energy)
+	}
+}
+
+// Robustness executes the fault-rate sweep under ctx; cancellation
+// drains the worker pool promptly and returns a *PartialError.
+func Robustness(ctx context.Context, cfg RobustnessConfig) (*RobustnessSweep, error) {
 	if cfg.Policies == nil {
 		cfg.Policies = RobustnessPolicies()
 	}
@@ -140,203 +157,72 @@ func RobustnessContext(ctx context.Context, cfg RobustnessConfig) (*RobustnessSw
 			return nil, err
 		}
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	policies := ensureBaseline(cfg.Policies)
-	nr := len(cfg.Rates)
+	nr, np := len(cfg.Rates), len(policies)
 
-	type cell struct {
-		miss, norm, cont, lat map[string]*stats.Accumulator
-		overruns              *stats.Accumulator
-	}
-	cells := make([]cell, nr)
-	for i := range cells {
-		cells[i] = cell{
-			miss: map[string]*stats.Accumulator{}, norm: map[string]*stats.Accumulator{},
-			cont: map[string]*stats.Accumulator{}, lat: map[string]*stats.Accumulator{},
-			overruns: &stats.Accumulator{},
+	// runs[j*np+pi] is policy pi's run in job j = ri*Sets+si.
+	runs := make([]faultRun, nr*cfg.Sets*np)
+	err := runPool(ctx, cfg.Workers, cfg.Metrics, make([]bool, nr*cfg.Sets), func() (func(int) error, error) {
+		// One simulator and one instance of each policy per worker,
+		// reset between runs via Runner reuse and Policy.Attach.
+		runner := sim.NewRunner()
+		pols, err := newPolicies(policies)
+		if err != nil {
+			return nil, err
 		}
-		for _, p := range policies {
-			cells[i].miss[p] = &stats.Accumulator{}
-			cells[i].norm[p] = &stats.Accumulator{}
-			cells[i].cont[p] = &stats.Accumulator{}
-			cells[i].lat[p] = &stats.Accumulator{}
-		}
-	}
-
-	// Per-run scalars captured by the workers into per-job slots; a
-	// sequential fold afterwards adds them in (rate, set, policy) order —
-	// exactly what one worker draining the job channel produces — so the
-	// means are bit-identical for any worker count.
-	type polOut struct {
-		releases  int
-		missCount int
-		energy    float64
-		// Containment counters from the policy (when it reports any) and
-		// overrun counts from the fault record.
-		reporter     bool
-		containments int
-		latSum       float64
-		latN         int
-		hasFaults    bool
-		overruns     int
-	}
-	type jobOut struct {
-		ok  bool
-		pol []polOut // per policy, indexed like policies
-	}
-	np := len(policies)
-	baseIdx := policyIndex(policies, "none")
-	outs := make([]jobOut, nr*cfg.Sets)
-	for i := range outs {
-		outs[i] = jobOut{pol: make([]polOut, np)}
-	}
-
-	cfg.Metrics.jobsPlanned(len(outs))
-	jobs := make(chan int)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One simulator and one instance of each policy per worker,
-			// reset between runs via Runner reuse and Policy.Attach.
-			runner := sim.NewRunner()
-			pcache := map[string]core.Policy{}
-			for j := range jobs {
-				if ctx.Err() != nil {
-					continue // drain the channel without doing work
-				}
-				ri, si := j/cfg.Sets, j%cfg.Sets
-				// The task set depends only on the set index, so every rate
-				// stresses the same workloads.
-				setSeed := cfg.Seed + int64(si)*7919
-				r := rand.New(rand.NewSource(setSeed))
-				g := task.Generator{N: cfg.NTasks, Utilization: cfg.Utilization, Rand: r}
-				ts, err := g.Generate()
+		return func(j int) error {
+			ri, si := j/cfg.Sets, j%cfg.Sets
+			// The task set depends only on the set index, so every rate
+			// stresses the same workloads.
+			setSeed := cfg.Seed + int64(si)*7919
+			ts, err := newSet(cfg.NTasks, cfg.Utilization, setSeed)
+			if err != nil {
+				return err
+			}
+			horizon := cfg.Horizon
+			if horizon <= 0 {
+				horizon = 20 * ts.MaxPeriod()
+			}
+			plan := fault.Plan{
+				Seed:          setSeed ^ 0x9E3779B9,
+				OverrunProb:   cfg.Rates[ri],
+				OverrunFactor: cfg.OverrunFactor,
+				OverrunTail:   cfg.OverrunTail,
+			}
+			for pi, p := range pols {
+				res, err := runner.RunContext(ctx, sim.Config{
+					Tasks:   ts,
+					Machine: cfg.Machine,
+					Policy:  p,
+					Faults:  fault.MustNew(plan), // validated before the pool started
+					Horizon: horizon,
+				})
 				if err != nil {
-					fail(err)
-					continue
+					return err
 				}
-				horizon := cfg.Horizon
-				if horizon <= 0 {
-					horizon = 20 * ts.MaxPeriod()
+				// The result aliases the runner's buffers and the policy
+				// is reattached next run; capture everything this run
+				// contributes before moving on. A faulted run always
+				// carries its fault record.
+				r := &runs[j*np+pi]
+				*r = faultRun{
+					releases: res.Releases,
+					misses:   res.MissCount(),
+					energy:   res.TotalEnergy,
+					overruns: res.Faults.Overruns,
 				}
-				plan := fault.Plan{
-					Seed:          setSeed ^ 0x9E3779B9,
-					OverrunProb:   cfg.Rates[ri],
-					OverrunFactor: cfg.OverrunFactor,
-					OverrunTail:   cfg.OverrunTail,
+				if cr, ok := p.(core.ContainmentReporter); ok {
+					r.containments = cr.Containments()
+					r.latSum, r.latN = cr.ContainmentLatency()
 				}
-
-				out := &outs[j]
-				ok := true
-				for pi, pname := range policies {
-					p := pcache[pname]
-					if p == nil {
-						p, err = core.ExtendedByName(pname)
-						if err != nil {
-							fail(err)
-							ok = false
-							break
-						}
-						pcache[pname] = p
-					}
-					res, err := runner.RunContext(ctx, sim.Config{
-						Tasks:   ts,
-						Machine: cfg.Machine,
-						Policy:  p,
-						Faults:  fault.MustNew(plan), // validated before the workers started
-						Horizon: horizon,
-					})
-					if err != nil {
-						if !skippable(err) {
-							fail(err)
-						}
-						ok = false
-						break
-					}
-					// The result aliases the runner's buffers and the
-					// policy is reattached next job; capture everything
-					// this run contributes before moving on.
-					po := &out.pol[pi]
-					po.releases = res.Releases
-					po.missCount = res.MissCount()
-					po.energy = res.TotalEnergy
-					if res.Faults != nil {
-						po.hasFaults = true
-						po.overruns = res.Faults.Overruns
-					}
-					if cr, isCR := p.(core.ContainmentReporter); isCR {
-						po.reporter = true
-						po.containments = cr.Containments()
-						po.latSum, po.latN = cr.ContainmentLatency()
-					}
-					cfg.Metrics.simRun(po.missCount)
-					cfg.Metrics.faultTotals(po.overruns, po.containments)
-				}
-				out.ok = ok
-				if ok {
-					cfg.Metrics.jobDone()
-				}
+				cfg.Metrics.simRun(r.misses)
+				cfg.Metrics.faultTotals(r.overruns, r.containments)
 			}
-		}()
-	}
-
-	feed(ctx, jobs, len(outs), nil)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		done := 0
-		for i := range outs {
-			if outs[i].ok {
-				done++
-			}
-		}
-		return nil, &PartialError{Done: done, Total: len(outs), Cause: err}
-	}
-
-	for ri := 0; ri < nr; ri++ {
-		c := &cells[ri]
-		for si := 0; si < cfg.Sets; si++ {
-			out := &outs[ri*cfg.Sets+si]
-			if !out.ok {
-				continue
-			}
-			base := &out.pol[baseIdx]
-			for pi, pname := range policies {
-				po := &out.pol[pi]
-				if po.releases > 0 {
-					c.miss[pname].Add(float64(po.missCount) / float64(po.releases))
-				}
-				if base.energy > 0 {
-					c.norm[pname].Add(po.energy / base.energy)
-				}
-				if po.reporter && po.hasFaults && po.overruns > 0 {
-					c.cont[pname].Add(float64(po.containments) / float64(po.overruns))
-					if po.latN > 0 {
-						c.lat[pname].Add(po.latSum / float64(po.latN))
-					}
-				}
-			}
-			if base.hasFaults {
-				c.overruns.Add(float64(base.overruns))
-			}
-		}
+			return nil
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	sw := &RobustnessSweep{
@@ -358,14 +244,35 @@ func RobustnessContext(ctx context.Context, cfg RobustnessConfig) (*RobustnessSw
 		sw.Containments[p] = make([]float64, nr)
 		sw.ContainLatency[p] = make([]float64, nr)
 	}
-	for i := range cells {
-		for _, p := range policies {
-			sw.MissRate[p][i] = cells[i].miss[p].Mean()
-			sw.EnergyNorm[p][i] = cells[i].norm[p].Mean()
-			sw.Containments[p][i] = cells[i].cont[p].Mean()
-			sw.ContainLatency[p][i] = cells[i].lat[p].Mean()
+	baseIdx := policyIndex(policies, "none")
+	col := columns(policies)
+	for ri := 0; ri < nr; ri++ {
+		miss, norm := make([]stats.Accumulator, np), make([]stats.Accumulator, np)
+		cont, lat := make([]stats.Accumulator, np), make([]stats.Accumulator, np)
+		var overruns stats.Accumulator
+		for si := 0; si < cfg.Sets; si++ {
+			job := runs[(ri*cfg.Sets+si)*np:][:np]
+			base := &job[baseIdx]
+			for pi, c := range col {
+				r := &job[pi]
+				r.addRates(base, &miss[c], &norm[c])
+				if r.overruns > 0 {
+					cont[c].Add(float64(r.containments) / float64(r.overruns))
+					if r.latN > 0 {
+						lat[c].Add(r.latSum / float64(r.latN))
+					}
+				}
+			}
+			overruns.Add(float64(base.overruns))
 		}
-		sw.OverrunsPerRun[i] = cells[i].overruns.Mean()
+		for pi, c := range col {
+			p := policies[pi]
+			sw.MissRate[p][ri] = miss[c].Mean()
+			sw.EnergyNorm[p][ri] = norm[c].Mean()
+			sw.Containments[p][ri] = cont[c].Mean()
+			sw.ContainLatency[p][ri] = lat[c].Mean()
+		}
+		sw.OverrunsPerRun[ri] = overruns.Mean()
 	}
 	return sw, nil
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"strings"
@@ -13,7 +14,7 @@ import (
 // plain-EDF-at-full-speed baseline under the identical fault history,
 // while still spending less energy than that baseline.
 func TestRobustnessContainmentAcceptance(t *testing.T) {
-	sw, err := Robustness(RobustnessConfig{
+	sw, err := Robustness(context.Background(), RobustnessConfig{
 		Rates: []float64{0, 0.05, 0.25},
 		Sets:  12,
 		Seed:  2,
@@ -76,7 +77,7 @@ func TestRobustnessContainmentAcceptance(t *testing.T) {
 // the streaming means runs sequentially in job-submission order.
 func TestRobustnessDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) *RobustnessSweep {
-		sw, err := Robustness(RobustnessConfig{
+		sw, err := Robustness(context.Background(), RobustnessConfig{
 			Rates:   []float64{0, 0.15},
 			NTasks:  4,
 			Sets:    4,
@@ -98,7 +99,7 @@ func TestRobustnessDeterministicAcrossWorkers(t *testing.T) {
 // Robustness sweeps are deterministic in the seed.
 func TestRobustnessDeterministic(t *testing.T) {
 	run := func() *RobustnessSweep {
-		sw, err := Robustness(RobustnessConfig{
+		sw, err := Robustness(context.Background(), RobustnessConfig{
 			Policies: []string{"none", "ccEDF+contain"},
 			Rates:    []float64{0.1},
 			NTasks:   4,
@@ -119,7 +120,7 @@ func TestRobustnessDeterministic(t *testing.T) {
 }
 
 func TestRobustnessRenderAndCSV(t *testing.T) {
-	sw, err := Robustness(RobustnessConfig{
+	sw, err := Robustness(context.Background(), RobustnessConfig{
 		Rates:  []float64{0.2},
 		NTasks: 3,
 		Sets:   3,
@@ -164,7 +165,7 @@ func TestRobustnessRejectsInvalidFaultPlan(t *testing.T) {
 		{"negative tail", RobustnessConfig{OverrunTail: -1}},
 	} {
 		c.cfg.Sets = 1
-		if sw, err := Robustness(c.cfg); err == nil {
+		if sw, err := Robustness(context.Background(), c.cfg); err == nil {
 			t.Errorf("%s: accepted, got %+v", c.name, sw)
 		} else if !strings.HasPrefix(err.Error(), "fault: ") {
 			t.Errorf("%s: error %q does not come from the fault plan", c.name, err)

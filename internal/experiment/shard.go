@@ -12,6 +12,8 @@ import (
 // checkpoint.Fingerprint together with a shard's job list, the
 // content address of a shard result in the distributed-sweep cache.
 type SweepHeader struct {
+	// Kind names the panel family: "harness" for the utilization
+	// sweeps, "fig16" and "fig17" for the power panels.
 	Kind         string    `json:"kind"`
 	Machine      string    `json:"machine"`
 	NTasks       int       `json:"nTasks"`
@@ -99,7 +101,6 @@ func RunJobs(ctx context.Context, cfg Config, jobs []int) ([]JobResult, error) {
 	}
 	policies := ensureBaseline(cfg.Policies)
 	np := len(policies)
-	baseIdx := policyIndex(policies, "none")
 	njobs := len(cfg.Utilizations) * cfg.Sets
 	for _, j := range jobs {
 		if j < 0 || j >= njobs {
@@ -107,11 +108,14 @@ func RunJobs(ctx context.Context, cfg Config, jobs []int) ([]JobResult, error) {
 		}
 	}
 
-	jr := newJobRunner()
+	jr, err := newJobRunner(cfg, policies)
+	if err != nil {
+		return nil, err
+	}
 	results := make([]JobResult, 0, len(jobs))
 	for _, j := range jobs {
 		out := harnessOut{energy: make([]float64, np), misses: make([]int, np)}
-		if err := jr.runOne(ctx, cfg, policies, baseIdx, j, &out); err != nil {
+		if err := jr.runOne(ctx, j, &out); err != nil {
 			return nil, err
 		}
 		cfg.Metrics.jobDone()
@@ -135,10 +139,10 @@ func FoldJobs(cfg Config, results []JobResult) (*Sweep, error) {
 	}
 	policies := ensureBaseline(cfg.Policies)
 	np := len(policies)
-	baseIdx := policyIndex(policies, "none")
 	njobs := len(cfg.Utilizations) * cfg.Sets
 
 	outs := make([]harnessOut, njobs)
+	seen := make([]bool, njobs)
 	for i := range results {
 		r := &results[i]
 		if r.Index < 0 || r.Index >= njobs {
@@ -148,12 +152,13 @@ func FoldJobs(cfg Config, results []JobResult) (*Sweep, error) {
 			return nil, fmt.Errorf("experiment: job %d carries %d/%d policy values, want %d",
 				r.Index, len(r.Energy), len(r.Misses), np)
 		}
-		outs[r.Index] = harnessOut{ok: true, energy: r.Energy, misses: r.Misses, bnd: r.Bound}
+		outs[r.Index] = harnessOut{energy: r.Energy, misses: r.Misses, bnd: r.Bound}
+		seen[r.Index] = true
 	}
-	for j := range outs {
-		if !outs[j].ok {
+	for j, ok := range seen {
+		if !ok {
 			return nil, fmt.Errorf("experiment: folding an incomplete sweep: job %d missing", j)
 		}
 	}
-	return fold(cfg, policies, baseIdx, outs), nil
+	return fold(cfg, policies, outs), nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"rtdvs/internal/obs"
 )
 
 // The distributed fabric's correctness rests on this: running the grid
@@ -11,7 +13,7 @@ import (
 // pool, for any partitioning of the jobs.
 func TestRunJobsFoldMatchesRun(t *testing.T) {
 	cfg := smallConfig()
-	want, err := Run(cfg)
+	want, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestRunJobsFoldMatchesRun(t *testing.T) {
 // complete the same shard — fold to the same sweep.
 func TestFoldJobsToleratesDuplicates(t *testing.T) {
 	cfg := smallConfig()
-	want, err := Run(cfg)
+	want, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +121,48 @@ func TestRunJobsValidation(t *testing.T) {
 		t.Error("invalid config accepted")
 	}
 }
+
+// Every panel resolves policy names in the extended registry before any
+// job is scheduled: the adaptive extensions sweep like the paper's six,
+// and an unknown name fails every entry point with nothing scheduled.
+func TestSweepPolicyNames(t *testing.T) {
+	ctx := context.Background()
+	cfg := smallConfig()
+	cfg.Policies = []string{"fbEDF", "stSelect"}
+	sw, err := RunContext(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"none", "fbEDF", "stSelect"} {
+		if len(sw.Energy[p]) != len(cfg.Utilizations) {
+			t.Errorf("%s: %d energy points, want %d", p, len(sw.Energy[p]), len(cfg.Utilizations))
+		}
+	}
+
+	m := NewMetrics(obs.NewRegistry())
+	bad := smallConfig()
+	bad.Policies = []string{"ccEDF", "warp"}
+	bad.Metrics = m
+	for i, err := range []error{
+		second(RunContext(ctx, bad)),
+		second(RunJobs(ctx, bad, []int{0})),
+		second(FoldJobs(bad, nil)),
+		second(NumJobs(bad)),
+		second(Header(bad)),
+		second(Robustness(ctx, RobustnessConfig{Policies: []string{"warp"}, Sets: 1, Metrics: m})),
+		second(Grid(ctx, GridConfig{Policies: []string{"warp"}, Sets: 1, Metrics: m})),
+	} {
+		if err == nil || !strings.Contains(err.Error(), `unknown policy "warp"`) {
+			t.Errorf("entry point %d: err = %v, want the unknown policy named", i, err)
+		}
+	}
+	if n := m.jobsScheduled.Value(); n != 0 {
+		t.Errorf("%v jobs scheduled for sweeps with an unknown policy", n)
+	}
+}
+
+// second returns the error of a two-result call.
+func second[T any](_ T, err error) error { return err }
 
 // A shard is all-or-nothing: cancellation aborts the call with an
 // error instead of returning a partial result set.

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -20,7 +21,7 @@ func TestRobustnessSoakBurstFBEDF(t *testing.T) {
 		Seed:     17,
 	}
 	run := func() *RobustnessGrid {
-		g, err := Grid(cfg)
+		g, err := Grid(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

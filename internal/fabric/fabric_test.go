@@ -40,7 +40,7 @@ func localBaseline(t *testing.T) *experiment.Sweep {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := experiment.Run(cfg)
+	sw, err := experiment.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,11 +245,6 @@ func (r *SweepRequest) Config() (experiment.Config, error) {
 			return zero, fmt.Errorf("serve: global placement has no per-policy baseline; sweeps support partitioned placements only")
 		}
 	}
-	for _, p := range r.Policies {
-		if _, err := core.ExtendedByName(p); err != nil {
-			return zero, err
-		}
-	}
 	spec, err := resolveMachine(r.Machine, r.MachineSpec, r.IdleLevel)
 	if err != nil {
 		return zero, err
@@ -276,7 +271,7 @@ func (r *SweepRequest) Config() (experiment.Config, error) {
 	if r.Horizon < 0 {
 		return zero, fmt.Errorf("serve: horizon must be non-negative, got %v", r.Horizon)
 	}
-	return experiment.Config{
+	cfg := experiment.Config{
 		Policies:     r.Policies,
 		NTasks:       r.NTasks,
 		Machine:      spec,
@@ -288,7 +283,13 @@ func (r *SweepRequest) Config() (experiment.Config, error) {
 		Cores:        r.Cores,
 		Placement:    placement,
 		ExecSpec:     r.Exec,
-	}, nil
+	}
+	// The sweep's own validation resolves the policy names, so a request
+	// accepted here names only policies its jobs can run.
+	if _, err := experiment.NumJobs(cfg); err != nil {
+		return zero, err
+	}
+	return cfg, nil
 }
 
 // resolveMachine picks the platform spec for a request: a named

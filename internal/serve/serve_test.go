@@ -257,7 +257,7 @@ func TestSweepJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiment.Run(cfg)
+	want, err := experiment.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +269,35 @@ func TestSweepJobLifecycle(t *testing.T) {
 
 // With no workers started and the queue full, sweep submissions are
 // shed with 429; polling an unknown job is 404.
+// A uniprocessor sweep accepts every policy a simulate request does:
+// the adaptive extensions run to completion, and an unknown name is a
+// 400 before any job is queued.
+func TestSweepJobExtendedPolicies(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	body, _ := json.Marshal(SweepRequest{
+		Policies: []string{"fbEDF", "stSelect"}, NTasks: 3, Utilizations: []float64{0.5}, Sets: 1, Horizon: 150,
+	})
+	resp := postJSON(t, ts.URL+"/v1/sweep", string(body))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status %d, want 202", resp.StatusCode)
+	}
+	st := decodeBody[JobStatus](t, resp)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	final, err := NewClient(ts.URL, 1).WaitJob(ctx, st.ID, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != JobDone || len(final.Sweep.Energy["fbEDF"]) != 1 || len(final.Sweep.Energy["stSelect"]) != 1 {
+		t.Fatalf("fbEDF/stSelect sweep finished as %+v (error %q)", final.Status, final.Error)
+	}
+
+	body, _ = json.Marshal(SweepRequest{Policies: []string{"warp"}, NTasks: 3, Sets: 1})
+	if resp := postJSON(t, ts.URL+"/v1/sweep", string(body)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown policy: status %d, want 400", resp.StatusCode)
+	}
+}
+
 func TestSweepQueueFull(t *testing.T) {
 	s := New(Config{QueueDepth: 1})
 	// No Start(): nothing drains the queue.

@@ -521,6 +521,11 @@ func (r *MultiRunner) coreConfig(cfg MultiConfig, ts *task.Set, coreTasks []int,
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	// A gang policy plans one frequency for all m cores, so on one
+	// partition it would guarantee sets it cannot schedule.
+	if _, gang := pol.(core.GangPolicy); gang && m > 1 {
+		return nil, nil, nil, fmt.Errorf("sim: partitioned placement runs a uniprocessor policy per core; gang policy %q needs global placement", cfg.Policy)
+	}
 	seed := cfg.Seed + execSeedStride*int64(coreTasks[0])
 	exec, err := task.ParseExec(cfg.Exec, seed)
 	if err != nil {

@@ -506,3 +506,23 @@ var globalPinDigests = map[string]string{
 	"frame/gangLAEDF/m4/uniform":         "4bd45b8f6de72297b424970223d29f168a0faafd7ac38affcb5f3c8590760983",
 	"frame/gangLAEDF/m4/beta=2,5":        "8600d9107508bc5bde24f83e338e079ac5b8d0dd7ddabfd7a8637941c6471eb4",
 }
+
+// TestMultiCorePartitionedRejectsGang: a gang policy plans one frequency
+// for all m cores, so a partitioned run with it on m > 1 cores is an
+// error under either packing, even for a set it would not visibly miss
+// on. At m = 1 the gang policies stay valid (TestGangM1ScalarEquivalent).
+func TestMultiCorePartitionedRejectsGang(t *testing.T) {
+	g := task.Generator{N: 6, Utilization: 0.4, Rand: rand.New(rand.NewSource(5))}
+	ts, err := g.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range []sched.Placement{sched.PartitionedFF, sched.PartitionedWF} {
+		for _, pol := range []string{"gangStaticEDF", "gangCCEDF", "gangLAEDF"} {
+			_, err := RunMulti(MultiConfig{Tasks: ts, Machine: machine.Machine1().WithCores(2), Policy: pol, Placement: pl})
+			if err == nil || !strings.Contains(err.Error(), "global placement") {
+				t.Errorf("%s on %v: err = %v, want a gang-policy rejection", pol, pl, err)
+			}
+		}
+	}
+}
