@@ -827,7 +827,7 @@ func BenchmarkLaneHeaps(b *testing.B) {
 
 // BenchmarkServeSimulateBatch measures the amortized serving path:
 // one POST /v1/simulate:batch carrying 32 items through the full
-// decode → validate → pooled BatchRunner → encode pipeline. Gated
+// decode → validate → pooled runner pair → encode pipeline. Gated
 // alongside BatchThroughput so the HTTP layer cannot quietly eat the
 // engine's win.
 func BenchmarkServeSimulateBatch(b *testing.B) {

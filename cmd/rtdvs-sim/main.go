@@ -42,7 +42,7 @@ func main() {
 		policy   = flag.String("policy", "laEDF", "policy: "+strings.Join(core.ExtendedNames(), ", "))
 		mname    = flag.String("machine", "machine0", "machine spec: "+strings.Join(machine.Names(), ", "))
 		idle     = flag.Float64("idle", 0, "idle level factor in [0,1]")
-		execSpec = flag.String("exec", "wcet", `execution model: "wcet", "c=<frac>", or "uniform"`)
+		execSpec = flag.String("exec", "wcet", `execution model: "wcet", "c=<frac>", "uniform", "beta=<a>,<b>", "bimodal=<lo>,<hi>,<p>", or "hist=<w1>,..."`)
 		horizon  = flag.Float64("horizon", 0, "simulated duration in ms (0 = 20×longest period)")
 		overhead = flag.Bool("overhead", false, "model the K6-2+ switch stop intervals")
 		showTr   = flag.Bool("trace", false, "print the execution trace")

@@ -102,6 +102,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"badUtil":       smallArgs("-utilizations", "0.3,zap"),
 		"badPolicy":     smallArgs("-policies", "nosuch"),
 		"unknownFlag":   smallArgs("-frobnicate"),
+		// A distribution spec has no uniprocessor sweep model.
+		"distributionExec": smallArgs("-exec", "beta=2,5"),
 	} {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("%s: accepted", name)

@@ -61,13 +61,13 @@ type SimulateRequest struct {
 	Placement string `json:"placement,omitempty"`
 }
 
-// validateCores checks the multi-core fields shared by the scalar and
-// multi-core paths.
-func (r *SimulateRequest) validateCores() error {
-	if r.Cores < 0 || r.Cores > machine.MaxCores {
-		return fmt.Errorf("serve: cores must lie in [0, %d], got %d", machine.MaxCores, r.Cores)
+// checkCores checks the cores/placement pair that simulate and sweep
+// requests share.
+func checkCores(cores int, placement string) error {
+	if cores < 0 || cores > machine.MaxCores {
+		return fmt.Errorf("serve: cores must lie in [0, %d], got %d", machine.MaxCores, cores)
 	}
-	if r.Placement != "" && r.Cores <= 1 {
+	if placement != "" && cores <= 1 {
 		return fmt.Errorf("serve: placement requires cores > 1")
 	}
 	return nil
@@ -76,23 +76,33 @@ func (r *SimulateRequest) validateCores() error {
 // Multi reports whether the request selects the multi-core engine.
 func (r *SimulateRequest) Multi() bool { return r.Cores > 1 }
 
-// Config builds the validated sim.Config, defaulting Horizon as
-// rtdvs-sim does.
-func (r *SimulateRequest) Config() (sim.Config, error) {
-	var zero sim.Config
-	if err := r.validateCores(); err != nil {
-		return zero, err
-	}
-	if r.Multi() {
-		return zero, fmt.Errorf("serve: cores=%d selects the multi-core engine; use MultiConfig", r.Cores)
+// simulation is a validated SimulateRequest: cfg for the scalar engine,
+// or, when multi is set, mcfg for the multi-core engine.
+type simulation struct {
+	cfg   sim.Config
+	mcfg  sim.MultiConfig
+	multi bool
+}
+
+// validate checks every field the two engines share — task set,
+// machine, policy (default laEDF), exec spec, horizon (0 selects 20×
+// the longest period, as rtdvs-sim does), overhead, cores and
+// placement — and builds the configuration of the engine cores selects.
+// The multi-core engine takes the policy by name (it builds one
+// instance per core); global placement additionally requires a gang
+// policy, which the engine itself enforces.
+func (r *SimulateRequest) validate() (simulation, error) {
+	var v simulation
+	if err := checkCores(r.Cores, r.Placement); err != nil {
+		return v, err
 	}
 	ts, err := task.NewSet(r.Tasks...)
 	if err != nil {
-		return zero, err
+		return v, err
 	}
 	spec, err := resolveMachine(r.Machine, r.MachineSpec, r.IdleLevel)
 	if err != nil {
-		return zero, err
+		return v, err
 	}
 	pname := r.Policy
 	if pname == "" {
@@ -100,75 +110,37 @@ func (r *SimulateRequest) Config() (sim.Config, error) {
 	}
 	p, err := core.ExtendedByName(pname)
 	if err != nil {
-		return zero, err
-	}
-	exec, err := task.ParseExec(r.Exec, r.Seed)
-	if err != nil {
-		return zero, err
-	}
-	if err := finiteField("horizon", r.Horizon); err != nil {
-		return zero, err
-	}
-	if r.Horizon < 0 {
-		return zero, fmt.Errorf("serve: horizon must be non-negative, got %v", r.Horizon)
-	}
-	horizon := r.Horizon
-	if horizon <= 0 {
-		horizon = 20 * ts.MaxPeriod()
-	}
-	cfg := sim.Config{Tasks: ts, Machine: spec, Policy: p, Exec: exec, Horizon: horizon}
-	if r.Overhead {
-		oh := machine.K62SwitchOverhead
-		cfg.Overhead = &oh
-	}
-	return cfg, nil
-}
-
-// MultiConfig builds the validated sim.MultiConfig for a cores > 1
-// request. The policy travels by name (the multi-core engine builds one
-// instance per core); global placement additionally requires a gang
-// policy, which the engine itself enforces.
-func (r *SimulateRequest) MultiConfig() (sim.MultiConfig, error) {
-	var zero sim.MultiConfig
-	if err := r.validateCores(); err != nil {
-		return zero, err
-	}
-	if !r.Multi() {
-		return zero, fmt.Errorf("serve: cores=%d selects the scalar engine; use Config", r.Cores)
-	}
-	ts, err := task.NewSet(r.Tasks...)
-	if err != nil {
-		return zero, err
-	}
-	spec, err := resolveMachine(r.Machine, r.MachineSpec, r.IdleLevel)
-	if err != nil {
-		return zero, err
-	}
-	pname := r.Policy
-	if pname == "" {
-		pname = "laEDF"
-	}
-	if _, err := core.ExtendedByName(pname); err != nil {
-		return zero, err
+		return v, err
 	}
 	plc, err := sched.ParsePlacement(r.Placement)
 	if err != nil {
-		return zero, err
+		return v, err
 	}
-	if _, err := task.ParseExec(r.Exec, r.Seed); err != nil {
-		return zero, err
+	exec, err := task.ParseExec(r.Exec, r.Seed)
+	if err != nil {
+		return v, err
 	}
 	if err := finiteField("horizon", r.Horizon); err != nil {
-		return zero, err
+		return v, err
 	}
 	if r.Horizon < 0 {
-		return zero, fmt.Errorf("serve: horizon must be non-negative, got %v", r.Horizon)
+		return v, fmt.Errorf("serve: horizon must be non-negative, got %v", r.Horizon)
 	}
 	horizon := r.Horizon
 	if horizon <= 0 {
 		horizon = 20 * ts.MaxPeriod()
 	}
-	cfg := sim.MultiConfig{
+	var overhead *machine.SwitchOverhead
+	if r.Overhead {
+		oh := machine.K62SwitchOverhead
+		overhead = &oh
+	}
+	if !r.Multi() {
+		v.cfg = sim.Config{Tasks: ts, Machine: spec, Policy: p, Exec: exec, Horizon: horizon, Overhead: overhead}
+		return v, nil
+	}
+	v.multi = true
+	v.mcfg = sim.MultiConfig{
 		Tasks:     ts,
 		Machine:   spec.WithCores(r.Cores),
 		Policy:    pname,
@@ -176,12 +148,28 @@ func (r *SimulateRequest) MultiConfig() (sim.MultiConfig, error) {
 		Exec:      r.Exec,
 		Seed:      r.Seed,
 		Horizon:   horizon,
+		Overhead:  overhead,
 	}
-	if r.Overhead {
-		oh := machine.K62SwitchOverhead
-		cfg.Overhead = &oh
+	return v, nil
+}
+
+// Config builds the validated sim.Config of a cores <= 1 request.
+func (r *SimulateRequest) Config() (sim.Config, error) {
+	v, err := r.validate()
+	if err == nil && v.multi {
+		err = fmt.Errorf("serve: cores=%d selects the multi-core engine; use MultiConfig", r.Cores)
 	}
-	return cfg, nil
+	return v.cfg, err
+}
+
+// MultiConfig builds the validated sim.MultiConfig of a cores > 1
+// request.
+func (r *SimulateRequest) MultiConfig() (sim.MultiConfig, error) {
+	v, err := r.validate()
+	if err == nil && !v.multi {
+		err = fmt.Errorf("serve: cores=%d selects the scalar engine; use Config", r.Cores)
+	}
+	return v.mcfg, err
 }
 
 // SweepRequest is the body of POST /v1/sweep: an asynchronous
@@ -228,11 +216,8 @@ func (r *SweepRequest) Config() (experiment.Config, error) {
 	if r.Sets < 0 {
 		return zero, fmt.Errorf("serve: sets must be non-negative, got %d", r.Sets)
 	}
-	if r.Cores < 0 || r.Cores > machine.MaxCores {
-		return zero, fmt.Errorf("serve: cores must lie in [0, %d], got %d", machine.MaxCores, r.Cores)
-	}
-	if r.Placement != "" && r.Cores <= 1 {
-		return zero, fmt.Errorf("serve: placement requires cores > 1")
+	if err := checkCores(r.Cores, r.Placement); err != nil {
+		return zero, err
 	}
 	var placement sched.Placement
 	if r.Cores > 1 {
@@ -249,7 +234,7 @@ func (r *SweepRequest) Config() (experiment.Config, error) {
 	if err != nil {
 		return zero, err
 	}
-	exec, err := parseExecFactory(r.Exec)
+	exec, err := parseExecFactory(r.Exec, r.Cores)
 	if err != nil {
 		return zero, err
 	}
@@ -323,23 +308,26 @@ func resolveMachine(name string, custom *machine.Spec, idle *float64) (*machine.
 	return spec, nil
 }
 
-// parseExecFactory maps the textual exec spec onto the sweep's
-// per-set factory.
-func parseExecFactory(spec string) (experiment.ExecFactory, error) {
-	// Validate the spec once up front so errors surface at submission
-	// time, not inside a worker.
-	if _, err := task.ParseExec(spec, 0); err != nil {
+// parseExecFactory validates the textual exec spec and, for a
+// uniprocessor sweep, maps it onto the sweep's per-set factory;
+// multi-core sweeps take the spec itself (experiment.Config.ExecSpec).
+// The distribution specs have no per-set factory.
+func parseExecFactory(spec string, cores int) (experiment.ExecFactory, error) {
+	// Validate the spec up front so errors surface at submission time,
+	// not inside a worker.
+	m, err := task.ParseExec(spec, 0)
+	if err != nil || cores > 1 {
 		return nil, err
 	}
-	switch {
-	case spec == "wcet" || spec == "":
+	switch m := m.(type) {
+	case task.FullWCET:
 		return experiment.WCETExec(), nil
-	case spec == "uniform":
+	case task.UniformFraction:
 		return experiment.UniformExec(), nil
-	default: // "c=<frac>", already validated
-		m, _ := task.ParseExec(spec, 0)
-		return experiment.ConstantExec(m.(task.ConstantFraction).C), nil
+	case task.ConstantFraction:
+		return experiment.ConstantExec(m.C), nil
 	}
+	return nil, fmt.Errorf("serve: exec %q needs cores > 1; uniprocessor sweeps take \"wcet\", \"c=<frac>\" or \"uniform\"", spec)
 }
 
 // finiteField rejects NaN and ±Inf, which decode from JSON only via

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"rtdvs/internal/sim"
 )
@@ -13,7 +12,7 @@ import (
 // SimulateBatchRequest is the body of POST /v1/simulate:batch: many
 // independent simulations submitted in one request. The whole batch is
 // decoded, validated, and executed together — one HTTP round trip, one
-// concurrency slot, one pooled BatchRunner — which amortizes the
+// concurrency slot, one pooled runner pair — which amortizes the
 // per-request overhead that dominates small simulations.
 type SimulateBatchRequest struct {
 	Items []SimulateRequest `json:"items"`
@@ -35,11 +34,6 @@ type SimulateBatchResponse struct {
 	Items []SimulateBatchItem `json:"items"`
 }
 
-// batchPool recycles BatchRunners across requests; a reused runner's
-// backing slices are already sized, so a steady stream of batches
-// stops allocating engine state entirely.
-var batchPool = sync.Pool{New: func() any { return sim.NewBatchRunner() }}
-
 func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 	var req SimulateBatchRequest
 	if !s.readRequest(w, r, &req) {
@@ -57,32 +51,14 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.batchSize.Observe(float64(len(req.Items)))
 
 	// Validate every item up front (the decode already happened once for
-	// the whole body); invalid items get per-item errors and contribute
-	// no lanes. Each item's Config holds its own policy instance, as
-	// BatchRunner requires.
+	// the whole body); invalid items get per-item errors and never run.
 	resp := SimulateBatchResponse{Items: make([]SimulateBatchItem, len(req.Items))}
-	cfgs := make([]sim.Config, 0, len(req.Items))
-	laneItem := make([]int, 0, len(req.Items))
-	var mcfgs []sim.MultiConfig
-	var mLaneItem []int
+	sims := make([]simulation, len(req.Items))
 	for i := range req.Items {
-		if req.Items[i].Multi() {
-			mcfg, err := req.Items[i].MultiConfig()
-			if err != nil {
-				resp.Items[i].Error = err.Error()
-				continue
-			}
-			mcfgs = append(mcfgs, mcfg)
-			mLaneItem = append(mLaneItem, i)
-			continue
-		}
-		cfg, err := req.Items[i].Config()
-		if err != nil {
+		var err error
+		if sims[i], err = req.Items[i].validate(); err != nil {
 			resp.Items[i].Error = err.Error()
-			continue
 		}
-		cfgs = append(cfgs, cfg)
-		laneItem = append(laneItem, i)
 	}
 
 	// One concurrency slot covers the whole batch — that is the point:
@@ -97,48 +73,27 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.SimTimeout)
 	defer cancel()
-	if len(cfgs) > 0 || len(mcfgs) > 0 {
-		br := batchPool.Get().(*sim.BatchRunner)
-		if len(cfgs) > 0 {
-			results, errs := br.RunContext(ctx, cfgs)
-			// Lane results alias the runner's reusable buffers; copy each
-			// into the response before the runner returns to the pool.
-			for li, i := range laneItem {
-				if err := errs[li]; err != nil {
-					var canceled *sim.Canceled
-					if errors.As(err, &canceled) && errors.Is(err, context.DeadlineExceeded) {
-						s.metrics.timeouts.Inc()
-						resp.Items[i].Error = fmt.Sprintf(
-							"simulation exceeded the %v batch limit (stopped at t=%g of %g)",
-							s.cfg.SimTimeout, canceled.At, cfgs[li].Horizon)
-					} else {
-						resp.Items[i].Error = err.Error()
-					}
-					continue
-				}
-				resp.Items[i].Result = results[li].Clone()
-			}
+	rp := runnerPool.Get().(*runners)
+	for i := range sims {
+		item := &resp.Items[i]
+		if item.Error != "" {
+			continue
 		}
-		if len(mcfgs) > 0 {
-			results, errs := br.RunMultiContext(ctx, mcfgs)
-			for li, i := range mLaneItem {
-				if err := errs[li]; err != nil {
-					var canceled *sim.MultiCanceled
-					if errors.As(err, &canceled) && errors.Is(err, context.DeadlineExceeded) {
-						s.metrics.timeouts.Inc()
-						resp.Items[i].Error = fmt.Sprintf(
-							"simulation exceeded the %v batch limit (stopped at t=%g of %g)",
-							s.cfg.SimTimeout, canceled.At, mcfgs[li].Horizon)
-					} else {
-						resp.Items[i].Error = err.Error()
-					}
-					continue
-				}
-				resp.Items[i].Multi = results[li].Clone()
-			}
+		res, err := rp.run(ctx, &sims[i])
+		if err != nil {
+			_, err = s.runError(err)
+			item.Error = err.Error()
+			continue
 		}
-		batchPool.Put(br)
+		// Results alias rp's buffers, which the next item reuses.
+		switch res := res.(type) {
+		case *sim.Result:
+			item.Result = res.Clone()
+		case *sim.MultiResult:
+			item.Multi = res.Clone()
+		}
 	}
+	runnerPool.Put(rp)
 
 	if err := r.Context().Err(); err != nil {
 		// The client went away mid-batch; status is for logs only.

@@ -1,13 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"rtdvs/internal/sim"
 	"rtdvs/internal/task"
@@ -181,14 +182,17 @@ func TestClientSimulateBatch(t *testing.T) {
 	}
 }
 
-// FuzzSimulateBatchRequest asserts the batch decode → validate → run
-// path never panics, whatever the body.
+// FuzzSimulateBatchRequest asserts that the batch handler — decode,
+// per-item validation and the one item loop on a pooled runner pair —
+// never panics, whatever the body: it answers 200 with per-item
+// outcomes, or 400.
 func FuzzSimulateBatchRequest(f *testing.F) {
 	seeds := []string{
 		`{"items":[{"tasks":[{"period":8,"wcet":3}]}]}`,
 		`{"items":[{"tasks":[{"period":8,"wcet":3}],"policy":"laEDF","exec":"uniform","seed":3},{"tasks":[]}]}`,
 		`{"items":[{"tasks":[{"period":1e308,"wcet":1e308}],"horizon":1e308}]}`,
 		`{"items":[{"tasks":[{"period":8,"wcet":3}],"machineSpec":{"points":[{"freq":1,"voltage":-2}]}}]}`,
+		`{"items":[{"tasks":[{"period":8,"wcet":3},{"period":10,"wcet":3}],"cores":2},{"tasks":[{"period":8,"wcet":3}],"cores":2,"placement":"global","policy":"gangCCEDF"}]}`,
 		`{"items":[]}`,
 		`{"items":null}`,
 		`{`,
@@ -197,26 +201,12 @@ func FuzzSimulateBatchRequest(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	s := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req SimulateBatchRequest
-		if err := decodeStrict(data, &req); err != nil {
-			return
+		rec := httptest.NewRecorder()
+		s.handleSimulateBatch(rec, httptest.NewRequest("POST", "/v1/simulate:batch", bytes.NewReader(data)))
+		if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+			t.Fatalf("body %q: status %d: %s", data, rec.Code, rec.Body)
 		}
-		if len(req.Items) == 0 || len(req.Items) > 16 {
-			return
-		}
-		cfgs := make([]sim.Config, 0, len(req.Items))
-		for i := range req.Items {
-			cfg, err := req.Items[i].Config()
-			if err != nil {
-				continue
-			}
-			cfgs = append(cfgs, cfg)
-		}
-		// Whatever validation accepted must batch-run without panicking;
-		// the deadline bounds adversarial horizons cooperatively.
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer cancel()
-		sim.NewBatchRunner().RunContext(ctx, cfgs)
 	})
 }

@@ -39,7 +39,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		shed: reg.Counter("rtdvs_http_shed_total",
 			"Requests shed with 429 because a capacity bound was hit."),
 		timeouts: reg.Counter("rtdvs_http_timeout_total",
-			"Simulate requests answered 504 after exceeding the time limit."),
+			"Runs stopped by a server time limit: simulate requests and shards answered 504, and batch items that carry the limit error."),
 		shardCacheHits: reg.Counter("rtdvs_shard_cache_hits_total",
 			"Shard requests answered from the worker's result cache."),
 		shardCacheMisses: reg.Counter("rtdvs_shard_cache_misses_total",

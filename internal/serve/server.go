@@ -297,11 +297,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !s.readRequest(w, r, &req) {
 		return
 	}
-	if req.Multi() {
-		s.handleSimulateMulti(w, r, &req)
-		return
-	}
-	cfg, err := req.Config()
+	v, err := req.validate()
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -320,63 +316,61 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.SimTimeout)
 	defer cancel()
-	res, err := sim.RunContext(ctx, cfg)
-	if err != nil {
-		var canceled *sim.Canceled
-		switch {
-		case errors.As(err, &canceled) && errors.Is(err, context.DeadlineExceeded):
-			s.metrics.timeouts.Inc()
-			s.writeError(w, http.StatusGatewayTimeout,
-				fmt.Errorf("simulation exceeded the %v limit (stopped at t=%g of %g)",
-					s.cfg.SimTimeout, canceled.At, cfg.Horizon))
-		case errors.As(err, &canceled):
-			// The client went away; status is for logs only.
-			s.writeError(w, StatusClientClosedRequest, errors.New("client closed request"))
-		default:
-			s.writeError(w, http.StatusBadRequest, err)
-		}
-		return
+	rp := runnerPool.Get().(*runners)
+	if res, err := rp.run(ctx, &v); err != nil {
+		code, err := s.runError(err)
+		s.writeError(w, code, err)
+	} else {
+		s.writeJSON(w, http.StatusOK, res)
 	}
-	s.writeJSON(w, http.StatusOK, res)
+	// The result aliases rp's buffers, so rp goes back only once the
+	// response is written. A run that panicked never gets here: its
+	// pair is dropped, not pooled.
+	runnerPool.Put(rp)
 }
 
-// handleSimulateMulti is handleSimulate for cores > 1 requests: the
-// same concurrency slot, timeout, and error mapping, run on the
-// multi-core engine; the response body is a sim.MultiResult.
-func (s *Server) handleSimulateMulti(w http.ResponseWriter, r *http.Request, req *SimulateRequest) {
-	cfg, err := req.MultiConfig()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
+// runners is the engine pair every simulation the server runs borrows
+// from runnerPool: a used pair's buffers are already sized, so a steady
+// stream of requests stops allocating engine state.
+type runners struct {
+	scalar sim.Runner
+	multi  sim.MultiRunner
+}
 
-	select {
-	case s.simSem <- struct{}{}:
-		defer func() { <-s.simSem }()
+var runnerPool = sync.Pool{New: func() any { return new(runners) }}
+
+// run executes a validated simulation on the engine its cores select.
+// The result, a *sim.Result or a *sim.MultiResult, aliases rp's buffers
+// until rp runs again.
+func (rp *runners) run(ctx context.Context, v *simulation) (any, error) {
+	if v.multi {
+		return rp.multi.RunContext(ctx, v.mcfg)
+	}
+	return rp.scalar.RunContext(ctx, v.cfg)
+}
+
+// runError maps a failed run onto the status and error a simulate
+// request or batch item answers: 504 (counted) when the simulate time
+// limit stopped the run, 499 when the client went away — the status is
+// for logs only — and 400 for any other error.
+func (s *Server) runError(err error) (int, error) {
+	var at, horizon float64
+	var canceled *sim.Canceled
+	var mcanceled *sim.MultiCanceled
+	switch {
+	case errors.As(err, &canceled):
+		at, horizon = canceled.At, canceled.Partial.Horizon
+	case errors.As(err, &mcanceled):
+		at, horizon = mcanceled.At, mcanceled.Partial.Horizon
 	default:
-		s.shed(w)
-		return
+		return http.StatusBadRequest, err
 	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.SimTimeout)
-	defer cancel()
-	res, err := sim.RunMultiContext(ctx, cfg)
-	if err != nil {
-		var canceled *sim.MultiCanceled
-		switch {
-		case errors.As(err, &canceled) && errors.Is(err, context.DeadlineExceeded):
-			s.metrics.timeouts.Inc()
-			s.writeError(w, http.StatusGatewayTimeout,
-				fmt.Errorf("simulation exceeded the %v limit (stopped at t=%g of %g)",
-					s.cfg.SimTimeout, canceled.At, cfg.Horizon))
-		case errors.As(err, &canceled):
-			s.writeError(w, StatusClientClosedRequest, errors.New("client closed request"))
-		default:
-			s.writeError(w, http.StatusBadRequest, err)
-		}
-		return
+	if !errors.Is(err, context.DeadlineExceeded) {
+		return StatusClientClosedRequest, errors.New("client closed request")
 	}
-	s.writeJSON(w, http.StatusOK, res)
+	s.metrics.timeouts.Inc()
+	return http.StatusGatewayTimeout, fmt.Errorf("simulation exceeded the %v limit (stopped at t=%g of %g)",
+		s.cfg.SimTimeout, at, horizon)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {

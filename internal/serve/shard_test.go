@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -273,5 +275,59 @@ func TestShardCancelledByShutdownDeadline(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("shard handler stuck after shutdown cancelled it")
+	}
+}
+
+// A distribution exec spec has no uniprocessor sweep model: at cores 0
+// the sweep and shard endpoints refuse it with a 400 that names the
+// models they take, while a multi-core sweep, which hands the spec to
+// the engine, runs it. Neither endpoint answers 500.
+func TestSweepDistributionExec(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	client := NewClient(ts.URL, 1)
+	for _, exec := range []string{"beta=2,5", "bimodal=0.2,0.9,0.3", "hist=1,2,1"} {
+		for _, cores := range []int{0, 2} {
+			sweep := SweepRequest{
+				Policies: []string{"ccEDF"}, NTasks: 3, Utilizations: []float64{0.5},
+				Sets: 1, Seed: 3, Horizon: 200, Cores: cores, Exec: exec,
+			}
+			t.Run(fmt.Sprintf("%s/cores=%d", exec, cores), func(t *testing.T) {
+				sweepBody, _ := json.Marshal(sweep)
+				shardBody, _ := json.Marshal(ShardRequest{Sweep: sweep, Jobs: []int{0}})
+				sweepResp := postJSON(t, ts.URL+"/v1/sweep", string(sweepBody))
+				shardResp := postJSON(t, ts.URL+"/v1/shard", string(shardBody))
+				if cores == 0 {
+					for _, resp := range []*http.Response{sweepResp, shardResp} {
+						if resp.StatusCode != http.StatusBadRequest {
+							t.Errorf("%s: status %d, want 400", resp.Request.URL.Path, resp.StatusCode)
+						}
+						eb := decodeBody[errorBody](t, resp)
+						for _, model := range []string{`"wcet"`, `"c=<frac>"`, `"uniform"`} {
+							if !strings.Contains(eb.Error, model) {
+								t.Errorf("%s: error %q does not name %s", resp.Request.URL.Path, eb.Error, model)
+							}
+						}
+					}
+					return
+				}
+				if shardResp.StatusCode != http.StatusOK {
+					t.Errorf("shard: status %d, want 200", shardResp.StatusCode)
+				}
+				shardResp.Body.Close()
+				if sweepResp.StatusCode != http.StatusAccepted {
+					t.Fatalf("sweep: status %d, want 202", sweepResp.StatusCode)
+				}
+				st := decodeBody[JobStatus](t, sweepResp)
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				final, err := client.WaitJob(ctx, st.ID, 5*time.Millisecond)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if final.Status != JobDone {
+					t.Errorf("sweep finished %v: %s", final.Status, final.Error)
+				}
+			})
+		}
 	}
 }

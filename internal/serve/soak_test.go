@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -12,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"rtdvs/internal/sim"
 	"rtdvs/internal/task"
 )
 
@@ -21,12 +21,17 @@ import (
 // request must eventually succeed (the 429 shedding paces the clients
 // rather than failing them), the server must shed at least once (the
 // load is far beyond its capacity), and the drain afterwards must be
-// clean. The whole exercise runs under a wall-clock budget so a
-// regression that deadlocks or livelocks the pool fails fast.
+// clean. Scalar, multi-core and batch simulations borrow runner pairs
+// from the one pool at once. The whole exercise runs under a wall-clock
+// budget so a regression that deadlocks or livelocks the pool fails
+// fast.
 func TestSoakSmoke(t *testing.T) {
 	const (
 		simClients   = 180
+		multiClients = 24
+		batchClients = 24
 		sweepClients = 24
+		allClients   = simClients + multiClients + batchClients + sweepClients
 		budget       = 60 * time.Second
 	)
 	before := runtime.NumGoroutine()
@@ -40,7 +45,7 @@ func TestSoakSmoke(t *testing.T) {
 	// retries.
 	var sheds atomic.Int64
 	rt := http.DefaultTransport.(*http.Transport).Clone()
-	rt.MaxIdleConnsPerHost = simClients + sweepClients
+	rt.MaxIdleConnsPerHost = allClients
 	countingClient := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
 		resp, err := rt.RoundTrip(r)
 		if err == nil && resp.StatusCode == http.StatusTooManyRequests {
@@ -62,16 +67,20 @@ func TestSoakSmoke(t *testing.T) {
 	defer slotHold.Stop()
 
 	var wg sync.WaitGroup
-	errs := make(chan error, simClients+sweepClients)
+	errs := make(chan error, allClients)
+	client := func(seed int64) *Client {
+		c := NewClient(hs.URL, seed)
+		c.HTTP = countingClient
+		c.MaxAttempts = 40
+		c.BaseDelay = 2 * time.Millisecond
+		c.MaxDelay = 50 * time.Millisecond
+		return c
+	}
 	for i := 0; i < simClients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := NewClient(hs.URL, int64(i))
-			c.HTTP = countingClient
-			c.MaxAttempts = 40
-			c.BaseDelay = 2 * time.Millisecond
-			c.MaxDelay = 50 * time.Millisecond
+			c := client(int64(i))
 			// Deep enough that simulations overlap and contend for the
 			// two slots; still only ~1ms of work each.
 			_, err := c.Simulate(ctx, SimulateRequest{
@@ -85,15 +94,45 @@ func TestSoakSmoke(t *testing.T) {
 			}
 		}(i)
 	}
+	for i := 0; i < multiClients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := SimulateRequest{Tasks: multiTasks(), Horizon: 2000, Seed: int64(i), Cores: 2}
+			if i%2 == 1 {
+				req.Policy, req.Placement = "gangCCEDF", "global"
+			}
+			if _, err := client(int64(500+i)).SimulateMulti(ctx, req); err != nil {
+				errs <- err
+			}
+		}(i)
+	}
+	for i := 0; i < batchClients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			items, err := client(int64(700+i)).SimulateBatch(ctx, SimulateBatchRequest{Items: []SimulateRequest{
+				{Tasks: paperTasks(), Policy: "ccEDF", Exec: "uniform", Horizon: 2000, Seed: int64(i)},
+				{Tasks: multiTasks(), Horizon: 2000, Cores: 4},
+				{Tasks: multiTasks(), Policy: "gangLAEDF", Horizon: 2000, Cores: 2, Placement: "global"},
+			}})
+			if err != nil {
+				errs <- err
+				return
+			}
+			for j, it := range items {
+				if it.Error != "" {
+					errs <- fmt.Errorf("batch %d item %d: %s", i, j, it.Error)
+				}
+			}
+		}(i)
+	}
 	for i := 0; i < sweepClients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := NewClient(hs.URL, int64(1000+i))
-			c.HTTP = countingClient
+			c := client(int64(1000 + i))
 			c.MaxAttempts = 60
-			c.BaseDelay = 2 * time.Millisecond
-			c.MaxDelay = 50 * time.Millisecond
 			id, err := c.StartSweep(ctx, SweepRequest{
 				NTasks:       3,
 				Sets:         2,
@@ -128,7 +167,7 @@ func TestSoakSmoke(t *testing.T) {
 	if got := s.metrics.shed.Value(); got != float64(sheds.Load()) {
 		t.Errorf("server shed counter = %v, clients saw %d 429s", got, sheds.Load())
 	}
-	t.Logf("soak: %d requests, %d sheds absorbed by retries", simClients+sweepClients, sheds.Load())
+	t.Logf("soak: %d requests, %d sheds absorbed by retries", allClients, sheds.Load())
 
 	hs.Close()
 	sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -150,8 +189,11 @@ type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
-// FuzzSimulateRequest asserts the decode+validate path never panics and
-// never lets an invalid configuration through to the simulator.
+// FuzzSimulateRequest asserts that the simulate handler — decode,
+// validate and run on a pooled runner pair, for both engines — never
+// panics and answers every body with 200, 400 or 504. The time limit
+// bounds adversarial inputs (e.g. near-infinite horizons) via the
+// cooperative cancellation path.
 func FuzzSimulateRequest(f *testing.F) {
 	seeds := []string{
 		`{"tasks":[{"period":8,"wcet":3}]}`,
@@ -160,32 +202,32 @@ func FuzzSimulateRequest(f *testing.F) {
 		`{"tasks":[{"period":8,"wcet":3}],"machineSpec":{"points":[{"freq":1,"voltage":-2}]}}`,
 		`{"tasks":[{"period":8,"wcet":3}],"idleLevel":2}`,
 		`{"tasks":[{"period":8,"wcet":3}],"bogus":true}`,
+		`{"tasks":[{"period":8,"wcet":3},{"period":10,"wcet":3}],"cores":2,"exec":"beta=2,5","overhead":true}`,
+		`{"tasks":[{"period":8,"wcet":3},{"period":10,"wcet":3}],"cores":3,"placement":"global","policy":"gangLAEDF"}`,
 		`[]`,
 		`{`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	s := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req SimulateRequest
-		if err := decodeStrict(data, &req); err != nil {
-			return
-		}
-		cfg, err := req.Config()
-		if err != nil {
-			return
-		}
-		// Whatever validation accepted must simulate without panicking.
-		// The deadline bounds adversarial inputs (e.g. near-infinite
-		// horizons) via the cooperative cancellation path; errors are
-		// acceptable, crashes are not.
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer cancel()
-		if _, err := sim.RunContext(ctx, cfg); err != nil {
-			enc, _ := json.Marshal(req)
-			t.Logf("request %s: %v", enc, err)
+		rec := httptest.NewRecorder()
+		s.handleSimulate(rec, httptest.NewRequest("POST", "/v1/simulate", bytes.NewReader(data)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusGatewayTimeout:
+		default:
+			t.Fatalf("body %q: status %d: %s", data, rec.Code, rec.Body)
 		}
 	})
+}
+
+// fuzzServer is the server the handler fuzz targets call into directly,
+// bypassing the panic-recovery middleware so a crash fails the target.
+func fuzzServer(f *testing.F) *Server {
+	s := New(Config{SimConcurrency: 1, SimTimeout: 50 * time.Millisecond, MaxBatchItems: 16, Logf: func(string, ...any) {}})
+	f.Cleanup(func() { s.Shutdown(context.Background()) })
+	return s
 }
 
 // The strict decoder itself must reject every seed that is not a clean
