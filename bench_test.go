@@ -487,27 +487,51 @@ func BenchmarkMultiCoreThroughput(b *testing.B) {
 
 // --- RTOS kernel throughput ---
 
+// newBenchKernel builds the kernel benchmarks' system: ccEDF on the K6-2+
+// laptop with its switch halts, and three tasks at 90% of their WCETs.
+func newBenchKernel(b *testing.B) *rtos.Kernel {
+	p, _ := core.ByName("ccEDF")
+	k, err := rtos.NewKernel(machine.LaptopK62(), machine.K62SwitchOverhead, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for j, row := range [][2]float64{{80, 25}, {100, 20}, {140, 10}} {
+		wcet := row[1]
+		if _, err := k.AddTask(rtos.TaskConfig{
+			Name: fmt.Sprintf("t%d", j), Period: row[0], WCET: wcet + 0.8,
+			Work: func(int) float64 { return 0.9 * wcet },
+		}, rtos.AddOptions{Immediate: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return k
+}
+
 func BenchmarkKernelThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p, _ := core.ByName("ccEDF")
-		k, err := rtos.NewKernel(machine.LaptopK62(), machine.K62SwitchOverhead, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j, row := range [][2]float64{{80, 25}, {100, 20}, {140, 10}} {
-			wcet := row[1]
-			if _, err := k.AddTask(rtos.TaskConfig{
-				Name: fmt.Sprintf("t%d", j), Period: row[0], WCET: wcet + 0.8,
-				Work: func(int) float64 { return 0.9 * wcet },
-			}, rtos.AddOptions{Immediate: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		k := newBenchKernel(b)
 		k.Step(4000)
 		if math.IsNaN(k.CPU().Energy()) {
 			b.Fatal("NaN energy")
 		}
+	}
+}
+
+// BenchmarkKernelStep measures the kernel's scheduling point alone: one
+// warmed kernel stepped 1000 simulated ms per op. In steady state this
+// must report 0 allocs/op; it pins the HotpathRegistry rows for
+// Kernel.Step and its per-point scans.
+func BenchmarkKernelStep(b *testing.B) {
+	b.ReportAllocs()
+	k := newBenchKernel(b)
+	k.Step(4000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step(k.Now() + 1000)
+	}
+	if len(k.Misses()) != 0 {
+		b.Fatalf("%d misses", len(k.Misses()))
 	}
 }
 

@@ -89,6 +89,13 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/sim.simulator.pickSlots": "BenchmarkMultiCoreThroughput",
 	"rtdvs/internal/sim.simulator.assign":    "BenchmarkMultiCoreThroughput",
 
+	// The rtos kernel's scheduling point: a warmed kernel stepped through
+	// a simulated second allocates nothing.
+	"rtdvs/internal/rtos.Kernel.Step":            "BenchmarkKernelStep",
+	"rtdvs/internal/rtos.Kernel.processReleases": "BenchmarkKernelStep",
+	"rtdvs/internal/rtos.Kernel.pick":            "BenchmarkKernelStep",
+	"rtdvs/internal/rtos.Kernel.nextReleaseTime": "BenchmarkKernelStep",
+
 	// Closure-free operating-point lookup used by every dynamic policy.
 	"rtdvs/internal/machine.PointSelector.AtLeast": "TestSelectorMatchesLowestAtLeast",
 	"rtdvs/internal/machine.PointSelector.Index":   "TestSelectorMatchesLowestAtLeast",

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -355,30 +356,57 @@ func TestRunCancelled(t *testing.T) {
 
 // A straggling worker gets hedged: the fast worker duplicates the slow
 // shard and its result wins.
+//
+// The straggle is ordered by gates, not by wall-clock delays, so the
+// outcome does not depend on machine load: the fast worker answers
+// nothing until the slow worker holds a shard, and the slow worker
+// holds that first shard until the fabric has hedged it or the shard
+// timeout has passed.
 func TestHedgedStraggler(t *testing.T) {
 	want := localBaseline(t)
+	const shardTimeout = 10 * time.Second
 
-	// slowOnce delays the first shard request long past HedgeAfter.
-	inner := startWorker(t)
+	var fab atomic.Pointer[fabric]
+	slowHolds := make(chan struct{})
+	fastInner := startWorker(t)
+	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/v1/shard") {
+			select {
+			case <-slowHolds:
+			case <-time.After(shardTimeout):
+			}
+		}
+		proxyTo(t, fastInner, w, r)
+	}))
+	t.Cleanup(fast.Close)
+
+	slowInner := startWorker(t)
 	var once sync.Once
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/v1/shard") {
 			once.Do(func() {
-				select {
-				case <-r.Context().Done():
-				case <-time.After(2 * time.Second):
+				close(slowHolds)
+				giveUp := time.After(shardTimeout)
+				tick := time.NewTicker(5 * time.Millisecond)
+				defer tick.Stop()
+				for f := fab.Load(); f == nil || f.m.hedged.Value() < 1; f = fab.Load() {
+					select {
+					case <-giveUp:
+						return
+					case <-tick.C:
+					}
 				}
 			})
 		}
-		proxyTo(t, inner, w, r)
+		proxyTo(t, slowInner, w, r)
 	}))
 	t.Cleanup(slow.Close)
 
 	f, err := newFabric(Config{
 		Sweep:        testSweep(),
-		Workers:      []string{startWorker(t), slow.URL},
+		Workers:      []string{fast.URL, slow.URL},
 		ShardSize:    3,
-		ShardTimeout: 10 * time.Second,
+		ShardTimeout: shardTimeout,
 		MaxAttempts:  4,
 		HedgeAfter:   50 * time.Millisecond,
 		EjectAfter:   5,
@@ -388,6 +416,7 @@ func TestHedgedStraggler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fab.Store(f)
 	got, err := f.run(context.Background())
 	if err != nil {
 		t.Fatal(err)

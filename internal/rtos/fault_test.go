@@ -2,6 +2,7 @@ package rtos
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -127,6 +128,34 @@ func TestKernelSwitchRetryWithBackoff(t *testing.T) {
 	}
 	if len(k.Misses()) != 0 {
 		t.Errorf("switch denials alone caused %d misses (policy runs no slower than requested)", len(k.Misses()))
+	}
+}
+
+// A retry armed while the processor idles bounds the idle span: the idle
+// point's refused transition at 5.15 ms is asked again 2 ms later, not
+// at the next release 45 ms on.
+func TestKernelIdleRetryIsPunctual(t *testing.T) {
+	k := newTestKernel(t, "ccEDF")
+	log := NewEventLog(256)
+	k.SetEventLog(log)
+	k.SetFaults(fault.MustNew(fault.Plan{SwitchDenyProb: 1}))
+	if _, err := k.AddTask(TaskConfig{Name: "T", Period: 50, WCET: 5}, AddOptions{Immediate: true}); err != nil {
+		t.Fatal(err)
+	}
+	k.Step(20)
+
+	denied := log.Filter(EvSwitchDenied)
+	at := -1
+	for i, e := range denied {
+		if math.Abs(e.Time-5.15) < 1e-9 {
+			at = i
+		}
+	}
+	if at < 0 {
+		t.Fatalf("no denial at 5.15 ms (job done at 5 ms, backoff capped at 2 ms):\n%s", log)
+	}
+	if at+1 >= len(denied) || math.Abs(denied[at+1].Time-7.15) > 1e-9 {
+		t.Fatalf("denial after 5.15 ms is not at 7.15 ms:\n%s", log)
 	}
 }
 

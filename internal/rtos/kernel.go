@@ -119,10 +119,13 @@ type ktask struct {
 type Kernel struct {
 	cpu    *CPU
 	policy core.Policy
-	sch    sched.Scheduler
+	// kind caches the policy's scheduling discipline for pick.
+	kind   sched.Kind
 	now    float64
 	tasks  []*ktask
 	nextID TaskID
+	// released is processReleases' scratch list of the indices it fired.
+	released []int
 
 	misses   []MissEvent
 	overruns []OverrunEvent
@@ -176,8 +179,7 @@ func NewKernel(spec *machine.Spec, overhead machine.SwitchOverhead, policy core.
 	if policy == nil {
 		return nil, fmt.Errorf("rtos: nil policy module")
 	}
-	k := &Kernel{cpu: cpu, policy: policy, sch: sched.New(policy.Scheduler())}
-	return k, nil
+	return &Kernel{cpu: cpu, policy: policy, kind: policy.Scheduler()}, nil
 }
 
 // Now returns the current virtual time in milliseconds.
@@ -358,11 +360,10 @@ func (k *Kernel) SetPolicy(p core.Policy) error {
 	if p == nil {
 		return fmt.Errorf("rtos: nil policy module")
 	}
-	old, oldSch := k.policy, k.sch
-	k.policy = p
-	k.sch = sched.New(p.Scheduler())
+	old, oldKind := k.policy, k.kind
+	k.policy, k.kind = p, p.Scheduler()
 	if err := k.reattach(); err != nil {
-		k.policy, k.sch = old, oldSch
+		k.policy, k.kind = old, oldKind
 		return err
 	}
 	k.logEvent(Event{Kind: EvPolicySwap, Name: p.Name()})
@@ -379,7 +380,7 @@ func (k *Kernel) findByName(name string) *ktask {
 	return nil
 }
 
-// --- core.System and sched.TaskView ---
+// --- core.System and the task view the rtdvs facade exports ---
 
 // Deadline implements core.System: for a task whose first release is
 // still pending, the first invocation's deadline is reported so the
@@ -400,16 +401,17 @@ func (k *Kernel) Deadline(i int) float64 {
 	return t.nominalRel
 }
 
-// NumTasks implements sched.TaskView.
+// NumTasks returns the number of registered tasks; indices 0..NumTasks-1
+// address them in registration order, as core.System's callbacks do.
 func (k *Kernel) NumTasks() int { return len(k.tasks) }
 
-// Task implements sched.TaskView.
+// Task returns the static parameters of task i.
 func (k *Kernel) Task(i int) task.Task {
 	t := k.tasks[i]
 	return task.Task{Name: t.cfg.Name, Period: t.cfg.Period, WCET: t.cfg.WCET}
 }
 
-// Ready implements sched.TaskView.
+// Ready reports whether task i is released and not yet complete.
 func (k *Kernel) Ready(i int) bool { return k.tasks[i].active }
 
 // --- engine ---
@@ -448,6 +450,12 @@ func (k *Kernel) demand(t *ktask, rel float64) float64 {
 	return c
 }
 
+// nextReleaseTime returns the next instant the schedule can change
+// without a completion: the earliest pending release, a running sporadic
+// (or, under fault injection, late-released periodic) job's deadline, and
+// a pending switch retry.
+//
+//rtdvs:hotpath
 func (k *Kernel) nextReleaseTime() float64 {
 	t := math.Inf(1)
 	for _, kt := range k.tasks {
@@ -472,8 +480,13 @@ func (k *Kernel) nextReleaseTime() float64 {
 	return t
 }
 
+// processReleases aborts jobs whose deadlines passed, fires every due
+// release, notifies the policy of the releases in task order, and then
+// runs the overrun watchdog and the load shedder's window.
+//
+//rtdvs:hotpath
 func (k *Kernel) processReleases() {
-	released := make([]int, 0, 4)
+	k.released = k.released[:0]
 	// Sporadic invocations have no follow-on release to catch an overrun,
 	// so their deadlines are checked directly.
 	for i, t := range k.tasks {
@@ -558,11 +571,11 @@ func (k *Kernel) processReleases() {
 			t.active = true
 			t.inv++
 			t.releases++
-			released = append(released, i)
+			k.released = append(k.released, i)
 			k.logEvent(Event{Kind: EvRelease, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
 		}
 	}
-	for _, i := range released {
+	for _, i := range k.released {
 		k.policy.OnRelease(k, i)
 	}
 	k.enforceOverrunPolicy()
@@ -663,10 +676,41 @@ func (k *Kernel) enforceOverrunPolicy() {
 	}
 }
 
+// pick returns the ready task of highest priority under the attached
+// discipline, or -1 when none is ready. The key is sim.readyKey's: the
+// absolute deadline under EDF, the period under RM; ties go to the lower
+// index.
+//
+//rtdvs:hotpath
+func (k *Kernel) pick() int {
+	rm := k.kind == sched.RM
+	best, bestKey := -1, math.Inf(1)
+	for i, t := range k.tasks {
+		if !t.active {
+			continue
+		}
+		key := t.deadline
+		if rm {
+			key = t.cfg.Period
+		}
+		if key < bestKey {
+			best, bestKey = i, key
+		}
+	}
+	return best
+}
+
 // Step advances virtual time to `until`, executing tasks, switching
 // operating points as the policy dictates, and accounting energy in the
 // CPU device. It may be called repeatedly, with registry and policy
 // changes between calls.
+//
+// Each scheduling point makes one release pass, one pick and one
+// next-event scan. The next event is read after the operating-point
+// decision, so a retry armed by a refused transition bounds the span
+// that follows, idle or busy.
+//
+//rtdvs:hotpath
 func (k *Kernel) Step(until float64) {
 	for k.now < until-timeEps {
 		// Finish any in-progress transition stop interval first; it may
@@ -684,29 +728,29 @@ func (k *Kernel) Step(until float64) {
 		}
 		k.processReleases()
 
-		nextRel := math.Min(k.nextReleaseTime(), until)
-		pick := k.sch.Pick(k)
-
+		pick := k.pick()
+		var op machine.OperatingPoint
 		if pick < 0 {
-			if halt := k.setPoint(k.policy.IdlePoint()); halt > 0 {
-				continue // elapse the stop interval at the loop top
-			}
-			if nextRel > k.now {
-				k.cpu.Idle(nextRel - k.now)
-				k.now = nextRel
-			} else {
-				k.now = nextRel
-			}
-			continue
+			op = k.policy.IdlePoint()
+		} else {
+			op = k.policy.Point()
 		}
-
-		if halt := k.setPoint(k.policy.Point()); halt > 0 {
+		if halt := k.setPoint(op); halt > 0 {
 			continue // elapse the stop interval at the loop top
 		}
-		if k.nextReleaseTime() <= k.now+timeEps {
-			continue // release became due during a stop interval
+		next := k.nextReleaseTime()
+		nextRel := math.Min(next, until)
+
+		if pick < 0 {
+			if nextRel > k.now {
+				k.cpu.Idle(nextRel - k.now)
+			}
+			k.now = nextRel
+			continue
 		}
-		nextRel = math.Min(k.nextReleaseTime(), until)
+		if next <= k.now+timeEps {
+			continue // a late release left a deadline due: abort it first
+		}
 
 		t := k.tasks[pick]
 		f := k.cpu.Point().Freq

@@ -2,11 +2,13 @@ package rtos
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"rtdvs/internal/core"
 	"rtdvs/internal/machine"
+	"rtdvs/internal/sched"
 	"rtdvs/internal/sim"
 	"rtdvs/internal/task"
 )
@@ -169,7 +171,8 @@ func TestPowerMeterCPUOnly(t *testing.T) {
 // --- Kernel vs simulator equivalence ---
 
 // With no switch overheads, the kernel must produce the same energy and
-// schedule as the reference simulator for the worked example.
+// schedule as the reference simulator: for the worked example, and for
+// generated sets at c = 0.6 under all six policies.
 func TestKernelMatchesSimulator(t *testing.T) {
 	for _, name := range core.Names() {
 		k := newTestKernel(t, name)
@@ -208,6 +211,113 @@ func TestKernelMatchesSimulator(t *testing.T) {
 		if math.Abs(k.CPU().Cycles()-res.CyclesDone) > 1e-6 {
 			t.Errorf("%s: kernel cycles %v != simulator %v", name, k.CPU().Cycles(), res.CyclesDone)
 		}
+	}
+
+	// Generated sets under both disciplines check the kernel's pick
+	// against the simulator's run-queue order beyond the worked example.
+	runs := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		g := task.Generator{N: 6, Utilization: 0.3 + 0.6*float64(seed-1)/39,
+			Ranges: []task.Range{{Lo: 5, Hi: 50}, {Lo: 50, Hi: 200}}, Rand: rand.New(rand.NewSource(seed))}
+		ts, err := g.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range core.Names() {
+			k, err := NewKernel(machine.Machine1(), machine.SwitchOverhead{}, mustPolicy(t, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			admitted := true
+			for i := 0; i < ts.Len() && admitted; i++ {
+				tk := ts.Task(i)
+				wcet := tk.WCET
+				_, err := k.AddTask(TaskConfig{Name: tk.Name, Period: tk.Period, WCET: wcet,
+					Work: func(int) float64 { return 0.6 * wcet }}, AddOptions{Immediate: true})
+				admitted = err == nil
+			}
+			if !admitted {
+				continue
+			}
+			runs++
+			k.Step(2000)
+			res, err := sim.Run(sim.Config{Tasks: ts, Machine: machine.Machine1(), Policy: mustPolicy(t, name),
+				Exec: task.ConstantFraction{C: 0.6}, Horizon: 2000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(k.Misses()) != res.MissCount() {
+				t.Errorf("seed %d %s: kernel misses %d != simulator %d", seed, name, len(k.Misses()), res.MissCount())
+			}
+			if d := math.Abs(k.CPU().Cycles() - res.CyclesDone); d > 1e-9 {
+				t.Errorf("seed %d %s: kernel cycles %v != simulator %v", seed, name, k.CPU().Cycles(), res.CyclesDone)
+			}
+			if d := math.Abs(k.CPU().Energy() - res.TotalEnergy); d > 1e-9*res.TotalEnergy {
+				t.Errorf("seed %d %s: kernel energy %v != simulator %v", seed, name, k.CPU().Energy(), res.TotalEnergy)
+			}
+		}
+	}
+	if runs < 200 {
+		t.Errorf("only %d of 240 generated runs admitted", runs)
+	}
+}
+
+// pick orders ready tasks by absolute deadline under EDF and by period
+// under RM, ties to the lower index, and answers -1 when nothing is
+// ready. Each row is checked under both disciplines.
+func TestKernelPick(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		periods   []float64
+		deadlines []float64
+		ready     []bool
+		edf, rm   int
+	}{
+		{"EDFPicksEarliestDeadline", []float64{10, 5, 20}, []float64{12, 30, 8}, []bool{true, true, true}, 2, 1},
+		{"EDFSkipsNotReady", []float64{5, 10}, []float64{1, 100}, []bool{false, true}, 1, 1},
+		{"EDFNoReadyTask", []float64{10}, []float64{5}, []bool{false}, -1, -1},
+		{"RMNoReadyTask", []float64{10}, []float64{0}, []bool{false}, -1, -1},
+		{"TieBreaksByIndex", []float64{10, 10}, []float64{10, 10}, []bool{true, true}, 0, 0},
+		{"RMPicksShortestPeriod", []float64{10, 5, 20}, []float64{1, 100, 2}, []bool{true, true, true}, 0, 1},
+		// Unlike EDF, RM keeps picking the short-period task even when the
+		// long-period task's deadline is imminent — the structural
+		// difference Figure 2 illustrates.
+		{"RMIsStaticPriority", []float64{100, 5}, []float64{5.1, 50}, []bool{true, true}, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := &Kernel{}
+			for i, p := range tc.periods {
+				k.tasks = append(k.tasks, &ktask{cfg: TaskConfig{Period: p, WCET: 1},
+					deadline: tc.deadlines[i], active: tc.ready[i]})
+			}
+			for _, want := range []struct {
+				kind sched.Kind
+				pick int
+			}{{sched.EDF, tc.edf}, {sched.RM, tc.rm}} {
+				k.kind = want.kind
+				if got := k.pick(); got != want.pick {
+					t.Errorf("%v pick = %d, want %d", want.kind, got, want.pick)
+				}
+			}
+		})
+	}
+}
+
+// The task view the rtdvs facade exports reads the registry in
+// registration order: T1 (P=8) runs first at ccEDF's 0.75 point and
+// completes at 4 ms while T2 is still waiting.
+func TestKernelTaskView(t *testing.T) {
+	k := newTestKernel(t, "ccEDF")
+	addPaperExample(t, k, 0)
+	if k.NumTasks() != 3 {
+		t.Fatalf("NumTasks = %d, want 3", k.NumTasks())
+	}
+	if got, want := k.Task(1), (task.Task{Name: "T2", Period: 10, WCET: 3}); got != want {
+		t.Errorf("Task(1) = %+v, want %+v", got, want)
+	}
+	k.Step(4.5)
+	if k.Ready(0) || !k.Ready(1) {
+		t.Errorf("at 4.5 ms Ready(0) = %v, Ready(1) = %v; want false, true", k.Ready(0), k.Ready(1))
 	}
 }
 

@@ -1,11 +1,10 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
-
-	"rtdvs/internal/task"
 )
 
 func TestReadyQueueBasics(t *testing.T) {
@@ -296,35 +295,43 @@ func TestReadyQueueLargeNHeapProperty(t *testing.T) {
 	}
 }
 
-// The queue-driven pick must agree with the linear scanner for both
+// linearPick is the oracle for the queue-driven pick: the ready index
+// with the lowest key, ties to the lower index, or -1 when none is ready.
+func linearPick(keys []float64, ready []bool) int {
+	best, bestKey := -1, math.Inf(1)
+	for i, k := range keys {
+		if ready[i] && k < bestKey {
+			best, bestKey = i, k
+		}
+	}
+	return best
+}
+
+// The queue-driven pick must agree with a linear scan for both
 // disciplines on random ready sets.
 func TestReadyQueueAgreesWithLinearPick(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + r.Intn(12)
-		v := &fakeView{
-			tasks:     make([]task.Task, n),
-			ready:     make([]bool, n),
-			deadlines: make([]float64, n),
-		}
+		periods, deadlines, ready := make([]float64, n), make([]float64, n), make([]bool, n)
 		edfQ, rmQ := NewReadyQueue(), NewReadyQueue()
 		for i := 0; i < n; i++ {
-			v.tasks[i] = task.Task{Period: 1 + r.Float64()*100, WCET: 0.1}
-			v.deadlines[i] = r.Float64() * 100
+			periods[i] = 1 + r.Float64()*100
+			deadlines[i] = r.Float64() * 100
 			if r.Intn(2) == 0 {
-				v.ready[i] = true
-				if err := edfQ.Push(i, v.deadlines[i]); err != nil {
+				ready[i] = true
+				if err := edfQ.Push(i, deadlines[i]); err != nil {
 					t.Fatal(err)
 				}
-				if err := rmQ.Push(i, v.tasks[i].Period); err != nil {
+				if err := rmQ.Push(i, periods[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		if got, want := edfQ.Peek(), New(EDF).Pick(v); got != want {
+		if got, want := edfQ.Peek(), linearPick(deadlines, ready); got != want {
 			t.Fatalf("trial %d: EDF queue %d vs scan %d", trial, got, want)
 		}
-		if got, want := rmQ.Peek(), New(RM).Pick(v); got != want {
+		if got, want := rmQ.Peek(), linearPick(periods, ready); got != want {
 			t.Fatalf("trial %d: RM queue %d vs scan %d", trial, got, want)
 		}
 	}

@@ -1,16 +1,14 @@
-// Package sched implements the two classic real-time schedulers the paper
+// Package sched holds the two classic real-time disciplines the paper
 // builds on — Rate Monotonic (static priority by period) and
-// Earliest-Deadline-First (dynamic priority by absolute deadline) — along
-// with their schedulability tests, including the frequency-scaled variants
-// of Figure 1 that underpin every RT-DVS policy.
+// Earliest-Deadline-First (dynamic priority by absolute deadline) — with
+// their schedulability tests, including the frequency-scaled variants of
+// Figure 1 that underpin every RT-DVS policy, and the indexed-heap run
+// queue the simulator dispatches from. Each engine picks by the
+// discipline's key itself: the simulator through a ReadyQueue, the rtos
+// kernel by a scan of its task table.
 package sched
 
-import (
-	"fmt"
-	"math"
-
-	"rtdvs/internal/task"
-)
+import "fmt"
 
 // Kind identifies a scheduling discipline.
 type Kind int
@@ -30,78 +28,4 @@ func (k Kind) String() string {
 		return "RM"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// TaskView is the read-only view of per-task runtime state a Scheduler
-// needs to pick the next task to run. Implementations are provided by the
-// simulator and the RTOS kernel.
-type TaskView interface {
-	// NumTasks returns the number of tasks in the system.
-	NumTasks() int
-	// Task returns the static parameters of task i.
-	Task(i int) task.Task
-	// Ready reports whether task i is released and not yet complete.
-	Ready(i int) bool
-	// Deadline returns the absolute deadline of task i's current (or, if
-	// complete, most recent) invocation.
-	Deadline(i int) float64
-}
-
-// Scheduler selects the ready task to execute.
-type Scheduler interface {
-	Kind() Kind
-	// Pick returns the index of the highest-priority ready task, or -1 if
-	// no task is ready.
-	Pick(v TaskView) int
-}
-
-// New returns a Scheduler of the given kind.
-func New(k Kind) Scheduler {
-	switch k {
-	case EDF:
-		return edfScheduler{}
-	case RM:
-		return rmScheduler{}
-	}
-	panic(fmt.Sprintf("sched: unknown kind %d", int(k)))
-}
-
-type edfScheduler struct{}
-
-func (edfScheduler) Kind() Kind { return EDF }
-
-// Pick returns the ready task with the earliest absolute deadline,
-// breaking ties by index (stable, deterministic).
-func (edfScheduler) Pick(v TaskView) int {
-	best := -1
-	bestD := math.Inf(1)
-	for i := 0; i < v.NumTasks(); i++ {
-		if !v.Ready(i) {
-			continue
-		}
-		if d := v.Deadline(i); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
-}
-
-type rmScheduler struct{}
-
-func (rmScheduler) Kind() Kind { return RM }
-
-// Pick returns the ready task with the shortest period, breaking ties by
-// index.
-func (rmScheduler) Pick(v TaskView) int {
-	best := -1
-	bestP := math.Inf(1)
-	for i := 0; i < v.NumTasks(); i++ {
-		if !v.Ready(i) {
-			continue
-		}
-		if p := v.Task(i).Period; p < bestP {
-			best, bestP = i, p
-		}
-	}
-	return best
 }

@@ -1,22 +1,6 @@
 package sched
 
-import (
-	"testing"
-
-	"rtdvs/internal/task"
-)
-
-// fakeView is a hand-rolled TaskView for scheduler unit tests.
-type fakeView struct {
-	tasks     []task.Task
-	ready     []bool
-	deadlines []float64
-}
-
-func (v *fakeView) NumTasks() int          { return len(v.tasks) }
-func (v *fakeView) Task(i int) task.Task   { return v.tasks[i] }
-func (v *fakeView) Ready(i int) bool       { return v.ready[i] }
-func (v *fakeView) Deadline(i int) float64 { return v.deadlines[i] }
+import "testing"
 
 func TestKindString(t *testing.T) {
 	if EDF.String() != "EDF" || RM.String() != "RM" {
@@ -24,96 +8,5 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(9).String() != "Kind(9)" {
 		t.Errorf("unknown kind string: %v", Kind(9))
-	}
-}
-
-func TestNewPanicsOnUnknownKind(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New(unknown) should panic")
-		}
-	}()
-	New(Kind(42))
-}
-
-func TestEDFPicksEarliestDeadline(t *testing.T) {
-	v := &fakeView{
-		tasks:     []task.Task{{Period: 10, WCET: 1}, {Period: 5, WCET: 1}, {Period: 20, WCET: 1}},
-		ready:     []bool{true, true, true},
-		deadlines: []float64{12, 30, 8},
-	}
-	if got := New(EDF).Pick(v); got != 2 {
-		t.Errorf("EDF pick = %d, want 2 (deadline 8)", got)
-	}
-}
-
-func TestEDFSkipsNotReady(t *testing.T) {
-	v := &fakeView{
-		tasks:     []task.Task{{Period: 10, WCET: 1}, {Period: 5, WCET: 1}},
-		ready:     []bool{false, true},
-		deadlines: []float64{1, 100},
-	}
-	if got := New(EDF).Pick(v); got != 1 {
-		t.Errorf("EDF pick = %d, want 1", got)
-	}
-}
-
-func TestEDFNoReadyTask(t *testing.T) {
-	v := &fakeView{
-		tasks:     []task.Task{{Period: 10, WCET: 1}},
-		ready:     []bool{false},
-		deadlines: []float64{5},
-	}
-	if got := New(EDF).Pick(v); got != -1 {
-		t.Errorf("EDF pick = %d, want -1", got)
-	}
-}
-
-func TestEDFTieBreaksByIndex(t *testing.T) {
-	v := &fakeView{
-		tasks:     []task.Task{{Period: 10, WCET: 1}, {Period: 10, WCET: 1}},
-		ready:     []bool{true, true},
-		deadlines: []float64{10, 10},
-	}
-	if got := New(EDF).Pick(v); got != 0 {
-		t.Errorf("EDF tie pick = %d, want 0", got)
-	}
-}
-
-func TestRMPicksShortestPeriod(t *testing.T) {
-	v := &fakeView{
-		tasks:     []task.Task{{Period: 10, WCET: 1}, {Period: 5, WCET: 1}, {Period: 20, WCET: 1}},
-		ready:     []bool{true, true, true},
-		deadlines: []float64{1, 100, 2}, // RM ignores deadlines
-	}
-	if got := New(RM).Pick(v); got != 1 {
-		t.Errorf("RM pick = %d, want 1 (period 5)", got)
-	}
-}
-
-func TestRMIsStaticPriority(t *testing.T) {
-	// Unlike EDF, RM keeps picking the short-period task even when the
-	// long-period task's deadline is imminent — the structural difference
-	// Figure 2 illustrates.
-	v := &fakeView{
-		tasks:     []task.Task{{Period: 100, WCET: 1}, {Period: 5, WCET: 1}},
-		ready:     []bool{true, true},
-		deadlines: []float64{5.1, 50},
-	}
-	if got := New(RM).Pick(v); got != 1 {
-		t.Errorf("RM pick = %d, want 1", got)
-	}
-	if got := New(EDF).Pick(v); got != 0 {
-		t.Errorf("EDF pick = %d, want 0", got)
-	}
-}
-
-func TestRMNoReadyTask(t *testing.T) {
-	v := &fakeView{
-		tasks: []task.Task{{Period: 10, WCET: 1}},
-		ready: []bool{false}, deadlines: []float64{0},
-	}
-	if got := New(RM).Pick(v); got != -1 {
-		t.Errorf("RM pick = %d, want -1", got)
 	}
 }

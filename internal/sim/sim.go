@@ -544,8 +544,9 @@ func (s *simulator) timerAdd(i int, at float64) {
 }
 
 // readyKey returns task i's run-queue priority under the attached
-// scheduling discipline: absolute deadline for EDF, period for RM —
-// exactly the orderings of sched.New(kind).Pick.
+// scheduling discipline: absolute deadline for EDF, period for RM, ties
+// to the lower index in the queue — the same order the rtos kernel's
+// pick scan applies.
 //
 //rtdvs:hotpath
 func (s *simulator) readyKey(i int) float64 {
