@@ -41,9 +41,10 @@ race:
 chaos:
 	go test -race -timeout 5m ./internal/fabric/... ./cmd/rtdvs-sweep/...
 
-# fuzz gives the kernel op interpreter and the HTTP API's decode+
-# validate+run path a short coverage-guided budget on every run; raise
-# -fuzztime locally when hunting for real bugs.
+# fuzz gives the kernel op interpreter, the HTTP API's decode+
+# validate+run path and the demand samplers a short coverage-guided
+# budget on every run; raise -fuzztime locally when hunting for real
+# bugs. CI's fuzz step runs this target.
 fuzz:
 	go test ./internal/rtos/ -run='^$$' -fuzz=FuzzKernelOps -fuzztime=20s
 	go test ./internal/serve/ -run='^$$' -fuzz=FuzzSimulateRequest -fuzztime=20s

@@ -48,40 +48,31 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/sched.ReadyQueue.growPos":  "BenchmarkReadyQueueHeap128",
 
 	// Incremental policy callbacks, invoked once per release/completion.
-	"rtdvs/internal/core.base.setLowestAtLeast": "BenchmarkPolicyOverheadCCEDF64",
-	"rtdvs/internal/core.ccEDF.adjust":          "BenchmarkPolicyOverheadCCEDF64",
-	"rtdvs/internal/core.ccEDF.OnRelease":       "BenchmarkPolicyOverheadCCEDF64",
-	"rtdvs/internal/core.ccEDF.OnCompletion":    "BenchmarkPolicyOverheadCCEDF64",
-	"rtdvs/internal/core.laEDF.defer_":          "BenchmarkPolicyOverheadLAEDF64",
-	"rtdvs/internal/core.laEDF.laterDeadline":   "BenchmarkPolicyOverheadLAEDF64",
-	"rtdvs/internal/core.laEDF.OnRelease":       "BenchmarkPolicyOverheadLAEDF64",
-	"rtdvs/internal/core.laEDF.OnCompletion":    "BenchmarkPolicyOverheadLAEDF64",
-	"rtdvs/internal/core.laEDF.OnExecute":       "BenchmarkPolicyOverheadLAEDF64",
-	"rtdvs/internal/core.ccRM.nextDeadline":     "BenchmarkPolicyOverheadCCRM64",
-	"rtdvs/internal/core.ccRM.allocateCycles":   "BenchmarkPolicyOverheadCCRM64",
-	"rtdvs/internal/core.ccRM.selectFrequency":  "BenchmarkPolicyOverheadCCRM64",
-	"rtdvs/internal/core.ccRM.OnRelease":        "BenchmarkPolicyOverheadCCRM64",
-	"rtdvs/internal/core.ccRM.OnCompletion":     "BenchmarkPolicyOverheadCCRM64",
-	"rtdvs/internal/core.ccRM.OnExecute":        "BenchmarkPolicyOverheadCCRM64",
-	"rtdvs/internal/core.fbEDF.control":         "BenchmarkPolicyOverheadFBEDF64",
-	"rtdvs/internal/core.fbEDF.OnRelease":       "BenchmarkPolicyOverheadFBEDF64",
-	"rtdvs/internal/core.fbEDF.OnCompletion":    "BenchmarkPolicyOverheadFBEDF64",
-	"rtdvs/internal/core.stSelect.adjust":       "BenchmarkPolicyOverheadSTSelect64",
-	"rtdvs/internal/core.stSelect.OnRelease":    "BenchmarkPolicyOverheadSTSelect64",
-	"rtdvs/internal/core.stSelect.OnCompletion": "BenchmarkPolicyOverheadSTSelect64",
-	"rtdvs/internal/core.stSelect.OnExecute":    "BenchmarkPolicyOverheadSTSelect64",
-
-	// Gang multiprocessor policy callbacks, invoked once per system-wide
-	// release/completion by the global-EDF engine.
-	"rtdvs/internal/core.gangRequired":         "BenchmarkPolicyOverheadGangCCEDF64",
-	"rtdvs/internal/core.gangCC.adjust":        "BenchmarkPolicyOverheadGangCCEDF64",
-	"rtdvs/internal/core.gangCC.OnRelease":     "BenchmarkPolicyOverheadGangCCEDF64",
-	"rtdvs/internal/core.gangCC.OnCompletion":  "BenchmarkPolicyOverheadGangCCEDF64",
-	"rtdvs/internal/core.gangLA.laterDeadline": "BenchmarkPolicyOverheadGangLAEDF64",
-	"rtdvs/internal/core.gangLA.defer_":        "BenchmarkPolicyOverheadGangLAEDF64",
-	"rtdvs/internal/core.gangLA.OnRelease":     "BenchmarkPolicyOverheadGangLAEDF64",
-	"rtdvs/internal/core.gangLA.OnCompletion":  "BenchmarkPolicyOverheadGangLAEDF64",
-	"rtdvs/internal/core.gangLA.OnExecute":     "BenchmarkPolicyOverheadGangLAEDF64",
+	// The reservation and the walk also run gangCCEDF, gangLAEDF, stEDF
+	// and stSelect.
+	"rtdvs/internal/core.base.setLowestAtLeast":       "BenchmarkPolicyOverheadCCEDF64",
+	"rtdvs/internal/core.reservation.adjust":          "BenchmarkPolicyOverheadCCEDF64",
+	"rtdvs/internal/core.reservation.selectFrequency": "BenchmarkPolicyOverheadCCEDF64",
+	"rtdvs/internal/core.reservation.OnRelease":       "BenchmarkPolicyOverheadCCEDF64",
+	"rtdvs/internal/core.reservation.OnCompletion":    "BenchmarkPolicyOverheadCCEDF64",
+	"rtdvs/internal/core.gangRequired":                "BenchmarkPolicyOverheadGangCCEDF64",
+	"rtdvs/internal/core.laEDF.defer_":                "BenchmarkPolicyOverheadLAEDF64",
+	"rtdvs/internal/core.laEDF.laterDeadline":         "BenchmarkPolicyOverheadLAEDF64",
+	"rtdvs/internal/core.laEDF.OnRelease":             "BenchmarkPolicyOverheadLAEDF64",
+	"rtdvs/internal/core.laEDF.OnCompletion":          "BenchmarkPolicyOverheadLAEDF64",
+	"rtdvs/internal/core.laEDF.OnExecute":             "BenchmarkPolicyOverheadLAEDF64",
+	"rtdvs/internal/core.ccRM.nextDeadline":           "BenchmarkPolicyOverheadCCRM64",
+	"rtdvs/internal/core.ccRM.allocateCycles":         "BenchmarkPolicyOverheadCCRM64",
+	"rtdvs/internal/core.ccRM.selectFrequency":        "BenchmarkPolicyOverheadCCRM64",
+	"rtdvs/internal/core.ccRM.OnRelease":              "BenchmarkPolicyOverheadCCRM64",
+	"rtdvs/internal/core.ccRM.OnCompletion":           "BenchmarkPolicyOverheadCCRM64",
+	"rtdvs/internal/core.ccRM.OnExecute":              "BenchmarkPolicyOverheadCCRM64",
+	"rtdvs/internal/core.fbEDF.control":               "BenchmarkPolicyOverheadFBEDF64",
+	"rtdvs/internal/core.fbEDF.OnRelease":             "BenchmarkPolicyOverheadFBEDF64",
+	"rtdvs/internal/core.fbEDF.OnCompletion":          "BenchmarkPolicyOverheadFBEDF64",
+	"rtdvs/internal/core.budgeted.charge":             "BenchmarkPolicyOverheadSTSelect64",
+	"rtdvs/internal/core.budgeted.OnExecute":          "BenchmarkPolicyOverheadSTSelect64",
+	"rtdvs/internal/core.stSelect.OnRelease":          "BenchmarkPolicyOverheadSTSelect64",
 
 	// Global placement's slot segment on the same event loop: a reused
 	// MultiRunner pass on a 4-core spec must stay at 0 allocs/op.
@@ -93,6 +84,7 @@ var HotpathRegistry = map[string]string{
 	// a simulated second allocates nothing.
 	"rtdvs/internal/rtos.Kernel.Step":            "BenchmarkKernelStep",
 	"rtdvs/internal/rtos.Kernel.processReleases": "BenchmarkKernelStep",
+	"rtdvs/internal/rtos.Kernel.abortJob":        "BenchmarkKernelStep",
 	"rtdvs/internal/rtos.Kernel.pick":            "BenchmarkKernelStep",
 	"rtdvs/internal/rtos.Kernel.nextReleaseTime": "BenchmarkKernelStep",
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"rtdvs/internal/fpx"
 	"rtdvs/internal/machine"
 	"rtdvs/internal/sched"
 	"rtdvs/internal/task"
@@ -20,12 +19,17 @@ import (
 //   - gangStaticEDF — lowest f admitting the set under the sufficient
 //     global-EDF (GFB) test, fixed for the task set (Section 2.3
 //     lifted to m cores).
-//   - gangCCEDF     — cycle-conserving: per-task utilizations shrink to
-//     actual usage at completion, and the rail tracks the inverted GFB
-//     bound of the current aggregate (Section 2.4 lifted to m cores).
-//   - gangLAEDF     — look-ahead: defer work past the earliest deadline
-//     onto the aggregate capacity m−U, and pace the m cores to finish
-//     the non-deferrable remainder (Section 2.5 lifted to m cores).
+//   - gangCCEDF     — ccEDF's reservation (ccedf.go) on m cores: the
+//     rail tracks the inverted GFB bound of the current aggregate
+//     (Section 2.4 lifted to m cores).
+//   - gangLAEDF     — laEDF's walk (laedf.go) on m cores: defer work
+//     past the earliest deadline onto the aggregate capacity m−U, and
+//     pace the m cores to finish the non-deferrable remainder (Section
+//     2.5 lifted to m cores).
+//
+// The two dynamic variants are the uniprocessor mechanisms themselves,
+// run with the attached core count, so at m = 1 they are ccEDF and
+// laEDF by construction.
 
 // gangRequired returns the lowest relative frequency alpha satisfying
 // the inverted GFB bound for aggregate utilization sum with largest
@@ -33,16 +37,17 @@ import (
 //
 //	sum ≤ m·(alpha − lmax) + lmax  ⇔  alpha ≥ (sum + (m−1)·lmax) / m
 //
-// and alpha ≥ lmax (no single task may outrun a core). With m = 1 it
-// reduces to alpha ≥ sum, the uniprocessor utilization bound.
+// and alpha ≥ lmax (no single task may outrun a core). On one core the
+// bound is sum ≤ alpha, and Section 2.4's argument covers reservations
+// lowered below a task's worst case, so m = 1 returns sum itself: ccEDF's
+// select_frequency, with no division and no floor.
 //
 //rtdvs:hotpath
 func gangRequired(sum, lmax float64, m int) float64 {
-	f := (sum + float64(m-1)*lmax) / float64(m)
-	if lmax > f {
-		f = lmax
+	if m == 1 {
+		return sum
 	}
-	return f
+	return max((sum+float64(m-1)*lmax)/float64(m), lmax)
 }
 
 // GangPolicy marks the policies that understand multi-core platforms:
@@ -96,101 +101,40 @@ func (p *gangStatic) IdlePoint() machine.OperatingPoint { return p.point }
 // Gang marks the policy as multiprocessor-aware.
 func (p *gangStatic) Gang() {}
 
-// gangCC is gangCCEDF: cycle-conserving frequency selection over the
-// aggregate utilization of all m cores.
-type gangCC struct {
-	base
-	ncores int
-	util   []float64 // U_i per task, WCET at release, actual at completion
-	sum    float64   // running ΣU_i
-	lmax   float64   // largest worst-case per-task utilization, fixed per set
-}
+// gangCC is gangCCEDF: the cycle-conserving reservation over the
+// aggregate utilization of all m cores, admitted by the GFB test. It
+// embeds the reservation rather than ccEDF so that ccEDF's PhaseRobust
+// marker, which the kernel's admission relies on, is not promoted.
+type gangCC struct{ reservation }
 
 // GangCCEDF returns the cycle-conserving gang EDF policy.
 func GangCCEDF() Policy { return &gangCC{} }
 
-func (p *gangCC) Name() string          { return "gangCCEDF" }
-func (p *gangCC) Scheduler() sched.Kind { return sched.EDF }
+func (p *gangCC) Name() string { return "gangCCEDF" }
 
 func (p *gangCC) Attach(ts *task.Set, m *machine.Spec) error {
 	if err := p.attach(ts, m); err != nil {
 		return err
 	}
-	p.ncores = m.NumCores()
+	p.reserve(m.NumCores())
 	p.guaranteed = sched.GlobalEDFTest(ts, p.ncores, 1)
-	p.util = growZeroed(p.util, ts.Len())
-	p.sum, p.lmax = 0, 0
-	for i := range p.util {
-		u := ts.Task(i).Utilization()
-		p.util[i] = u
-		p.sum += u
-		if u > p.lmax {
-			p.lmax = u
-		}
-	}
-	p.setLowestAtLeast(gangRequired(p.sum, p.lmax, p.ncores))
 	return nil
 }
-
-// adjust moves U_i to u and re-selects the rail frequency from the
-// inverted GFB bound, exactly as ccEDF.adjust does for m = 1.
-//
-//rtdvs:hotpath
-func (p *gangCC) adjust(i int, u float64) {
-	p.sum += u - p.util[i]
-	p.util[i] = u
-	p.setLowestAtLeast(gangRequired(p.sum, p.lmax, p.ncores))
-}
-
-//rtdvs:hotpath
-func (p *gangCC) OnRelease(_ System, i int) {
-	p.adjust(i, p.ts.Task(i).Utilization())
-}
-
-//rtdvs:hotpath
-func (p *gangCC) OnCompletion(_ System, i int, used float64) {
-	p.adjust(i, used/p.ts.Task(i).Period)
-}
-
-func (p *gangCC) OnExecute(int, float64) {}
-
-// ReservedUtilization exposes the aggregate reserved utilization for the
-// simulator's invariant checker, mirroring ccEDF.ReservedUtilization.
-// It re-sums rather than returning the running total so the checker
-// also catches drift in the incremental bookkeeping.
-func (p *gangCC) ReservedUtilization() float64 {
-	var sum float64
-	for _, u := range p.util {
-		sum += u
-	}
-	return sum
-}
-
-// IdlePoint drops to the platform minimum while all cores halt.
-func (p *gangCC) IdlePoint() machine.OperatingPoint { return p.m.Min() }
 
 // Gang marks the policy as multiprocessor-aware.
 func (p *gangCC) Gang() {}
 
-// gangLA is gangLAEDF: the look-ahead deferral walk of Figure 8 run
-// against the aggregate capacity of m cores.
-type gangLA struct {
-	base
-	ncores int
-	cleft  []float64 // remaining worst-case cycles per invocation
-	order  []int     // reverse-EDF order, insertion-repaired per event
-	dl     []float64 // deadline cache for the walk
-	u0     float64   // ΣC_i/P_i, fixed per Attach
-}
+// gangLA is gangLAEDF: laEDF's look-ahead walk run against the
+// aggregate capacity of m cores.
+type gangLA struct{ laEDF }
 
 // GangLAEDF returns the look-ahead gang EDF policy.
 func GangLAEDF() Policy { return &gangLA{} }
 
-func (p *gangLA) Name() string          { return "gangLAEDF" }
-func (p *gangLA) Scheduler() sched.Kind { return sched.EDF }
+func (p *gangLA) Name() string { return "gangLAEDF" }
 
 func (p *gangLA) Attach(ts *task.Set, m *machine.Spec) error {
-	if err := p.attach(ts, m); err != nil {
+	if err := p.laEDF.Attach(ts, m); err != nil {
 		return err
 	}
 	p.ncores = m.NumCores()
@@ -202,146 +146,8 @@ func (p *gangLA) Attach(ts *task.Set, m *machine.Spec) error {
 	// GFB-admissible sets, and the simulator's guaranteed-implies-no-miss
 	// invariant must not treat them as engine bugs.
 	p.guaranteed = p.ncores == 1 && sched.GlobalEDFTest(ts, 1, 1)
-	n := ts.Len()
-	p.cleft = growZeroed(p.cleft, n)
-	p.order = growZeroed(p.order, n)
-	for i := range p.order {
-		p.order[i] = i
-	}
-	p.dl = growZeroed(p.dl, n)
-	p.u0 = ts.Utilization()
-	p.point = m.Min() // nothing to do before the first release
 	return nil
 }
-
-// laterDeadline is the reverse-EDF walk order: latest deadline first,
-// ties by ascending index (identical to laEDF.laterDeadline).
-//
-//rtdvs:hotpath
-func (p *gangLA) laterDeadline(a, b int) bool {
-	switch {
-	case p.dl[a] > p.dl[b]:
-		return true
-	case p.dl[a] < p.dl[b]:
-		return false
-	}
-	return a < b
-}
-
-// defer_ runs Figure 8's defer() against m cores: later-deadline work
-// fits into the aggregate spare capacity (m − U), capped at rate 1 per
-// job (a job occupies one core at a time), and the rail paces the m
-// cores to retire the non-deferrable remainder s before the earliest
-// deadline — f ≥ s/(m·interval), floored by the largest single
-// pre-deadline chunk x_max/interval, which one core must finish alone.
-// With m = 1 both terms collapse to laEDF's s/interval and the walk is
-// cycle-for-cycle Figure 8.
-//
-//rtdvs:hotpath
-func (p *gangLA) defer_(sys System) {
-	n := p.ts.Len()
-	now := sys.Now()
-	mm := float64(p.ncores)
-
-	for i := 0; i < n; i++ {
-		p.dl[i] = sys.Deadline(i)
-	}
-	dn := p.dl[0]
-	for _, d := range p.dl[1:] {
-		if d < dn {
-			dn = d
-		}
-	}
-
-	// Repair the reverse-EDF order from its previous state (at most one
-	// deadline moved since the last event).
-	for i := 1; i < n; i++ {
-		v := p.order[i]
-		j := i
-		for j > 0 && p.laterDeadline(v, p.order[j-1]) {
-			p.order[j] = p.order[j-1]
-			j--
-		}
-		p.order[j] = v
-	}
-
-	u := p.u0
-	var s, xmax float64
-	for _, i := range p.order {
-		t := p.ts.Task(i)
-		u -= t.Utilization()
-		window := p.dl[i] - dn
-		var x float64
-		if fpx.LeTol(window, 0, fpx.Tiny) {
-			x = p.cleft[i]
-		} else {
-			// Spare aggregate rate for this job's window, capped at 1: a
-			// job cannot run on two cores at once.
-			rate := mm - u
-			if rate > 1 {
-				rate = 1
-			}
-			if rate < 0 {
-				rate = 0
-			}
-			x = p.cleft[i] - rate*window
-			if x < 0 {
-				x = 0
-			}
-			if x > p.cleft[i] {
-				x = p.cleft[i]
-			}
-			u += (p.cleft[i] - x) / window
-		}
-		s += x
-		if x > xmax {
-			xmax = x
-		}
-	}
-
-	interval := dn - now
-	switch {
-	case fpx.LeTol(s, 0, fpx.Tiny):
-		p.point = p.m.Min()
-	case fpx.LeTol(interval, 0, fpx.Tiny):
-		p.point = p.m.Max()
-	default:
-		// Pace the m cores so list scheduling retires the non-deferrable
-		// work s before the earliest deadline. Graham's makespan bound
-		// for list scheduling on m identical machines gives
-		// (s + (m−1)·x_max)/(m·f) ≤ interval, floored by x_max/interval
-		// (the largest chunk must finish on one core alone). With m = 1
-		// both reduce to laEDF's s/interval.
-		f := (s + (mm-1)*xmax) / (mm * interval)
-		if single := xmax / interval; single > f {
-			f = single
-		}
-		p.setLowestAtLeast(f)
-	}
-}
-
-//rtdvs:hotpath
-func (p *gangLA) OnRelease(sys System, i int) {
-	p.cleft[i] = p.ts.Task(i).WCET
-	p.defer_(sys)
-}
-
-//rtdvs:hotpath
-func (p *gangLA) OnCompletion(sys System, i int, _ float64) {
-	p.cleft[i] = 0
-	p.defer_(sys)
-}
-
-//rtdvs:hotpath
-func (p *gangLA) OnExecute(i int, cycles float64) {
-	p.cleft[i] -= cycles
-	if p.cleft[i] < 0 {
-		p.cleft[i] = 0
-	}
-}
-
-// IdlePoint drops to the platform minimum while all cores halt.
-func (p *gangLA) IdlePoint() machine.OperatingPoint { return p.m.Min() }
 
 // Gang marks the policy as multiprocessor-aware.
 func (p *gangLA) Gang() {}

@@ -22,8 +22,9 @@ func attachGang(t *testing.T, name string, ts *task.Set, m *machine.Spec) Policy
 }
 
 // TestGangRequired pins the inverted GFB bound: at m = 1 it is the
-// uniprocessor utilization bound, at m > 1 it charges the parallelism
-// penalty, and it is floored at lmax (no task may outrun one core).
+// uniprocessor utilization bound, unfloored, and at m > 1 it charges the
+// parallelism penalty and is floored at lmax (no task may outrun one
+// core).
 func TestGangRequired(t *testing.T) {
 	cases := []struct {
 		sum, lmax float64
@@ -31,6 +32,7 @@ func TestGangRequired(t *testing.T) {
 		want      float64
 	}{
 		{0.7, 0.4, 1, 0.7},        // m=1: alpha = sum
+		{0.3, 0.5, 1, 0.3},        // m=1: a lowered reservation is not floored
 		{1.2, 0.4, 2, 0.8},        // (1.2 + 0.4)/2
 		{0.746, 0.375, 2, 0.5605}, // paper set on 2 cores
 		{0.6, 0.7, 4, 0.7},        // lmax floor dominates

@@ -32,9 +32,13 @@ import (
 //	    U += (c_left_i − x)/(D_i − D_n)
 //	    s += x
 //	select lowest f ≥ s/(D_n − now)
+//
+// The walk is written for ncores cores sharing one rail, which gangLAEDF
+// sets; laEDF runs it on one core, where it is Figure 8 exactly.
 type laEDF struct {
 	base
-	cleft []float64 // worst-case remaining cycles of the current invocation
+	ncores int       // cores sharing the rail
+	cleft  []float64 // worst-case remaining cycles of the current invocation
 	// order holds the tasks in reverse-EDF order (latest deadline first,
 	// ties by index). Between scheduling events at most one task's
 	// deadline moves, so the order is repaired by insertion sort from its
@@ -62,6 +66,7 @@ func (p *laEDF) Attach(ts *task.Set, m *machine.Spec) error {
 		return err
 	}
 	p.guaranteed = sched.EDFTest(ts, 1)
+	p.ncores = 1
 	n := ts.Len()
 	p.cleft = growZeroed(p.cleft, n)
 	p.order = growZeroed(p.order, n)
@@ -96,10 +101,19 @@ func (p *laEDF) laterDeadline(a, b int) bool {
 // cycles that must execute before the next deadline D_n, and set the
 // frequency to pace s over the remaining window.
 //
+// On m cores later-deadline work fits into the aggregate spare capacity
+// (m − U), capped at rate 1 per job (a job occupies one core at a
+// time), and the rail paces the m cores to retire s before D_n. At
+// m = 1 this is Figure 8's arithmetic exactly: 1 − U ≤ 1 while an
+// earlier-deadline task's reservation remains in U, a negative 1 − U
+// defers nothing either way (x = c_left), 0·x_max adds nothing, and
+// x_max ≤ s keeps the floor below s/interval.
+//
 //rtdvs:hotpath
 func (p *laEDF) defer_(sys System) {
 	n := p.ts.Len()
 	now := sys.Now()
+	mm := float64(p.ncores)
 
 	// Cache the deadlines and find D_n (the earliest) in one pass.
 	for i := 0; i < n; i++ {
@@ -127,7 +141,7 @@ func (p *laEDF) defer_(sys System) {
 
 	u := p.u0
 	peak := u
-	var s float64
+	var s, xmax float64
 	for _, i := range p.order {
 		t := p.ts.Task(i)
 		u -= t.Utilization()
@@ -139,14 +153,20 @@ func (p *laEDF) defer_(sys System) {
 			// needed for a zero-width window.
 			x = p.cleft[i]
 		} else {
-			x = p.cleft[i] - (1-u)*window
+			// Spare rate for this job's window, capped at 1 because a
+			// job cannot run on two cores at once, and at 0 because an
+			// unschedulable set can drive U past m: never defer
+			// negative work.
+			rate := mm - u
+			if rate > 1 {
+				rate = 1
+			}
+			if rate < 0 {
+				rate = 0
+			}
+			x = p.cleft[i] - rate*window
 			if x < 0 {
 				x = 0
-			}
-			if x > p.cleft[i] {
-				// Only reachable when U has been driven past 1 by an
-				// unschedulable set; never defer negative work.
-				x = p.cleft[i]
 			}
 			u += (p.cleft[i] - x) / window
 		}
@@ -154,6 +174,9 @@ func (p *laEDF) defer_(sys System) {
 			peak = u
 		}
 		s += x
+		if x > xmax {
+			xmax = x
+		}
 	}
 	p.peakU = peak
 
@@ -166,7 +189,16 @@ func (p *laEDF) defer_(sys System) {
 	case fpx.LeTol(interval, 0, fpx.Tiny):
 		p.point = p.m.Max()
 	default:
-		p.setLowestAtLeast(s / interval)
+		// Pace the m cores so list scheduling retires s before D_n.
+		// Graham's makespan bound for list scheduling on m identical
+		// machines gives (s + (m−1)·x_max)/(m·f) ≤ interval, floored by
+		// x_max/interval (the largest chunk must finish on one core
+		// alone). At m = 1 both reduce to Figure 8's s/interval.
+		f := (s + (mm-1)*xmax) / (mm * interval)
+		if single := xmax / interval; single > f {
+			f = single
+		}
+		p.setLowestAtLeast(f)
 	}
 }
 

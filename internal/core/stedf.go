@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"rtdvs/internal/fpx"
 	"rtdvs/internal/machine"
-	"rtdvs/internal/sched"
 	"rtdvs/internal/stats"
 	"rtdvs/internal/task"
 )
@@ -22,7 +20,8 @@ import (
 // than ccEDF's. If an invocation overruns the estimate, the policy
 // immediately restores the task's worst-case reservation, so exposure is
 // limited to the window between the overrun and the next scheduling
-// event.
+// event. The reservation and the escalation are the budgeted layer
+// (ccedf.go) stEDF shares with stSelect.
 //
 // The resulting guarantee is statistical: a deadline can be missed only
 // in an interval where some invocation exceeds its q-th-quantile budget,
@@ -32,13 +31,9 @@ import (
 // tunable, small miss probability for extra energy savings — exactly the
 // trade the future-work section contemplates.
 type stEDF struct {
-	base
-	q float64
-
-	est    []*stats.Quantile // learned demand distribution, per task
-	budget []float64         // reserved cycles for the current invocation
-	used   []float64         // cycles consumed this invocation
-	util   []float64         // reserved utilization per task
+	budgeted
+	q   float64
+	est []*stats.Quantile // learned demand distribution, per task
 }
 
 // StatisticalEDF returns an stEDF policy targeting the q-th demand
@@ -50,8 +45,7 @@ func StatisticalEDF(q float64) (Policy, error) {
 	return &stEDF{q: q}, nil
 }
 
-func (p *stEDF) Name() string          { return "stEDF" }
-func (p *stEDF) Scheduler() sched.Kind { return sched.EDF }
+func (p *stEDF) Name() string { return "stEDF" }
 
 func (p *stEDF) Attach(ts *task.Set, m *machine.Spec) error {
 	if err := p.attach(ts, m); err != nil {
@@ -59,35 +53,22 @@ func (p *stEDF) Attach(ts *task.Set, m *machine.Spec) error {
 	}
 	// The deadline guarantee is statistical by design, never absolute.
 	p.guaranteed = false
-	n := ts.Len()
-	p.est = make([]*stats.Quantile, n)
-	p.budget = make([]float64, n)
-	p.used = make([]float64, n)
-	p.util = make([]float64, n)
-	for i := 0; i < n; i++ {
+	p.est = growZeroed(p.est, ts.Len())
+	for i := range p.est {
 		est, err := stats.NewQuantile(p.q)
 		if err != nil {
 			return err
 		}
 		p.est[i] = est
-		p.util[i] = ts.Task(i).Utilization()
 	}
-	p.selectFrequency()
+	p.reserveBudgets()
 	return nil
 }
 
-func (p *stEDF) selectFrequency() {
-	var sum float64
-	for _, u := range p.util {
-		sum += u
-	}
-	p.setLowestAtLeast(sum)
-}
-
-// reserve returns the cycles to reserve for a fresh invocation of task i:
-// the learned q-th quantile once enough history exists, the worst case
-// before that (and never more than the worst case).
-func (p *stEDF) reserve(i int) float64 {
+// quantileBudget returns the cycles to reserve for a fresh invocation of
+// task i: the learned q-th quantile once enough history exists, the
+// worst case before that (and never more than the worst case).
+func (p *stEDF) quantileBudget(i int) float64 {
 	wcet := p.ts.Task(i).WCET
 	const warmup = 10 // invocations before trusting the estimate
 	if p.est[i].N() < warmup {
@@ -103,37 +84,12 @@ func (p *stEDF) reserve(i int) float64 {
 	return b
 }
 
-func (p *stEDF) OnRelease(_ System, i int) {
-	p.budget[i] = p.reserve(i)
-	p.used[i] = 0
-	p.util[i] = p.budget[i] / p.ts.Task(i).Period
-	p.selectFrequency()
-}
+func (p *stEDF) OnRelease(_ System, i int) { p.charge(i, p.quantileBudget(i)) }
 
-func (p *stEDF) OnCompletion(_ System, i int, used float64) {
+func (p *stEDF) OnCompletion(sys System, i int, used float64) {
 	p.est[i].Add(used)
-	p.used[i] = 0
-	p.util[i] = used / p.ts.Task(i).Period
-	p.selectFrequency()
+	p.reservation.OnCompletion(sys, i, used)
 }
-
-// OnExecute watches for budget overruns: the moment an invocation is seen
-// to exceed its statistical reservation, the task's full worst case is
-// restored so subsequent capacity planning is conservative again.
-func (p *stEDF) OnExecute(i int, cycles float64) {
-	p.used[i] += cycles
-	if fpx.GtTol(p.used[i], p.budget[i], fpx.Tiny) {
-		wcet := p.ts.Task(i).WCET
-		if fpx.Ne(p.budget[i], wcet) {
-			p.budget[i] = wcet
-			p.util[i] = wcet / p.ts.Task(i).Period
-			p.selectFrequency()
-		}
-	}
-}
-
-// IdlePoint drops to the platform minimum while halted (dynamic scheme).
-func (p *stEDF) IdlePoint() machine.OperatingPoint { return p.m.Min() }
 
 // extensionFactories registers the extension policies that are not part
 // of the paper's Table 4 set, with their default parameterizations:

@@ -22,9 +22,9 @@ import (
 // (see task.OptimalBudget), assuming the rest of the set runs at its
 // expected utilization. At release the task reserves its planned budget;
 // an invocation that exceeds the budget escalates its reservation to the
-// declared worst case on the spot — the same bounded-exposure escape
-// hatch stEDF uses — and completion lowers the reservation to the cycles
-// actually consumed, cycle-conserving style.
+// declared worst case on the spot, and completion lowers the reservation
+// to the cycles actually consumed, cycle-conserving style. Both come
+// from the budgeted reservation (ccedf.go) stSelect shares with stEDF.
 //
 // The planning model comes from SetDistributions (the substrates wire it
 // automatically when the run's exec model exposes task.Distributions).
@@ -36,15 +36,11 @@ import (
 // Guaranteed() is always false when any budget sits below the worst
 // case.
 type stSelect struct {
-	base
+	budgeted
 	dists task.Distributions // planning model; nil plans full worst cases
 
-	plan   []float64 // planned reservation budget per task (cycles)
-	budget []float64 // current invocation's reservation (plan or WCET)
-	used   []float64 // cycles consumed this invocation
-	util   []float64 // reserved utilization per task
-	means  []float64 // Attach-time scratch: expected utilization per task
-	sum    float64   // running ΣU_i
+	plan  []float64 // planned reservation budget per task (cycles)
+	means []float64 // Attach-time scratch: expected utilization per task
 }
 
 // StochasticSelect returns the stSelect policy planning against d. A nil
@@ -64,8 +60,7 @@ type DistributionPlanner interface {
 // the next Attach.
 func (p *stSelect) SetDistributions(d task.Distributions) { p.dists = d }
 
-func (p *stSelect) Name() string          { return "stSelect" }
-func (p *stSelect) Scheduler() sched.Kind { return sched.EDF }
+func (p *stSelect) Name() string { return "stSelect" }
 
 func (p *stSelect) Attach(ts *task.Set, m *machine.Spec) error {
 	if err := p.attach(ts, m); err != nil {
@@ -73,12 +68,7 @@ func (p *stSelect) Attach(ts *task.Set, m *machine.Spec) error {
 	}
 	n := ts.Len()
 	p.plan = growZeroed(p.plan, n)
-	p.budget = growZeroed(p.budget, n)
-	p.used = growZeroed(p.used, n)
-	p.util = growZeroed(p.util, n)
-
 	p.means = growZeroed(p.means, n)
-	p.sum = 0
 
 	// Expected utilization of the whole set under the planning model —
 	// the background load each task's budget optimization assumes.
@@ -105,58 +95,18 @@ func (p *stSelect) Attach(ts *task.Set, m *machine.Spec) error {
 		if fpx.Lt(bp.Budget, t.WCET) {
 			allWorstCase = false
 		}
-		// Before its first release each task is charged its worst case,
-		// matching the static starting point of the other policies.
-		p.util[i] = t.Utilization()
-		p.sum += p.util[i]
 	}
 	// Full worst-case budgets degenerate to ccEDF, whose guarantee is the
 	// classical EDF one; any partial budget makes it statistical.
 	p.guaranteed = allWorstCase && sched.EDFTest(ts, 1)
-	p.setLowestAtLeast(p.sum)
+	p.reserveBudgets()
 	return nil
-}
-
-// adjust moves U_i to u, updates the running sum, and re-selects the
-// lowest grid frequency covering it.
-//
-//rtdvs:hotpath
-func (p *stSelect) adjust(i int, u float64) {
-	p.sum += u - p.util[i]
-	p.util[i] = u
-	p.setLowestAtLeast(p.sum)
 }
 
 // OnRelease reserves the planned expected-energy-optimal budget.
 //
 //rtdvs:hotpath
-func (p *stSelect) OnRelease(_ System, i int) {
-	p.budget[i] = p.plan[i]
-	p.used[i] = 0
-	p.adjust(i, p.budget[i]/p.ts.Task(i).Period)
-}
-
-//rtdvs:hotpath
-func (p *stSelect) OnCompletion(_ System, i int, used float64) {
-	p.used[i] = 0
-	p.adjust(i, used/p.ts.Task(i).Period)
-}
-
-// OnExecute watches for budget exhaustion: an invocation running past
-// its planned reservation escalates to the full worst case immediately,
-// bounding the exposure to the window before the next scheduling event.
-//
-//rtdvs:hotpath
-func (p *stSelect) OnExecute(i int, cycles float64) {
-	p.used[i] += cycles
-	if fpx.GtTol(p.used[i], p.budget[i], fpx.Tiny) {
-		wcet := p.ts.Task(i).WCET
-		if fpx.Ne(p.budget[i], wcet) {
-			p.budget[i] = wcet
-			p.adjust(i, wcet/p.ts.Task(i).Period)
-		}
-	}
-}
+func (p *stSelect) OnRelease(_ System, i int) { p.charge(i, p.plan[i]) }
 
 // PlannedBudget returns the expected-energy-optimal reservation the
 // planner chose for task i (cycles; the declared WCET when no
@@ -167,16 +117,3 @@ func (p *stSelect) PlannedBudget(i int) float64 {
 	}
 	return p.plan[i]
 }
-
-// ReservedUtilization reports ΣU_i, re-summed from scratch so the
-// invariant checker audits the incremental bookkeeping (see ccEDF).
-func (p *stSelect) ReservedUtilization() float64 {
-	var sum float64
-	for _, u := range p.util {
-		sum += u
-	}
-	return sum
-}
-
-// IdlePoint drops to the platform minimum while halted (dynamic scheme).
-func (p *stSelect) IdlePoint() machine.OperatingPoint { return p.m.Min() }

@@ -43,9 +43,6 @@ type GridConfig struct {
 	Horizon float64
 	// Workers bounds concurrency; 0 means GOMAXPROCS.
 	Workers int
-	// Shed overrides the load-shedder arming; zero value selects a
-	// window of the set's longest period with the kernel defaults.
-	Shed rtos.ShedConfig
 	// Metrics optionally reports grid progress to an obs registry.
 	Metrics *Metrics
 }
@@ -245,11 +242,9 @@ func gridRun(cfg GridConfig, ts *task.Set, p core.Policy, plan fault.Plan, fault
 		}
 		k.SetFaults(in)
 	}
-	shed := cfg.Shed
-	if shed.Window <= 0 {
-		shed = rtos.ShedConfig{Window: ts.MaxPeriod(), MissFrac: 0.2}
-	}
-	if err := k.SetLoadShedding(shed); err != nil {
+	// Arm the shedder on windows of the set's longest period, triggering
+	// at a 20% miss ratio.
+	if err := k.SetLoadShedding(rtos.ShedConfig{Window: ts.MaxPeriod(), MissFrac: 0.2}); err != nil {
 		return out, err
 	}
 	k.Step(horizon)

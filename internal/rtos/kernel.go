@@ -480,6 +480,19 @@ func (k *Kernel) nextReleaseTime() float64 {
 	return t
 }
 
+// abortJob ends t's active invocation at its deadline and records the
+// miss, unless the task is soft.
+//
+//rtdvs:hotpath
+func (k *Kernel) abortJob(t *ktask) {
+	if !t.cfg.Soft {
+		t.misses++
+		k.misses = append(k.misses, MissEvent{Task: t.id, Name: t.cfg.Name, Inv: t.inv - 1, Deadline: t.deadline})
+		k.logEvent(Event{Kind: EvMiss, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
+	}
+	t.active = false
+}
+
 // processReleases aborts jobs whose deadlines passed, fires every due
 // release, notifies the policy of the releases in task order, and then
 // runs the overrun watchdog and the load shedder's window.
@@ -491,12 +504,7 @@ func (k *Kernel) processReleases() {
 	// so their deadlines are checked directly.
 	for i, t := range k.tasks {
 		if t.sporadic && t.active && t.deadline <= k.now+timeEps {
-			if !t.cfg.Soft {
-				t.misses++
-				k.misses = append(k.misses, MissEvent{Task: t.id, Name: t.cfg.Name, Inv: t.inv - 1, Deadline: t.deadline})
-				k.logEvent(Event{Kind: EvMiss, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
-			}
-			t.active = false
+			k.abortJob(t)
 			k.policy.OnCompletion(k, i, t.used) // close out the aborted invocation
 		}
 	}
@@ -507,28 +515,15 @@ func (k *Kernel) processReleases() {
 	// and never runs without an injector.)
 	if k.faults != nil {
 		for _, t := range k.tasks {
-			if t.sporadic || !t.active {
-				continue
-			}
-			if t.deadline <= k.now+timeEps && t.nextRelease > k.now+timeEps {
-				if !t.cfg.Soft {
-					t.misses++
-					k.misses = append(k.misses, MissEvent{Task: t.id, Name: t.cfg.Name, Inv: t.inv - 1, Deadline: t.deadline})
-					k.logEvent(Event{Kind: EvMiss, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
-				}
-				t.active = false
+			if !t.sporadic && t.active && t.deadline <= k.now+timeEps && t.nextRelease > k.now+timeEps {
+				k.abortJob(t)
 			}
 		}
 	}
 	for i, t := range k.tasks {
 		for t.nextRelease <= k.now+timeEps {
 			if t.active {
-				if !t.cfg.Soft {
-					t.misses++
-					k.misses = append(k.misses, MissEvent{Task: t.id, Name: t.cfg.Name, Inv: t.inv - 1, Deadline: t.deadline})
-					k.logEvent(Event{Kind: EvMiss, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
-				}
-				t.active = false
+				k.abortJob(t)
 			}
 			if t.shed && !t.sporadic && k.shedSkips(t.inv) {
 				// Degraded service: this job is dropped whole at its release

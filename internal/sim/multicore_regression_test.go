@@ -306,7 +306,9 @@ func TestMultiCoreM1Cancellation(t *testing.T) {
 // at m = 1) reduce exactly to the scalar engine running the original
 // policy. Every shared field but the policy name must agree bit for bit,
 // event and preemption counts included, on admitted sets and on an
-// overloaded one whose jobs miss.
+// overloaded one whose jobs miss. On the four-task sets, early
+// completions drop ΣU below the largest worst-case utilization λ, where a
+// floor at λ would hold gangCCEDF's rail above ccEDF's.
 func TestGangM1ScalarEquivalent(t *testing.T) {
 	pairs := [][2]string{
 		{"gangStaticEDF", "staticEDF"},
@@ -314,17 +316,24 @@ func TestGangM1ScalarEquivalent(t *testing.T) {
 		{"gangLAEDF", "laEDF"},
 	}
 	type gangCase struct {
+		n        int
 		seed     int64
 		util     float64
 		execSpec string
 		pairs    [][2]string
 	}
-	cases := []gangCase{{seed: 1, util: 1.2, execSpec: "wcet", pairs: pairs[:1]}}
+	cases := []gangCase{{n: 5, seed: 1, util: 1.2, execSpec: "wcet", pairs: pairs[:1]}}
 	for seed := int64(1); seed <= 4; seed++ {
-		cases = append(cases, gangCase{seed: seed, util: 0.6, execSpec: "c=0.7", pairs: pairs})
+		cases = append(cases, gangCase{n: 5, seed: seed, util: 0.6, execSpec: "c=0.7", pairs: pairs})
 	}
+	cases = append(cases,
+		gangCase{n: 4, seed: 3, util: 0.6, execSpec: "c=0.1", pairs: pairs},
+		gangCase{n: 4, seed: 40, util: 0.6, execSpec: "c=0.3", pairs: pairs},
+		gangCase{n: 4, seed: 7, util: 0.9, execSpec: "uniform", pairs: pairs},
+		gangCase{n: 4, seed: 10, util: 0.9, execSpec: "beta=2,5", pairs: pairs},
+	)
 	for _, tc := range cases {
-		g := task.Generator{N: 5, Utilization: tc.util, Rand: rand.New(rand.NewSource(tc.seed))}
+		g := task.Generator{N: tc.n, Utilization: tc.util, Rand: rand.New(rand.NewSource(tc.seed))}
 		ts, err := g.Generate()
 		if err != nil {
 			t.Fatal(err)
@@ -346,8 +355,8 @@ func TestGangM1ScalarEquivalent(t *testing.T) {
 			want := scalarTotals(scalarRun(t, ts, pr[1], tc.execSpec, tc.seed, 800))
 			got.Policy, want.Policy = "", ""
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d U=%g %s: %s at m=1 diverges from %s\ngot  %+v\nwant %+v",
-					tc.seed, tc.util, tc.execSpec, pr[0], pr[1], got, want)
+				t.Errorf("N=%d seed %d U=%g %s: %s at m=1 diverges from %s\ngot  %+v\nwant %+v",
+					tc.n, tc.seed, tc.util, tc.execSpec, pr[0], pr[1], got, want)
 			}
 		}
 	}
