@@ -13,14 +13,16 @@ build:
 test:
 	go test ./...
 
-# lint runs standard go vet plus the repository's own analyzer suite
-# (floatcmp, globalrand, policyreg, maprange, wallclock, hotalloc,
-# ctxpoll, atomicfield, metricname — see internal/analysis and
-# DESIGN.md §12), both as a cmd/go vet backend (per-package, cached)
-# and standalone (whole-module, per-analyzer summary, `-json` for the
-# CI findings artifact). Suppress a finding only with a justified
+# lint fails when gofmt would change any tracked Go file, then runs
+# standard go vet plus the repository's own analyzer suite (floatcmp,
+# globalrand, policyreg, maprange, wallclock, hotalloc, ctxpoll,
+# atomicfield, metricname — see internal/analysis and DESIGN.md §12),
+# both as a cmd/go vet backend (per-package, cached) and standalone
+# (whole-module, per-analyzer summary, `-json` for the CI findings
+# artifact). Suppress a finding only with a justified
 # //rtdvs:ignore <analyzer> <reason> on the flagged line.
 lint:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	go vet ./...
 	go install ./cmd/rtdvs-vet
 	go vet -vettool=$(GOBIN)/rtdvs-vet ./...

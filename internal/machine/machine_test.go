@@ -153,22 +153,6 @@ func TestSelectorMatchesLowestAtLeast(t *testing.T) {
 	}
 }
 
-func TestSelectorIndex(t *testing.T) {
-	spec := Machine0()
-	sel := spec.Selector()
-	if sel.Len() != len(spec.Points) {
-		t.Fatalf("Len = %d, want %d", sel.Len(), len(spec.Points))
-	}
-	for i, p := range spec.Points {
-		if got := sel.Index(p); got != i {
-			t.Errorf("Index(%v) = %d, want %d", p, got, i)
-		}
-	}
-	if got := sel.Index(OperatingPoint{Freq: 0.123, Voltage: 9}); got != -1 {
-		t.Errorf("Index of foreign point = %d, want -1", got)
-	}
-}
-
 func TestIdlePower(t *testing.T) {
 	m := Machine0().WithIdleLevel(0.5)
 	op := m.Min() // 0.5 @ 3V: power 4.5

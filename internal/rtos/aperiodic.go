@@ -30,8 +30,12 @@ type AperiodicWorkload struct {
 	Rand *rand.Rand
 }
 
-// Generate draws the arrivals in [0, horizon), sorted by time.
+// Generate draws the arrivals in [0, horizon), sorted by time. The
+// horizon must be finite.
 func (w *AperiodicWorkload) Generate(horizon float64) ([]Arrival, error) {
+	if math.IsNaN(horizon) || math.IsInf(horizon, 0) {
+		return nil, fmt.Errorf("rtos: workload horizon must be finite, got %v", horizon)
+	}
 	if w.MeanInterarrival <= 0 || w.MeanCycles <= 0 {
 		return nil, fmt.Errorf("rtos: workload means must be positive (%v, %v)",
 			w.MeanInterarrival, w.MeanCycles)

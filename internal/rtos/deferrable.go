@@ -1,9 +1,6 @@
 package rtos
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // DeferrableServer is the second aperiodic-service option of the paper's
 // footnote 1 (Lehoczky, Sha & Strosnider's deferred server [16]): like
@@ -18,41 +15,19 @@ import (
 // utilization this is absorbed by the discrete-frequency rounding slack,
 // and the test suite pins the behavior.
 type DeferrableServer struct {
-	kernel *Kernel
-	id     TaskID
-	period float64
-	budget float64
-
+	jobQueue
 	budgetLeft float64 // unspent budget in the current period
-	queue      []*Job
-	planned    []plannedSlice // slices assigned to the in-flight invocation
-	completed  []*Job
 }
 
 // NewDeferrableServer registers a deferrable server with the kernel,
 // subject to normal admission control on (period, budget).
 func NewDeferrableServer(k *Kernel, name string, period, budget float64) (*DeferrableServer, error) {
-	if budget <= 0 || budget > period {
-		return nil, fmt.Errorf("rtos: server budget %v must be in (0, period %v]", budget, period)
-	}
-	s := &DeferrableServer{kernel: k, period: period, budget: budget}
-	id, err := k.AddTask(TaskConfig{
-		Name:       name,
-		Period:     period,
-		WCET:       budget,
-		Work:       s.work,
-		OnComplete: s.onComplete,
-		Soft:       true,
-	}, AddOptions{})
-	if err != nil {
+	s := &DeferrableServer{}
+	if err := s.register(k, name, period, budget, s.work); err != nil {
 		return nil, err
 	}
-	s.id = id
 	return s, nil
 }
-
-// ID returns the server's kernel task id.
-func (s *DeferrableServer) ID() TaskID { return s.id }
 
 // work plans the demand at each periodic release: the budget replenishes
 // in full and any backlog is served up to it.
@@ -101,11 +76,10 @@ func (s *DeferrableServer) plannedFor(j *Job) float64 {
 // budget is applied to it immediately via the kernel's in-period demand
 // injection.
 func (s *DeferrableServer) Submit(name string, cycles float64) (*Job, error) {
-	if cycles <= 0 {
-		return nil, fmt.Errorf("rtos: job cycles must be positive, got %v", cycles)
+	j, err := s.enqueue(name, cycles)
+	if err != nil {
+		return nil, err
 	}
-	j := &Job{Name: name, Arrival: s.kernel.Now(), Cycles: cycles, remaining: cycles}
-	s.queue = append(s.queue, j)
 	if extra := math.Min(cycles, s.budgetLeft); extra > 1e-12 {
 		accepted, err := s.kernel.AddDemand(s.id, extra)
 		if err != nil {
@@ -117,42 +91,6 @@ func (s *DeferrableServer) Submit(name string, cycles float64) (*Job, error) {
 		}
 	}
 	return j, nil
-}
-
-// onComplete retires the planned slices: every completion means the
-// invocation's currently-planned cycles have all executed.
-func (s *DeferrableServer) onComplete(now float64, _ int) {
-	for _, p := range s.planned {
-		p.job.remaining -= p.cycles
-		if p.job.remaining <= 1e-12 {
-			p.job.Done = true
-			p.job.CompletedAt = now
-			s.completed = append(s.completed, p.job)
-		}
-	}
-	s.planned = s.planned[:0]
-	alive := s.queue[:0]
-	for _, j := range s.queue {
-		if !j.Done {
-			alive = append(alive, j)
-		}
-	}
-	s.queue = alive
-}
-
-// Pending returns the number of incomplete jobs.
-func (s *DeferrableServer) Pending() int { return len(s.queue) }
-
-// Completed returns retired jobs in completion order.
-func (s *DeferrableServer) Completed() []*Job { return append([]*Job(nil), s.completed...) }
-
-// Backlog returns unserved cycles in the queue.
-func (s *DeferrableServer) Backlog() float64 {
-	var c float64
-	for _, j := range s.queue {
-		c += j.remaining
-	}
-	return c
 }
 
 // BudgetLeft returns the unspent budget in the current period.

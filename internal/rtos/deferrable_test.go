@@ -203,6 +203,12 @@ func TestAperiodicWorkloadValidation(t *testing.T) {
 			t.Errorf("case %d accepted", i)
 		}
 	}
+	w := AperiodicWorkload{MeanInterarrival: 1, MeanCycles: 1, Rand: rand.New(rand.NewSource(1))}
+	for _, h := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := w.Generate(h); err == nil {
+			t.Errorf("horizon %v accepted", h)
+		}
+	}
 }
 
 func TestAddDemandValidation(t *testing.T) {

@@ -698,7 +698,8 @@ func (k *Kernel) pick() int {
 // Step advances virtual time to `until`, executing tasks, switching
 // operating points as the policy dictates, and accounting energy in the
 // CPU device. It may be called repeatedly, with registry and policy
-// changes between calls.
+// changes between calls. A target at or before Now, or NaN, leaves the
+// kernel as it is: virtual time never runs backwards.
 //
 // Each scheduling point makes one release pass, one pick and one
 // next-event scan. The next event is read after the operating-point
@@ -707,6 +708,9 @@ func (k *Kernel) pick() int {
 //
 //rtdvs:hotpath
 func (k *Kernel) Step(until float64) {
+	if !(until > k.now) {
+		return
+	}
 	for k.now < until-timeEps {
 		// Finish any in-progress transition stop interval first; it may
 		// have been started near the end of a previous Step.

@@ -340,6 +340,30 @@ func TestKernelStepGranularityInvariant(t *testing.T) {
 	}
 }
 
+// Step never moves the clock backwards: a target at or before Now, or
+// NaN, leaves the kernel as it is, so the CPU's busy + idle + halt time
+// stays equal to Now after every call.
+func TestKernelStepNeverRewinds(t *testing.T) {
+	k := newTestKernel(t, "ccEDF")
+	if _, err := k.AddTask(TaskConfig{Name: "T", Period: 10, WCET: 3}, AddOptions{Immediate: true}); err != nil {
+		t.Fatal(err)
+	}
+	want := 0.0
+	for _, until := range []float64{100, 50, math.NaN(), 150} {
+		k.Step(until)
+		if until > want {
+			want = until
+		}
+		cpu := k.CPU()
+		if k.Now() != want {
+			t.Errorf("after Step(%v): Now = %v, want %v", until, k.Now(), want)
+		}
+		if acc := cpu.BusyTime() + cpu.IdleTime() + cpu.HaltTime(); math.Abs(acc-want) > 1e-9 {
+			t.Errorf("after Step(%v): busy+idle+halt = %v ms, want %v", until, acc, want)
+		}
+	}
+}
+
 func TestKernelEmptyIdles(t *testing.T) {
 	k := newTestKernel(t, "ccEDF")
 	k.Step(100)

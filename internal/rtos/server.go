@@ -16,9 +16,15 @@ import (
 // much queued aperiodic work as fits in the budget; work beyond the budget
 // waits for later server invocations.
 type Server struct {
+	jobQueue
+}
+
+// jobQueue is what both aperiodic servers keep: the kernel task that
+// carries the server, its budget, the FIFO of incomplete jobs, the
+// slices planned for the in-flight invocation and the retired jobs.
+type jobQueue struct {
 	kernel *Kernel
 	id     TaskID
-	period float64
 	budget float64
 
 	queue     []*Job
@@ -57,36 +63,52 @@ func (j *Job) ResponseTime() float64 {
 // are subject to the kernel's normal admission control, so the server's
 // worst-case utilization is reserved and hard tasks keep their guarantees.
 func NewServer(k *Kernel, name string, period, budget float64) (*Server, error) {
-	if budget <= 0 || budget > period {
-		return nil, fmt.Errorf("rtos: server budget %v must be in (0, period %v]", budget, period)
+	s := &Server{}
+	if err := s.register(k, name, period, budget, s.work); err != nil {
+		return nil, err
 	}
-	s := &Server{kernel: k, period: period, budget: budget}
+	return s, nil
+}
+
+// register adds the server to the kernel as a soft periodic task with
+// period Ps and worst case Cs, whose demand at each release is work's
+// plan and whose completion retires that plan.
+func (q *jobQueue) register(k *Kernel, name string, period, budget float64, work WorkModel) error {
+	if budget <= 0 || budget > period {
+		return fmt.Errorf("rtos: server budget %v must be in (0, period %v]", budget, period)
+	}
+	q.kernel, q.budget = k, budget
 	id, err := k.AddTask(TaskConfig{
 		Name:       name,
 		Period:     period,
 		WCET:       budget,
-		Work:       s.work,
-		OnComplete: s.onComplete,
+		Work:       work,
+		OnComplete: q.onComplete,
 		Soft:       true,
 	}, AddOptions{})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s.id = id
-	return s, nil
+	q.id = id
+	return nil
 }
 
 // ID returns the server's kernel task id.
-func (s *Server) ID() TaskID { return s.id }
+func (q *jobQueue) ID() TaskID { return q.id }
 
-// Submit enqueues an aperiodic job at the current kernel time.
-func (s *Server) Submit(name string, cycles float64) (*Job, error) {
+// enqueue appends a job arriving at the current kernel time.
+func (q *jobQueue) enqueue(name string, cycles float64) (*Job, error) {
 	if cycles <= 0 {
 		return nil, fmt.Errorf("rtos: job cycles must be positive, got %v", cycles)
 	}
-	j := &Job{Name: name, Arrival: s.kernel.Now(), Cycles: cycles, remaining: cycles}
-	s.queue = append(s.queue, j)
+	j := &Job{Name: name, Arrival: q.kernel.Now(), Cycles: cycles, remaining: cycles}
+	q.queue = append(q.queue, j)
 	return j, nil
+}
+
+// Submit enqueues an aperiodic job at the current kernel time.
+func (s *Server) Submit(name string, cycles float64) (*Job, error) {
+	return s.enqueue(name, cycles)
 }
 
 // work plans one server invocation: serve queued jobs FIFO up to the
@@ -111,37 +133,37 @@ func (s *Server) work(int) float64 {
 	return total
 }
 
-// onComplete retires the planned slices at the invocation's completion.
-func (s *Server) onComplete(now float64, _ int) {
-	for _, p := range s.planned {
+// onComplete retires the planned slices: every completion means the
+// invocation's currently planned cycles have all executed.
+func (q *jobQueue) onComplete(now float64, _ int) {
+	for _, p := range q.planned {
 		p.job.remaining -= p.cycles
 		if p.job.remaining <= 1e-12 {
 			p.job.Done = true
 			p.job.CompletedAt = now
-			s.completed = append(s.completed, p.job)
+			q.completed = append(q.completed, p.job)
 		}
 	}
-	s.planned = s.planned[:0]
-	// Compact the queue.
-	alive := s.queue[:0]
-	for _, j := range s.queue {
+	q.planned = q.planned[:0]
+	alive := q.queue[:0]
+	for _, j := range q.queue {
 		if !j.Done {
 			alive = append(alive, j)
 		}
 	}
-	s.queue = alive
+	q.queue = alive
 }
 
 // Pending returns the number of incomplete jobs.
-func (s *Server) Pending() int { return len(s.queue) }
+func (q *jobQueue) Pending() int { return len(q.queue) }
 
 // Completed returns the retired jobs in completion order.
-func (s *Server) Completed() []*Job { return append([]*Job(nil), s.completed...) }
+func (q *jobQueue) Completed() []*Job { return append([]*Job(nil), q.completed...) }
 
 // Backlog returns the total unserved cycles in the queue.
-func (s *Server) Backlog() float64 {
+func (q *jobQueue) Backlog() float64 {
 	var c float64
-	for _, j := range s.queue {
+	for _, j := range q.queue {
 		c += j.remaining
 	}
 	return c

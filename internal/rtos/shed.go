@@ -122,6 +122,17 @@ func (k *Kernel) JobsSkipped() int {
 	return k.sumTasks(func(t *ktask) int { return t.skips })
 }
 
+// sumTasks folds a per-task counter over the registry. Removed tasks
+// leave the registry, so these totals cover live tasks only — matching
+// the kernel's own per-task accounting surface.
+func (k *Kernel) sumTasks(f func(*ktask) int) int {
+	var n int
+	for _, t := range k.tasks {
+		n += f(t)
+	}
+	return n
+}
+
 // shedSkips reports whether a shed task's invocation inv is one of the
 // dropped jobs (m-k firm: only every SkipK-th job runs).
 func (k *Kernel) shedSkips(inv int) bool {

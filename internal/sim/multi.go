@@ -76,9 +76,6 @@ type MultiConfig struct {
 	// CheckInvariants enables the runtime invariant checker; always on
 	// under `go test`.
 	CheckInvariants bool
-	// Metrics optionally accumulates rtdvs_core_* observables once per
-	// successful run.
-	Metrics *MultiMetrics
 	// Partition overrides the computed task-to-core assignment
 	// (partitioned placements only). Used by the metamorphic tests to
 	// relabel cores; must assign every task to a core in [0, NumCores).
@@ -489,9 +486,6 @@ func (r *MultiRunner) runPartitioned(ctx context.Context, cfg MultiConfig, m int
 	if canceled != nil {
 		return nil, canceled
 	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.observe(res)
-	}
 	return res, nil
 }
 
@@ -628,9 +622,6 @@ func (r *MultiRunner) runGlobal(ctx context.Context, cfg MultiConfig, m int) (*M
 	sortMisses(res.Misses)
 	if g.ctxErr != nil {
 		return nil, &MultiCanceled{At: g.now, Partial: res, Cause: g.ctxErr}
-	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.observe(res)
 	}
 	return res, nil
 }

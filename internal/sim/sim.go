@@ -87,11 +87,6 @@ type Config struct {
 	// simulator without the injection hooks. Injectors are stateful:
 	// create one per run.
 	Faults *fault.Injector
-	// Metrics optionally accumulates run observables (see NewMetrics)
-	// into an obs registry. Observation happens once per successful run,
-	// off the event loop, so the hot path stays allocation-free and run
-	// results are bit-identical with or without it.
-	Metrics *Metrics
 }
 
 // Miss records one deadline miss: invocation inv of task Task was still
@@ -137,11 +132,10 @@ type Result struct {
 	Events int `json:"events"`
 	// Preemptions counts scheduling decisions that displaced a
 	// still-active invocation in favor of another task.
-	Preemptions  int    `json:"preemptions"`
-	Misses       []Miss `json:"misses,omitempty"`
-	Guaranteed   bool   `json:"guaranteed"`
-	PerTask      []TaskStats
-	PointResTime map[machine.OperatingPoint]float64 `json:"-"`
+	Preemptions int    `json:"preemptions"`
+	Misses      []Miss `json:"misses,omitempty"`
+	Guaranteed  bool   `json:"guaranteed"`
+	PerTask     []TaskStats
 	// Faults is the injector's fired-fault record; nil when the run was
 	// fault-free.
 	Faults *fault.Record `json:"faults,omitempty"`
@@ -167,12 +161,6 @@ func (r *Result) Clone() *Result {
 	}
 	if r.PerTask != nil {
 		c.PerTask = append([]TaskStats(nil), r.PerTask...)
-	}
-	if r.PointResTime != nil {
-		c.PointResTime = make(map[machine.OperatingPoint]float64, len(r.PointResTime))
-		for k, v := range r.PointResTime {
-			c.PointResTime[k] = v
-		}
 	}
 	if r.Faults != nil {
 		f := *r.Faults
@@ -249,16 +237,7 @@ type simulator struct {
 	inv      *invariantChecker // nil unless invariant checking is enabled
 	invStore invariantChecker  // backing store for inv, reset per run
 
-	hw    machine.OperatingPoint // current hardware operating point
-	hwIdx int                    // machine table index of hw, -1 if foreign
-	sel   machine.PointSelector
-
-	// memoOp/memoIdx memoize the last PointSelector.Index lookup — a pure
-	// function, so the memo is exact. The idle path would otherwise pay a
-	// linear table scan per idle event.
-	memoOp    machine.OperatingPoint
-	memoIdx   int
-	memoValid bool
+	hw machine.OperatingPoint // current hardware operating point
 
 	// timers holds every task keyed by its next release time; ready holds
 	// the active tasks keyed by the scheduling discipline (absolute
@@ -276,9 +255,8 @@ type simulator struct {
 	frame     bool
 	readyBits uint64
 
-	due      []int     // scratch: tasks drained from timers this instant
-	released []int     // scratch: release events pending policy callbacks
-	resTime  []float64 // per machine-table point index: residency time
+	due      []int // scratch: tasks drained from timers this instant
+	released []int // scratch: release events pending policy callbacks
 
 	// lastRun is the task index executed by the most recent execution
 	// segment (-1 before any, or once that job completed or was
@@ -391,20 +369,12 @@ func (r *Runner) exec(ctx context.Context, cfg Config) (*Result, error) {
 	if err := s.exec(ctx, cfg, nil); err != nil {
 		return nil, err
 	}
-	for i, d := range s.resTime {
-		if d > 0 {
-			s.res.PointResTime[cfg.Machine.Points[i]] += d
-		}
-	}
 	if cfg.Faults != nil {
 		rec := cfg.Faults.Record()
 		s.res.Faults = &rec
 	}
 	if s.ctxErr != nil {
 		return nil, &Canceled{At: s.now, Partial: &s.res, Cause: s.ctxErr}
-	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.observe(&s.res, s.resTime, cfg.Machine)
 	}
 	return &s.res, nil
 }
@@ -425,10 +395,7 @@ func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) err
 	s.ts = cfg.Tasks
 	s.now = 0
 	s.kind = cfg.Policy.Scheduler()
-	s.sel = cfg.Machine.Selector()
-	s.memoValid = false
 	s.states = growZeroed(s.states, n)
-	s.resTime = growZeroed(s.resTime, s.sel.Len())
 	s.due = s.due[:0]
 	s.released = s.released[:0]
 	s.timers.Reset(n)
@@ -446,19 +413,12 @@ func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) err
 	s.ctxTick = 0 // poll before the first event: an expired ctx does no work
 	s.ctxErr = nil
 
-	prt := s.res.PointResTime
-	if prt == nil {
-		prt = make(map[machine.OperatingPoint]float64, s.sel.Len())
-	} else {
-		clear(prt)
-	}
 	s.res = Result{
-		Policy:       cfg.Policy.Name(),
-		Horizon:      cfg.Horizon,
-		Guaranteed:   cfg.Policy.Guaranteed(),
-		Misses:       s.res.Misses[:0],
-		PerTask:      growZeroed(s.res.PerTask, n),
-		PointResTime: prt,
+		Policy:     cfg.Policy.Name(),
+		Horizon:    cfg.Horizon,
+		Guaranteed: cfg.Policy.Guaranteed(),
+		Misses:     s.res.Misses[:0],
+		PerTask:    growZeroed(s.res.PerTask, n),
 	}
 	s.table = cfg.Faults == nil && s.tab.build(cfg.Tasks, cfg.Horizon)
 	s.frame = s.table && frameSet(cfg.Tasks)
@@ -486,7 +446,6 @@ func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) err
 		s.inv = nil
 	}
 	s.hw = cfg.Policy.Point()
-	s.hwIdx = s.selIndex(s.hw)
 	s.inv.checkPoint(s.hw)
 	s.inv.checkUtilization()
 	s.run()
@@ -607,17 +566,6 @@ func (s *simulator) nextReleaseTime() float64 {
 		return s.tab.next
 	}
 	return s.timers.PeekKey()
-}
-
-// selIndex returns op's machine-table index through the one-entry memo.
-//
-//rtdvs:hotpath
-func (s *simulator) selIndex(op machine.OperatingPoint) int {
-	if s.memoValid && op == s.memoOp {
-		return s.memoIdx
-	}
-	s.memoOp, s.memoIdx, s.memoValid = op, s.sel.Index(op), true
-	return s.memoIdx
 }
 
 // processReleases fires every release scheduled at or before now and
@@ -807,14 +755,13 @@ func (s *simulator) switchTo(op machine.OperatingPoint) {
 		}
 		halt = adj
 	}
-	idx := s.selIndex(op)
 	s.res.Switches++
 	if halt > 0 {
 		end := s.now + halt
 		if s.cfg.Horizon < end {
 			end = s.cfg.Horizon
 		}
-		s.record(trace.SwitchHalt, s.now, end, op, idx)
+		s.record(trace.SwitchHalt, s.now, end, op)
 		dur := end - s.now
 		for range s.m {
 			s.res.HaltTime += dur
@@ -824,25 +771,16 @@ func (s *simulator) switchTo(op machine.OperatingPoint) {
 		}
 		s.now = end
 	}
-	s.hw, s.hwIdx = op, idx
+	s.hw = op
 	s.inv.checkPoint(op)
 }
 
-// record accounts a trace segment and the operating point's residency.
-// opIdx is op's machine-table index; residency accumulates in a dense
-// array on that index, falling back to the result map for a foreign
-// point (only reachable when a buggy policy fabricates one — the
-// invariant checker flags it, but accounting must not crash first).
+// record appends a segment to the trace, when one is being recorded.
 //
 //rtdvs:hotpath
-func (s *simulator) record(taskIdx int, start, end float64, op machine.OperatingPoint, opIdx int) {
+func (s *simulator) record(taskIdx int, start, end float64, op machine.OperatingPoint) {
 	if s.cfg.Recorder != nil {
 		s.cfg.Recorder.Add(trace.Segment{Task: taskIdx, Start: start, End: end, Point: op})
-	}
-	if opIdx >= 0 {
-		s.resTime[opIdx] += end - start
-	} else {
-		s.res.PointResTime[op] += end - start
 	}
 }
 
@@ -904,7 +842,7 @@ func (s *simulator) run() {
 					s.cores[c].IdleEnergy += e
 					s.cores[c].IdleTime += dur
 				}
-				s.record(trace.Idle, s.now, nextRel, op, s.selIndex(op))
+				s.record(trace.Idle, s.now, nextRel, op)
 				s.now = nextRel
 				s.inv.checkEnergy()
 			}
@@ -978,7 +916,7 @@ func (s *simulator) run() {
 		s.res.PerTask[pick].Cycles += cycles
 		s.res.ExecEnergy += cycles * s.hw.EnergyPerCycle()
 		s.res.BusyTime += dur
-		s.record(pick, s.now, end, s.hw, s.hwIdx)
+		s.record(pick, s.now, end, s.hw)
 		s.now = end
 		s.inv.checkEnergy()
 		s.cfg.Policy.OnExecute(pick, cycles)
