@@ -7,10 +7,11 @@
 //     touches the wall clock, so it is safe inside the deterministic
 //     simulation packages.
 //   - Backoff, a seeded wall-clock schedule over time.Duration with
-//     uniform jitter, used by the HTTP retry client (serve.Client) and
-//     the distributed sweep coordinator (internal/fabric). The same
-//     seed always yields the same delay sequence, which is what keeps
-//     retry-heavy tests reproducible.
+//     uniform jitter, used by the distributed sweep coordinator
+//     (internal/fabric) between a worker's consecutive failed shard
+//     dispatches. The coordinator is the repository's only wall-clock
+//     retry layer; the same seed always yields the same delay
+//     sequence.
 //
 // Both produce the sequence base, 2·base, 4·base, ... capped at max;
 // Exp is that shared arithmetic.
@@ -68,78 +69,43 @@ func (s *Seq) Next(base, max float64) float64 {
 // Reset ends the retry episode after a success.
 func (s *Seq) Reset() { s.cur = 0 }
 
-// Default wall-clock bounds, applied when the corresponding Backoff
-// field is zero.
+// The wall-clock schedule: 50 ms doubling to 2 s, each delay scaled by
+// a uniform factor in [1−jitter, 1.0) to decorrelate competing workers.
 const (
-	DefaultBase   = 50 * time.Millisecond
-	DefaultMax    = 2 * time.Second
-	DefaultJitter = 0.5
+	baseDelay = 50 * time.Millisecond
+	maxDelay  = 2 * time.Second
+	jitter    = 0.5
 )
 
-// Backoff is a seeded wall-clock backoff schedule: exponential delays
-// scaled by a uniform jitter in [1−Jitter, 1.0) to decorrelate
-// competing clients. Safe for concurrent use.
+// Backoff is a seeded wall-clock backoff schedule. Safe for concurrent
+// use.
 type Backoff struct {
-	// Base seeds the exponential schedule (default 50ms); the delay
-	// doubles per attempt up to Max (default 2s).
-	Base time.Duration
-	Max  time.Duration
-	// Jitter is the fraction of each delay subject to jitter: a delay d
-	// becomes d·u with u uniform in [1−Jitter, 1.0). 0 means "use the
-	// default 0.5"; callers wanting no jitter use NoJitter.
-	Jitter float64
-	// NoJitter disables jitter entirely (deterministic delays), since a
-	// zero Jitter field selects the default.
-	NoJitter bool
-
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
-// New returns a schedule with default bounds whose jitter stream is
-// driven by seed. Any seed is fine; an explicit one keeps test runs
-// reproducible.
+// New returns a schedule whose jitter stream is driven by seed. Any
+// seed is fine; an explicit one keeps test runs reproducible.
 func New(seed int64) *Backoff {
 	return &Backoff{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Delay returns the jittered delay before 1-based attempt n. A positive
-// floor (e.g. a server's Retry-After hint) raises the un-jittered delay
-// before jitter is applied, so pacing hints are honored but competing
-// clients still decorrelate.
-func (b *Backoff) Delay(n int, floor time.Duration) time.Duration {
-	base := b.Base
-	if base <= 0 {
-		base = DefaultBase
-	}
-	max := b.Max
-	if max <= 0 {
-		max = DefaultMax
-	}
-	d := time.Duration(Exp(float64(base), float64(max), n))
-	if floor > d {
-		d = floor
-	}
-	if b.NoJitter {
-		return d
-	}
-	j := b.Jitter
-	if j <= 0 || j >= 1 {
-		j = DefaultJitter
-	}
+// Delay returns the jittered delay before 1-based attempt n.
+func (b *Backoff) Delay(n int) time.Duration {
 	b.mu.Lock()
 	if b.rng == nil {
 		b.rng = rand.New(rand.NewSource(1))
 	}
 	u := b.rng.Float64()
 	b.mu.Unlock()
-	return time.Duration(float64(d) * ((1 - j) + j*u))
+	d := Exp(float64(baseDelay), float64(maxDelay), n)
+	return time.Duration(d * ((1 - jitter) + jitter*u))
 }
 
-// Sleep blocks for Delay(n, floor) or until ctx ends, whichever comes
-// first, returning ctx's error in the latter case.
-func (b *Backoff) Sleep(ctx context.Context, n int, floor time.Duration) error {
-	t := time.NewTimer(b.Delay(n, floor))
+// Sleep blocks for Delay(n) or until ctx ends, whichever comes first,
+// returning ctx's error in the latter case.
+func (b *Backoff) Sleep(ctx context.Context, n int) error {
+	t := time.NewTimer(b.Delay(n))
 	defer t.Stop()
 	select {
 	case <-t.C:

@@ -70,11 +70,11 @@ func TestSeqAllocs(t *testing.T) {
 }
 
 // The same seed must yield the same jittered delay sequence — that is
-// the whole point of threading seeds through retry clients under test.
+// what keeps a coordinator's retries reproducible under test.
 func TestBackoffDeterministicUnderSeed(t *testing.T) {
 	a, b := New(42), New(42)
 	for n := 1; n <= 8; n++ {
-		da, db := a.Delay(n, 0), b.Delay(n, 0)
+		da, db := a.Delay(n), b.Delay(n)
 		if da != db {
 			t.Fatalf("attempt %d: seeds diverge (%v vs %v)", n, da, db)
 		}
@@ -82,7 +82,7 @@ func TestBackoffDeterministicUnderSeed(t *testing.T) {
 	c := New(43)
 	diverged := false
 	for n := 1; n <= 8; n++ {
-		if a.Delay(n, 0) != c.Delay(n, 0) {
+		if a.Delay(n) != c.Delay(n) {
 			diverged = true
 		}
 	}
@@ -91,64 +91,44 @@ func TestBackoffDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
-// Jittered delays stay inside [1−Jitter, 1.0)·Exp, and the floor raises
-// the pre-jitter delay.
-func TestBackoffBoundsAndFloor(t *testing.T) {
+// Jittered delays stay inside [1−jitter, 1.0)·Exp on the fixed
+// 50 ms → 2 s schedule.
+func TestBackoffBounds(t *testing.T) {
 	b := New(7)
-	b.Base = 10 * time.Millisecond
-	b.Max = 80 * time.Millisecond
 	for n := 1; n <= 10; n++ {
-		raw := time.Duration(Exp(float64(b.Base), float64(b.Max), n))
-		d := b.Delay(n, 0)
+		raw := time.Duration(Exp(float64(baseDelay), float64(maxDelay), n))
+		d := b.Delay(n)
 		if d < raw/2 || d >= raw {
 			t.Errorf("attempt %d: delay %v outside [%v, %v)", n, d, raw/2, raw)
 		}
 	}
-	// A floor above the exponential delay becomes the pre-jitter base.
-	floor := 500 * time.Millisecond
-	d := b.Delay(1, floor)
-	if d < floor/2 || d >= floor {
-		t.Errorf("floored delay %v outside [%v, %v)", d, floor/2, floor)
-	}
 }
 
-// NoJitter makes delays exactly the exponential schedule.
-func TestBackoffNoJitter(t *testing.T) {
-	b := &Backoff{Base: 10 * time.Millisecond, Max: 40 * time.Millisecond, NoJitter: true}
-	want := []time.Duration{10, 20, 40, 40}
-	for i, w := range want {
-		if got := b.Delay(i+1, 0); got != w*time.Millisecond {
-			t.Errorf("attempt %d: %v, want %v", i+1, got, w*time.Millisecond)
-		}
-	}
-}
-
-// The zero-value Backoff is usable: defaults apply and the lazily
-// seeded rng does not panic.
+// The zero-value Backoff is usable: the lazily seeded rng does not
+// panic.
 func TestBackoffZeroValue(t *testing.T) {
 	var b Backoff
-	d := b.Delay(1, 0)
-	if d < DefaultBase/2 || d >= DefaultBase {
-		t.Errorf("zero-value first delay %v outside [%v, %v)", d, DefaultBase/2, DefaultBase)
+	d := b.Delay(1)
+	if d < baseDelay/2 || d >= baseDelay {
+		t.Errorf("zero-value first delay %v outside [%v, %v)", d, baseDelay/2, baseDelay)
 	}
 }
 
 // Sleep returns promptly with the context's error when cancelled.
 func TestBackoffSleepCancel(t *testing.T) {
 	b := New(1)
-	b.Base = 10 * time.Second // would sleep far longer than the test budget
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if err := b.Sleep(ctx, 1, 0); err != context.Canceled {
+	// The capped delay is at least 1 s, far above the check below.
+	if err := b.Sleep(ctx, 100); err != context.Canceled {
 		t.Fatalf("Sleep = %v, want context.Canceled", err)
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Fatalf("cancelled Sleep took %v", elapsed)
 	}
 	// And completes normally when the delay elapses first.
-	b2 := &Backoff{Base: time.Millisecond, Max: time.Millisecond, NoJitter: true}
-	if err := b2.Sleep(context.Background(), 1, 0); err != nil {
+	if err := b.Sleep(context.Background(), 1); err != nil {
 		t.Fatalf("Sleep = %v, want nil", err)
 	}
 }

@@ -43,8 +43,6 @@ type GridConfig struct {
 	Horizon float64
 	// Workers bounds concurrency; 0 means GOMAXPROCS.
 	Workers int
-	// Metrics optionally reports grid progress to an obs registry.
-	Metrics *Metrics
 }
 
 // GridPolicies are the default policies of the robustness grid: the
@@ -138,7 +136,7 @@ func Grid(ctx context.Context, cfg GridConfig) (*RobustnessGrid, error) {
 
 	// runs[j*np+pi] is policy pi's run in job j = ri*Sets+si.
 	runs := make([]faultRun, nr*cfg.Sets*np)
-	err := runPool(ctx, cfg.Workers, cfg.Metrics, make([]bool, nr*cfg.Sets), func() (func(int) error, error) {
+	err := runPool(ctx, cfg.Workers, nil, make([]bool, nr*cfg.Sets), func() (func(int) error, error) {
 		pols, err := newPolicies(policies)
 		if err != nil {
 			return nil, err
@@ -163,8 +161,6 @@ func Grid(ctx context.Context, cfg GridConfig) (*RobustnessGrid, error) {
 				if *r, err = gridRun(cfg, ts, p, plan, faulty, horizon); err != nil {
 					return err
 				}
-				cfg.Metrics.simRun(r.misses)
-				cfg.Metrics.gridRun(r.misses, r.sheds)
 			}
 			return nil
 		}, nil

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"rtdvs/internal/obs"
 )
 
 func smallGrid(t *testing.T, workers int) *RobustnessGrid {
@@ -102,15 +100,12 @@ func TestGridRejectsUnknownRegime(t *testing.T) {
 	}
 }
 
-func TestGridRenderCSVAndMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
+func TestGridRenderCSV(t *testing.T) {
 	g, err := Grid(context.Background(), GridConfig{
 		Policies: []string{"fbEDF"},
 		Regimes:  []string{"clean", "sustained"},
 		Sets:     2,
 		Seed:     5,
-		Metrics:  m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,14 +122,5 @@ func TestGridRenderCSVAndMetrics(t *testing.T) {
 	}
 	if lines := strings.Count(csv.String(), "\n"); lines != 1+len(g.Regimes)*len(g.Policies) {
 		t.Errorf("CSV has %d lines, want %d", lines, 1+len(g.Regimes)*len(g.Policies))
-	}
-	var dump strings.Builder
-	if err := reg.WriteText(&dump); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"rtdvs_policy_grid_runs_total", "rtdvs_policy_grid_misses_total", "rtdvs_policy_grid_sheds_total"} {
-		if !strings.Contains(dump.String(), name) {
-			t.Errorf("metrics dump missing %s", name)
-		}
 	}
 }

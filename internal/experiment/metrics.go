@@ -2,7 +2,7 @@ package experiment
 
 import "rtdvs/internal/obs"
 
-// Metrics reports sweep progress and fault totals to an obs registry.
+// Metrics reports sweep progress to an obs registry.
 // Construct once per process with NewMetrics and share across sweeps —
 // counters accumulate. All methods are safe on a nil receiver (metrics
 // disabled) and safe for concurrent workers: each update is one atomic
@@ -13,11 +13,6 @@ type Metrics struct {
 	jobsReplayed  *obs.Counter
 	simRuns       *obs.Counter
 	misses        *obs.Counter
-	overruns      *obs.Counter
-	containments  *obs.Counter
-	policyRuns    *obs.Counter
-	policyMisses  *obs.Counter
-	policySheds   *obs.Counter
 }
 
 // NewMetrics registers the experiment harness's instruments on reg.
@@ -33,16 +28,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Individual policy simulations executed by sweep workers."),
 		misses: reg.Counter("rtdvs_sweep_misses_total",
 			"Deadline misses observed across all sweep simulations."),
-		overruns: reg.Counter("rtdvs_sweep_overruns_injected_total",
-			"WCET overruns injected across all robustness simulations."),
-		containments: reg.Counter("rtdvs_sweep_containments_total",
-			"Overrun containments reported by containment-aware policies."),
-		policyRuns: reg.Counter("rtdvs_policy_grid_runs_total",
-			"Kernel runs executed by the policy × fault-regime grid."),
-		policyMisses: reg.Counter("rtdvs_policy_grid_misses_total",
-			"Deadline misses observed across grid kernel runs."),
-		policySheds: reg.Counter("rtdvs_policy_grid_sheds_total",
-			"Load-shed demotions performed across grid kernel runs."),
 	}
 }
 
@@ -68,20 +53,5 @@ func (m *Metrics) simRun(missCount int) {
 	if m != nil {
 		m.simRuns.Inc()
 		m.misses.Add(float64(missCount))
-	}
-}
-
-func (m *Metrics) gridRun(missCount, sheds int) {
-	if m != nil {
-		m.policyRuns.Inc()
-		m.policyMisses.Add(float64(missCount))
-		m.policySheds.Add(float64(sheds))
-	}
-}
-
-func (m *Metrics) faultTotals(overruns, containments int) {
-	if m != nil {
-		m.overruns.Add(float64(overruns))
-		m.containments.Add(float64(containments))
 	}
 }

@@ -74,46 +74,3 @@ func TestHarnessMetrics(t *testing.T) {
 		t.Fatalf("experiment scrape invalid: %v", err)
 	}
 }
-
-// TestRobustnessMetrics checks the fault/containment totals of a small
-// robustness sweep reach the registry, and that disabling metrics (nil)
-// yields the identical sweep.
-func TestRobustnessMetrics(t *testing.T) {
-	cfg := RobustnessConfig{
-		Policies: []string{"none", "ccEDF+contain"},
-		Rates:    []float64{0, 0.2},
-		NTasks:   4,
-		Sets:     2,
-		Seed:     7,
-		Workers:  2,
-	}
-	bare, err := Robustness(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	cfg.Metrics = m
-	sw, err := Robustness(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{"none", "ccEDF+contain"} {
-		for i := range sw.Rates {
-			if sw.MissRate[p][i] != bare.MissRate[p][i] || sw.EnergyNorm[p][i] != bare.EnergyNorm[p][i] {
-				t.Errorf("metrics changed the %s sweep at rate %v", p, sw.Rates[i])
-			}
-		}
-	}
-	const jobs = 4 // 2 rates x 2 sets
-	if got := m.jobsDone.Value(); got != jobs {
-		t.Errorf("jobsDone = %v, want %d", got, jobs)
-	}
-	if m.overruns.Value() <= 0 {
-		t.Error("no overruns counted despite a 0.2 injection rate")
-	}
-	if m.containments.Value() <= 0 {
-		t.Error("no containments counted for ccEDF+contain")
-	}
-}

@@ -55,10 +55,6 @@ type RobustnessConfig struct {
 	Horizon float64
 	// Workers bounds concurrency; 0 means GOMAXPROCS.
 	Workers int
-	// Metrics optionally reports sweep progress and fault/containment
-	// totals to an obs registry. Nil disables reporting; results are
-	// identical either way.
-	Metrics *Metrics
 }
 
 // RobustnessPolicies are the default policies of the robustness sweep.
@@ -162,7 +158,7 @@ func Robustness(ctx context.Context, cfg RobustnessConfig) (*RobustnessSweep, er
 
 	// runs[j*np+pi] is policy pi's run in job j = ri*Sets+si.
 	runs := make([]faultRun, nr*cfg.Sets*np)
-	err := runPool(ctx, cfg.Workers, cfg.Metrics, make([]bool, nr*cfg.Sets), func() (func(int) error, error) {
+	err := runPool(ctx, cfg.Workers, nil, make([]bool, nr*cfg.Sets), func() (func(int) error, error) {
 		// One simulator and one instance of each policy per worker,
 		// reset between runs via Runner reuse and Policy.Attach.
 		runner := sim.NewRunner()
@@ -215,8 +211,6 @@ func Robustness(ctx context.Context, cfg RobustnessConfig) (*RobustnessSweep, er
 					r.containments = cr.Containments()
 					r.latSum, r.latN = cr.ContainmentLatency()
 				}
-				cfg.Metrics.simRun(r.misses)
-				cfg.Metrics.faultTotals(r.overruns, r.containments)
 			}
 			return nil
 		}, nil

@@ -149,8 +149,8 @@ func TestSweepPolicyNames(t *testing.T) {
 		second(FoldJobs(bad, nil)),
 		second(NumJobs(bad)),
 		second(Header(bad)),
-		second(Robustness(ctx, RobustnessConfig{Policies: []string{"warp"}, Sets: 1, Metrics: m})),
-		second(Grid(ctx, GridConfig{Policies: []string{"warp"}, Sets: 1, Metrics: m})),
+		second(Robustness(ctx, RobustnessConfig{Policies: []string{"warp"}, Sets: 1})),
+		second(Grid(ctx, GridConfig{Policies: []string{"warp"}, Sets: 1})),
 	} {
 		if err == nil || !strings.Contains(err.Error(), `unknown policy "warp"`) {
 			t.Errorf("entry point %d: err = %v, want the unknown policy named", i, err)

@@ -59,8 +59,8 @@ type Config struct {
 	EjectAfter int
 	// ProbeInterval paces the re-admission probes (default 2s).
 	ProbeInterval time.Duration
-	// Seed decorrelates the coordinator's backoff and hedging jitter. It
-	// has no effect on results — determinism comes from the sweep seed.
+	// Seed decorrelates the workers' backoff jitter. It has no effect
+	// on results — determinism comes from the sweep seed.
 	Seed int64
 	// HTTP is the transport shared by all workers' clients (default
 	// http.DefaultClient). Tests inject fault-carrying transports here.
@@ -246,12 +246,11 @@ func (f *fabric) run(ctx context.Context) (*experiment.Sweep, error) {
 // no remote-eligible work, ejecting and re-admitting the worker as its
 // health dictates.
 func (f *fabric) workerLoop(ctx context.Context, idx int, url string) {
-	client := serve.NewClient(url, f.cfg.Seed^int64(idx+1))
+	// The client makes one attempt per call, so each dispatch is one
+	// POST /v1/shard and this loop owns every retry: attempt accounting,
+	// backoff and reassignment.
+	client := serve.NewClient(url)
 	client.HTTP = f.cfg.HTTP
-	// One attempt per dispatch: the fabric owns retry policy (attempt
-	// accounting, backoff, reassignment), so the client must not retry
-	// underneath it.
-	client.MaxAttempts = 1
 	bo := backoff.New(f.cfg.Seed ^ int64(idx+1)<<16)
 	consecFails := 0
 
@@ -301,7 +300,7 @@ func (f *fabric) workerLoop(ctx context.Context, idx int, url string) {
 			}
 			// Jittered exponential backoff before this worker takes more
 			// work; other workers proceed meanwhile.
-			if bo.Sleep(ctx, consecFails, 0) != nil {
+			if bo.Sleep(ctx, consecFails) != nil {
 				return
 			}
 			continue

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -303,6 +304,121 @@ func TestRetryHitsWorkerCache(t *testing.T) {
 		t.Errorf("retries = %v, want >= 1", r)
 	}
 }
+
+// A worker whose only shard slot is held sheds every dispatch with 429.
+// The fabric counts each 429 as a failed dispatch, the client under it
+// retries nothing (every POST /v1/shard on the wire is one dispatch),
+// and once the worker is ejected the sweep finishes locally,
+// bit-identical to the plain run.
+func TestSheddingWorker(t *testing.T) {
+	want := localBaseline(t)
+
+	reg := obs.NewRegistry()
+	s := serve.New(serve.Config{ShardConcurrency: 1, Registry: reg, Logf: t.Logf})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+
+	// Hold the slot with a shard of another sweep, deep enough to run
+	// until the cleanup cancels it.
+	hold, release := context.WithCancel(context.Background())
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		serve.NewClient(ts.URL).Shard(hold, serve.ShardRequest{
+			Sweep: serve.SweepRequest{NTasks: 6, Sets: 1, Seed: 99, Horizon: 1e9},
+			Jobs:  []int{0},
+		})
+	}()
+	t.Cleanup(func() {
+		release()
+		<-held
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	for scrape(t, reg, "rtdvs_shard_slots_in_use") < 1 {
+		select {
+		case <-held:
+			t.Fatal("holding shard ended before it took the slot")
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+
+	var posts, sheds atomic.Int64
+	count := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		resp, err := http.DefaultTransport.RoundTrip(r)
+		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/v1/shard") {
+			posts.Add(1)
+			if err == nil && resp.StatusCode == http.StatusTooManyRequests {
+				sheds.Add(1)
+			}
+		}
+		return resp, err
+	})
+	f, err := newFabric(Config{
+		Sweep:       testSweep(),
+		Workers:     []string{ts.URL},
+		ShardSize:   2,
+		MaxAttempts: 4,
+		EjectAfter:  2,
+		Seed:        17,
+		HTTP:        &http.Client{Transport: count},
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, want, got)
+
+	d := f.m.dispatched.Value()
+	if d != float64(posts.Load()) {
+		t.Errorf("dispatched = %v, but the wire carried %d shard POSTs", d, posts.Load())
+	}
+	if sheds.Load() != posts.Load() {
+		t.Errorf("%d of %d shard POSTs answered 429, want all", sheds.Load(), posts.Load())
+	}
+	if w := scrape(t, reg, "rtdvs_http_shed_total"); w != d {
+		t.Errorf("worker shed %v shards, fabric dispatched %v", w, d)
+	}
+	if r := f.m.reassigned.Value(); d != 2 || r != d {
+		t.Errorf("dispatched %v, reassigned %v: want both 2, every 429 a failed dispatch", d, r)
+	}
+	if e := f.m.ejected.Value(); e != 1 {
+		t.Errorf("ejected = %v, want 1", e)
+	}
+	if l := f.m.localRuns.Value(); l != 3 {
+		t.Errorf("local shard runs = %v, want all 3", l)
+	}
+}
+
+// scrape reads one unlabelled sample from reg's text exposition.
+func scrape(t *testing.T, reg *obs.Registry, name string) float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no %s sample in the exposition", name)
+	return 0
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 // truncateFirstN truncates the first n shard responses (the compute
 // succeeded and was cached server-side; only the reply was torn).

@@ -1,6 +1,7 @@
 package rtos
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -229,6 +230,57 @@ func TestAddDemandValidation(t *testing.T) {
 	got, err := k2.AddDemand(id, 5)
 	if err != nil || got != 0 {
 		t.Errorf("pre-start AddDemand = %v, %v; want 0, nil", got, err)
+	}
+}
+
+// Every aperiodic entry point refuses a demand that is not positive,
+// NaN included: NaN fails a "cycles <= 0" test, and a NaN demand once
+// queued turns the kernel's CPU accounting to NaN.
+func TestAperiodicDemandMustBePositive(t *testing.T) {
+	cases := []struct {
+		name  string
+		entry func(t *testing.T, k *Kernel) func(cycles float64) error
+	}{
+		{"Server", func(t *testing.T, k *Kernel) func(float64) error {
+			s, err := NewServer(k, "ps", 10, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func(c float64) error { _, err := s.Submit("j", c); return err }
+		}},
+		{"DeferrableServer", func(t *testing.T, k *Kernel) func(float64) error {
+			s, err := NewDeferrableServer(k, "ds", 10, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func(c float64) error { _, err := s.Submit("j", c); return err }
+		}},
+		{"AddDemand", func(t *testing.T, k *Kernel) func(float64) error {
+			id, err := k.AddTask(TaskConfig{
+				Name: "srvish", Period: 100, WCET: 10,
+				Work: func(int) float64 { return 4 },
+			}, AddOptions{Immediate: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func(c float64) error { _, err := k.AddDemand(id, c); return err }
+		}},
+	}
+	for _, tc := range cases {
+		for _, cycles := range []float64{math.NaN(), 0, -1} {
+			t.Run(fmt.Sprintf("%s/%v", tc.name, cycles), func(t *testing.T) {
+				k := newTestKernel(t, "ccEDF")
+				submit := tc.entry(t, k)
+				k.Step(5)
+				if err := submit(cycles); err == nil {
+					t.Errorf("demand %v accepted", cycles)
+				}
+				k.Step(100)
+				if e := k.CPU().Energy(); math.IsNaN(e) || math.IsInf(e, 0) {
+					t.Errorf("energy %v after demand %v", e, cycles)
+				}
+			})
+		}
 	}
 }
 

@@ -821,7 +821,7 @@ func (k *Kernel) Step(until float64) {
 // guarantees require the server-aware bounds; the polling Server keeps
 // the unmodified guarantee.
 func (k *Kernel) AddDemand(id TaskID, cycles float64) (accepted float64, err error) {
-	if cycles <= 0 {
+	if !(cycles > 0) {
 		return 0, fmt.Errorf("rtos: demand must be positive, got %v", cycles)
 	}
 	var t *ktask

@@ -98,7 +98,7 @@ func (q *jobQueue) ID() TaskID { return q.id }
 
 // enqueue appends a job arriving at the current kernel time.
 func (q *jobQueue) enqueue(name string, cycles float64) (*Job, error) {
-	if cycles <= 0 {
+	if !(cycles > 0) {
 		return nil, fmt.Errorf("rtos: job cycles must be positive, got %v", cycles)
 	}
 	j := &Job{Name: name, Arrival: q.kernel.Now(), Cycles: cycles, remaining: cycles}

@@ -2,6 +2,7 @@ package rtos
 
 import (
 	"fmt"
+	"math"
 
 	"rtdvs/internal/fpx"
 )
@@ -79,8 +80,16 @@ func (c ShedConfig) normalized() ShedConfig {
 
 // SetLoadShedding arms (Window > 0) or disarms (Window <= 0) the load
 // shedder. Disarming restores every shed task immediately. The window
-// state restarts from the current virtual time either way.
+// state restarts from the current virtual time either way. A NaN or
+// infinite Window, MissFrac or CalmFrac is an error: every range check
+// below is a comparison that NaN fails.
 func (k *Kernel) SetLoadShedding(cfg ShedConfig) error {
+	for _, v := range []float64{cfg.Window, cfg.MissFrac, cfg.CalmFrac} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("rtos: shed Window, MissFrac and CalmFrac must be finite, got %v, %v, %v",
+				cfg.Window, cfg.MissFrac, cfg.CalmFrac)
+		}
+	}
 	if cfg.Window <= 0 {
 		k.shedCfg = ShedConfig{}
 		for len(k.shedOrder) > 0 {

@@ -1,6 +1,7 @@
 package rtos
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -98,6 +99,24 @@ func TestLoadSheddingValidation(t *testing.T) {
 	if err := k.SetLoadShedding(ShedConfig{Window: 10, MissFrac: 0.2, CalmFrac: 0.3}); err == nil {
 		t.Error("CalmFrac above MissFrac accepted (no hysteresis band)")
 	}
+	// NaN fails every range comparison, so each field is checked for
+	// finiteness first; an armed NaN shedder would never shed.
+	for _, bad := range []ShedConfig{
+		{Window: math.NaN()},
+		{Window: math.Inf(1)},
+		{Window: math.Inf(-1)},
+		{Window: 10, MissFrac: math.NaN()},
+		{Window: 10, MissFrac: math.Inf(1)},
+		{Window: 10, CalmFrac: math.NaN()},
+		{Window: 10, MissFrac: 0.3, CalmFrac: math.Inf(-1)},
+	} {
+		if err := k.SetLoadShedding(bad); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+		if cfg := k.LoadShedding(); cfg.Window != 0 {
+			t.Errorf("%+v armed the shedder: %+v", bad, cfg)
+		}
+	}
 	if err := k.SetLoadShedding(ShedConfig{Window: 10}); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
 	}
@@ -134,6 +153,14 @@ func TestLoadSheddingDisarmRestores(t *testing.T) {
 func TestShedProcfs(t *testing.T) {
 	k := newTestKernel(t, "ccEDF")
 	shedWorkload(t, k, 1<<30)
+	for _, bad := range []string{"shed 30 NaN", "shed NaN 0.2", "shed +Inf 0.2", "shed 30 Inf"} {
+		if out, err := k.Command(bad); err == nil {
+			t.Errorf("%q: %q, want an error", bad, out)
+		}
+	}
+	if cfg := k.LoadShedding(); cfg.Window != 0 {
+		t.Fatalf("a refused shed command armed the shedder: %+v", cfg)
+	}
 	if _, err := k.Command("shed 30 0.2"); err != nil {
 		t.Fatal(err)
 	}

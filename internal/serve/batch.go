@@ -43,9 +43,9 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, errors.New("serve: batch has no items"))
 		return
 	}
-	if len(req.Items) > s.cfg.MaxBatchItems {
+	if len(req.Items) > maxBatchItems {
 		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("serve: batch has %d items, limit %d", len(req.Items), s.cfg.MaxBatchItems))
+			fmt.Errorf("serve: batch has %d items, limit %d", len(req.Items), maxBatchItems))
 		return
 	}
 	s.metrics.batchSize.Observe(float64(len(req.Items)))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -90,7 +91,8 @@ func TestSimulateBatchPerItemErrors(t *testing.T) {
 // The batch route shares the strict decoder and body bound: unknown
 // fields and oversized bodies are refused before any simulation runs.
 func TestSimulateBatchRequestLimits(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBody: 512, MaxBatchItems: 2})
+	_, ts := newTestServer(t, Config{})
+	item := `{"tasks":[{"period":8,"wcet":3}]}`
 	for _, tc := range []struct {
 		name, body string
 		wantStatus int
@@ -98,13 +100,13 @@ func TestSimulateBatchRequestLimits(t *testing.T) {
 	}{
 		{"emptyBatch", `{"items":[]}`, http.StatusBadRequest, "no items"},
 		{"noItemsField", `{}`, http.StatusBadRequest, "no items"},
-		{"tooManyItems", `{"items":[{"tasks":[{"period":8,"wcet":3}]},{"tasks":[{"period":8,"wcet":3}]},{"tasks":[{"period":8,"wcet":3}]}]}`,
-			http.StatusBadRequest, "limit 2"},
+		{"tooManyItems", `{"items":[` + strings.Repeat(item+",", maxBatchItems) + item + `]}`,
+			http.StatusBadRequest, fmt.Sprintf("has %d items, limit %d", maxBatchItems+1, maxBatchItems)},
 		{"unknownTopField", `{"items":[],"bogus":1}`, http.StatusBadRequest, "unknown field"},
 		{"unknownItemField", `{"items":[{"tasks":[{"period":8,"wcet":3}],"bogus":1}]}`, http.StatusBadRequest, "unknown field"},
 		{"trailingGarbage", `{"items":[{"tasks":[{"period":8,"wcet":3}]}]} "extra"`, http.StatusBadRequest, "trailing data"},
-		{"oversized", `{"items":[{"tasks":[` + strings.Repeat(`{"period":8,"wcet":3},`, 40) + `{"period":8,"wcet":3}]}]}`,
-			http.StatusRequestEntityTooLarge, "exceeds"},
+		{"oversized", `{"items":[{"tasks":[` + strings.Repeat(`{"period":8,"wcet":3},`, maxBody/20) + `{"period":8,"wcet":3}]}]}`,
+			http.StatusRequestEntityTooLarge, fmt.Sprintf("exceeds %d bytes", maxBody)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp := postJSON(t, ts.URL+"/v1/simulate:batch", tc.body)
@@ -166,7 +168,7 @@ func TestSimulateBatchMetrics(t *testing.T) {
 // The typed client round-trips a batch and surfaces per-item outcomes.
 func TestClientSimulateBatch(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	c := NewClient(ts.URL, 1)
+	c := NewClient(ts.URL)
 	items, err := c.SimulateBatch(context.Background(), SimulateBatchRequest{Items: []SimulateRequest{
 		{Tasks: paperTasks(), Policy: "ccEDF", Horizon: 280},
 		{Tasks: nil},

@@ -7,45 +7,29 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"sync"
 	"time"
 
-	"rtdvs/internal/backoff"
 	"rtdvs/internal/sim"
 )
 
-// Client talks to a serve.Server with jittered exponential backoff
-// (the shared internal/backoff schedule): 429 (honoring Retry-After),
-// 5xx, and connection errors are retried; validation failures (4xx)
-// are not.
+// Client is the Go binding of the server's JSON API. Each call sends
+// one request: a 2xx answer is decoded into the result, any other
+// answer comes back as a *StatusError, and a transport failure as the
+// transport's error. Nothing is retried here; a caller that wants
+// retries owns them, as internal/fabric does for shards.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8344".
 	Base string
 	// HTTP is the transport (default http.DefaultClient).
 	HTTP *http.Client
-	// MaxAttempts bounds tries per call (default 5).
-	MaxAttempts int
-	// BaseDelay seeds the exponential backoff (default 50ms); the delay
-	// doubles per attempt up to MaxDelay (default 2s), each scaled by a
-	// uniform jitter in [0.5, 1.0) to decorrelate competing clients.
-	// Both are captured by the backoff schedule at the first retry, so
-	// set them before issuing calls.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-
-	seed int64
-	mu   sync.Mutex
-	bo   *backoff.Backoff
 }
 
-// NewClient builds a client. The seed drives backoff jitter only; any
-// value is fine, but an explicit one keeps test runs reproducible.
-func NewClient(base string, seed int64) *Client {
-	return &Client{Base: base, seed: seed}
+// NewClient builds a client for the server rooted at base.
+func NewClient(base string) *Client {
+	return &Client{Base: base}
 }
 
-// StatusError is a non-retried HTTP failure (or retries exhausted).
+// StatusError is a non-2xx answer.
 type StatusError struct {
 	Status int
 	Body   string
@@ -125,124 +109,41 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*J
 	}
 }
 
-// call performs one logical request with retries.
+// call sends one request and decodes a 2xx answer into out.
 func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
-	attempts := c.MaxAttempts
-	if attempts <= 0 {
-		attempts = 5
-	}
-	var body []byte
+	var body io.Reader
 	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
 			return err
 		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
+	if err != nil {
+		return err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	httpc := c.HTTP
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
-
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			if err := c.sleep(ctx, attempt, lastErr); err != nil {
-				return err
-			}
-		}
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
-		if err != nil {
-			return err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := httpc.Do(req)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			lastErr = err // connection-level failure: retry
-			continue
-		}
-		respBody, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		switch {
-		case resp.StatusCode < 300:
-			if out == nil {
-				return nil
-			}
-			return json.Unmarshal(respBody, out)
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-			lastErr = &StatusError{Status: resp.StatusCode, Body: string(respBody)}
-			if ra := retryAfter(resp); ra > 0 {
-				lastErr = &retryAfterError{StatusError{resp.StatusCode, string(respBody)}, ra}
-			}
-			continue
-		default:
-			return &StatusError{Status: resp.StatusCode, Body: string(respBody)}
-		}
-	}
-	return fmt.Errorf("serve: %d attempts failed, last: %w", attempts, lastErr)
-}
-
-// retryAfterError carries the server's pacing hint through to sleep.
-type retryAfterError struct {
-	StatusError
-	after time.Duration
-}
-
-func retryAfter(resp *http.Response) time.Duration {
-	return retryAfterAt(resp.Header.Get("Retry-After"), time.Now())
-}
-
-// retryAfterAt parses a Retry-After header value, which RFC 9110 allows
-// in two forms: delay-seconds ("120") or an HTTP-date ("Fri, 31 Dec 1999
-// 23:59:59 GMT", evaluated against now). Unparseable values and hints in
-// the past yield 0, meaning "no hint" — backoff proceeds on its own
-// schedule.
-func retryAfterAt(value string, now time.Time) time.Duration {
-	if value == "" {
-		return 0
-	}
-	if secs, err := strconv.Atoi(value); err == nil {
-		if secs < 0 {
-			return 0
-		}
-		return time.Duration(secs) * time.Second
-	}
-	when, err := http.ParseTime(value)
+	resp, err := httpc.Do(req)
 	if err != nil {
-		return 0
+		return err
 	}
-	if d := when.Sub(now); d > 0 {
-		return d
+	defer resp.Body.Close()
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	if err != nil {
+		return err
 	}
-	return 0
-}
-
-// sleep blocks for the attempt's backoff delay. A Retry-After hint from
-// the server raises the floor; the jitter then scales whichever is
-// larger so competing clients still decorrelate.
-func (c *Client) sleep(ctx context.Context, attempt int, lastErr error) error {
-	var floor time.Duration
-	if rae, ok := lastErr.(*retryAfterError); ok {
-		floor = rae.after
+	if resp.StatusCode >= 300 {
+		return &StatusError{Status: resp.StatusCode, Body: string(respBody)}
 	}
-	c.mu.Lock()
-	if c.bo == nil {
-		c.bo = backoff.New(c.seed)
-		c.bo.Base, c.bo.Max = c.BaseDelay, c.MaxDelay
+	if out == nil {
+		return nil
 	}
-	bo := c.bo
-	c.mu.Unlock()
-	return bo.Sleep(ctx, attempt, floor)
+	return json.Unmarshal(respBody, out)
 }

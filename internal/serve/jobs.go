@@ -43,7 +43,6 @@ type job struct {
 
 	mu     sync.Mutex
 	status JobStatus
-	done   chan struct{} // closed on reaching a terminal state
 }
 
 func (j *job) setState(s JobState, err error, sw *experiment.Sweep) {
@@ -57,9 +56,6 @@ func (j *job) setState(s JobState, err error, sw *experiment.Sweep) {
 		j.status.Error = err.Error()
 	}
 	j.status.Sweep = sw
-	if s.Terminal() {
-		close(j.done)
-	}
 }
 
 // Status returns a snapshot safe to serialize.
@@ -83,11 +79,7 @@ func newJobStore() *jobStore {
 }
 
 func (s *jobStore) create(cfg experiment.Config) *job {
-	j := &job{
-		id:   fmt.Sprintf("job-%d", s.seq.Add(1)),
-		cfg:  cfg,
-		done: make(chan struct{}),
-	}
+	j := &job{id: fmt.Sprintf("job-%d", s.seq.Add(1)), cfg: cfg}
 	j.status = JobStatus{ID: j.id, Status: JobQueued}
 	s.mu.Lock()
 	s.jobs[j.id] = j

@@ -178,7 +178,7 @@ func TestSweepProgressMetrics(t *testing.T) {
 	st := decodeBody[JobStatus](t, resp)
 	ctx, cancel := shutdownCtx(t)
 	defer cancel()
-	if _, err := NewClient(ts.URL, 1).WaitJob(ctx, st.ID, 5*time.Millisecond); err != nil {
+	if _, err := NewClient(ts.URL).WaitJob(ctx, st.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 

@@ -60,7 +60,7 @@ func TestSimulateMultiEndpoint(t *testing.T) {
 // server, including its cores guard.
 func TestClientSimulateMulti(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	c := NewClient(ts.URL, 1)
+	c := NewClient(ts.URL)
 
 	req := SimulateRequest{Tasks: multiTasks(), Policy: "laEDF", Exec: "wcet", Horizon: 200, Cores: 4}
 	got, err := c.SimulateMulti(context.Background(), req)
@@ -190,7 +190,7 @@ func TestSweepRequestCores(t *testing.T) {
 // finish and carry a well-formed result.
 func TestSweepJobMulticore(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	c := NewClient(ts.URL, 1)
+	c := NewClient(ts.URL)
 	id, err := c.StartSweep(context.Background(), SweepRequest{
 		NTasks: 6, Sets: 2, Seed: 9, Utilizations: []float64{0.8, 1.4},
 		Cores: 2, Placement: "partitioned-wf", Exec: "uniform",

@@ -130,8 +130,8 @@ func TestSimulateValidation(t *testing.T) {
 
 // A body over the limit is refused with 413.
 func TestSimulateBodyLimit(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBody: 256})
-	resp := postJSON(t, ts.URL+"/v1/simulate", `{"tasks":[`+strings.Repeat(`{"period":8,"wcet":3},`, 100)+`]}`)
+	_, ts := newTestServer(t, Config{})
+	resp := postJSON(t, ts.URL+"/v1/simulate", `{"tasks":[`+strings.Repeat(`{"period":8,"wcet":3},`, maxBody/20)+`]}`)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
 	}
@@ -141,7 +141,7 @@ func TestSimulateBodyLimit(t *testing.T) {
 // With every simulate slot held, the next request is shed immediately
 // with 429 and a Retry-After hint.
 func TestSimulateShedsWhenFull(t *testing.T) {
-	s, ts := newTestServer(t, Config{SimConcurrency: 2, RetryAfter: 3 * time.Second})
+	s, ts := newTestServer(t, Config{SimConcurrency: 2})
 	// Occupy both slots deterministically.
 	s.simSem <- struct{}{}
 	s.simSem <- struct{}{}
@@ -152,8 +152,8 @@ func TestSimulateShedsWhenFull(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After = %q, want \"3\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 	resp.Body.Close()
 }
@@ -242,7 +242,7 @@ func TestSweepJobLifecycle(t *testing.T) {
 		t.Fatalf("bad accepted status %+v", st)
 	}
 
-	c := NewClient(ts.URL, 1)
+	c := NewClient(ts.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	final, err := c.WaitJob(ctx, st.ID, 5*time.Millisecond)
@@ -284,7 +284,7 @@ func TestSweepJobExtendedPolicies(t *testing.T) {
 	st := decodeBody[JobStatus](t, resp)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	final, err := NewClient(ts.URL, 1).WaitJob(ctx, st.ID, 5*time.Millisecond)
+	final, err := NewClient(ts.URL).WaitJob(ctx, st.ID, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestServerLifecycleGoroutines(t *testing.T) {
 		sweep, _ := json.Marshal(SweepRequest{NTasks: 3, Sets: 1, Utilizations: []float64{0.5}, Horizon: 100})
 		resp := postJSON(t, ts.URL+"/v1/sweep", string(sweep))
 		id := decodeBody[JobStatus](t, resp).ID
-		c := NewClient(ts.URL, 1)
+		c := NewClient(ts.URL)
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if _, err := c.WaitJob(ctx, id, 2*time.Millisecond); err != nil {

@@ -9,7 +9,6 @@ import (
 	"log"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,6 +21,20 @@ import (
 // StatusClientClosedRequest is the nginx-convention status reported when
 // the client abandoned a request before the simulation finished.
 const StatusClientClosedRequest = 499
+
+// The server's fixed request bounds.
+const (
+	// maxBody caps request bodies in bytes; a larger body is refused
+	// with 413.
+	maxBody = 1 << 20
+	// maxBatchItems caps the item count of one /v1/simulate:batch
+	// request; a larger batch is refused with 400.
+	maxBatchItems = 256
+	// shardCacheSize bounds the shard result cache, in entries.
+	shardCacheSize = 128
+	// retryAfter is the Retry-After value, in seconds, on every 429.
+	retryAfter = "1"
+)
 
 // Config tunes the server's resource bounds. The zero value selects the
 // defaults noted per field.
@@ -40,22 +53,11 @@ type Config struct {
 	// SweepTimeout caps one sweep job (default 10m).
 	SweepTimeout time.Duration
 	// ShardConcurrency bounds concurrent /v1/shard runs (default
-	// GOMAXPROCS). Requests beyond the bound are shed with 429; the
-	// fabric coordinator's backoff paces itself off the hint.
+	// GOMAXPROCS). Requests beyond the bound are shed with 429, which
+	// the fabric coordinator counts as a failed dispatch.
 	ShardConcurrency int
 	// ShardTimeout caps one shard request (default 2m).
 	ShardTimeout time.Duration
-	// ShardCacheSize bounds the shard result cache (default 128
-	// entries). Retried and hedged shards replay from the cache instead
-	// of recomputing.
-	ShardCacheSize int
-	// MaxBatchItems caps the item count of one /v1/simulate:batch
-	// request (default 256). Larger batches are refused with 400.
-	MaxBatchItems int
-	// RetryAfter is the hint attached to 429 responses (default 1s).
-	RetryAfter time.Duration
-	// MaxBody caps request bodies in bytes (default 1 MiB).
-	MaxBody int64
 	// Logf receives operational log lines (default log.Printf).
 	Logf func(format string, args ...any)
 	// Registry receives the server's metrics (default: a fresh private
@@ -85,18 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = 2 * time.Minute
-	}
-	if c.ShardCacheSize <= 0 {
-		c.ShardCacheSize = 128
-	}
-	if c.MaxBatchItems <= 0 {
-		c.MaxBatchItems = 256
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 1 << 20
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -150,7 +140,7 @@ func New(cfg Config) *Server {
 		registry:   cfg.Registry,
 		simSem:     make(chan struct{}, cfg.SimConcurrency),
 		shardSem:   make(chan struct{}, cfg.ShardConcurrency),
-		shardCache: newShardCache(cfg.ShardCacheSize),
+		shardCache: newShardCache(shardCacheSize),
 		queue:      make(chan *job, cfg.QueueDepth),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -304,8 +294,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Bounded concurrency: a free slot or an immediate 429. No waiting —
-	// shedding early keeps tail latency flat under overload and lets the
-	// retry client pace itself off Retry-After.
+	// shedding early keeps tail latency flat under overload; the caller
+	// decides whether and when to try again.
 	select {
 	case s.simSem <- struct{}{}:
 		defer func() { <-s.simSem }()
@@ -414,12 +404,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // readRequest enforces the body bound and strict decoding; it answers
 // the request itself on failure.
 func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("body exceeds %d bytes", s.cfg.MaxBody))
+				fmt.Errorf("body exceeds %d bytes", maxBody))
 		} else {
 			s.writeError(w, http.StatusBadRequest, err)
 		}
@@ -432,15 +422,11 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, v any) bool
 	return true
 }
 
-// shed answers an over-capacity request: 429 plus the Retry-After hint
-// the backoff client honors.
+// shed answers an over-capacity request: 429 plus a one-second
+// Retry-After hint for whatever client is on the other end.
 func (s *Server) shed(w http.ResponseWriter) {
 	s.metrics.shed.Inc()
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", retryAfter)
 	s.writeError(w, http.StatusTooManyRequests, errors.New("server at capacity"))
 }
 

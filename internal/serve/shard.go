@@ -131,7 +131,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	s.metrics.shardCacheMisses.Inc()
 
 	// Bounded concurrency, same shape as /v1/simulate: a free slot or an
-	// immediate 429 the coordinator's backoff paces itself off.
+	// immediate 429, which the coordinator counts as a failed dispatch.
 	select {
 	case s.shardSem <- struct{}{}:
 		defer func() { <-s.shardSem }()
@@ -172,8 +172,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, ShardResponse{Results: results})
 }
 
-// Shard runs one shard synchronously on the worker, retrying transient
-// failures like every other client call.
+// Shard runs one shard synchronously on the worker.
 func (c *Client) Shard(ctx context.Context, req ShardRequest) (*ShardResponse, error) {
 	var res ShardResponse
 	if err := c.call(ctx, "POST", "/v1/shard", req, &res); err != nil {

@@ -31,7 +31,7 @@ func shardSweep() SweepRequest {
 // locally — this is the wire half of the fabric's bit-identity claim.
 func TestShardEndpointMatchesLocal(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	client := NewClient(ts.URL, 1)
+	client := NewClient(ts.URL)
 
 	req := ShardRequest{Sweep: shardSweep(), Jobs: []int{1, 3, 4}}
 	resp, err := client.Shard(context.Background(), req)
@@ -59,7 +59,7 @@ func TestShardEndpointMatchesLocal(t *testing.T) {
 // cache, bit-identical, and the hit/miss counters account for it.
 func TestShardCacheReplay(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	client := NewClient(ts.URL, 1)
+	client := NewClient(ts.URL)
 
 	req := ShardRequest{Sweep: shardSweep(), Jobs: []int{0, 5}}
 	first, err := client.Shard(context.Background(), req)
@@ -138,7 +138,7 @@ func TestShardCacheEviction(t *testing.T) {
 
 // Shards beyond the concurrency bound are shed with 429, not queued.
 func TestShardShedsWhenFull(t *testing.T) {
-	s, ts := newTestServer(t, Config{ShardConcurrency: 1, RetryAfter: 3 * time.Second})
+	s, ts := newTestServer(t, Config{ShardConcurrency: 1})
 	// Occupy the only slot deterministically.
 	s.shardSem <- struct{}{}
 	defer func() { <-s.shardSem }()
@@ -148,8 +148,8 @@ func TestShardShedsWhenFull(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After = %q, want \"3\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 }
 
@@ -284,7 +284,7 @@ func TestShardCancelledByShutdownDeadline(t *testing.T) {
 // the engine, runs it. Neither endpoint answers 500.
 func TestSweepDistributionExec(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	client := NewClient(ts.URL, 1)
+	client := NewClient(ts.URL)
 	for _, exec := range []string{"beta=2,5", "bimodal=0.2,0.9,0.3", "hist=1,2,1"} {
 		for _, cores := range []int{0, 2} {
 			sweep := SweepRequest{

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,15 +17,16 @@ import (
 	"rtdvs/internal/task"
 )
 
-// TestSoakSmoke drives a deliberately under-provisioned server with a
-// few hundred concurrent requests through the backoff client: every
-// request must eventually succeed (the 429 shedding paces the clients
-// rather than failing them), the server must shed at least once (the
-// load is far beyond its capacity), and the drain afterwards must be
-// clean. Scalar, multi-core and batch simulations borrow runner pairs
-// from the one pool at once. The whole exercise runs under a wall-clock
-// budget so a regression that deadlocks or livelocks the pool fails
-// fast.
+// TestSoakSmoke drives a deliberately under-provisioned server with two
+// waves of a few hundred concurrent callers, each making one attempt:
+// every answer must be a success or a 429 carrying the one-second
+// Retry-After hint (shedding refuses work, it never breaks it), the
+// server must shed at least once, every sweep it accepts must finish,
+// and the drain afterwards must be clean. In the second wave scalar,
+// multi-core and batch simulations borrow runner pairs from the one
+// pool at once. Last, one call of each kind alone must succeed. The
+// whole exercise runs under a wall-clock budget so a regression that
+// deadlocks or livelocks the pool fails fast.
 func TestSoakSmoke(t *testing.T) {
 	const (
 		simClients   = 180
@@ -37,50 +39,36 @@ func TestSoakSmoke(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	// Tiny capacity relative to the offered load forces the 429 path.
-	s := New(Config{SimConcurrency: 2, Workers: 2, QueueDepth: 4, RetryAfter: time.Second, Logf: t.Logf})
+	s := New(Config{SimConcurrency: 2, Workers: 2, QueueDepth: 4, Logf: t.Logf})
 	s.Start()
 	hs := httptest.NewServer(s.Handler())
 
-	// Count sheds at the transport level, underneath the client's
-	// retries.
+	// Count sheds on the wire and check each one's hint.
 	var sheds atomic.Int64
 	rt := http.DefaultTransport.(*http.Transport).Clone()
 	rt.MaxIdleConnsPerHost = allClients
-	countingClient := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+	c := &Client{Base: hs.URL, HTTP: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
 		resp, err := rt.RoundTrip(r)
 		if err == nil && resp.StatusCode == http.StatusTooManyRequests {
 			sheds.Add(1)
+			if ra := resp.Header.Get("Retry-After"); ra != "1" {
+				t.Errorf("429 from %s carries Retry-After %q, want \"1\"", r.URL.Path, ra)
+			}
 		}
 		return resp, err
-	})}
+	})}}
 
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 
-	// Hold every simulate slot through the first wave of arrivals so
-	// shedding happens deterministically even on a machine fast enough
-	// to drain each simulation before the next connection lands; the
-	// retry clients absorb the 429s and succeed once the slots free up.
-	s.simSem <- struct{}{}
-	s.simSem <- struct{}{}
-	slotHold := time.AfterFunc(300*time.Millisecond, func() { <-s.simSem; <-s.simSem })
-	defer slotHold.Stop()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, allClients)
-	client := func(seed int64) *Client {
-		c := NewClient(hs.URL, seed)
-		c.HTTP = countingClient
-		c.MaxAttempts = 40
-		c.BaseDelay = 2 * time.Millisecond
-		c.MaxDelay = 50 * time.Millisecond
-		return c
-	}
-	for i := 0; i < simClients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := client(int64(i))
+	// The four request kinds, one attempt each. A sweep call also polls
+	// the job it started until the job ends, and requires it done.
+	kinds := []struct {
+		name    string
+		callers int
+		call    func(i int) error
+	}{
+		{"simulate", simClients, func(i int) error {
 			// Deep enough that simulations overlap and contend for the
 			// two slots; still only ~1ms of work each.
 			_, err := c.Simulate(ctx, SimulateRequest{
@@ -89,50 +77,33 @@ func TestSoakSmoke(t *testing.T) {
 				Horizon: 30000,
 				Seed:    int64(i),
 			})
-			if err != nil {
-				errs <- err
-			}
-		}(i)
-	}
-	for i := 0; i < multiClients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+			return err
+		}},
+		{"multi", multiClients, func(i int) error {
 			req := SimulateRequest{Tasks: multiTasks(), Horizon: 2000, Seed: int64(i), Cores: 2}
 			if i%2 == 1 {
 				req.Policy, req.Placement = "gangCCEDF", "global"
 			}
-			if _, err := client(int64(500+i)).SimulateMulti(ctx, req); err != nil {
-				errs <- err
-			}
-		}(i)
-	}
-	for i := 0; i < batchClients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			items, err := client(int64(700+i)).SimulateBatch(ctx, SimulateBatchRequest{Items: []SimulateRequest{
+			_, err := c.SimulateMulti(ctx, req)
+			return err
+		}},
+		{"batch", batchClients, func(i int) error {
+			items, err := c.SimulateBatch(ctx, SimulateBatchRequest{Items: []SimulateRequest{
 				{Tasks: paperTasks(), Policy: "ccEDF", Exec: "uniform", Horizon: 2000, Seed: int64(i)},
 				{Tasks: multiTasks(), Horizon: 2000, Cores: 4},
 				{Tasks: multiTasks(), Policy: "gangLAEDF", Horizon: 2000, Cores: 2, Placement: "global"},
 			}})
 			if err != nil {
-				errs <- err
-				return
+				return err
 			}
 			for j, it := range items {
 				if it.Error != "" {
-					errs <- fmt.Errorf("batch %d item %d: %s", i, j, it.Error)
+					return fmt.Errorf("item %d: %s", j, it.Error)
 				}
 			}
-		}(i)
-	}
-	for i := 0; i < sweepClients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := client(int64(1000 + i))
-			c.MaxAttempts = 60
+			return nil
+		}},
+		{"sweep", sweepClients, func(i int) error {
 			id, err := c.StartSweep(ctx, SweepRequest{
 				NTasks:       3,
 				Sets:         2,
@@ -141,33 +112,76 @@ func TestSoakSmoke(t *testing.T) {
 				Horizon:      2000,
 			})
 			if err != nil {
-				errs <- err
-				return
+				return err
 			}
 			st, err := c.WaitJob(ctx, id, 5*time.Millisecond)
 			if err != nil {
-				errs <- err
-				return
+				return err
 			}
 			if st.Status != JobDone {
-				errs <- &StatusError{Status: 0, Body: "job " + id + " ended " + string(st.Status) + ": " + st.Error}
+				return fmt.Errorf("job %s ended %s: %s", id, st.Status, st.Error)
 			}
-		}(i)
+			return nil
+		}},
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Errorf("soak request failed: %v", err)
+
+	// wave starts every caller at once and returns how many were served.
+	wave := func() int64 {
+		var wg sync.WaitGroup
+		var served atomic.Int64
+		for _, kind := range kinds {
+			for i := 0; i < kind.callers; i++ {
+				wg.Add(1)
+				go func(name string, call func(int) error, i int) {
+					defer wg.Done()
+					var se *StatusError
+					switch err := call(i); {
+					case err == nil:
+						served.Add(1)
+					case errors.As(err, &se) && se.Status == http.StatusTooManyRequests:
+					default:
+						t.Errorf("%s caller %d: %v", name, i, err)
+					}
+				}(kind.name, kind.call, i)
+			}
+		}
+		wg.Wait()
+		return served.Load()
 	}
+
+	// Hold every simulate slot through the first wave of arrivals so
+	// shedding happens deterministically even on a machine fast enough
+	// to drain each simulation before the next connection lands.
+	s.simSem <- struct{}{}
+	s.simSem <- struct{}{}
+	released := make(chan struct{})
+	slotHold := time.AfterFunc(300*time.Millisecond, func() { <-s.simSem; <-s.simSem; close(released) })
+	defer slotHold.Stop()
+	served1 := wave()
 	if sheds.Load() == 0 {
 		t.Error("no request was ever shed with 429; the load test is not exercising backpressure")
 	}
-	// The server's own shed counter must agree exactly with the 429s the
-	// clients observed on the wire — no double counting, none missed.
-	if got := s.metrics.shed.Value(); got != float64(sheds.Load()) {
-		t.Errorf("server shed counter = %v, clients saw %d 429s", got, sheds.Load())
+	select {
+	case <-released:
+	case <-ctx.Done():
+		t.Fatal("slot hold never released")
 	}
-	t.Logf("soak: %d requests, %d sheds absorbed by retries", allClients, sheds.Load())
+	served2 := wave()
+
+	// Every accepted sweep is done and nothing holds capacity, so one
+	// call of each kind on its own must succeed.
+	for _, kind := range kinds {
+		if err := kind.call(0); err != nil {
+			t.Errorf("lone %s call: %v", kind.name, err)
+		}
+	}
+
+	// The server's own shed counter must agree exactly with the 429s on
+	// the wire — no double counting, none missed.
+	if got := s.metrics.shed.Value(); got != float64(sheds.Load()) {
+		t.Errorf("server shed counter = %v, the wire saw %d 429s", got, sheds.Load())
+	}
+	t.Logf("soak: two waves of %d calls, %d and %d served, %d shed", allClients, served1, served2, sheds.Load())
 
 	hs.Close()
 	sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -225,7 +239,7 @@ func FuzzSimulateRequest(f *testing.F) {
 // fuzzServer is the server the handler fuzz targets call into directly,
 // bypassing the panic-recovery middleware so a crash fails the target.
 func fuzzServer(f *testing.F) *Server {
-	s := New(Config{SimConcurrency: 1, SimTimeout: 50 * time.Millisecond, MaxBatchItems: 16, Logf: func(string, ...any) {}})
+	s := New(Config{SimConcurrency: 1, SimTimeout: 50 * time.Millisecond, Logf: func(string, ...any) {}})
 	f.Cleanup(func() { s.Shutdown(context.Background()) })
 	return s
 }
