@@ -43,7 +43,7 @@ import (
 
 func main() {
 	mname := flag.String("machine", "k6-2+", "machine spec: "+strings.Join(machine.Names(), ", "))
-	pname := flag.String("policy", "ccEDF", "initial policy: "+strings.Join(core.Names(), ", "))
+	pname := flag.String("policy", "ccEDF", "initial policy: "+strings.Join(core.ExtendedNames(), ", "))
 	script := flag.String("script", "", "read commands from this file instead of stdin")
 	var logOpts obs.LogOptions
 	logOpts.RegisterFlags(flag.CommandLine)
@@ -59,15 +59,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	spec := machine.ByName(*mname)
-	if spec == nil {
-		fatal(fmt.Errorf("unknown machine %q", *mname))
-	}
-	p, err := core.ByName(*pname)
-	if err != nil {
-		fatal(err)
-	}
-	k, err := rtos.NewKernel(spec, machine.K62SwitchOverhead, p)
+	k, err := newKernel(*mname, *pname)
 	if err != nil {
 		fatal(err)
 	}
@@ -137,4 +129,20 @@ func main() {
 	if err := sc.Err(); err != nil {
 		fatal(err)
 	}
+}
+
+// newKernel builds the shell's kernel: the named machine with the K6-2+
+// switch overhead, running the named policy. It resolves the policy as
+// the shell's policy command does, so every name that command accepts
+// also starts the shell.
+func newKernel(mname, pname string) (*rtos.Kernel, error) {
+	spec := machine.ByName(mname)
+	if spec == nil {
+		return nil, fmt.Errorf("unknown machine %q", mname)
+	}
+	p, err := core.ExtendedByName(pname)
+	if err != nil {
+		return nil, err
+	}
+	return rtos.NewKernel(spec, machine.K62SwitchOverhead, p)
 }

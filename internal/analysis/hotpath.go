@@ -18,7 +18,6 @@ var HotpathRegistry = map[string]string{
 	// reused Runner must stay at 0 allocs/op.
 	"rtdvs/internal/sim.simulator.run":             "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.processReleases": "BenchmarkSimulatorThroughput",
-	"rtdvs/internal/sim.simulator.processAborts":   "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.switchTo":        "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.record":          "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.pollCtx":         "BenchmarkSimulatorThroughput",
@@ -26,7 +25,6 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/sim.simulator.readyAdd":        "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.readyKey":        "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.nextReleaseTime": "BenchmarkSimulatorThroughput",
-	"rtdvs/internal/sim.simulator.nextAbortTime":   "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.fireReleases":    "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.abort":           "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.sortIndexes":               "BenchmarkSimulatorThroughput",

@@ -2,13 +2,13 @@
 // the RT-DVS substrates (the discrete-event simulator in internal/sim
 // and the RTOS kernel in internal/rtos).
 //
-// The paper's deadline guarantees (Section 3) rest on three assumptions:
-// every job finishes within its declared worst case, releases follow the
-// periodic timer exactly, and every operating-point transition completes
-// within the measured stop interval. The cycle-conserving and look-ahead
-// policies actively *spend* the slack those assumptions create, so a
-// single violation — an overrunning job, a stuck voltage regulator — can
-// cascade into deadline misses plain EDF at full speed would never see.
+// The paper's deadline guarantees (Section 3) rest on two assumptions:
+// every job finishes within its declared worst case, and every
+// operating-point transition completes within the measured stop
+// interval. The cycle-conserving and look-ahead policies actively
+// *spend* the slack those assumptions create, so a single violation —
+// an overrunning job, a stuck voltage regulator — can cascade into
+// deadline misses plain EDF at full speed would never see.
 // This package injects exactly those violations, deterministically, so
 // the degradation machinery (core.Contained, the kernel's overrun
 // watchdog and switch retry path) can be exercised and measured.
@@ -19,12 +19,6 @@
 //     is inflated to OverrunFactor×WCET plus an optional exponential
 //     tail — demand beyond the declared bound, condition the admission
 //     test assumed impossible.
-//   - Release jitter: a release fires up to JitterMax ms after its
-//     nominal timer tick while the deadline stays on the nominal grid,
-//     compressing the invocation's window.
-//   - Timer drift: a per-task random-walk lateness (transient clock
-//     skew) added on top of jitter; it grows and decays by ±DriftMax per
-//     release and never goes negative (the timer never fires early).
 //   - Frequency-switch failures: a requested transition is denied
 //     outright, the operating point gets stuck for StuckSpan ms, or the
 //     mandatory stop interval is inflated by OverheadFactor.
@@ -35,7 +29,7 @@
 //
 // Draws are keyed by a splitmix64 hash of (seed, fault class, task,
 // invocation) rather than consumed from a shared stream, so the overrun
-// and jitter sequences of a given task set are identical across policies
+// and overload sequences of a given task set are identical across policies
 // — robustness curves compare policies under the *same* fault history.
 // Switch faults are keyed by an attempt counter and therefore form an
 // independent stream per run.
@@ -52,15 +46,15 @@ import (
 // Kind classifies injected faults.
 type Kind int
 
-// Fault kinds, in the order they appear in Plan.
+// Fault kinds, in the order they appear in Plan. A kind's number keys
+// its hashed draws (see u01), so renumbering one would change every
+// fault history; 1 and 2 are unused.
 const (
-	KindOverrun Kind = iota
-	KindJitter
-	KindDrift
-	KindSwitchDenied
-	KindSwitchStuck
-	KindOverheadInflated
-	KindOverload
+	KindOverrun          Kind = 0
+	KindSwitchDenied     Kind = 3
+	KindSwitchStuck      Kind = 4
+	KindOverheadInflated Kind = 5
+	KindOverload         Kind = 6
 )
 
 // String implements fmt.Stringer.
@@ -68,10 +62,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindOverrun:
 		return "overrun"
-	case KindJitter:
-		return "jitter"
-	case KindDrift:
-		return "drift"
 	case KindSwitchDenied:
 		return "switch-denied"
 	case KindSwitchStuck:
@@ -91,15 +81,15 @@ type Event struct {
 	// Task is the task index the fault hit, or -1 for switch faults.
 	Task int `json:"task"`
 	// Value carries the kind-specific magnitude: the inflated demand for
-	// overruns, the delay in ms for jitter/drift, the requested frequency
-	// for switch faults, the inflated halt for overhead inflation.
+	// overruns and overloads, the requested frequency for switch faults,
+	// the inflated halt for overhead inflation.
 	Value float64 `json:"value"`
 }
 
 // Plan configures an Injector. The zero value injects nothing; each
 // fault class is enabled by its probability. All probabilities are per
-// opportunity (per release for overruns/jitter/drift, per transition
-// attempt for switch faults).
+// opportunity (per release for overruns, per transition attempt for
+// switch faults).
 type Plan struct {
 	// Seed keys every draw; two injectors with equal plans fire
 	// identical fault sequences.
@@ -115,18 +105,6 @@ type Plan struct {
 	// OverrunFactor + OverrunTail·X with X ~ Exp(1), modeling the
 	// heavy-tailed demand spikes of stochastic execution models.
 	OverrunTail float64 `json:"overrunTail,omitempty"`
-
-	// JitterProb and JitterMax delay a release uniformly in
-	// (0, JitterMax] ms past its nominal tick, with the deadline held on
-	// the nominal grid.
-	JitterProb float64 `json:"jitterProb,omitempty"`
-	JitterMax  float64 `json:"jitterMax,omitempty"`
-
-	// DriftProb and DriftMax drive a per-task random-walk timer lateness:
-	// at each release, with probability DriftProb, the walk moves by a
-	// uniform step in [-DriftMax, +DriftMax], clamped at zero.
-	DriftProb float64 `json:"driftProb,omitempty"`
-	DriftMax  float64 `json:"driftMax,omitempty"`
 
 	// SwitchDenyProb denies a transition attempt outright: the hardware
 	// stays at its previous operating point.
@@ -189,8 +167,7 @@ func (p Plan) Validate() error {
 		name string
 		v    float64
 	}{
-		{"OverrunProb", p.OverrunProb}, {"JitterProb", p.JitterProb},
-		{"DriftProb", p.DriftProb}, {"SwitchDenyProb", p.SwitchDenyProb},
+		{"OverrunProb", p.OverrunProb}, {"SwitchDenyProb", p.SwitchDenyProb},
 		{"StuckProb", p.StuckProb}, {"OverheadProb", p.OverheadProb},
 		{"OverloadOnProb", p.OverloadOnProb}, {"OverloadOffProb", p.OverloadOffProb},
 	} {
@@ -210,8 +187,8 @@ func (p Plan) Validate() error {
 	if p.OverloadTail < 0 {
 		return fmt.Errorf("fault: OverloadTail must be non-negative, got %v", p.OverloadTail)
 	}
-	if p.JitterMax < 0 || p.DriftMax < 0 || p.StuckSpan < 0 {
-		return fmt.Errorf("fault: JitterMax, DriftMax and StuckSpan must be non-negative")
+	if p.StuckSpan < 0 {
+		return fmt.Errorf("fault: StuckSpan must be non-negative, got %v", p.StuckSpan)
 	}
 	if p.OverheadProb > 0 && p.OverheadFactor < 1 {
 		return fmt.Errorf("fault: OverheadFactor must be ≥ 1 when OverheadProb > 0, got %v", p.OverheadFactor)
@@ -223,8 +200,6 @@ func (p Plan) Validate() error {
 type Record struct {
 	// Counters per fault class.
 	Overruns          int `json:"overruns"`
-	Jitters           int `json:"jitters"`
-	Drifts            int `json:"drifts"`
 	SwitchesDenied    int `json:"switchesDenied"`
 	SwitchesStuck     int `json:"switchesStuck"`
 	OverheadsInflated int `json:"overheadsInflated"`
@@ -239,8 +214,8 @@ type Record struct {
 
 // Total returns the total number of fired faults.
 func (r Record) Total() int {
-	return r.Overruns + r.Jitters + r.Drifts +
-		r.SwitchesDenied + r.SwitchesStuck + r.OverheadsInflated + r.Overloads
+	return r.Overruns + r.SwitchesDenied + r.SwitchesStuck +
+		r.OverheadsInflated + r.Overloads
 }
 
 // maxEvents bounds the per-injector event list (the counters keep full
@@ -248,7 +223,7 @@ func (r Record) Total() int {
 const maxEvents = 4096
 
 // Injector draws faults deterministically from a Plan. It is stateful
-// (drift walks, stuck spans, the fired-fault record) and not safe for
+// (overload chains, stuck spans, the fired-fault record) and not safe for
 // concurrent use; create one per run.
 type Injector struct {
 	plan Plan
@@ -260,7 +235,6 @@ type Injector struct {
 
 	stuckUntil float64        // operating point stuck until this time
 	switchSeq  uint64         // transition attempt counter (draw key)
-	drift      map[int]walk   // per-task random-walk lateness state
 	regimes    map[int]regime // per-task overload Markov-chain state
 }
 
@@ -274,13 +248,6 @@ type regime struct {
 	seen    bool
 }
 
-// walk is one task's timer-drift state: the current lateness and the
-// last invocation whose step was applied.
-type walk struct {
-	lateness float64
-	lastInv  int
-}
-
 // New creates an injector for the plan.
 func New(plan Plan) (*Injector, error) {
 	if err := plan.Validate(); err != nil {
@@ -292,7 +259,7 @@ func New(plan Plan) (*Injector, error) {
 	if fpx.Eq(plan.OverloadFactor, 0) {
 		plan.OverloadFactor = 1.8
 	}
-	return &Injector{plan: plan, drift: map[int]walk{}, regimes: map[int]regime{}}, nil
+	return &Injector{plan: plan, regimes: map[int]regime{}}, nil
 }
 
 // MustNew is New that panics on error; intended for tests and literal
@@ -322,11 +289,11 @@ func (in *Injector) Record() Record {
 }
 
 // ModelViolated reports whether any fired fault has broken an assumption
-// the admission guarantee depends on: an injected overrun, a delayed
-// release (jitter or drift), a denied/stuck transition to a *higher*
-// frequency, or an inflated stop interval. A configured-but-silent
-// injector reports false — the provenance the invariant checker needs to
-// keep the no-miss claim fully enforced until a fault actually fires.
+// the admission guarantee depends on: an injected overrun or overload, a
+// denied/stuck transition to a *higher* frequency, or an inflated stop
+// interval. A configured-but-silent injector reports false — the
+// provenance the invariant checker needs to keep the no-miss claim fully
+// enforced until a fault actually fires.
 func (in *Injector) ModelViolated() bool { return in.violated }
 
 func (in *Injector) noteViolation() { in.violated = true }
@@ -339,10 +306,6 @@ func (in *Injector) fire(e Event) {
 			in.rec.TaskOverruns = map[int]int{}
 		}
 		in.rec.TaskOverruns[e.Task]++
-	case KindJitter:
-		in.rec.Jitters++
-	case KindDrift:
-		in.rec.Drifts++
 	case KindSwitchDenied:
 		in.rec.SwitchesDenied++
 	case KindSwitchStuck:
@@ -430,57 +393,10 @@ func (in *Injector) overloadOn(ti, inv int) bool {
 	return r.on
 }
 
-// kindOverrunTail is a private draw class for the tail magnitude, kept
-// distinct so the firing decision and the tail size are independent.
-const kindOverrunTail Kind = 100
-
-// ReleaseDelay returns how many milliseconds past its nominal tick the
-// release of invocation inv of task ti fires: iid jitter plus the
-// task's random-walk drift lateness. The result is always ≥ 0 (the
-// faulty timer is late, never early), and 0 when nothing fired.
-func (in *Injector) ReleaseDelay(now float64, ti, inv int) float64 {
-	if in == nil {
-		return 0
-	}
-	var delay float64
-	if in.plan.JitterProb > 0 && in.plan.JitterMax > 0 &&
-		u01(in.plan.Seed, KindJitter, ti, inv) < in.plan.JitterProb {
-		j := in.plan.JitterMax * u01(in.plan.Seed, kindJitterMag, ti, inv)
-		if j > 0 {
-			in.fire(Event{Time: now, Kind: KindJitter, Task: ti, Value: j})
-			in.noteViolation()
-			delay += j
-		}
-	}
-	if in.plan.DriftProb > 0 && in.plan.DriftMax > 0 {
-		w := in.drift[ti]
-		if inv > w.lastInv || (inv == 0 && fpx.Eq(w.lateness, 0)) {
-			if u01(in.plan.Seed, KindDrift, ti, inv) < in.plan.DriftProb {
-				step := in.plan.DriftMax * (2*u01(in.plan.Seed, kindDriftMag, ti, inv) - 1)
-				w.lateness += step
-				if w.lateness < 0 {
-					w.lateness = 0
-				}
-				if fpx.Ne(step, 0) {
-					in.fire(Event{Time: now, Kind: KindDrift, Task: ti, Value: w.lateness})
-				}
-			}
-			w.lastInv = inv
-			in.drift[ti] = w
-		}
-		if w.lateness > 0 {
-			in.noteViolation()
-			delay += w.lateness
-		}
-	}
-	return delay
-}
-
-// Private draw classes for fault magnitudes (distinct from the firing
-// decisions so magnitude and probability are independent draws).
+// Private draw classes for the tail magnitudes, distinct from the firing
+// decisions so magnitude and probability are independent draws.
 const (
-	kindJitterMag    Kind = 101
-	kindDriftMag     Kind = 102
+	kindOverrunTail  Kind = 100
 	kindOverloadTail Kind = 103
 )
 

@@ -11,11 +11,9 @@ func TestPlanValidate(t *testing.T) {
 	bad := []Plan{
 		{OverrunProb: -0.1},
 		{OverrunProb: 1.5},
-		{JitterProb: math.NaN()},
+		{SwitchDenyProb: math.NaN()},
 		{OverrunFactor: 0.5},
 		{OverrunTail: -1},
-		{JitterMax: -1},
-		{DriftMax: -0.5},
 		{StuckSpan: -2},
 		{OverheadProb: 0.5, OverheadFactor: 0.9},
 	}
@@ -28,7 +26,6 @@ func TestPlanValidate(t *testing.T) {
 		{},
 		Default(1),
 		{OverrunProb: 1, OverrunFactor: 2, OverrunTail: 0.5},
-		{JitterProb: 0.3, JitterMax: 2, DriftProb: 0.1, DriftMax: 0.5},
 		{SwitchDenyProb: 0.2, StuckProb: 0.1, StuckSpan: 5, OverheadProb: 1, OverheadFactor: 3},
 	}
 	for i, p := range good {
@@ -120,30 +117,6 @@ func TestDemandTail(t *testing.T) {
 	}
 }
 
-func TestReleaseDelayNonNegativeAndRecorded(t *testing.T) {
-	in := MustNew(Plan{Seed: 5, JitterProb: 0.5, JitterMax: 2, DriftProb: 0.5, DriftMax: 1})
-	var total float64
-	for ti := 0; ti < 2; ti++ {
-		for inv := 0; inv < 300; inv++ {
-			d := in.ReleaseDelay(float64(inv), ti, inv)
-			if d < 0 {
-				t.Fatalf("negative delay %v at (%d,%d)", d, ti, inv)
-			}
-			total += d
-		}
-	}
-	if total == 0 {
-		t.Fatal("no delays fired at p=0.5")
-	}
-	r := in.Record()
-	if r.Jitters == 0 || r.Drifts == 0 {
-		t.Errorf("record = %+v, want both jitter and drift events", r)
-	}
-	if !in.ModelViolated() {
-		t.Error("delays did not mark the model violated")
-	}
-}
-
 func TestSwitchDenialAndStuck(t *testing.T) {
 	lo := machine.OperatingPoint{Freq: 0.5, Voltage: 3}
 	hi := machine.OperatingPoint{Freq: 1, Voltage: 5}
@@ -222,7 +195,7 @@ func TestU01Range(t *testing.T) {
 			t.Fatalf("u01 out of range: %v", u)
 		}
 	}
-	if u01(1, KindOverrun, 2, 3) == u01(1, KindJitter, 2, 3) {
+	if u01(1, KindOverrun, 2, 3) == u01(1, KindOverload, 2, 3) {
 		t.Error("draw classes collide")
 	}
 	if u01(1, KindOverrun, 2, 3) == u01(2, KindOverrun, 2, 3) {

@@ -159,35 +159,6 @@ func TestKernelIdleRetryIsPunctual(t *testing.T) {
 	}
 }
 
-// Release jitter delays releases while deadlines stay on the nominal
-// grid; a job still unfinished at its deadline is aborted there, not at
-// the (late) next release.
-func TestKernelReleaseJitterAbortsAtNominalDeadline(t *testing.T) {
-	k := newTestKernel(t, "none")
-	k.SetFaults(fault.MustNew(fault.Plan{Seed: 3, JitterProb: 1, JitterMax: 5}))
-	if _, err := k.AddTask(TaskConfig{Name: "T", Period: 10, WCET: 6}, AddOptions{Immediate: true}); err != nil {
-		t.Fatal(err)
-	}
-	k.Step(400)
-
-	misses := k.Misses()
-	if len(misses) == 0 {
-		t.Fatal("no misses despite 6 ms demand in windows compressed below 6 ms")
-	}
-	for _, m := range misses {
-		if d := m.Deadline / 10; d != float64(int(d)) {
-			t.Errorf("miss deadline %g off the nominal grid", m.Deadline)
-		}
-	}
-	st := k.Tasks()[0]
-	if gap := st.Releases - st.Completions - st.Misses; gap < 0 || gap > 1 {
-		t.Errorf("releases %d vs completions %d + misses %d", st.Releases, st.Completions, st.Misses)
-	}
-	if rec := k.Faults().Record(); rec.Jitters == 0 {
-		t.Error("no jitter events recorded")
-	}
-}
-
 // The overrun watchdog, honest-redeclaration arm: a task that keeps
 // overrunning a too-small declared WCET has its bound raised to the
 // observed demand once the set still passes the schedulability test.

@@ -77,8 +77,7 @@ type ktask struct {
 	cfg TaskConfig
 
 	startAt     float64 // first release time (deferred admission)
-	nextRelease float64 // when the invocation actually fires (may lag the grid)
-	nominalRel  float64 // the declared-period grid the deadline stays on
+	nextRelease float64 // when the next invocation fires
 	deadline    float64
 	remaining   float64
 	used        float64
@@ -137,8 +136,8 @@ type Kernel struct {
 	// misses from unguarded task addition).
 	admitAll bool
 
-	// faults, when set, filters demand, release timing and operating-point
-	// transitions through the injector.
+	// faults, when set, filters demand and operating-point transitions
+	// through the injector.
 	faults *fault.Injector
 	// switchRetryAt/switchSeq implement retry-with-backoff for refused
 	// operating-point transitions: after a denial the kernel holds its
@@ -200,11 +199,11 @@ func (k *Kernel) Overruns() []OverrunEvent { return append([]OverrunEvent(nil), 
 // SetAdmitAll disables (true) or enables (false) admission control.
 func (k *Kernel) SetAdmitAll(v bool) { k.admitAll = v }
 
-// SetFaults installs a fault injector: task demand, release timing and
-// operating-point transitions are filtered through it from then on. nil
-// removes injection. The injector is stateful (stuck-regulator spans,
-// accumulated drift), so install it before the workload starts for
-// reproducible runs.
+// SetFaults installs a fault injector: task demand and operating-point
+// transitions are filtered through it from then on. nil removes
+// injection. The injector is stateful (stuck-regulator spans, overload
+// chains), so install it before the workload starts for reproducible
+// runs.
 func (k *Kernel) SetFaults(in *fault.Injector) {
 	k.faults = in
 	if in == nil {
@@ -325,11 +324,7 @@ func (k *Kernel) AddTask(cfg TaskConfig, opts AddOptions) (TaskID, error) {
 		cfg:         cfg,
 		startAt:     start,
 		nextRelease: start,
-		nominalRel:  start,
 		deadline:    start,
-	}
-	if k.faults != nil {
-		kt.nextRelease += k.faults.ReleaseDelay(start, int(kt.id), 0)
 	}
 	k.nextID++
 	k.tasks = append(k.tasks, kt)
@@ -384,7 +379,8 @@ func (k *Kernel) findByName(name string) *ktask {
 
 // Deadline implements core.System: for a task whose first release is
 // still pending, the first invocation's deadline is reported so the
-// policies' reservations see a consistent timeline.
+// policies' reservations see a consistent timeline. A completed
+// invocation's deadline is the task's next release.
 func (k *Kernel) Deadline(i int) float64 {
 	t := k.tasks[i]
 	if t.active {
@@ -393,12 +389,7 @@ func (k *Kernel) Deadline(i int) float64 {
 	if t.inv == 0 {
 		return t.startAt + t.cfg.Period
 	}
-	if t.sporadic {
-		return t.nextRelease
-	}
-	// Periodic deadlines stay on the nominal grid even when fault
-	// injection delays the release itself.
-	return t.nominalRel
+	return t.nextRelease
 }
 
 // NumTasks returns the number of registered tasks; indices 0..NumTasks-1
@@ -452,8 +443,7 @@ func (k *Kernel) demand(t *ktask, rel float64) float64 {
 
 // nextReleaseTime returns the next instant the schedule can change
 // without a completion: the earliest pending release, a running sporadic
-// (or, under fault injection, late-released periodic) job's deadline, and
-// a pending switch retry.
+// job's deadline, and a pending switch retry.
 //
 //rtdvs:hotpath
 func (k *Kernel) nextReleaseTime() float64 {
@@ -465,12 +455,6 @@ func (k *Kernel) nextReleaseTime() float64 {
 		// A running sporadic invocation has no follow-on release to
 		// expose a deadline overrun, so its deadline is an event too.
 		if kt.sporadic && kt.active && kt.deadline < t {
-			t = kt.deadline
-		}
-		// Same for a periodic invocation whose next release was delayed by
-		// fault injection past its (nominal-grid) deadline.
-		if k.faults != nil && !kt.sporadic && kt.active &&
-			kt.deadline < kt.nextRelease-timeEps && kt.deadline < t {
 			t = kt.deadline
 		}
 	}
@@ -508,18 +492,6 @@ func (k *Kernel) processReleases() {
 			k.policy.OnCompletion(k, i, t.used) // close out the aborted invocation
 		}
 	}
-	// With fault injection, a delayed release can leave a periodic
-	// invocation still active when its nominal-grid deadline passes; the
-	// job is aborted at the deadline rather than lingering until the late
-	// release fires. (This mirrors the fault-free abort-at-release above
-	// and never runs without an injector.)
-	if k.faults != nil {
-		for _, t := range k.tasks {
-			if !t.sporadic && t.active && t.deadline <= k.now+timeEps && t.nextRelease > k.now+timeEps {
-				k.abortJob(t)
-			}
-		}
-	}
 	for i, t := range k.tasks {
 		for t.nextRelease <= k.now+timeEps {
 			if t.active {
@@ -532,36 +504,21 @@ func (k *Kernel) processReleases() {
 				// the rest of the set's deadlines.
 				t.skips++
 				t.inv++
-				rel := t.nominalRel
-				t.nominalRel = rel + t.cfg.Period
-				t.nextRelease = t.nominalRel
-				if k.faults != nil {
-					t.nextRelease += k.faults.ReleaseDelay(t.nominalRel, int(t.id), t.inv)
-				}
+				t.nextRelease += t.cfg.Period
 				k.logEvent(Event{Kind: EvSkip, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
 				continue
 			}
-			actual := t.nextRelease
-			// Deadlines derive from the nominal period grid; only the
-			// release instant itself is subject to injected delay.
-			rel := t.nominalRel
-			if t.sporadic {
-				rel = actual
-			}
+			rel := t.nextRelease
 			t.remaining = k.demand(t, rel)
 			t.used = 0
 			t.overNotified = false
-			t.releasedAt = actual
+			t.releasedAt = rel
 			t.deadline = rel + t.cfg.Period
-			t.lastRelease = actual
+			t.lastRelease = rel
 			if t.sporadic {
 				t.nextRelease = math.Inf(1) // armed again by the next Trigger
 			} else {
-				t.nominalRel = rel + t.cfg.Period
-				t.nextRelease = t.nominalRel
-				if k.faults != nil {
-					t.nextRelease += k.faults.ReleaseDelay(t.nominalRel, int(t.id), t.inv+1)
-				}
+				t.nextRelease = t.deadline
 			}
 			t.active = true
 			t.inv++
@@ -748,7 +705,10 @@ func (k *Kernel) Step(until float64) {
 			continue
 		}
 		if next <= k.now+timeEps {
-			continue // a late release left a deadline due: abort it first
+			// A sporadic job triggered during a stop interval longer than
+			// its period is released with its deadline already passed:
+			// abort it before anything runs.
+			continue
 		}
 
 		t := k.tasks[pick]

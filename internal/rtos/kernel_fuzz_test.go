@@ -197,10 +197,6 @@ func FuzzKernelOps(f *testing.F) {
 			Seed:           int64(next()),
 			OverrunProb:    frac() * 0.5,
 			OverrunFactor:  1 + frac(),
-			JitterProb:     frac() * 0.5,
-			JitterMax:      frac() * 10,
-			DriftProb:      frac() * 0.3,
-			DriftMax:       frac() * 2,
 			SwitchDenyProb: frac() * 0.5,
 			StuckProb:      frac() * 0.2,
 			StuckSpan:      frac() * 5,

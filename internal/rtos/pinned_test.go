@@ -117,9 +117,8 @@ func pinKernel(t *testing.T, spec *machine.Spec, ov machine.SwitchOverhead, poli
 // TestKernelPinned hashes whole kernel runs against digests recorded
 // before the scheduling point was restructured: the six paper policies
 // with and without switch overhead on a workload with both servers and a
-// sporadic task, release jitter and timer drift (mild, and past the
-// deadline), injected overruns under the watchdog and containment, the
-// load shedder under sustained overload, and the eight
+// sporadic task, injected overruns under the watchdog and containment,
+// the load shedder under sustained overload, and the eight
 // TestKernelRandomOperations sequences. A change to the kernel's event
 // loop may change its speed, never a bit of these runs. Plans that deny
 // or stick transitions are left out: their retry timing is pinned by
@@ -144,23 +143,6 @@ func TestKernelPinned(t *testing.T) {
 			}})
 		}
 	}
-	for _, name := range []string{"ccEDF", "ccRM", "laEDF"} {
-		name := name
-		pins = append(pins, pin{name + "/jitter+drift", func(t *testing.T) string {
-			k := pinKernel(t, machine.LaptopK62(), machine.K62SwitchOverhead, name)
-			k.SetFaults(fault.MustNew(fault.Plan{Seed: 5, JitterProb: 0.3, JitterMax: 3,
-				DriftProb: 0.2, DriftMax: 0.5}))
-			return pinMixed(t, k)
-		}})
-	}
-	// Delays beyond a period release jobs whose deadlines have already
-	// passed, which the scheduling point must abort before running them.
-	pins = append(pins, pin{"ccEDF/jitter+drift-past-deadline", func(t *testing.T) string {
-		k := pinKernel(t, machine.Machine0(), machine.SwitchOverhead{}, "ccEDF")
-		k.SetFaults(fault.MustNew(fault.Plan{Seed: 9, JitterProb: 0.5, JitterMax: 25,
-			DriftProb: 0.5, DriftMax: 4}))
-		return pinMixed(t, k)
-	}})
 	pins = append(pins, pin{"laEDF+contain/overrun+watchdog", func(t *testing.T) string {
 		k := pinKernel(t, machine.Machine1(), machine.K62SwitchOverhead, "laEDF+contain")
 		k.SetFaults(fault.MustNew(fault.Plan{Seed: 2, OverrunProb: 0.2, OverrunFactor: 1.5, OverrunTail: 0.2}))
@@ -195,32 +177,28 @@ func TestKernelPinned(t *testing.T) {
 	}
 
 	want := map[string]string{
-		"none/free":                        "235c30b5c68d771255fa8b350b7ce51318dc7fda58b1c4b11d3f7770dedf03ce",
-		"none/k62":                         "235c30b5c68d771255fa8b350b7ce51318dc7fda58b1c4b11d3f7770dedf03ce",
-		"staticRM/free":                    "797706fc937fb62c3acbf11a613ae9dcbd15d82f1c09d598330036999694862d",
-		"staticRM/k62":                     "797706fc937fb62c3acbf11a613ae9dcbd15d82f1c09d598330036999694862d",
-		"staticEDF/free":                   "a08de10627746870f8f638a999ea930c99c3961d274e97cf95621fc92072c7e8",
-		"staticEDF/k62":                    "2db2b4c7b2fb1071cd3b467c38a87e25c592036e89480bfbba7d5a3fce971282",
-		"ccEDF/free":                       "a86b5ce3057059bc58297550640cbc1c2de4a3b1270de8f89b0a5a259a958af6",
-		"ccEDF/k62":                        "c20acb4ac6b647d60db7342badfdc1c270267c7a38b0491cc8573636ecaa84fe",
-		"ccRM/free":                        "b4ce9a6c791052c5cd6161a8cc21841b7c7f4eee0b5b54d8564ac5df0d924527",
-		"ccRM/k62":                         "8500da8a99be2ee546a53e309f067cf52bf39adf57e02899cc48bf3634b314f8",
-		"laEDF/free":                       "6abdfa5f552131e735ee0d93ea09600fc7346553fe6d91b360548c8599f961c8",
-		"laEDF/k62":                        "dd6f9b444a93fa95b48064fc8b9a799cf61d62663b6d1f1bb4036c489d33f093",
-		"ccEDF/jitter+drift":               "7e14892f661724b93c1d39c42783da109168055599058fe6f3cda39efe6e84d2",
-		"ccRM/jitter+drift":                "f8d0f3af8ef0cbf121cea801709c2ba6450c49f4e9d241bed3b70829ff4b56e6",
-		"laEDF/jitter+drift":               "53d2d9e7b2f29463f31707c61f260ecfb3d0ec931957f773030fd9bdf511c22c",
-		"ccEDF/jitter+drift-past-deadline": "989f44a2699e3bb6e410f0058fa01cc1114e280a1198c805d632f04ea18f6110",
-		"laEDF+contain/overrun+watchdog":   "9410f46448b3b3c66594b8aca6c9d06040cea019b17bec00d019cc8a4ff6f9ff",
-		"ccEDF/shed+sustained":             "36cf196bbec2d6f244b156d22c2c9127ed5f82f3190d1c990d43cbece9d50305",
-		"random/seed1":                     "01573fb7a6a16992b3ba44ba0ebbc2dcf673a0dc63630c37e3d6eb25e35c3cbd",
-		"random/seed2":                     "6fc08b6fd842543b9f57cf8c3d75b99bb2a388caa9280105be365f219fa1f355",
-		"random/seed3":                     "5ab08f78058234065ae8f9aeaf5ffdb298d8994a24f2038882253c0db1155baa",
-		"random/seed4":                     "4f936b1ae68b7408fd78bacaa68d2d67b11b2b8122003420f5ad4d0b5ed5eb60",
-		"random/seed5":                     "3e404eb2476f909e20caa32540628cec1fab6bef6821a016f54cad8842662587",
-		"random/seed6":                     "f00eaedd66b007019010f88237c564aeb56ff0880691046dc469c6e7346b9cd8",
-		"random/seed7":                     "d80593d6ab2fe07142c9853bcd4dcd7d9801f5a943ffd42b7f25bb1871f850c8",
-		"random/seed8":                     "6d913f060b8360c3708b81b896d9225dca1c7a55c78ac52a0d5f5278f70b67eb",
+		"none/free":                      "235c30b5c68d771255fa8b350b7ce51318dc7fda58b1c4b11d3f7770dedf03ce",
+		"none/k62":                       "235c30b5c68d771255fa8b350b7ce51318dc7fda58b1c4b11d3f7770dedf03ce",
+		"staticRM/free":                  "797706fc937fb62c3acbf11a613ae9dcbd15d82f1c09d598330036999694862d",
+		"staticRM/k62":                   "797706fc937fb62c3acbf11a613ae9dcbd15d82f1c09d598330036999694862d",
+		"staticEDF/free":                 "a08de10627746870f8f638a999ea930c99c3961d274e97cf95621fc92072c7e8",
+		"staticEDF/k62":                  "2db2b4c7b2fb1071cd3b467c38a87e25c592036e89480bfbba7d5a3fce971282",
+		"ccEDF/free":                     "a86b5ce3057059bc58297550640cbc1c2de4a3b1270de8f89b0a5a259a958af6",
+		"ccEDF/k62":                      "c20acb4ac6b647d60db7342badfdc1c270267c7a38b0491cc8573636ecaa84fe",
+		"ccRM/free":                      "b4ce9a6c791052c5cd6161a8cc21841b7c7f4eee0b5b54d8564ac5df0d924527",
+		"ccRM/k62":                       "8500da8a99be2ee546a53e309f067cf52bf39adf57e02899cc48bf3634b314f8",
+		"laEDF/free":                     "6abdfa5f552131e735ee0d93ea09600fc7346553fe6d91b360548c8599f961c8",
+		"laEDF/k62":                      "dd6f9b444a93fa95b48064fc8b9a799cf61d62663b6d1f1bb4036c489d33f093",
+		"laEDF+contain/overrun+watchdog": "9410f46448b3b3c66594b8aca6c9d06040cea019b17bec00d019cc8a4ff6f9ff",
+		"ccEDF/shed+sustained":           "36cf196bbec2d6f244b156d22c2c9127ed5f82f3190d1c990d43cbece9d50305",
+		"random/seed1":                   "01573fb7a6a16992b3ba44ba0ebbc2dcf673a0dc63630c37e3d6eb25e35c3cbd",
+		"random/seed2":                   "6fc08b6fd842543b9f57cf8c3d75b99bb2a388caa9280105be365f219fa1f355",
+		"random/seed3":                   "5ab08f78058234065ae8f9aeaf5ffdb298d8994a24f2038882253c0db1155baa",
+		"random/seed4":                   "4f936b1ae68b7408fd78bacaa68d2d67b11b2b8122003420f5ad4d0b5ed5eb60",
+		"random/seed5":                   "3e404eb2476f909e20caa32540628cec1fab6bef6821a016f54cad8842662587",
+		"random/seed6":                   "f00eaedd66b007019010f88237c564aeb56ff0880691046dc469c6e7346b9cd8",
+		"random/seed7":                   "d80593d6ab2fe07142c9853bcd4dcd7d9801f5a943ffd42b7f25bb1871f850c8",
+		"random/seed8":                   "6d913f060b8360c3708b81b896d9225dca1c7a55c78ac52a0d5f5278f70b67eb",
 	}
 	for _, p := range pins {
 		p := p

@@ -28,8 +28,8 @@ func (k *Kernel) Status() string {
 	}
 	if k.faults != nil {
 		rec := k.faults.Record()
-		fmt.Fprintf(&b, "faults: %d injected (%d overruns, %d jitters, %d drifts)  switch denials: %d  retries: %d\n",
-			rec.Total(), rec.Overruns, rec.Jitters, rec.Drifts, k.switchDenials, k.switchRetries)
+		fmt.Fprintf(&b, "faults: %d injected (%d overruns)  switch denials: %d  retries: %d\n",
+			rec.Total(), rec.Overruns, k.switchDenials, k.switchRetries)
 	}
 
 	var t stats.Table

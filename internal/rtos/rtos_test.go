@@ -1,12 +1,14 @@
 package rtos
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"rtdvs/internal/core"
+	"rtdvs/internal/fault"
 	"rtdvs/internal/machine"
 	"rtdvs/internal/sched"
 	"rtdvs/internal/sim"
@@ -172,7 +174,8 @@ func TestPowerMeterCPUOnly(t *testing.T) {
 
 // With no switch overheads, the kernel must produce the same energy and
 // schedule as the reference simulator: for the worked example, and for
-// generated sets at c = 0.6 under all six policies.
+// generated sets at c = 0.6 under the six paper policies and the
+// +contain variants, with and without injected faults.
 func TestKernelMatchesSimulator(t *testing.T) {
 	for _, name := range core.Names() {
 		k := newTestKernel(t, name)
@@ -214,8 +217,12 @@ func TestKernelMatchesSimulator(t *testing.T) {
 	}
 
 	// Generated sets under both disciplines check the kernel's pick
-	// against the simulator's run-queue order beyond the worked example.
-	runs := 0
+	// against the simulator's run-queue order beyond the worked example,
+	// fault-free and under the fault plans the robustness grid injects.
+	// Both substrates key a task's faults by its index (the kernel's task
+	// id), so each pair of runs sees one fault history.
+	policies := append(core.Names(), "ccEDF+contain", "ccRM+contain", "laEDF+contain")
+	runs, possible := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		g := task.Generator{N: 6, Utilization: 0.3 + 0.6*float64(seed-1)/39,
 			Ranges: []task.Range{{Lo: 5, Hi: 50}, {Lo: 50, Hi: 200}}, Rand: rand.New(rand.NewSource(seed))}
@@ -223,42 +230,61 @@ func TestKernelMatchesSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range core.Names() {
-			k, err := NewKernel(machine.Machine1(), machine.SwitchOverhead{}, mustPolicy(t, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			admitted := true
-			for i := 0; i < ts.Len() && admitted; i++ {
-				tk := ts.Task(i)
-				wcet := tk.WCET
-				_, err := k.AddTask(TaskConfig{Name: tk.Name, Period: tk.Period, WCET: wcet,
-					Work: func(int) float64 { return 0.6 * wcet }}, AddOptions{Immediate: true})
-				admitted = err == nil
-			}
-			if !admitted {
-				continue
-			}
-			runs++
-			k.Step(2000)
-			res, err := sim.Run(sim.Config{Tasks: ts, Machine: machine.Machine1(), Policy: mustPolicy(t, name),
-				Exec: task.ConstantFraction{C: 0.6}, Horizon: 2000})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(k.Misses()) != res.MissCount() {
-				t.Errorf("seed %d %s: kernel misses %d != simulator %d", seed, name, len(k.Misses()), res.MissCount())
-			}
-			if d := math.Abs(k.CPU().Cycles() - res.CyclesDone); d > 1e-9 {
-				t.Errorf("seed %d %s: kernel cycles %v != simulator %v", seed, name, k.CPU().Cycles(), res.CyclesDone)
-			}
-			if d := math.Abs(k.CPU().Energy() - res.TotalEnergy); d > 1e-9*res.TotalEnergy {
-				t.Errorf("seed %d %s: kernel energy %v != simulator %v", seed, name, k.CPU().Energy(), res.TotalEnergy)
+		sustained, burst := fault.SustainedOverload(seed), fault.Burst(seed)
+		plans := []struct {
+			name string
+			plan *fault.Plan
+		}{
+			{"free", nil},
+			{"iid", &fault.Plan{Seed: seed, OverrunProb: 0.15, OverrunFactor: 1.5}},
+			{"sustained", &sustained},
+			{"burst", &burst},
+		}
+		for _, name := range policies {
+			for _, pl := range plans {
+				possible++
+				k, err := NewKernel(machine.Machine1(), machine.SwitchOverhead{}, mustPolicy(t, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := sim.Config{Tasks: ts, Machine: machine.Machine1(), Policy: mustPolicy(t, name),
+					Exec: task.ConstantFraction{C: 0.6}, Horizon: 2000}
+				if pl.plan != nil {
+					k.SetFaults(fault.MustNew(*pl.plan))
+					cfg.Faults = fault.MustNew(*pl.plan)
+				}
+				admitted := true
+				for i := 0; i < ts.Len() && admitted; i++ {
+					tk := ts.Task(i)
+					wcet := tk.WCET
+					_, err := k.AddTask(TaskConfig{Name: tk.Name, Period: tk.Period, WCET: wcet,
+						Work: func(int) float64 { return 0.6 * wcet }}, AddOptions{Immediate: true})
+					admitted = err == nil
+				}
+				if !admitted {
+					continue
+				}
+				runs++
+				k.Step(2000)
+				res, err := sim.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				id := fmt.Sprintf("seed %d %s %s", seed, name, pl.name)
+				if len(k.Misses()) != res.MissCount() {
+					t.Errorf("%s: kernel misses %d != simulator %d", id, len(k.Misses()), res.MissCount())
+				}
+				if d := math.Abs(k.CPU().Cycles() - res.CyclesDone); d > 1e-9*res.CyclesDone {
+					t.Errorf("%s: kernel cycles %v != simulator %v", id, k.CPU().Cycles(), res.CyclesDone)
+				}
+				if d := math.Abs(k.CPU().Energy() - res.TotalEnergy); d > 1e-9*res.TotalEnergy {
+					t.Errorf("%s: kernel energy %v != simulator %v", id, k.CPU().Energy(), res.TotalEnergy)
+				}
 			}
 		}
 	}
-	if runs < 200 {
-		t.Errorf("only %d of 240 generated runs admitted", runs)
+	if runs < possible*5/6 {
+		t.Errorf("only %d of %d generated runs admitted", runs, possible)
 	}
 }
 

@@ -210,11 +210,13 @@ type SweepRequest struct {
 // Config builds the validated experiment.Config.
 func (r *SweepRequest) Config() (experiment.Config, error) {
 	var zero experiment.Config
-	if r.NTasks <= 0 {
-		return zero, fmt.Errorf("serve: nTasks must be positive, got %d", r.NTasks)
+	if r.NTasks <= 0 || r.NTasks > maxSweepTasks {
+		return zero, fmt.Errorf("serve: nTasks must lie in [1, %d], got %d", maxSweepTasks, r.NTasks)
 	}
-	if r.Sets < 0 {
-		return zero, fmt.Errorf("serve: sets must be non-negative, got %d", r.Sets)
+	// Bounding sets on its own keeps the grid product below from
+	// overflowing.
+	if r.Sets < 0 || r.Sets > maxSweepJobs {
+		return zero, fmt.Errorf("serve: sets must lie in [0, %d], got %d", maxSweepJobs, r.Sets)
 	}
 	if err := checkCores(r.Cores, r.Placement); err != nil {
 		return zero, err
@@ -271,8 +273,12 @@ func (r *SweepRequest) Config() (experiment.Config, error) {
 	}
 	// The sweep's own validation resolves the policy names, so a request
 	// accepted here names only policies its jobs can run.
-	if _, err := experiment.NumJobs(cfg); err != nil {
+	n, err := experiment.NumJobs(cfg)
+	if err != nil {
 		return zero, err
+	}
+	if n > maxSweepJobs {
+		return zero, fmt.Errorf("serve: sweep has %d jobs (utilizations × sets), limit %d", n, maxSweepJobs)
 	}
 	return cfg, nil
 }

@@ -78,13 +78,18 @@ func newJobStore() *jobStore {
 	return &jobStore{jobs: map[string]*job{}}
 }
 
-func (s *jobStore) create(cfg experiment.Config) *job {
+// newJob returns a queued job under a fresh ID; the store holds it only
+// once add registers it.
+func (s *jobStore) newJob(cfg experiment.Config) *job {
 	j := &job{id: fmt.Sprintf("job-%d", s.seq.Add(1)), cfg: cfg}
 	j.status = JobStatus{ID: j.id, Status: JobQueued}
+	return j
+}
+
+func (s *jobStore) add(j *job) {
 	s.mu.Lock()
 	s.jobs[j.id] = j
 	s.mu.Unlock()
-	return j
 }
 
 func (s *jobStore) get(id string) *job {

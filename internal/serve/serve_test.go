@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -328,6 +330,128 @@ func TestSweepQueueFull(t *testing.T) {
 		t.Fatalf("unknown job: %d, want 404", resp.StatusCode)
 	} else {
 		resp.Body.Close()
+	}
+}
+
+// A sweep's task count and job grid are bounded, so one request cannot
+// make the server allocate per-task or per-job state without limit.
+func TestSweepRequestBounds(t *testing.T) {
+	u := []float64{0.5}
+	for _, tc := range []struct {
+		name string
+		req  SweepRequest
+		ok   bool
+	}{
+		{"default grid", SweepRequest{NTasks: 5}, true},
+		{"task cap", SweepRequest{NTasks: maxSweepTasks, Sets: 1, Utilizations: u}, true},
+		{"over task cap", SweepRequest{NTasks: maxSweepTasks + 1, Sets: 1, Utilizations: u}, false},
+		{"huge task count", SweepRequest{NTasks: 1 << 40, Sets: 1, Utilizations: u}, false},
+		{"job cap", SweepRequest{NTasks: 5, Sets: maxSweepJobs, Utilizations: u}, true},
+		{"over job cap", SweepRequest{NTasks: 5, Sets: maxSweepJobs/2 + 1, Utilizations: []float64{0.4, 0.5}}, false},
+		{"huge sets", SweepRequest{NTasks: 5, Sets: 1_000_000_000_000, Utilizations: u}, false},
+		{"overflowing grid", SweepRequest{NTasks: 5, Sets: 1 << 62, Utilizations: []float64{0.2, 0.4, 0.6, 0.8}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := tc.req.Config()
+			if (err == nil) != tc.ok {
+				t.Errorf("Config() error = %v, want ok=%v", err, tc.ok)
+			}
+		})
+	}
+}
+
+// An oversized sweep or shard is a 400, and the server keeps serving.
+func TestOversizedSweepRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, c := range []struct{ path, body string }{
+		{"/v1/sweep", `{"nTasks":5,"sets":1000000000000,"utilizations":[0.5]}`},
+		{"/v1/shard", `{"sweep":{"nTasks":1000000000000,"sets":1,"utilizations":[0.5]},"jobs":[0]}`},
+	} {
+		resp := postJSON(t, ts.URL+c.path, c.body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", c.path, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after oversized requests: %d", resp.StatusCode)
+	}
+}
+
+// A refused sweep leaves no job record. With the single worker held by
+// a long job and one queue slot, one of the concurrent submissions is
+// accepted and the rest are shed; the store holds exactly the jobs
+// answered 202.
+func TestSweepRefusalLeavesNoRecord(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1, Logf: t.Logf})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		s.Shutdown(ctx) // the deadline cancels the long job
+	}()
+
+	long, _ := json.Marshal(SweepRequest{NTasks: 4, Sets: 8, Seed: 3, Horizon: 1e7})
+	resp := postJSON(t, ts.URL+"/v1/sweep", string(long))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("long job: status %d, want 202", resp.StatusCode)
+	}
+	first := decodeBody[JobStatus](t, resp).ID
+	for deadline := time.Now().Add(10 * time.Second); s.store.get(first).Status().Status != JobRunning; {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never picked up the long job")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	const n = 8
+	short, _ := json.Marshal(SweepRequest{NTasks: 3, Sets: 1, Utilizations: []float64{0.5}})
+	codes, ids := make([]int, n), make([]string, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(short))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			codes[i] = resp.StatusCode
+			var st JobStatus
+			if resp.StatusCode == http.StatusAccepted && json.NewDecoder(resp.Body).Decode(&st) == nil {
+				ids[i] = st.ID
+			}
+		}()
+	}
+	wg.Wait()
+	want := map[string]bool{first: true}
+	shed := 0
+	for i, code := range codes {
+		switch code {
+		case http.StatusAccepted:
+			want[ids[i]] = true
+		case http.StatusTooManyRequests:
+			shed++
+		default:
+			t.Errorf("submission %d: status %d, want 202 or 429", i, code)
+		}
+	}
+	if shed != n-1 {
+		t.Errorf("%d of %d submissions shed, want %d", shed, n, n-1)
+	}
+	got := map[string]bool{}
+	s.store.each(func(j *job) { got[j.id] = true })
+	if !maps.Equal(got, want) {
+		t.Errorf("store holds %v, want the accepted jobs %v", got, want)
 	}
 }
 

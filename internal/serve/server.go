@@ -30,6 +30,13 @@ const (
 	// maxBatchItems caps the item count of one /v1/simulate:batch
 	// request; a larger batch is refused with 400.
 	maxBatchItems = 256
+	// maxSweepTasks caps nTasks, and maxSweepJobs the job grid
+	// (utilization points × sets), of one /v1/sweep or /v1/shard
+	// request; a larger sweep is refused with 400. Both sit far above
+	// the largest panel the repository runs: 16 tasks per set, and 20
+	// utilization points × 20 sets at the default depth.
+	maxSweepTasks = 1024
+	maxSweepJobs  = 1 << 16
 	// shardCacheSize bounds the shard result cache, in entries.
 	shardCacheSize = 128
 	// retryAfter is the Retry-After value, in seconds, on every 429.
@@ -382,12 +389,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, errors.New("draining"))
 		return
 	}
-	j := s.store.create(cfg)
+	j := s.store.newJob(cfg)
 	select {
 	case s.queue <- j:
+		// Only an accepted job is stored: a refused one has no ID any
+		// client could ask about. A worker may already be running j, but
+		// no client can name it before the answer below.
+		s.store.add(j)
 		s.writeJSON(w, http.StatusAccepted, j.Status())
 	default:
-		j.setState(JobCancelled, errors.New("queue full"), nil)
 		s.shed(w)
 	}
 }

@@ -2,14 +2,12 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"rtdvs/internal/core"
 	"rtdvs/internal/fault"
-	"rtdvs/internal/fpx"
 	"rtdvs/internal/machine"
 	"rtdvs/internal/task"
 )
@@ -151,61 +149,6 @@ func TestSilentInjectorDoesNotRelaxNoMissInvariant(t *testing.T) {
 	}
 }
 
-// Release jitter delays the release while the deadline stays on the
-// nominal grid; a tight task then misses even under plain EDF at full
-// speed, and the miss carries fault provenance (no invariant error).
-func TestReleaseJitterCompressesWindows(t *testing.T) {
-	cfg := Config{
-		Tasks:   task.MustSet(task.Task{Period: 10, WCET: 6}),
-		Machine: machine.Machine0(),
-		Policy:  mustPolicy(t, "none"),
-		Faults:  fault.MustNew(fault.Plan{Seed: 3, JitterProb: 1, JitterMax: 5}),
-	}
-	res := mustRun(t, cfg)
-	if !res.Guaranteed {
-		t.Fatal("U=0.6 set not admitted at full speed")
-	}
-	if res.MissCount() == 0 {
-		t.Fatal("no misses despite 6 ms demand in windows compressed below 6 ms")
-	}
-	if res.Faults.Jitters == 0 {
-		t.Fatal("no jitter events recorded")
-	}
-	for _, m := range res.Misses {
-		// Deadlines stay on the nominal period grid.
-		if !fpx.Eq(math.Mod(m.Deadline, 10), 0) {
-			t.Errorf("miss deadline %g is off the nominal grid", m.Deadline)
-		}
-		if m.Remaining <= 0 {
-			t.Errorf("aborted job had no work left: %+v", m)
-		}
-	}
-	// The aborted jobs were killed at their deadlines, not at the late
-	// next release: no completion can postdate its deadline by more than
-	// the window allows.
-	// Every release resolves as a completion or a deadline abort, save at
-	// most one invocation still in flight when the horizon cuts off.
-	if gap := res.Releases - res.Completions - res.MissCount(); gap < 0 || gap > 1 {
-		t.Errorf("releases %d vs completions %d + misses %d",
-			res.Releases, res.Completions, res.MissCount())
-	}
-}
-
-// Timer drift compounds across releases as a random-walk lateness.
-func TestTimerDriftDelaysReleases(t *testing.T) {
-	cfg := Config{
-		Tasks:   task.MustSet(task.Task{Period: 10, WCET: 2}),
-		Machine: machine.Machine0(),
-		Policy:  mustPolicy(t, "none"),
-		Faults:  fault.MustNew(fault.Plan{Seed: 8, DriftProb: 1, DriftMax: 1}),
-		Horizon: 500,
-	}
-	res := mustRun(t, cfg)
-	if res.Faults.Drifts == 0 {
-		t.Fatal("no drift events recorded at p=1")
-	}
-}
-
 // Denied and stuck transitions leave the hardware at its previous
 // (valid) operating point; the run completes and the denials are
 // recorded. The point-discreteness invariant stays live throughout.
@@ -255,14 +198,13 @@ func TestOverheadInflationChargesLongerHalts(t *testing.T) {
 	}
 }
 
-// Task-keyed fault classes (overruns, jitter, drift) depend only on
+// Task-keyed fault classes (overruns, overloads) depend only on
 // (seed, task, invocation), so two different policies experience the
 // identical fault history — the property robustness curves rely on for
 // a fair comparison.
 func TestFaultHistoryIdenticalAcrossPolicies(t *testing.T) {
 	plan := fault.Plan{
 		Seed: 11, OverrunProb: 0.2, OverrunFactor: 1.5,
-		JitterProb: 0.2, JitterMax: 1, DriftProb: 0.2, DriftMax: 0.5,
 	}
 	run := func(policy string) *fault.Record {
 		cfg := Config{
@@ -274,7 +216,7 @@ func TestFaultHistoryIdenticalAcrossPolicies(t *testing.T) {
 		return mustRun(t, cfg).Faults
 	}
 	a, b := run("ccEDF"), run("laEDF")
-	if a.Overruns != b.Overruns || a.Jitters != b.Jitters || a.Drifts != b.Drifts {
+	if a.Overruns != b.Overruns {
 		t.Errorf("fault counts diverge across policies: %+v vs %+v", a, b)
 	}
 	if !reflect.DeepEqual(a.TaskOverruns, b.TaskOverruns) {

@@ -81,8 +81,8 @@ type Config struct {
 	// invariant.go); a violation makes Run return an error. The checker
 	// is always on when running under `go test`, regardless of this flag.
 	CheckInvariants bool
-	// Faults optionally injects model violations — WCET overruns, release
-	// jitter and timer drift, operating-point switch failures (see
+	// Faults optionally injects model violations — WCET overruns,
+	// overload regimes, operating-point switch failures (see
 	// internal/fault). Nil runs the fault-free model, bit-identical to a
 	// simulator without the injection hooks. Injectors are stateful:
 	// create one per run.
@@ -212,9 +212,9 @@ func (e *Canceled) Unwrap() error { return e.Cause }
 
 // taskState is per-task runtime state.
 type taskState struct {
-	nextRelease  float64 // actual time the next release fires (nominal + injected delay)
-	nominalRel   float64 // nominal (fault-free) time of the next release; the deadline grid
-	deadline     float64 // absolute deadline of the current/most recent invocation
+	// deadline is the absolute deadline of the current/most recent
+	// invocation, which is also when the task's next release fires.
+	deadline     float64
 	remaining    float64 // actual cycles left in the current invocation
 	used         float64 // actual cycles consumed so far this invocation
 	active       bool
@@ -248,8 +248,9 @@ type simulator struct {
 
 	// With table set, releases come from tab and the timer heap stays
 	// empty; with frame set (which implies table), the ready set is the
-	// readyBits bitmask instead of the run queue. Both need a fault-free
-	// run: injected release delays leave the integer grid.
+	// readyBits bitmask instead of the run queue. Both engage only
+	// without a fault injector, so a silent injector runs the heap path
+	// that TestSilentInjectorBitIdentical compares the table against.
 	table     bool
 	tab       releaseTable
 	frame     bool
@@ -426,17 +427,11 @@ func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) err
 	for i := range s.states {
 		// Deadline of the "previous" (nonexistent) invocation is the
 		// first release: deadline == next release holds from the start.
-		// A non-zero phase simply delays the first release. An injected
-		// release delay shifts only the actual fire time; the nominal
-		// grid (and with it every deadline) stays put.
+		// A non-zero phase simply delays the first release.
 		phase := cfg.Tasks.Task(i).Phase
-		st := taskState{nextRelease: phase, nominalRel: phase, deadline: phase}
-		if cfg.Faults != nil {
-			st.nextRelease += cfg.Faults.ReleaseDelay(phase, i, 0)
-		}
-		s.states[i] = st
+		s.states[i] = taskState{deadline: phase}
 		if !s.table {
-			s.timerAdd(i, st.nextRelease)
+			s.timerAdd(i, phase)
 		}
 	}
 	if cfg.CheckInvariants || testing.Testing() {
@@ -477,17 +472,7 @@ func fillInts(s []int, n, v int) []int {
 
 func (s *simulator) Now() float64 { return s.now }
 
-func (s *simulator) Deadline(i int) float64 {
-	st := &s.states[i]
-	if st.active {
-		return st.deadline
-	}
-	// The nominal next release: a completed invocation's deadline sits on
-	// the deadline grid, which injected release delays never move (the
-	// policy plans against the timers it believes in). Fault-free, this
-	// equals nextRelease.
-	return st.nominalRel
-}
+func (s *simulator) Deadline(i int) float64 { return s.states[i].deadline }
 
 // --- engine ---
 
@@ -593,7 +578,7 @@ func (s *simulator) processReleases() {
 		sortIndexes(s.due)
 		for _, i := range s.due {
 			s.fireReleases(i)
-			s.timerAdd(i, s.states[i].nextRelease)
+			s.timerAdd(i, s.states[i].deadline)
 		}
 	}
 	for _, i := range s.released {
@@ -606,18 +591,17 @@ func (s *simulator) processReleases() {
 
 // fireReleases fires every due release of task i: aborts a previous
 // invocation still running at its deadline (== this release), draws the
-// new invocation's actual demand, advances the deadline grid, and queues
-// the task for its OnRelease callback.
+// new invocation's actual demand, sets its deadline — which is also the
+// task's next release — and queues the task for its OnRelease callback.
 //
 //rtdvs:hotpath
 func (s *simulator) fireReleases(i int) {
 	st := &s.states[i]
-	for fpx.Le(st.nextRelease, s.now) {
+	for fpx.Le(st.deadline, s.now) {
 		if st.active {
 			s.abort(i)
 		}
-		actual := st.nextRelease // possibly delayed fire time
-		rel := st.nominalRel     // nominal tick: the deadline grid
+		rel := st.deadline
 		p := s.ts.Task(i)
 		wcet := p.WCET
 		c := s.cfg.Exec.Cycles(i, st.inv, wcet)
@@ -635,13 +619,8 @@ func (s *simulator) fireReleases(i int) {
 		st.remaining = c
 		st.used = 0
 		st.overNotified = false
-		st.releasedAt = actual
+		st.releasedAt = rel
 		st.deadline = rel + p.Period
-		st.nominalRel = rel + p.Period
-		st.nextRelease = st.nominalRel
-		if s.cfg.Faults != nil {
-			st.nextRelease += s.cfg.Faults.ReleaseDelay(st.nominalRel, i, st.inv+1)
-		}
 		st.active = true
 		st.inv++
 		s.res.Releases++
@@ -692,40 +671,6 @@ func sortIndexes(xs []int) {
 			j--
 		}
 		xs[j] = v
-	}
-}
-
-// nextAbortTime returns the earliest pending deadline abort: the
-// earliest deadline of an active invocation that precedes its task's
-// next (delayed) release. Only injected release delays open such a gap —
-// fault-free, deadline == next release and the miss is handled by
-// processReleases — so this is called only when faults are enabled.
-//
-//rtdvs:hotpath
-func (s *simulator) nextAbortTime() float64 {
-	t := math.Inf(1)
-	for i := range s.states {
-		st := &s.states[i]
-		if st.active && fpx.Lt(st.deadline, st.nextRelease) && st.deadline < t {
-			t = st.deadline
-		}
-	}
-	return t
-}
-
-// processAborts kills every active invocation whose deadline has passed,
-// recording the miss. With injected release delays a deadline can
-// precede the (late) next release, and the job must stop at the
-// deadline rather than run zombie cycles until the release fires. Like
-// nextAbortTime it is called only when faults are enabled.
-//
-//rtdvs:hotpath
-func (s *simulator) processAborts() {
-	for i := range s.states {
-		st := &s.states[i]
-		if st.active && fpx.Le(st.deadline, s.now) {
-			s.abort(i)
-		}
 	}
 }
 
@@ -814,9 +759,6 @@ func (s *simulator) run() {
 			break
 		}
 		s.res.Events++
-		if s.cfg.Faults != nil {
-			s.processAborts()
-		}
 		s.processReleases()
 
 		nextRel := s.nextReleaseTime()
@@ -859,11 +801,6 @@ func (s *simulator) run() {
 			// (and let the policy react) before execution resumes.
 			continue
 		}
-		if s.cfg.Faults != nil && fpx.Le(s.nextAbortTime(), s.now) {
-			// A deadline passed during the stop interval; abort the dead
-			// job before executing further.
-			continue
-		}
 		nextRel = s.nextReleaseTime()
 		if s.cfg.Horizon < nextRel {
 			nextRel = s.cfg.Horizon
@@ -890,12 +827,9 @@ func (s *simulator) run() {
 		}
 		budgetEnd := math.Inf(1)
 		if s.cfg.Faults != nil {
-			// Stop at pending deadline aborts, and split the segment the
-			// moment an overrunning job exhausts its declared budget — the
-			// earliest point the overrun is observable.
-			if abort := s.nextAbortTime(); abort < end {
-				end = abort
-			}
+			// Split the segment the moment an overrunning job exhausts its
+			// declared budget — the earliest point the overrun is
+			// observable.
 			if left := wcet - st.used; left > 0 && fpx.Lt(left, st.remaining) {
 				budgetEnd = s.now + left/s.hw.Freq
 				if budgetEnd < end {
