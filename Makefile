@@ -44,9 +44,11 @@ chaos:
 	go test -race -timeout 5m ./internal/fabric/... ./cmd/rtdvs-sweep/...
 
 # fuzz gives the kernel op interpreter, the HTTP API's decode+
-# validate+run path and the demand samplers a short coverage-guided
-# budget on every run; raise -fuzztime locally when hunting for real
-# bugs. CI's fuzz step runs this target.
+# validate+run path, the demand samplers and the simulator's release
+# order and run queue a short coverage-guided budget on every run; raise
+# -fuzztime locally when hunting for real bugs. A simulator input runs
+# up to 70 tasks five times, so its minimization is capped to leave the
+# budget for new inputs. CI's fuzz step runs this target.
 fuzz:
 	go test ./internal/rtos/ -run='^$$' -fuzz=FuzzKernelOps -fuzztime=20s
 	go test ./internal/serve/ -run='^$$' -fuzz=FuzzSimulateRequest -fuzztime=20s
@@ -54,6 +56,7 @@ fuzz:
 	go test ./internal/task/ -run='^$$' -fuzz=FuzzDistributionSampler -fuzztime=20s
 	go test ./internal/task/ -run='^$$' -fuzz=FuzzBetaQuantileBitIdentical -fuzztime=20s
 	go test ./internal/serve/ -run='^$$' -fuzz=FuzzMultiCoreConfig -fuzztime=20s
+	go test ./internal/sim/ -run='^$$' -fuzz=FuzzSimulatorQueues -fuzztime=20s -fuzzminimizetime=5s
 
 # bench runs the suite through cmd/rtdvs-bench: it parses ns/op, B/op
 # and allocs/op, writes the JSON report (BENCH_OUT), and fails if a

@@ -14,20 +14,28 @@ package analysis
 // the registry row, and a pinning benchmark — and removing any one of
 // them breaks vet or the tests until the other two follow.
 var HotpathRegistry = map[string]string{
-	// Simulator event loop and its per-event helpers: one laEDF run on a
-	// reused Runner must stay at 0 allocs/op.
+	// Simulator event loop and its per-event helpers, the release order
+	// and the ready bitmask included: one laEDF run on a reused Runner
+	// must stay at 0 allocs/op.
 	"rtdvs/internal/sim.simulator.run":             "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.processReleases": "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.switchTo":        "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.record":          "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.pollCtx":         "BenchmarkSimulatorThroughput",
-	"rtdvs/internal/sim.simulator.timerAdd":        "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.readyAdd":        "BenchmarkSimulatorThroughput",
-	"rtdvs/internal/sim.simulator.readyKey":        "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sim.simulator.readyPeek":       "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sim.simulator.readyRemove":     "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sim.simulator.reorder":         "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sim.orderBefore":               "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.nextReleaseTime": "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.fireReleases":    "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.abort":           "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.sortIndexes":               "BenchmarkSimulatorThroughput",
+
+	// The two heaps a set of more than 64 tasks keeps: a reused Runner
+	// runs a 65-task set at 0 allocs/op.
+	"rtdvs/internal/sim.simulator.timerAdd": "TestHeapRunSteadyStateAllocs",
+	"rtdvs/internal/sim.simulator.readyKey": "TestHeapRunSteadyStateAllocs",
 
 	// Indexed-heap ready queue: a warmed push/drain cycle allocates
 	// nothing (also pinned by TestReadyQueueReuse's AllocsPerRun check).
@@ -89,13 +97,10 @@ var HotpathRegistry = map[string]string{
 	// Closure-free operating-point lookup used by every dynamic policy.
 	"rtdvs/internal/machine.PointSelector.AtLeast": "TestSelectorMatchesLowestAtLeast",
 
-	// Release table and frame bitmask: a reused BatchRunner pass over 64
-	// single-frame sets drains the table and selects through the bitmask
-	// at 0 allocs/op (also pinned by sim's TestBatchRunnerSteadyStateAllocs
-	// AllocsPerRun check).
-	"rtdvs/internal/sim.releaseTable.drain":    "BenchmarkBatchThroughput",
-	"rtdvs/internal/sim.simulator.readyPeek":   "BenchmarkBatchThroughput",
-	"rtdvs/internal/sim.simulator.readyRemove": "BenchmarkBatchThroughput",
+	// Release table: a reused BatchRunner pass over 64 single-frame sets
+	// drains the table at 0 allocs/op (also pinned by sim's
+	// TestBatchRunnerSteadyStateAllocs AllocsPerRun check).
+	"rtdvs/internal/sim.releaseTable.drain": "BenchmarkBatchThroughput",
 
 	// Flattened lane-strided heaps (timed by the system benchmark's
 	// ladder; no engine uses them): steady-state push/pop churn

@@ -45,6 +45,7 @@ type laEDF struct {
 	// previous state — near-linear per event — instead of fully re-sorted.
 	order []int
 	dl    []float64 // deadline cache for the current walk, filled per event
+	util  []float64 // C_i/P_i per task, fixed per Attach
 	u0    float64   // ΣC_i/P_i of the attached set, fixed per Attach
 	// peakU is the largest cumulative utilization reached during the last
 	// defer_ walk. The walk reserves C_j/P_j for every earlier-deadline
@@ -74,6 +75,10 @@ func (p *laEDF) Attach(ts *task.Set, m *machine.Spec) error {
 		p.order[i] = i
 	}
 	p.dl = growZeroed(p.dl, n)
+	p.util = growZeroed(p.util, n)
+	for i := range p.util {
+		p.util[i] = ts.Task(i).Utilization()
+	}
 	p.u0 = ts.Utilization()
 	p.peakU = 0
 	p.point = m.Min() // nothing to do before the first release
@@ -115,20 +120,14 @@ func (p *laEDF) defer_(sys System) {
 	now := sys.Now()
 	mm := float64(p.ncores)
 
-	// Cache the deadlines and find D_n (the earliest) in one pass.
 	for i := 0; i < n; i++ {
 		p.dl[i] = sys.Deadline(i)
-	}
-	dn := p.dl[0]
-	for _, d := range p.dl[1:] {
-		if d < dn {
-			dn = d
-		}
 	}
 
 	// Repair the reverse-EDF order from its previous state. Only the
 	// task(s) whose deadline changed since the last event are out of
-	// place, so this insertion sort runs in near-linear time.
+	// place, so this insertion sort runs in near-linear time. Its last
+	// element holds D_n, the earliest deadline.
 	for i := 1; i < n; i++ {
 		v := p.order[i]
 		j := i
@@ -138,13 +137,23 @@ func (p *laEDF) defer_(sys System) {
 		}
 		p.order[j] = v
 	}
+	dn := p.dl[p.order[n-1]]
 
 	u := p.u0
 	peak := u
 	var s, xmax float64
 	for _, i := range p.order {
-		t := p.ts.Task(i)
-		u -= t.Utilization()
+		u -= p.util[i]
+		if p.cleft[i] <= 0 {
+			// Nothing left to run (cleft is never negative). For a finite
+			// window x below is +0, since rate·window ≥ 0, and the re-add
+			// (c_left − x)/window is +0, so U −= C_i/P_i is the whole
+			// step: s and x_max gain +0, and the peak stays, since U only
+			// fell. (An infinite window, a completed sporadic task in the
+			// rtos kernel, made x NaN at rate 0, which only an overloaded
+			// admit-all kernel reaches; it defers nothing now.)
+			continue
+		}
 		window := p.dl[i] - dn
 		var x float64
 		if fpx.LeTol(window, 0, fpx.Tiny) {

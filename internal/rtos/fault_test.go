@@ -243,6 +243,26 @@ func TestKernelWatchdogDemotesUnschedulable(t *testing.T) {
 	}
 }
 
+// The faults line names every fault class the injector counts. Under
+// sustained overload the fired faults are overloads, not overruns, so a
+// line that broke the total down into overruns alone would hide them.
+func TestStatusNamesEveryFaultClass(t *testing.T) {
+	k := newTestKernel(t, "ccEDF")
+	k.SetFaults(fault.MustNew(fault.SustainedOverload(3)))
+	addPaperExample(t, k, 0.5)
+	k.Step(500)
+	rec := k.faults.Record()
+	if rec.Overloads == 0 {
+		t.Fatalf("sustained overload fired no overload: %+v", rec)
+	}
+	want := fmt.Sprintf("faults: %d injected (%d overruns, %d switches denied, %d switches stuck, "+
+		"%d overheads inflated, %d overloads)", rec.Total(), rec.Overruns, rec.SwitchesDenied,
+		rec.SwitchesStuck, rec.OverheadsInflated, rec.Overloads)
+	if s := k.Status(); !strings.Contains(s, want) {
+		t.Errorf("Status missing %q:\n%s", want, s)
+	}
+}
+
 // The procfs view surfaces the fault and containment counters: a
 // summary line when an injector is installed, and per-task inj/cont
 // columns.

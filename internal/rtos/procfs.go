@@ -28,8 +28,10 @@ func (k *Kernel) Status() string {
 	}
 	if k.faults != nil {
 		rec := k.faults.Record()
-		fmt.Fprintf(&b, "faults: %d injected (%d overruns)  switch denials: %d  retries: %d\n",
-			rec.Total(), rec.Overruns, k.switchDenials, k.switchRetries)
+		fmt.Fprintf(&b, "faults: %d injected (%d overruns, %d switches denied, %d switches stuck, "+
+			"%d overheads inflated, %d overloads)  switch denials: %d  retries: %d\n",
+			rec.Total(), rec.Overruns, rec.SwitchesDenied, rec.SwitchesStuck,
+			rec.OverheadsInflated, rec.Overloads, k.switchDenials, k.switchRetries)
 	}
 
 	var t stats.Table

@@ -35,9 +35,10 @@ func (k *Kernel) AddSporadic(cfg TaskConfig) (TaskID, error) {
 
 // Trigger releases a sporadic task's next invocation at the current
 // time. It fails if the task is unknown, not sporadic, still running its
-// previous invocation, or if the minimum inter-arrival time has not
-// elapsed since the last trigger — the enforcement that keeps the
-// worst-case analysis valid.
+// previous invocation, already armed by a trigger the kernel has not
+// released yet, or if the minimum inter-arrival time has not elapsed
+// since the last trigger — the enforcement that keeps the worst-case
+// analysis valid.
 func (k *Kernel) Trigger(id TaskID) error {
 	for _, t := range k.tasks {
 		if t.id != id {
@@ -48,6 +49,10 @@ func (k *Kernel) Trigger(id TaskID) error {
 		}
 		if t.active {
 			return fmt.Errorf("rtos: sporadic task %d still has an invocation in flight", id)
+		}
+		if !math.IsInf(t.nextRelease, 1) {
+			// A second trigger would overwrite the first and release once.
+			return fmt.Errorf("rtos: sporadic task %d already has a trigger pending at %.3f", id, t.nextRelease)
 		}
 		if t.inv > 0 && k.now < t.lastRelease+t.cfg.Period-timeEps {
 			return fmt.Errorf("rtos: trigger violates minimum inter-arrival: %.3f < %.3f",

@@ -2,6 +2,7 @@ package rtos
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rtdvs/internal/core"
@@ -54,6 +55,46 @@ func TestSporadicMinInterarrivalEnforced(t *testing.T) {
 	k.Step(50)
 	if err := k.Trigger(id); err != nil {
 		t.Errorf("trigger at the minimum gap rejected: %v", err)
+	}
+}
+
+// A trigger the kernel has not released yet is pending: a second one at
+// the same instant must be refused, not folded into the first, so every
+// accepted trigger is one release.
+func TestTriggerRefusesPendingTrigger(t *testing.T) {
+	k := newTestKernel(t, "ccEDF")
+	id, err := k.AddSporadic(TaskConfig{Name: "s", Period: 10, WCET: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := 0
+	for _, c := range []struct {
+		at      float64
+		pending bool
+	}{
+		{5, false},
+		{20, false},
+		{20, true},
+		{20, true},
+	} {
+		k.Step(c.at)
+		err := k.Trigger(id)
+		switch {
+		case err == nil && c.pending:
+			t.Errorf("trigger at %g accepted while one is pending", c.at)
+		case err != nil && !c.pending:
+			t.Errorf("trigger at %g: %v", c.at, err)
+		case err != nil && !strings.Contains(err.Error(), "pending at 20.000"):
+			t.Errorf("trigger at %g: error %q does not name the pending instant", c.at, err)
+		case err == nil:
+			accepted++
+		}
+	}
+	k.Step(40)
+	for _, ts := range k.Tasks() {
+		if ts.ID == id && ts.Releases != accepted {
+			t.Errorf("%d releases for %d accepted triggers", ts.Releases, accepted)
+		}
 	}
 }
 

@@ -6,12 +6,13 @@ import (
 )
 
 // ReadyQueue is a priority queue of tasks keyed by a float64 priority.
-// The simulator uses two of them per run — one as the EDF/RM ready queue
-// (key: absolute deadline or period) and one as the release timer queue
-// (key: next release time) — turning the per-event O(n) scans into
-// O(log n) heap operations. Keys follow the discipline: lower key =
-// higher priority (earlier timer), ties broken by task index for
-// determinism.
+// The simulator uses two of them per run of more than 64 tasks — one as
+// the EDF/RM ready queue (key: absolute deadline or period) and one as
+// the release timer queue (key: next release time) — turning the
+// per-event O(n) scans into O(log n) heap operations; smaller sets keep
+// one deadline order and a ready bitmask instead. Keys follow the
+// discipline: lower key = higher priority (earlier timer), ties broken
+// by task index for determinism.
 //
 // The implementation is a hand-rolled indexed binary heap rather than
 // container/heap: the standard library interface boxes every pushed item

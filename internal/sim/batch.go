@@ -12,8 +12,8 @@ import (
 // executes item i on its own retained MultiRunner, so every result is
 // exactly what a standalone run of the same configuration returns. Each
 // Runner picks its own release mechanism (the release table and the
-// frame bitmask of release.go, or the heaps), so a batch needs no engine
-// of its own.
+// frame bitmask of release.go, the release order of queue.go, or the
+// heaps), so a batch needs no engine of its own.
 //
 // Like Runner, a BatchRunner reuses every internal buffer, so
 // steady-state batches perform no allocation; the returned Results alias

@@ -57,8 +57,8 @@ func TestSilentInjectorBitIdentical(t *testing.T) {
 	}
 
 	// The release table and the frame bitmask engage only without an
-	// injector, so a silent one runs the harmonic shapes on the heaps:
-	// the heap path is the reference both specializations must match.
+	// injector, so a silent one runs the harmonic shapes on the release
+	// order: the reference both specializations must match.
 	// Switch halts longer than the spacing of the release instants drain
 	// several table slots in one event.
 	longHalts := func(t testing.TB) Config {
@@ -77,14 +77,14 @@ func TestSilentInjectorBitIdentical(t *testing.T) {
 			table, tableErr := Run(harmonicConfig(t, mk, name))
 			cfg := harmonicConfig(t, mk, name)
 			cfg.Faults = fault.MustNew(fault.Plan{Seed: 99})
-			heap, heapErr := Run(cfg)
-			if heap != nil {
-				if heap.Faults == nil || heap.Faults.Total() != 0 {
-					t.Fatalf("%s shape %d: silent injector fired: %+v", name, si, heap.Faults)
+			order, orderErr := Run(cfg)
+			if order != nil {
+				if order.Faults == nil || order.Faults.Total() != 0 {
+					t.Fatalf("%s shape %d: silent injector fired: %+v", name, si, order.Faults)
 				}
-				heap.Faults = nil
+				order.Faults = nil
 			}
-			requireSameAsScalar(t, fmt.Sprintf("%s shape %d", name, si), table, tableErr, heap, heapErr)
+			requireSameAsScalar(t, fmt.Sprintf("%s shape %d", name, si), table, tableErr, order, orderErr)
 		}
 	}
 }

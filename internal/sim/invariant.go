@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"rtdvs/internal/fpx"
 	"rtdvs/internal/machine"
@@ -34,7 +35,16 @@ type UtilizationReporter interface {
 //  4. a policy whose schedulability test admitted the set (Guaranteed)
 //     never produces a deadline miss — the paper's central claim;
 //  5. in a global run, every occupied slot holds an active job and no
-//     job occupies two slots at once.
+//     job occupies two slots at once;
+//  6. the release order and the run queue agree with an O(n) scan at
+//     every scheduling point: the pick is the active task with the
+//     smallest (key, index), the key being the deadline under EDF and
+//     the period under RM (a global run's picks are the first m active
+//     tasks in that order), and the next release time is the earliest
+//     deadline. A single-frame set is exempt: its ready set is index
+//     order by construction, TestSilentInjectorBitIdentical compares it
+//     with the checked release order, and the scan would double the
+//     cost of its events, the cheapest the loop has.
 //
 // Invariants 3 and 4 carry fault provenance: both are derived from the
 // task model the admission test ran against, so once an injected fault
@@ -42,9 +52,9 @@ type UtilizationReporter interface {
 // overrun, a refused speed-up, an inflated stop) a miss or an over-reserve
 // no longer falsifies the policy and the check stands down. The
 // relaxation is exactly that narrow: a configured-but-silent injector
-// relaxes nothing, and invariants 1, 2 and 5 (point discreteness,
-// physical energy accounting, slot occupancy) hold unconditionally — no
-// fault excuses them.
+// relaxes nothing, and invariants 1, 2, 5 and 6 (point discreteness,
+// physical energy accounting, slot occupancy, queue order) hold
+// unconditionally — no fault excuses them.
 //
 // Only the first violation is recorded; checks are cheap enough to stay
 // on for every run. All methods are safe on a nil receiver so the
@@ -180,6 +190,87 @@ func (c *invariantChecker) checkOccupancy() {
 				c.failf("task %d scheduled on cores %d and %d at once", t, a, b)
 				return
 			}
+		}
+	}
+}
+
+// checkPick checks a scheduling point's pick (-1 when idle): it must be
+// the active task with the smallest (key, index), or -1 when no task is
+// active.
+func (c *invariantChecker) checkPick(pick int) {
+	if c == nil || c.err != nil || c.s.frame {
+		return
+	}
+	count := 0
+	if pick >= 0 {
+		if !c.s.states[pick].active {
+			c.failf("run queue picked inactive task %d", pick)
+			return
+		}
+		count = 1
+	}
+	c.checkTop(pick, count, 1)
+}
+
+// checkPicks checks a global segment's picks: active tasks in strictly
+// increasing (key, index) order that are the first of all active tasks
+// in that order, m of them unless fewer are active.
+func (c *invariantChecker) checkPicks() {
+	if c == nil || c.err != nil || c.s.frame {
+		return
+	}
+	s := c.s
+	last := -1
+	for _, t := range s.picks {
+		if !s.states[t].active {
+			c.failf("run queue picked inactive task %d", t)
+			return
+		}
+		if last >= 0 && !orderBefore(s.readyKey(last), last, s.readyKey(t), t) {
+			c.failf("run queue picked task %d after task %d, out of (key, index) order", t, last)
+			return
+		}
+		last = t
+	}
+	c.checkTop(last, len(s.picks), s.m)
+}
+
+// checkTop asserts by one O(n) scan over the task states that the run
+// queue's count picks, ending at task last (-1 when count is 0), are the
+// count first active tasks in (key, index) order — the key being the
+// deadline under EDF and the period under RM — and that count falls
+// short of limit only when no other task is active. The same scan
+// checks the next release time.
+func (c *invariantChecker) checkTop(last, count, limit int) {
+	s := c.s
+	var lastKey float64
+	if last >= 0 {
+		lastKey = s.readyKey(last)
+	}
+	active, upTo, earliest := 0, 0, math.Inf(1)
+	for i := range s.states {
+		st := &s.states[i]
+		if st.deadline < earliest {
+			earliest = st.deadline
+		}
+		if !st.active {
+			continue
+		}
+		active++
+		if last >= 0 && !orderBefore(lastKey, last, s.readyKey(i), i) {
+			upTo++
+		}
+	}
+	switch {
+	case upTo != count:
+		c.failf("run queue's %d pick(s) end at task %d, but %d active tasks come at or before it", count, last, upTo)
+	case count < limit && count != active:
+		c.failf("run queue picked %d of %d active tasks, with room for %d", count, active, limit)
+	default:
+		// Exact: every structure that yields the next release time holds
+		// deadlines, not recomputations of them.
+		if next := s.nextReleaseTime(); next < earliest || next > earliest {
+			c.failf("next release at %g, but the earliest deadline is %g", next, earliest)
 		}
 	}
 }

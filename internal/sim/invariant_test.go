@@ -166,6 +166,91 @@ func TestInvariantSlotOccupancy(t *testing.T) {
 	}
 }
 
+// corruptingPolicy seeds one fault into the engine at its first release
+// callback, after the release order and the run queue have been updated,
+// so the next scheduling point's O(n) scan has something to catch.
+type corruptingPolicy struct {
+	evilBase
+	kind    sched.Kind
+	corrupt func(s *simulator)
+	done    bool
+}
+
+func (p *corruptingPolicy) Scheduler() sched.Kind { return p.kind }
+
+func (p *corruptingPolicy) OnRelease(sys core.System, _ int) {
+	if !p.done {
+		p.done = true
+		p.corrupt(sys.(*simulator))
+	}
+}
+
+// TestInvariantPickOrder seeds one fault each into the ready bitmask,
+// under EDF (the deadline order) and RM (the static period order), and
+// into the release order's head key; the pick check must report each.
+// The periods are off the integer grid, so releases come from the
+// release order rather than a table.
+func TestInvariantPickOrder(t *testing.T) {
+	ts, err := task.NewSet(
+		task.Task{Period: 10.5, WCET: 2},
+		task.Task{Period: 21, WCET: 3},
+		task.Task{Period: 42, WCET: 5},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropFirst := func(s *simulator) { s.readyBits &= s.readyBits - 1 }
+	for _, c := range []struct {
+		name     string
+		kind     sched.Kind
+		corrupt  func(s *simulator)
+		fragment string
+	}{
+		{"EDF ready bit", sched.EDF, dropFirst, "active tasks come at or before it"},
+		{"RM ready bit", sched.RM, dropFirst, "active tasks come at or before it"},
+		{"release order", sched.EDF, func(s *simulator) { s.ordKey[0]++ }, "but the earliest deadline is"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{Tasks: ts, Machine: machine.Machine0(), Horizon: 100, CheckInvariants: true}
+			cfg.Policy = &corruptingPolicy{kind: c.kind, corrupt: func(*simulator) {}}
+			if _, err := Run(cfg); err != nil {
+				t.Fatalf("uncorrupted run: %v", err)
+			}
+			cfg.Policy = &corruptingPolicy{kind: c.kind, corrupt: c.corrupt}
+			wantViolation(t, cfg, c.fragment)
+		})
+	}
+}
+
+// TestInvariantGlobalPickOrder drives a global segment's pick check
+// directly: the picks must be the first m active tasks in (deadline,
+// index) order, in that order.
+func TestInvariantGlobalPickOrder(t *testing.T) {
+	s := &simulator{kind: sched.EDF, m: 2, ordKey: []float64{5, 7, 9}}
+	s.states = []taskState{{deadline: 9, active: true}, {deadline: 5, active: true}, {deadline: 7, active: true}}
+	c := &invariantChecker{s: s}
+	s.picks = []int{1, 2}
+	c.checkPicks()
+	if c.Err() != nil {
+		t.Fatalf("valid picks flagged: %v", c.Err())
+	}
+	for _, bad := range []struct {
+		picks    []int
+		fragment string
+	}{
+		{[]int{2, 1}, "out of (key, index) order"},
+		{[]int{1, 0}, "come at or before it"},
+		{[]int{1}, "picked 1 of 3 active tasks, with room for 2"},
+	} {
+		c := &invariantChecker{s: s}
+		s.picks = bad.picks
+		c.checkPicks()
+		if err := c.Err(); err == nil || !strings.Contains(err.Error(), bad.fragment) {
+			t.Errorf("picks %v: want a violation mentioning %q, got %v", bad.picks, bad.fragment, err)
+		}
+	}
+}
+
 // TestInvariantsCleanOnRealPolicies runs every registered policy over a
 // schedulable set with the checker explicitly enabled: the positive
 // counterpart of the violation tests above.

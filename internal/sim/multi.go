@@ -635,6 +635,7 @@ func (r *MultiRunner) runGlobal(ctx context.Context, cfg MultiConfig, m int) (*M
 //rtdvs:hotpath
 func (s *simulator) execSlots(nextRel float64) {
 	s.pickSlots()
+	s.inv.checkPicks()
 	s.assign()
 	s.inv.checkOccupancy()
 
@@ -710,15 +711,16 @@ func (s *simulator) execSlots(nextRel float64) {
 }
 
 // pickSlots collects the (up to) m highest-priority active jobs in
-// priority order, ties by task index: the lowest m set bits of a frame
-// set's bitmask, or the run queue's first m pops, pushed back unchanged.
+// priority order, ties by task index: the tasks at the lowest m set bits
+// of the ready set, or, for a set larger than the bitmask, the run
+// queue's first m pops, pushed back unchanged.
 //
 //rtdvs:hotpath
 func (s *simulator) pickSlots() {
 	s.picks = s.picks[:0]
-	if s.frame {
+	if !s.heaps {
 		for b := s.readyBits; b != 0 && len(s.picks) < s.m; b &= b - 1 {
-			s.picks = append(s.picks, bits.TrailingZeros64(b))
+			s.picks = append(s.picks, s.prio[bits.TrailingZeros64(b)])
 		}
 		return
 	}

@@ -25,7 +25,7 @@ import (
 var gangPolicies = []string{"gangStaticEDF", "gangCCEDF", "gangLAEDF"}
 
 // globalPinSets are the workload shapes of the global-placement pin: a
-// seeded random set (timer heap), an integral harmonic set with phases
+// seeded random set (release order), an integral harmonic set with phases
 // (release table) and a single-frame set (frame bitmask).
 func globalPinSets(t *testing.T) []struct {
 	name string

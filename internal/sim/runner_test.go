@@ -110,3 +110,31 @@ func TestResultCloneSurvivesRunnerReuse(t *testing.T) {
 		t.Errorf("clone mutated by Runner reuse:\nclone: %+v\nwant:  %+v", clone, want)
 	}
 }
+
+// A set of more than 64 tasks runs on the two heaps instead of the
+// release order and the ready bitmask; a reused Runner must run it
+// without allocating all the same.
+func TestHeapRunSteadyStateAllocs(t *testing.T) {
+	r := NewRunner()
+	cfg := Config{
+		Tasks:   quantisedSet(t, 65, 0.8, 1.5, 65),
+		Machine: machine.Machine1(),
+		Policy:  mustPolicy(t, "laEDF"),
+		Exec:    task.ConstantFraction{C: 0.7},
+		Horizon: 300,
+	}
+	if _, err := r.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !r.s.heaps {
+		t.Fatal("a 65-task set did not run on the heaps")
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := r.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state 65-task Run allocated %v times per run, want 0", allocs)
+	}
+}

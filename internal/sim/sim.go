@@ -14,17 +14,19 @@
 // cores on one voltage rail are the uniprocessor schedule with m run
 // slots, and only the execution segment differs between the two.
 //
-// The event loop is designed to be allocation-free in steady state:
-// pending releases live in an index-heap timer queue and ready tasks in
-// an index-heap run queue (both from internal/sched), so each event costs
-// O(log n) instead of a full task scan, and all per-run state is held in
-// reusable buffers. Two task-set properties specialize those queues
-// (release.go): a set on an exact integer grid replaces the timer heap
-// with a precomputed per-hyperperiod release table, and a single-frame
-// set replaces the run queue with a bitmask. A Runner amortizes every
-// buffer across sequential runs — the experiment harness executes
-// hundreds of simulations per worker on a single Runner without
-// reallocating.
+// The event loop is designed to be allocation-free in steady state, and
+// all per-run state is held in reusable buffers. A task's deadline is
+// also its next release, so for a set of up to 64 tasks one order of the
+// tasks by (deadline, index) is both the release timer and EDF's run
+// queue, and the ready set is one uint64 over a priority order (queue.go):
+// the deadline order under EDF, the static period order under RM. A
+// release moves one task back by one insertion; a pick is the lowest set
+// bit. A larger set keeps two index heaps from internal/sched. A set on
+// an exact integer grid takes its releases from a precomputed
+// per-hyperperiod release table instead, and a single-frame set's ready
+// set stays in index order (release.go). A Runner amortizes every buffer
+// across sequential runs — the experiment harness executes hundreds of
+// simulations per worker on a single Runner without reallocating.
 package sim
 
 import (
@@ -239,24 +241,43 @@ type simulator struct {
 
 	hw machine.OperatingPoint // current hardware operating point
 
-	// timers holds every task keyed by its next release time; ready holds
-	// the active tasks keyed by the scheduling discipline (absolute
-	// deadline under EDF, period under RM — identical pick order to the
-	// sched package's linear scan, ties by task index).
+	// A set of more than 64 tasks keeps two index heaps: timers holds
+	// every task keyed by its next release time, ready the active tasks
+	// keyed by the scheduling discipline (absolute deadline under EDF,
+	// period under RM, ties by task index).
+	heaps  bool
 	timers sched.ReadyQueue
 	ready  sched.ReadyQueue
 
-	// With table set, releases come from tab and the timer heap stays
-	// empty; with frame set (which implies table), the ready set is the
-	// readyBits bitmask instead of the run queue. Both engage only
-	// without a fault injector, so a silent injector runs the heap path
-	// that TestSilentInjectorBitIdentical compares the table against.
-	table     bool
-	tab       releaseTable
-	frame     bool
+	// A set of up to 64 tasks keeps, while ordered is set, every task in
+	// ord by (deadline, index), with the keys in ordKey and each task's
+	// position in ordPos. Its ready set is readyBits: bit k is set when
+	// task prio[k] is active, and rank inverts prio. Under EDF (carry)
+	// prio and rank alias ord and ordPos, so a reorder carries the ready
+	// bits along; otherwise they are static, the (period, index) order in
+	// static, staticKey and staticPos.
+	ordered   bool
+	carry     bool
+	ord       []int
+	ordKey    []float64
+	ordPos    []int
+	static    []int
+	staticKey []float64
+	staticPos []int
+	prio      []int
+	rank      []int
 	readyBits uint64
 
-	due      []int // scratch: tasks drained from timers this instant
+	// With table set, releases come from tab; with frame set (which
+	// implies table), the ready set stays in index order. Both engage
+	// only without a fault injector, so a silent injector runs the
+	// release order that TestSilentInjectorBitIdentical compares the
+	// table against.
+	table bool
+	tab   releaseTable
+	frame bool
+
+	due      []int // scratch: tasks due for release this instant
 	released []int // scratch: release events pending policy callbacks
 
 	// lastRun is the task index executed by the most recent execution
@@ -399,8 +420,6 @@ func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) err
 	s.states = growZeroed(s.states, n)
 	s.due = s.due[:0]
 	s.released = s.released[:0]
-	s.timers.Reset(n)
-	s.ready.Reset(n)
 	s.lastRun = -1
 	s.global = cores != nil
 	s.m = max(len(cores), 1)
@@ -423,17 +442,13 @@ func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) err
 	}
 	s.table = cfg.Faults == nil && s.tab.build(cfg.Tasks, cfg.Horizon)
 	s.frame = s.table && frameSet(cfg.Tasks)
-	s.readyBits = 0
 	for i := range s.states {
 		// Deadline of the "previous" (nonexistent) invocation is the
 		// first release: deadline == next release holds from the start.
 		// A non-zero phase simply delays the first release.
-		phase := cfg.Tasks.Task(i).Phase
-		s.states[i] = taskState{deadline: phase}
-		if !s.table {
-			s.timerAdd(i, phase)
-		}
+		s.states[i] = taskState{deadline: cfg.Tasks.Task(i).Phase}
 	}
+	s.resetQueues()
 	if cfg.CheckInvariants || testing.Testing() {
 		s.invStore = newInvariantChecker(s)
 		s.inv = &s.invStore
@@ -476,88 +491,13 @@ func (s *simulator) Deadline(i int) float64 { return s.states[i].deadline }
 
 // --- engine ---
 
-// timerAdd enqueues task i's next release. The timer heap holds every
-// task exactly once outside processReleases, so a failed push is an
-// engine bug, not a recoverable condition.
-//
-//rtdvs:hotpath
-func (s *simulator) timerAdd(i int, at float64) {
-	if err := s.timers.Push(i, at); err != nil {
-		panic(err)
-	}
-}
-
-// readyKey returns task i's run-queue priority under the attached
-// scheduling discipline: absolute deadline for EDF, period for RM, ties
-// to the lower index in the queue — the same order the rtos kernel's
-// pick scan applies.
-//
-//rtdvs:hotpath
-func (s *simulator) readyKey(i int) float64 {
-	if s.kind == sched.RM {
-		return s.ts.Task(i).Period
-	}
-	return s.states[i].deadline
-}
-
-// readyAdd enqueues a newly activated task: a bit set for a single-frame
-// set, a run-queue push otherwise. Activation is always paired with
-// deactivation (completion, miss, abort), so a duplicate is an engine
-// bug.
-//
-//rtdvs:hotpath
-func (s *simulator) readyAdd(i int) {
-	if s.frame {
-		s.readyBits |= 1 << uint(i)
-		return
-	}
-	if err := s.ready.Push(i, s.readyKey(i)); err != nil {
-		panic(err)
-	}
-}
-
-// readyPeek returns the highest-priority active task, or -1 when idle.
-// For a single-frame set the lowest set bit IS the run queue's answer:
-// all active keys are equal, and the queue breaks ties by task index.
-//
-//rtdvs:hotpath
-func (s *simulator) readyPeek() int {
-	if s.frame {
-		if s.readyBits == 0 {
-			return -1
-		}
-		return bits.TrailingZeros64(s.readyBits)
-	}
-	return s.ready.Peek()
-}
-
-// readyRemove drops a completed or aborted task from the ready set.
-//
-//rtdvs:hotpath
-func (s *simulator) readyRemove(i int) {
-	if s.frame {
-		s.readyBits &^= 1 << uint(i)
-		return
-	}
-	s.ready.Remove(i)
-}
-
-// nextReleaseTime returns the earliest pending release: the release
-// table's cursor, or the timer heap's minimum.
-//
-//rtdvs:hotpath
-func (s *simulator) nextReleaseTime() float64 {
-	if s.table {
-		return s.tab.next
-	}
-	return s.timers.PeekKey()
-}
-
 // processReleases fires every release scheduled at or before now and
 // then notifies the policy once per released task. Due tasks come from
-// the release table's bitmask or are drained from the timer heap, and
-// either way replay in ascending task-index order — the event order of
-// the original full-scan implementation — so miss records, release
+// the release table's bitmask, the prefix of the release order whose
+// keys pass fpx.Le (the comparison is monotone in the key, so that prefix
+// is exactly what a heap drain pops), or the timer heap, and every way
+// replays them in ascending task-index order — the event order of the
+// original full-scan implementation — so miss records, release
 // counters, and policy callbacks are bit-identical to it.
 //
 //rtdvs:hotpath
@@ -566,11 +506,12 @@ func (s *simulator) processReleases() {
 		return
 	}
 	s.released = s.released[:0]
-	if s.table {
+	switch {
+	case s.table:
 		for due := s.tab.drain(s.now); due != 0; due &= due - 1 {
 			s.fireReleases(bits.TrailingZeros64(due))
 		}
-	} else {
+	case s.heaps:
 		s.due = s.due[:0]
 		for fpx.Le(s.timers.PeekKey(), s.now) {
 			s.due = append(s.due, s.timers.Pop())
@@ -579,6 +520,15 @@ func (s *simulator) processReleases() {
 		for _, i := range s.due {
 			s.fireReleases(i)
 			s.timerAdd(i, s.states[i].deadline)
+		}
+	default:
+		s.due = s.due[:0]
+		for k := 0; k < len(s.ord) && fpx.Le(s.ordKey[k], s.now); k++ {
+			s.due = append(s.due, s.ord[k])
+		}
+		sortIndexes(s.due)
+		for _, i := range s.due {
+			s.fireReleases(i)
 		}
 	}
 	for _, i := range s.released {
@@ -593,6 +543,7 @@ func (s *simulator) processReleases() {
 // invocation still running at its deadline (== this release), draws the
 // new invocation's actual demand, sets its deadline — which is also the
 // task's next release — and queues the task for its OnRelease callback.
+// The new deadline then moves the task back in the release order.
 //
 //rtdvs:hotpath
 func (s *simulator) fireReleases(i int) {
@@ -628,6 +579,9 @@ func (s *simulator) fireReleases(i int) {
 		s.readyAdd(i)
 		s.released = append(s.released, i)
 	}
+	if s.ordered {
+		s.reorder(i)
+	}
 }
 
 // abort records task i's active invocation as a deadline miss and drops
@@ -658,8 +612,8 @@ func (s *simulator) abort(i int) {
 	}
 }
 
-// sortIndexes insertion-sorts a (short) batch of task indexes drained
-// from the timer heap into ascending order.
+// sortIndexes insertion-sorts a (short) batch of due task indexes into
+// ascending order.
 //
 //rtdvs:hotpath
 func sortIndexes(xs []int) {
@@ -766,6 +720,7 @@ func (s *simulator) run() {
 			nextRel = s.cfg.Horizon
 		}
 		pick := s.readyPeek()
+		s.inv.checkPick(pick)
 
 		if pick < 0 {
 			// Idle until the next release at the policy's idle point. A
