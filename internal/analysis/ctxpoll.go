@@ -11,7 +11,7 @@ import (
 // caller bounded-latency cancellation, so every loop in it that is not
 // bounded by construction must consult the context — directly
 // (ctx.Err(), select on ctx.Done()) or by passing it to a helper that
-// does (pollCtx-style stride polling, feed/skippable). A `for` loop that
+// does (stride polling like sim's poll, feed/skippable). A `for` loop that
 // never mentions the context can spin past a cancelled deadline for the
 // rest of the horizon, which is exactly the hang RunContext's
 // poll-every-64-events design (sim.cancelCheckInterval) exists to

@@ -21,12 +21,12 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/sim.simulator.processReleases": "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.switchTo":        "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.record":          "BenchmarkSimulatorThroughput",
-	"rtdvs/internal/sim.simulator.pollCtx":         "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sim.simulator.poll":            "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.readyAdd":        "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.readyPeek":       "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.readyRemove":     "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.reorder":         "BenchmarkSimulatorThroughput",
-	"rtdvs/internal/sim.orderBefore":               "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sim.simulator.DeadlineOrder":   "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.nextReleaseTime": "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.fireReleases":    "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.abort":           "BenchmarkSimulatorThroughput",
@@ -53,9 +53,17 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/sched.ReadyQueue.less":     "BenchmarkReadyQueueHeap128",
 	"rtdvs/internal/sched.ReadyQueue.growPos":  "BenchmarkReadyQueueHeap128",
 
+	// The deadline order the simulator hands laEDF and ccRM
+	// (core.OrderedSystem), and its comparator, which also orders the
+	// simulator's release order: the laEDF runs above read the order at
+	// every hook.
+	"rtdvs/internal/core.deadlineOrder": "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/core.OrderBefore":   "BenchmarkSimulatorThroughput",
+
 	// Incremental policy callbacks, invoked once per release/completion.
 	// The reservation and the walk also run gangCCEDF, gangLAEDF, stEDF
-	// and stSelect.
+	// and stSelect. The benchmarks' System keeps no deadline order, so
+	// laEDF repairs its own and ccRM scans.
 	"rtdvs/internal/core.base.setLowestAtLeast":       "BenchmarkPolicyOverheadCCEDF64",
 	"rtdvs/internal/core.reservation.adjust":          "BenchmarkPolicyOverheadCCEDF64",
 	"rtdvs/internal/core.reservation.selectFrequency": "BenchmarkPolicyOverheadCCEDF64",
@@ -63,7 +71,7 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/core.reservation.OnCompletion":    "BenchmarkPolicyOverheadCCEDF64",
 	"rtdvs/internal/core.gangRequired":                "BenchmarkPolicyOverheadGangCCEDF64",
 	"rtdvs/internal/core.laEDF.defer_":                "BenchmarkPolicyOverheadLAEDF64",
-	"rtdvs/internal/core.laEDF.laterDeadline":         "BenchmarkPolicyOverheadLAEDF64",
+	"rtdvs/internal/core.laEDF.repair":                "BenchmarkPolicyOverheadLAEDF64",
 	"rtdvs/internal/core.laEDF.OnRelease":             "BenchmarkPolicyOverheadLAEDF64",
 	"rtdvs/internal/core.laEDF.OnCompletion":          "BenchmarkPolicyOverheadLAEDF64",
 	"rtdvs/internal/core.laEDF.OnExecute":             "BenchmarkPolicyOverheadLAEDF64",

@@ -84,12 +84,16 @@ func (p *ccRM) rmBefore(a, b int) bool {
 	return a < b
 }
 
-// nextDeadline returns the earliest current deadline in the system.
-// Because deadline = end of period = next release, this is well defined
-// for completed tasks too.
+// nextDeadline returns the earliest current deadline in the system: the
+// first key of the system's deadline order when it keeps one, a scan of
+// every deadline otherwise. Because deadline = end of period = next
+// release, this is well defined for completed tasks too.
 //
 //rtdvs:hotpath
 func (p *ccRM) nextDeadline(sys System) float64 {
+	if _, key := deadlineOrder(sys); key != nil {
+		return key[0]
+	}
 	nd := sys.Deadline(0)
 	for i := 1; i < p.ts.Len(); i++ {
 		if d := sys.Deadline(i); d < nd {

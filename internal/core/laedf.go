@@ -39,12 +39,14 @@ type laEDF struct {
 	base
 	ncores int       // cores sharing the rail
 	cleft  []float64 // worst-case remaining cycles of the current invocation
-	// order holds the tasks in reverse-EDF order (latest deadline first,
-	// ties by index). Between scheduling events at most one task's
-	// deadline moves, so the order is repaired by insertion sort from its
-	// previous state — near-linear per event — instead of fully re-sorted.
+	// order and key are the fallback deadline order, for a System that
+	// keeps none (OrderedSystem): the tasks in ascending (deadline,
+	// index) order and their deadlines, position by position. Between
+	// scheduling events at most one task's deadline moves, so each hook
+	// refreshes the keys in place and repairs the order by insertion
+	// sort from its previous state — near-linear per event.
 	order []int
-	dl    []float64 // deadline cache for the current walk, filled per event
+	key   []float64
 	util  []float64 // C_i/P_i per task, fixed per Attach
 	u0    float64   // ΣC_i/P_i of the attached set, fixed per Attach
 	// peakU is the largest cumulative utilization reached during the last
@@ -74,7 +76,7 @@ func (p *laEDF) Attach(ts *task.Set, m *machine.Spec) error {
 	for i := range p.order {
 		p.order[i] = i
 	}
-	p.dl = growZeroed(p.dl, n)
+	p.key = growZeroed(p.key, n)
 	p.util = growZeroed(p.util, n)
 	for i := range p.util {
 		p.util[i] = ts.Task(i).Utilization()
@@ -85,26 +87,17 @@ func (p *laEDF) Attach(ts *task.Set, m *machine.Spec) error {
 	return nil
 }
 
-// laterDeadline is the reverse-EDF ordering of the deferral walk: latest
-// deadline first, ties by ascending task index. It is a strict total
-// order, so the sorted permutation is unique — identical to what the
-// original identity-initialized stable sort produced — no matter what
-// order the repair starts from.
-//
-//rtdvs:hotpath
-func (p *laEDF) laterDeadline(a, b int) bool {
-	switch {
-	case p.dl[a] > p.dl[b]:
-		return true
-	case p.dl[a] < p.dl[b]:
-		return false
-	}
-	return a < b
-}
-
 // defer_ implements Figure 8's defer(): compute s, the minimum number of
 // cycles that must execute before the next deadline D_n, and set the
 // frequency to pace s over the remaining window.
+//
+// The walk reads the tasks in ascending (deadline, index) order, a
+// permutation and its keys position by position: the system's own order
+// when it keeps one (OrderedSystem), the policy's repaired copy
+// otherwise. D_n is the first key. Figure 8 visits the latest deadline
+// first and ties by ascending index, so the walk goes back to front and
+// walks each maximal run of equal keys front to back: every sum rounds
+// exactly as in that order.
 //
 // On m cores later-deadline work fits into the aggregate spare capacity
 // (m − U), capped at rate 1 per job (a job occupies one core at a
@@ -116,33 +109,31 @@ func (p *laEDF) laterDeadline(a, b int) bool {
 //
 //rtdvs:hotpath
 func (p *laEDF) defer_(sys System) {
-	n := p.ts.Len()
-	now := sys.Now()
+	order, key := deadlineOrder(sys)
+	if order == nil {
+		order, key = p.repair(sys)
+	}
 	mm := float64(p.ncores)
-
-	for i := 0; i < n; i++ {
-		p.dl[i] = sys.Deadline(i)
-	}
-
-	// Repair the reverse-EDF order from its previous state. Only the
-	// task(s) whose deadline changed since the last event are out of
-	// place, so this insertion sort runs in near-linear time. Its last
-	// element holds D_n, the earliest deadline.
-	for i := 1; i < n; i++ {
-		v := p.order[i]
-		j := i
-		for j > 0 && p.laterDeadline(v, p.order[j-1]) {
-			p.order[j] = p.order[j-1]
-			j--
-		}
-		p.order[j] = v
-	}
-	dn := p.dl[p.order[n-1]]
+	dn := key[0]
 
 	u := p.u0
 	peak := u
 	var s, xmax float64
-	for _, i := range p.order {
+	lo, hi := len(order), 0 // the run of equal keys being walked, [lo, hi]
+	for q := len(order) - 1; q >= 0; q-- {
+		k := q
+		if q >= lo {
+			k = lo + hi - q // the run, front to back
+		} else if q > 0 && !(key[q-1] < key[q]) {
+			// q tops a run of equal keys (they ascend, so a key not
+			// strictly below key[q] equals it): find its front.
+			lo, hi = q-1, q
+			for lo > 0 && !(key[lo-1] < key[q]) {
+				lo--
+			}
+			k = lo
+		}
+		i := order[k]
 		u -= p.util[i]
 		if p.cleft[i] <= 0 {
 			// Nothing left to run (cleft is never negative). For a finite
@@ -154,7 +145,7 @@ func (p *laEDF) defer_(sys System) {
 			// admit-all kernel reaches; it defers nothing now.)
 			continue
 		}
-		window := p.dl[i] - dn
+		window := key[k] - dn
 		var x float64
 		if fpx.LeTol(window, 0, fpx.Tiny) {
 			// The earliest-deadline task(s): every remaining cycle must
@@ -189,7 +180,7 @@ func (p *laEDF) defer_(sys System) {
 	}
 	p.peakU = peak
 
-	interval := dn - now
+	interval := dn - sys.Now()
 	switch {
 	case fpx.LeTol(s, 0, fpx.Tiny):
 		// Nothing must happen before D_n; EDF is work-conserving, so any
@@ -209,6 +200,30 @@ func (p *laEDF) defer_(sys System) {
 		}
 		p.setLowestAtLeast(f)
 	}
+}
+
+// repair is the fallback deadline order: it refreshes the cached keys
+// from sys and restores ascending (deadline, index) order by insertion
+// sort. Only the tasks whose deadline moved since the last hook are out
+// of place, and OrderBefore is a strict total order, so the result is
+// the unique sorted permutation whatever state the repair starts from.
+//
+//rtdvs:hotpath
+func (p *laEDF) repair(sys System) ([]int, []float64) {
+	order, key := p.order, p.key
+	for k, i := range order {
+		key[k] = sys.Deadline(i)
+	}
+	for k := 1; k < len(order); k++ {
+		i, d := order[k], key[k]
+		j := k
+		for j > 0 && OrderBefore(d, i, key[j-1], order[j-1]) {
+			order[j], key[j] = order[j-1], key[j-1]
+			j--
+		}
+		order[j], key[j] = i, d
+	}
+	return order, key
 }
 
 //rtdvs:hotpath

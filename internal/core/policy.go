@@ -42,6 +42,48 @@ type System interface {
 	Deadline(i int) float64
 }
 
+// OrderedSystem is an optional extension of System for a substrate that
+// keeps its tasks in ascending (deadline, index) order, the order in
+// which Figures 6 and 8 visit them. DeadlineOrder returns that order and
+// its keys position by position: order[k] is a task index, keys[k] is
+// Deadline(order[k]), and consecutive positions satisfy OrderBefore. It
+// returns nil slices when the substrate keeps no order for the current
+// run; a policy then builds the order itself from Deadline. The slices
+// alias the substrate's state: they are valid during the callback only
+// and must not be modified.
+type OrderedSystem interface {
+	System
+	DeadlineOrder() (order []int, keys []float64)
+}
+
+// deadlineOrder returns sys's (deadline, index) order when sys keeps
+// one for the current run, and nil slices otherwise. Written with named
+// results, it stays within the inliner's budget.
+//
+//rtdvs:hotpath
+func deadlineOrder(sys System) (order []int, keys []float64) {
+	if o, ok := sys.(OrderedSystem); ok {
+		order, keys = o.DeadlineOrder()
+	}
+	return
+}
+
+// OrderBefore is the (key, index) order of a deadline order: smaller key
+// first, ties to the lower task index. It compares exactly, with two
+// strict comparisons, so it is a strict total order and the sorted
+// permutation of any keys is unique.
+//
+//rtdvs:hotpath
+func OrderBefore(ka float64, a int, kb float64, b int) bool {
+	switch {
+	case ka < kb:
+		return true
+	case ka > kb:
+		return false
+	}
+	return a < b
+}
+
 // Policy selects the processor operating point in response to scheduler
 // events. Implementations are stateful and not safe for concurrent use;
 // Attach resets all state, so an instance may be reused across sequential

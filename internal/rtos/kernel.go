@@ -415,7 +415,8 @@ func (k *Kernel) demand(t *ktask, rel float64) float64 {
 	if t.inv == 0 {
 		c += t.cfg.ColdStartExtra
 	}
-	if c <= 0 {
+	if !(c > 0) {
+		// Non-positive and NaN demand alike run a sliver.
 		c = math.SmallestNonzeroFloat64
 	}
 	if k.faults != nil {

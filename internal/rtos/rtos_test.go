@@ -847,3 +847,42 @@ func TestHaltSpansStepBoundary(t *testing.T) {
 		t.Errorf("time not conserved: busy+idle+halt = %v, want 400", fineTotal)
 	}
 }
+
+// TestNaNDemandClampsToSliver: a task whose Work returns NaN runs a
+// sliver, as for any non-positive demand, so the kernel's energy and
+// cycles equal those of the run whose invocation demanded 0.
+func TestNaNDemandClampsToSliver(t *testing.T) {
+	for _, name := range []string{"ccEDF", "laEDF"} {
+		run := func(c float64) *Kernel {
+			k := newTestKernel(t, name)
+			for i, row := range []struct {
+				name         string
+				period, wcet float64
+			}{{"T1", 8, 3}, {"T2", 10, 3}, {"T3", 14, 1}} {
+				cfg := TaskConfig{Name: row.name, Period: row.period, WCET: row.wcet}
+				if i == 0 {
+					wcet := row.wcet
+					cfg.Work = func(inv int) float64 {
+						if inv == 2 {
+							return c
+						}
+						return wcet
+					}
+				}
+				if _, err := k.AddTask(cfg, AddOptions{Immediate: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			k.Step(160)
+			return k
+		}
+		got, want := run(math.NaN()), run(0)
+		e, c := got.CPU().Energy(), got.CPU().Cycles()
+		if math.IsNaN(e) || math.IsNaN(c) {
+			t.Fatalf("%s: NaN demand gave energy %v, cycles %v", name, e, c)
+		}
+		if we, wc := want.CPU().Energy(), want.CPU().Cycles(); e != we || c != wc {
+			t.Errorf("%s: NaN demand gave energy %v, cycles %v; zero demand %v, %v", name, e, c, we, wc)
+		}
+	}
+}

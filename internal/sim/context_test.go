@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"rtdvs/internal/core"
 	"rtdvs/internal/fault"
 	"rtdvs/internal/machine"
+	"rtdvs/internal/sched"
 	"rtdvs/internal/task"
 )
 
@@ -212,5 +214,52 @@ func TestRunContextCancelKeepsFaultRecord(t *testing.T) {
 	}
 	if c.Partial.Faults == nil {
 		t.Error("partial result dropped the fault record")
+	}
+}
+
+// TestStalledRunEnds clears the release order at the first release, so
+// its head key stays on the first release it then fires: the next
+// release time stays due, and the loop re-processes one instant forever
+// unless its progress guard ends the run. Plain and cancellable runs
+// share the guard. The test's own deadline turns a hang into a failure.
+func TestStalledRunEnds(t *testing.T) {
+	ts, err := task.NewSet(
+		task.Task{Period: 10.5, WCET: 2},
+		task.Task{Period: 21, WCET: 3},
+		task.Task{Period: 42, WCET: 5},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cancellable := range []bool{false, true} {
+		cfg := Config{Tasks: ts, Machine: machine.Machine0(), Horizon: 100,
+			Policy: &corruptingPolicy{kind: sched.EDF, corrupt: func(s *simulator) { s.ordered = false }}}
+		done := make(chan error, 1)
+		go func() {
+			if !cancellable {
+				_, err := Run(cfg)
+				done <- err
+				return
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, err := RunContext(ctx, cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			var st *Stalled
+			if !errors.As(err, &st) {
+				t.Fatalf("cancellable=%v: error %T %v, want *Stalled", cancellable, err, err)
+			}
+			if st.At < 10.5 || st.At > 10.5 || st.Events <= 0 {
+				t.Errorf("cancellable=%v: stalled at t=%g after %d events, want t=10.5", cancellable, st.At, st.Events)
+			}
+			if st.Violation == nil || !strings.Contains(err.Error(), "next release at 10.5") {
+				t.Errorf("cancellable=%v: %v does not carry the checker's violation", cancellable, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("cancellable=%v: the run did not end; simulated time stood still and the loop kept spinning", cancellable)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"rtdvs/internal/core"
 	"rtdvs/internal/fpx"
 	"rtdvs/internal/machine"
 )
@@ -57,8 +58,10 @@ type UtilizationReporter interface {
 // unconditionally — no fault excuses them.
 //
 // Only the first violation is recorded; checks are cheap enough to stay
-// on for every run. All methods are safe on a nil receiver so the
-// simulator's hook sites need no guards.
+// on for every run. All check methods are safe on a nil receiver, so the
+// simulator's hook sites need no guards, and each is an inlinable test
+// (checker on, no violation yet) in front of an outlined body, so an
+// event of a run without the checker makes no call into it.
 type invariantChecker struct {
 	s *simulator
 
@@ -93,13 +96,52 @@ func (c *invariantChecker) failf(format string, args ...interface{}) {
 	}
 }
 
-// checkPoint asserts op is one of the machine's discrete operating
-// points. Exact equality is intentional: a point drifted by any amount
-// is one the hardware cannot be set to.
 func (c *invariantChecker) checkPoint(op machine.OperatingPoint) {
-	if c == nil || c.err != nil {
-		return
+	if c != nil && c.err == nil {
+		c.point(op)
 	}
+}
+
+func (c *invariantChecker) checkEnergy() {
+	if c != nil && c.err == nil {
+		c.energy()
+	}
+}
+
+func (c *invariantChecker) checkUtilization() {
+	if c != nil && c.err == nil {
+		c.utilization()
+	}
+}
+
+func (c *invariantChecker) checkMiss(i, inv int, deadline float64) {
+	if c != nil && c.err == nil {
+		c.miss(i, inv, deadline)
+	}
+}
+
+func (c *invariantChecker) checkOccupancy() {
+	if c != nil && c.err == nil {
+		c.occupancy()
+	}
+}
+
+func (c *invariantChecker) checkPick(pick int) {
+	if c != nil && c.err == nil {
+		c.pick(pick)
+	}
+}
+
+func (c *invariantChecker) checkPicks() {
+	if c != nil && c.err == nil {
+		c.picks()
+	}
+}
+
+// point asserts op is one of the machine's discrete operating points.
+// Exact equality is intentional: a point drifted by any amount is one
+// the hardware cannot be set to.
+func (c *invariantChecker) point(op machine.OperatingPoint) {
 	for _, p := range c.s.cfg.Machine.Points {
 		if p == op {
 			return
@@ -110,12 +152,9 @@ func (c *invariantChecker) checkPoint(op machine.OperatingPoint) {
 		c.s.cfg.Policy.Name(), op.Freq, op.Voltage)
 }
 
-// checkEnergy asserts the energy accounting is non-negative and the
-// running total is monotone non-decreasing.
-func (c *invariantChecker) checkEnergy() {
-	if c == nil || c.err != nil {
-		return
-	}
+// energy asserts the energy accounting is non-negative and the running
+// total is monotone non-decreasing.
+func (c *invariantChecker) energy() {
 	exec, idle := c.s.res.ExecEnergy, c.s.res.IdleEnergy
 	if exec < 0 || idle < 0 {
 		c.failf("negative energy component (exec=%g, idle=%g)", exec, idle)
@@ -139,14 +178,14 @@ func (c *invariantChecker) modelViolated() bool {
 	return f != nil && f.ModelViolated()
 }
 
-// checkUtilization asserts that a utilization-reporting policy stays
-// within the full-speed capacity of the run's m slots while its
-// guarantee holds. An injected overrun legitimately breaks the bound —
-// completion usage beyond the declared WCET pushes cc_i/P_i past the
-// reservation the test admitted — so the check stands down once the
-// model is violated.
-func (c *invariantChecker) checkUtilization() {
-	if c == nil || c.err != nil || c.ur == nil || !c.guaranteed || c.modelViolated() {
+// utilization asserts that a utilization-reporting policy stays within
+// the full-speed capacity of the run's m slots while its guarantee
+// holds. An injected overrun legitimately breaks the bound — completion
+// usage beyond the declared WCET pushes cc_i/P_i past the reservation
+// the test admitted — so the check stands down once the model is
+// violated.
+func (c *invariantChecker) utilization() {
+	if c.ur == nil || !c.guaranteed || c.modelViolated() {
 		return
 	}
 	if u := c.ur.ReservedUtilization(); fpx.Gt(u, float64(c.s.m)) {
@@ -155,27 +194,21 @@ func (c *invariantChecker) checkUtilization() {
 	}
 }
 
-// checkMiss is called when invocation inv of task i missed its deadline.
+// miss is called when invocation inv of task i missed its deadline.
 // Under a policy whose admission test passed, this falsifies the
 // deadline-preservation claim — unless an injected fault already broke
 // the task model the test ran against, in which case the miss traces to
 // the fault, not the policy.
-func (c *invariantChecker) checkMiss(i, inv int, deadline float64) {
-	if c == nil || c.err != nil {
-		return
-	}
+func (c *invariantChecker) miss(i, inv int, deadline float64) {
 	if c.guaranteed && !c.modelViolated() {
 		c.failf("task %d invocation %d missed its deadline %g under %s, "+
 			"which guaranteed the set", i, inv, deadline, c.s.cfg.Policy.Name())
 	}
 }
 
-// checkOccupancy asserts a global run's slot assignment: every occupied
-// slot holds an active job, and no job occupies two slots at once.
-func (c *invariantChecker) checkOccupancy() {
-	if c == nil || c.err != nil {
-		return
-	}
+// occupancy asserts a global run's slot assignment: every occupied slot
+// holds an active job, and no job occupies two slots at once.
+func (c *invariantChecker) occupancy() {
 	running := c.s.running
 	for a, t := range running {
 		if t < 0 {
@@ -194,11 +227,11 @@ func (c *invariantChecker) checkOccupancy() {
 	}
 }
 
-// checkPick checks a scheduling point's pick (-1 when idle): it must be
-// the active task with the smallest (key, index), or -1 when no task is
+// pick checks a scheduling point's pick (-1 when idle): it must be the
+// active task with the smallest (key, index), or -1 when no task is
 // active.
-func (c *invariantChecker) checkPick(pick int) {
-	if c == nil || c.err != nil || c.s.frame {
+func (c *invariantChecker) pick(pick int) {
+	if c.s.frame {
 		return
 	}
 	count := 0
@@ -212,11 +245,11 @@ func (c *invariantChecker) checkPick(pick int) {
 	c.checkTop(pick, count, 1)
 }
 
-// checkPicks checks a global segment's picks: active tasks in strictly
+// picks checks a global segment's picks: active tasks in strictly
 // increasing (key, index) order that are the first of all active tasks
 // in that order, m of them unless fewer are active.
-func (c *invariantChecker) checkPicks() {
-	if c == nil || c.err != nil || c.s.frame {
+func (c *invariantChecker) picks() {
+	if c.s.frame {
 		return
 	}
 	s := c.s
@@ -226,7 +259,7 @@ func (c *invariantChecker) checkPicks() {
 			c.failf("run queue picked inactive task %d", t)
 			return
 		}
-		if last >= 0 && !orderBefore(s.readyKey(last), last, s.readyKey(t), t) {
+		if last >= 0 && !core.OrderBefore(s.readyKey(last), last, s.readyKey(t), t) {
 			c.failf("run queue picked task %d after task %d, out of (key, index) order", t, last)
 			return
 		}
@@ -257,7 +290,7 @@ func (c *invariantChecker) checkTop(last, count, limit int) {
 			continue
 		}
 		active++
-		if last >= 0 && !orderBefore(lastKey, last, s.readyKey(i), i) {
+		if last >= 0 && !core.OrderBefore(lastKey, last, s.readyKey(i), i) {
 			upTo++
 		}
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/bits"
 
+	"rtdvs/internal/core"
 	"rtdvs/internal/sched"
 )
 
@@ -59,12 +60,16 @@ func (s *simulator) resetQueues() {
 }
 
 // sortOrder insertion-sorts the permutation ord, with its parallel keys,
-// into (key, index) order and fills pos with its inverse.
+// into (key, index) order and fills pos with its inverse. The order is
+// core.OrderBefore's, which compares exactly like sched.ReadyQueue.less,
+// so it is a strict total order, and the policies that read the release
+// order as the deadline order (core.OrderedSystem) see the order they
+// would sort themselves.
 func sortOrder(ord []int, key []float64, pos []int) {
 	for k := 1; k < len(ord); k++ {
 		i, ki := ord[k], key[k]
 		j := k
-		for j > 0 && orderBefore(ki, i, key[j-1], ord[j-1]) {
+		for j > 0 && core.OrderBefore(ki, i, key[j-1], ord[j-1]) {
 			ord[j], key[j] = ord[j-1], key[j-1]
 			j--
 		}
@@ -73,22 +78,6 @@ func sortOrder(ord []int, key []float64, pos []int) {
 	for k, i := range ord {
 		pos[i] = k
 	}
-}
-
-// orderBefore is the (key, index) order of the release order and the
-// run queue: smaller key first, ties to the lower task index. Like
-// sched.ReadyQueue.less it compares exactly, so the order is a strict
-// total order.
-//
-//rtdvs:hotpath
-func orderBefore(ka float64, a int, kb float64, b int) bool {
-	switch {
-	case ka < kb:
-		return true
-	case ka > kb:
-		return false
-	}
-	return a < b
 }
 
 // reorder moves task i, whose deadline has just moved later, back to its
@@ -101,7 +90,7 @@ func (s *simulator) reorder(i int) {
 	key := s.states[i].deadline
 	p := s.ordPos[i]
 	q := p
-	for q+1 < len(s.ord) && orderBefore(s.ordKey[q+1], s.ord[q+1], key, i) {
+	for q+1 < len(s.ord) && core.OrderBefore(s.ordKey[q+1], s.ord[q+1], key, i) {
 		next := s.ord[q+1]
 		s.ord[q], s.ordKey[q], s.ordPos[next] = next, s.ordKey[q+1], q
 		q++
@@ -135,7 +124,7 @@ func (s *simulator) timerAdd(i int, at float64) {
 //rtdvs:hotpath
 func (s *simulator) readyKey(i int) float64 {
 	if s.kind == sched.RM {
-		return s.ts.Task(i).Period
+		return s.states[i].period
 	}
 	return s.states[i].deadline
 }

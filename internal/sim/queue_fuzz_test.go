@@ -69,7 +69,9 @@ func fuzzSeed(n, util, flags int, f func(i int) (period, phase, weight int)) []b
 // which compares every pick and next release time with an O(n) scan.
 // No run may fail, and each scalar run must equal its silent-injector
 // twin, which takes its releases from the release order instead of a
-// release table.
+// release table. The policies that read deadlines must also give the
+// same results whether they read the simulator's deadline order or sort
+// their own (orderSources).
 func FuzzSimulatorQueues(f *testing.F) {
 	mixed := func(i int) (int, int, int) { return i % 6, (i * 7) % 20, i % 8 }
 	f.Add(fuzzSeed(6, 150, 1, func(i int) (int, int, int) { return []int{0, 0, 1, 1, 0, 2}[i], 0, i })) // ties
@@ -111,5 +113,6 @@ func FuzzSimulatorQueues(f *testing.F) {
 			Placement: sched.Global, Exec: "uniform", Seed: 3, Horizon: horizon}); err != nil {
 			t.Fatalf("gangLAEDF on %d cores, %v: %v", m, ts, err)
 		}
+		orderSources(t, ts, horizon, []int{m}, []string{"uniform"}, []*machine.SwitchOverhead{nil})
 	})
 }

@@ -181,11 +181,20 @@ func (r *Result) Clone() *Result {
 }
 
 // cancelCheckInterval is the number of event-loop iterations between
-// cooperative context polls in RunContext. Polling every event would put
-// an interface call on the 0-alloc hot path for no benefit — a batch of
-// this size costs microseconds of wall time, so a cancelled run still
-// returns within its deadline plus one check interval.
+// the loop's periodic checks: the cooperative context poll of RunContext
+// and the progress guard. Polling every event would put an interface
+// call on the 0-alloc hot path for no benefit — a batch of this size
+// costs microseconds of wall time, so a cancelled run still returns
+// within its deadline plus one check interval.
 const cancelCheckInterval = 64
+
+// stallFactor scales the progress guard's bound: a run fails once
+// simulated time has stood still for more than stallFactor·(n + m)
+// consecutive events, n tasks on m run slots. At one instant a legal run
+// fires its due releases in one event, and each job then takes at most
+// two events that do not move time, one that splits it at its budget and
+// one that completes it, so it stands still for at most 2n + 1 events.
+const stallFactor = 8
 
 // Canceled is the typed partial-result error RunContext returns when the
 // context ends before the simulation horizon. It wraps the context's
@@ -212,11 +221,42 @@ func (e *Canceled) Error() string {
 // Unwrap returns the context error the cancellation traces to.
 func (e *Canceled) Unwrap() error { return e.Cause }
 
-// taskState is per-task runtime state.
+// Stalled is the error a run returns when its simulated time stops
+// advancing: an engine fault, such as a due release left unfired, that
+// would otherwise spin the event loop forever. The loop checks progress
+// every cancelCheckInterval events; stallFactor sets the bound.
+type Stalled struct {
+	// At is the simulated time (ms) at which the run stood still.
+	At float64
+	// Events is how many consecutive events, counted in whole check
+	// intervals, left simulated time at At.
+	Events int
+	// Violation is the invariant checker's first violation when it
+	// recorded one, usually the fault that stalled the run; nil
+	// otherwise.
+	Violation error
+}
+
+// Error implements error.
+func (e *Stalled) Error() string {
+	msg := fmt.Sprintf("sim: simulated time stood still at t=%g for %d events", e.At, e.Events)
+	if e.Violation != nil {
+		msg += ": " + e.Violation.Error()
+	}
+	return msg
+}
+
+// Unwrap returns the invariant violation behind the stall, if any.
+func (e *Stalled) Unwrap() error { return e.Violation }
+
+// taskState is per-task runtime state. period and wcet copy the task's
+// parameters once per run, so a release or a segment reads no task.Task.
 type taskState struct {
 	// deadline is the absolute deadline of the current/most recent
 	// invocation, which is also when the task's next release fires.
 	deadline     float64
+	period       float64
+	wcet         float64
 	remaining    float64 // actual cycles left in the current invocation
 	used         float64 // actual cycles consumed so far this invocation
 	active       bool
@@ -299,12 +339,17 @@ type simulator struct {
 	finished   []int // scratch: this segment's completions
 	migrations int
 
-	// Cooperative cancellation: ctx is nil when the run is not
-	// cancellable (plain Run), so the hot path pays one nil check per
-	// event. ctxTick counts events down to the next poll.
-	ctx     context.Context
-	ctxTick int
-	ctxErr  error
+	// The loop's periodic checks (poll): tick counts events down to the
+	// next one. ctx is nil when the run is not cancellable (plain Run).
+	// The progress guard keeps the simulated time of the last check in
+	// tickNow and counts the events since time last moved in still, in
+	// whole check intervals; past stallLimit the run has stalled.
+	tick       int
+	ctx        context.Context
+	ctxErr     error
+	tickNow    float64
+	still      int
+	stallLimit int
 }
 
 // Runner executes simulation runs back to back, reusing all internal
@@ -430,8 +475,11 @@ func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) err
 		s.migrations = 0
 	}
 	s.ctx = ctx
-	s.ctxTick = 0 // poll before the first event: an expired ctx does no work
+	s.tick = 0 // poll before the first event: an expired ctx does no work
 	s.ctxErr = nil
+	s.tickNow = math.Inf(-1)
+	s.still = 0
+	s.stallLimit = stallFactor * (n + s.m)
 
 	s.res = Result{
 		Policy:     cfg.Policy.Name(),
@@ -446,7 +494,8 @@ func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) err
 		// Deadline of the "previous" (nonexistent) invocation is the
 		// first release: deadline == next release holds from the start.
 		// A non-zero phase simply delays the first release.
-		s.states[i] = taskState{deadline: cfg.Tasks.Task(i).Phase}
+		t := cfg.Tasks.Task(i)
+		s.states[i] = taskState{deadline: t.Phase, period: t.Period, wcet: t.WCET}
 	}
 	s.resetQueues()
 	if cfg.CheckInvariants || testing.Testing() {
@@ -459,6 +508,9 @@ func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) err
 	s.inv.checkPoint(s.hw)
 	s.inv.checkUtilization()
 	s.run()
+	if s.still > s.stallLimit {
+		return &Stalled{At: s.now, Events: s.still, Violation: s.inv.Err()}
+	}
 	return s.inv.Err()
 }
 
@@ -488,6 +540,19 @@ func fillInts(s []int, n, v int) []int {
 func (s *simulator) Now() float64 { return s.now }
 
 func (s *simulator) Deadline(i int) float64 { return s.states[i].deadline }
+
+// DeadlineOrder implements core.OrderedSystem: while the run keeps its
+// release order, that order and its keys are the tasks in (deadline,
+// index) order. Releases reorder before any policy callback, so the
+// order is current at every hook.
+//
+//rtdvs:hotpath
+func (s *simulator) DeadlineOrder() ([]int, []float64) {
+	if !s.ordered {
+		return nil, nil
+	}
+	return s.ord, s.ordKey
+}
 
 // --- engine ---
 
@@ -553,13 +618,13 @@ func (s *simulator) fireReleases(i int) {
 			s.abort(i)
 		}
 		rel := st.deadline
-		p := s.ts.Task(i)
-		wcet := p.WCET
+		wcet := st.wcet
 		c := s.cfg.Exec.Cycles(i, st.inv, wcet)
 		if c > wcet {
 			c = wcet
 		}
-		if c <= 0 {
+		if !(c > 0) {
+			// Non-positive and NaN demand alike run a sliver.
 			c = math.SmallestNonzeroFloat64
 		}
 		if s.cfg.Faults != nil {
@@ -571,7 +636,7 @@ func (s *simulator) fireReleases(i int) {
 		st.used = 0
 		st.overNotified = false
 		st.releasedAt = rel
-		st.deadline = rel + p.Period
+		st.deadline = rel + st.period
 		st.active = true
 		st.inv++
 		s.res.Releases++
@@ -683,21 +748,28 @@ func (s *simulator) record(taskIdx int, start, end float64, op machine.Operating
 	}
 }
 
-// pollCtx reports whether the run's context has ended, checking it only
-// every cancelCheckInterval calls so the interface call stays off the
-// per-event fast path. Must only be called with a non-nil s.ctx.
+// poll runs the loop's periodic checks, once every cancelCheckInterval
+// events, and reports whether the run must stop: because its context
+// has ended, or because simulated time has not moved for more than
+// stallLimit consecutive events. Time never moves backwards, so time
+// that stands still from one check to the next stood still at every
+// event in between.
 //
 //rtdvs:hotpath
-func (s *simulator) pollCtx() bool {
-	if s.ctxTick--; s.ctxTick > 0 {
+func (s *simulator) poll() bool {
+	s.tick = cancelCheckInterval
+	if s.ctx != nil {
+		if err := s.ctx.Err(); err != nil {
+			s.ctxErr = err
+			return true
+		}
+	}
+	if s.now > s.tickNow {
+		s.tickNow, s.still = s.now, 0
 		return false
 	}
-	s.ctxTick = cancelCheckInterval
-	if err := s.ctx.Err(); err != nil {
-		s.ctxErr = err
-		return true
-	}
-	return false
+	s.still += cancelCheckInterval
+	return s.still > s.stallLimit
 }
 
 // run is the main loop: process releases due now, pick a task, execute it
@@ -709,7 +781,7 @@ func (s *simulator) pollCtx() bool {
 //rtdvs:hotpath
 func (s *simulator) run() {
 	for fpx.Lt(s.now, s.cfg.Horizon) {
-		if s.ctx != nil && s.pollCtx() {
+		if s.tick--; s.tick <= 0 && s.poll() {
 			break
 		}
 		s.res.Events++
@@ -774,7 +846,7 @@ func (s *simulator) run() {
 		s.lastRun = pick
 
 		st := &s.states[pick]
-		wcet := s.ts.Task(pick).WCET
+		wcet := st.wcet
 		finish := s.now + st.remaining/s.hw.Freq
 		end := finish
 		if nextRel < end {

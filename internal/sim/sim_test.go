@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"rtdvs/internal/core"
@@ -519,5 +520,42 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if back.TotalEnergy != res.TotalEnergy || back.Policy != res.Policy ||
 		back.Switches != res.Switches || back.Releases != res.Releases {
 		t.Errorf("round trip lost data: %+v vs %+v", back, res)
+	}
+}
+
+// oneDemand runs every invocation at its WCET except task 0's third,
+// which demands c.
+type oneDemand struct{ c float64 }
+
+func (e oneDemand) Cycles(ti, inv int, wcet float64) float64 {
+	if ti == 0 && inv == 2 {
+		return e.c
+	}
+	return wcet
+}
+
+func (e oneDemand) String() string { return "one" }
+
+// TestNaNDemandClampsToSliver: a NaN demand is clamped like any other
+// non-positive one, to a sliver, so the run equals the run whose
+// invocation demanded 0, with every release fired and finite energy.
+func TestNaNDemandClampsToSliver(t *testing.T) {
+	for _, name := range []string{"ccEDF", "laEDF"} {
+		run := func(c float64) *Result {
+			res, err := Run(Config{Tasks: task.PaperExample(), Machine: machine.Machine0(),
+				Policy: mustPolicy(t, name), Exec: oneDemand{c}, Horizon: 160})
+			if err != nil {
+				t.Fatalf("%s, demand %v: %v", name, c, err)
+			}
+			return res
+		}
+		got, want := run(math.NaN()), run(0)
+		if got.Releases != 48 || math.IsNaN(got.TotalEnergy) || math.IsNaN(got.CyclesDone) {
+			t.Errorf("%s: NaN demand gave %d of 48 releases, energy %v, cycles %v",
+				name, got.Releases, got.TotalEnergy, got.CyclesDone)
+		}
+		if !reflect.DeepEqual(normalizeResult(got), normalizeResult(want)) {
+			t.Errorf("%s: NaN demand run differs from the zero-demand run\nNaN:  %+v\nzero: %+v", name, got, want)
+		}
 	}
 }
