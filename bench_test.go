@@ -714,12 +714,11 @@ func BenchmarkAblationClairvoyantGap(b *testing.B) {
 
 // batchBenchConfigs builds the K-lane benchmark workload: frame-based
 // periodic task sets (n tasks sharing one period — the paper's
-// per-frame workload shape) whose clustered releases engage the
-// simulator's precomputed release table and single-frame ready bitmask,
-// each lane with its own policy instance and its own load.
-// task.Generator draws real-valued periods and so never produces such a
-// set; the heap path is measured by SimulatorThroughput and the figure
-// benches.
+// per-frame workload shape), whose releases all coincide and whose
+// active jobs all share one deadline, each lane with its own policy
+// instance and its own load. task.Generator draws real-valued periods
+// and so never produces such a set; SimulatorThroughput and the figure
+// benches measure those.
 func batchBenchConfigs(b *testing.B, k, n int, policy string) []sim.Config {
 	b.Helper()
 	cfgs := make([]sim.Config, k)
@@ -746,17 +745,15 @@ func batchBenchConfigs(b *testing.B, k, n int, policy string) []sim.Config {
 }
 
 // batchBenchPolicies are the policy variants the batch throughput
-// benches run: staticEDF isolates the engine (its hooks are empty, so
-// nearly all time is event-loop machinery, where the release table and
-// frame bitmask save), while ccEDF adds the paper's flagship policy's
-// per-event hooks and O(n) utilization audit.
+// bench runs: staticEDF isolates the engine (its hooks are empty, so
+// nearly all time is event-loop machinery), while ccEDF adds the
+// paper's flagship policy's per-event hooks and O(n) utilization audit.
 var batchBenchPolicies = []string{"staticEDF", "ccEDF"}
 
 // BenchmarkBatchThroughput runs K=64 frame-set simulations per
 // iteration through a reused BatchRunner, one retained Runner per lane,
-// at 0 allocs/op in steady state. BenchmarkBatchScalarBaseline runs the
-// identical configurations on one reused Runner; both take the release
-// table and frame bitmask, so the two should match (results are
+// at 0 allocs/op in steady state. A BatchRunner is a loop over Runners,
+// so this also times the frame sets on one Runner (results are
 // bit-identical either way — see sim's
 // TestBatchMatchesScalarAcrossPolicies).
 func BenchmarkBatchThroughput(b *testing.B) {
@@ -777,36 +774,6 @@ func BenchmarkBatchThroughput(b *testing.B) {
 						b.Fatal(errs[l])
 					}
 					events += results[l].Events
-				}
-			}
-			b.ReportMetric(float64(events)/K, "events/lane")
-		})
-	}
-}
-
-// BenchmarkBatchScalarBaseline is BenchmarkBatchThroughput's control:
-// the same 64 configurations on the per-set loop the experiment harness
-// uses (one reused Runner, sets run one at a time).
-func BenchmarkBatchScalarBaseline(b *testing.B) {
-	const K, N = 64, 16
-	for _, policy := range batchBenchPolicies {
-		b.Run(policy, func(b *testing.B) {
-			b.ReportAllocs()
-			cfgs := batchBenchConfigs(b, K, N, policy)
-			runner := sim.NewRunner()
-			for l := range cfgs { // size runner and policy state before timing
-				runner.Run(cfgs[l])
-			}
-			var events int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				events = 0
-				for l := 0; l < K; l++ {
-					res, err := runner.Run(cfgs[l])
-					if err != nil {
-						b.Fatal(err)
-					}
-					events += res.Events
 				}
 			}
 			b.ReportMetric(float64(events)/K, "events/lane")

@@ -105,11 +105,6 @@ var HotpathRegistry = map[string]string{
 	// Closure-free operating-point lookup used by every dynamic policy.
 	"rtdvs/internal/machine.PointSelector.AtLeast": "TestSelectorMatchesLowestAtLeast",
 
-	// Release table: a reused BatchRunner pass over 64 single-frame sets
-	// drains the table at 0 allocs/op (also pinned by sim's
-	// TestBatchRunnerSteadyStateAllocs AllocsPerRun check).
-	"rtdvs/internal/sim.releaseTable.drain": "BenchmarkBatchThroughput",
-
 	// Flattened lane-strided heaps (timed by the system benchmark's
 	// ladder; no engine uses them): steady-state push/pop churn
 	// allocates nothing.

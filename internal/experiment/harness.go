@@ -19,24 +19,28 @@ import (
 	"rtdvs/internal/task"
 )
 
-// ExecFactory builds the actual-computation model for one generated task
-// set; r is a dedicated, deterministic source for that set.
-type ExecFactory func(r *rand.Rand) task.ExecModel
+// ExecFactory builds the actual-computation model for one run on a
+// generated task set. seed is the set's dedicated, deterministic seed: a
+// model that draws seeds its own source from it, and one that does not
+// never pays for a source.
+type ExecFactory func(seed int64) task.ExecModel
 
 // WCETExec makes every invocation use its worst case (Figures 9–11).
 func WCETExec() ExecFactory {
-	return func(*rand.Rand) task.ExecModel { return task.FullWCET{} }
+	return func(int64) task.ExecModel { return task.FullWCET{} }
 }
 
 // ConstantExec makes every invocation use fraction c of its worst case
 // (Figures 12, 16, 17).
 func ConstantExec(c float64) ExecFactory {
-	return func(*rand.Rand) task.ExecModel { return task.ConstantFraction{C: c} }
+	return func(int64) task.ExecModel { return task.ConstantFraction{C: c} }
 }
 
 // UniformExec draws each invocation uniformly from (0, WCET] (Figure 13).
 func UniformExec() ExecFactory {
-	return func(r *rand.Rand) task.ExecModel { return task.UniformFraction{Lo: 0, Hi: 1, Rand: r} }
+	return func(seed int64) task.ExecModel {
+		return task.UniformFraction{Lo: 0, Hi: 1, Rand: rand.New(rand.NewSource(seed))}
+	}
 }
 
 // Config parameterizes a utilization sweep.
@@ -201,7 +205,7 @@ func execDesc(cfg Config) string {
 		}
 		return m.String()
 	}
-	return cfg.Exec(rand.New(rand.NewSource(1))).String()
+	return cfg.Exec(1).String()
 }
 
 // newSet generates the n-task set of worst-case utilization u that seed
@@ -294,12 +298,11 @@ func (jr *jobRunner) runOne(ctx context.Context, j int, out *harnessOut) error {
 	for pi, p := range jr.pols {
 		// Each policy sees the same per-set randomness for its
 		// execution-time draws.
-		execR := rand.New(rand.NewSource(seed ^ 0x5DEECE66D))
 		res, err := jr.runner.RunContext(ctx, sim.Config{
 			Tasks:   ts,
 			Machine: cfg.Machine,
 			Policy:  p,
-			Exec:    cfg.Exec(execR),
+			Exec:    cfg.Exec(seed ^ 0x5DEECE66D),
 			Horizon: horizon,
 		})
 		if err != nil {

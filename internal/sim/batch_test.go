@@ -14,8 +14,8 @@ import (
 	"rtdvs/internal/trace"
 )
 
-// harmonicSet builds an exactly-integral harmonic task set (the
-// frame-based shape the release table accelerates).
+// harmonicSet builds an exactly-integral harmonic task set, the
+// frame-based shape of the paper's periodic workloads.
 func harmonicSet(t testing.TB, tasks ...task.Task) *task.Set {
 	t.Helper()
 	ts, err := task.NewSet(tasks...)
@@ -32,9 +32,9 @@ func harmonicSet(t testing.TB, tasks ...task.Task) *task.Set {
 var paperPolicies = []string{"none", "staticEDF", "staticRM", "ccEDF", "ccRM", "laEDF"}
 
 // harmonicShapes are hand-built integral task sets — with phases, with
-// switch overhead, with clustered frame releases — that engage the
-// release table (and, for the pure frame, the frame bitmask). Each call
-// returns a fresh Config without Policy and Machine.
+// switch overhead, with clustered frame releases — whose releases
+// coincide often. Each call returns a fresh Config without Policy and
+// Machine.
 var harmonicShapes = []func(t testing.TB) Config{
 	func(t testing.TB) Config { // pure frame-based: all periods equal
 		return Config{
@@ -135,43 +135,6 @@ func TestBatchMatchesScalarAcrossPolicies(t *testing.T) {
 		for i, mk := range mks {
 			want, wantErr := Run(mk())
 			requireSameAsScalar(t, fmt.Sprintf("pass %d lane %d", pass, i), results[i], errs[i], want, wantErr)
-		}
-	}
-}
-
-// The harmonic shapes must actually engage the release-table path —
-// otherwise the identity tests exercise nothing new. The table needs an
-// integral grid and no fault injector; the frame bitmask additionally
-// needs one shared period and phase.
-func TestBatchHarmonicLanesUseReleaseTable(t *testing.T) {
-	nested := harmonicSet(t,
-		task.Task{Period: 10, WCET: 2},
-		task.Task{Period: 20, WCET: 4, Phase: 5})
-	frame := harmonicSet(t,
-		task.Task{Period: 20, WCET: 4},
-		task.Task{Period: 20, WCET: 3})
-	cases := []struct {
-		name         string
-		cfg          Config
-		table, frame bool
-	}{
-		{"integral harmonic", Config{Tasks: nested}, true, false},
-		{"single frame", Config{Tasks: frame}, true, true},
-		{"non-integral period", Config{Tasks: mustSet(t, task.Task{Period: 10.5, WCET: 2})}, false, false},
-		{"faults", Config{Tasks: frame, Faults: fault.MustNew(fault.Plan{Seed: 3})}, false, false},
-	}
-	r := NewRunner()
-	for _, c := range cases {
-		cfg := c.cfg
-		cfg.Machine = machine.Machine0()
-		cfg.Policy = mustPolicy(t, "ccEDF")
-		cfg.Horizon = 100
-		if _, err := r.Run(cfg); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if r.s.table != c.table || r.s.frame != c.frame {
-			t.Errorf("%s: table=%v frame=%v, want table=%v frame=%v",
-				c.name, r.s.table, r.s.frame, c.table, c.frame)
 		}
 	}
 }

@@ -217,11 +217,14 @@ func TestRunContextCancelKeepsFaultRecord(t *testing.T) {
 	}
 }
 
-// TestStalledRunEnds clears the release order at the first release, so
-// its head key stays on the first release it then fires: the next
-// release time stays due, and the loop re-processes one instant forever
-// unless its progress guard ends the run. Plain and cancellable runs
-// share the guard. The test's own deadline turns a hang into a failure.
+// TestStalledRunEnds corrupts the release order at the first release:
+// the head task's recorded position moves one place on, so when that
+// task next fires its reorder starts from the wrong place and its old
+// key stays at the head. The next release time stays due, and the loop
+// re-processes one instant forever unless its progress guard ends the
+// run. The run is under RM, so the ready set is the static order and
+// only the release order is corrupted. Plain and cancellable runs share
+// the guard. The test's own deadline turns a hang into a failure.
 func TestStalledRunEnds(t *testing.T) {
 	ts, err := task.NewSet(
 		task.Task{Period: 10.5, WCET: 2},
@@ -233,7 +236,7 @@ func TestStalledRunEnds(t *testing.T) {
 	}
 	for _, cancellable := range []bool{false, true} {
 		cfg := Config{Tasks: ts, Machine: machine.Machine0(), Horizon: 100,
-			Policy: &corruptingPolicy{kind: sched.EDF, corrupt: func(s *simulator) { s.ordered = false }}}
+			Policy: &corruptingPolicy{kind: sched.RM, corrupt: func(s *simulator) { s.ordPos[s.ord[0]]++ }}}
 		done := make(chan error, 1)
 		go func() {
 			if !cancellable {

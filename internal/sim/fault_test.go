@@ -56,11 +56,9 @@ func TestSilentInjectorBitIdentical(t *testing.T) {
 		}
 	}
 
-	// The release table and the frame bitmask engage only without an
-	// injector, so a silent one runs the harmonic shapes on the release
-	// order: the reference both specializations must match.
-	// Switch halts longer than the spacing of the release instants drain
-	// several table slots in one event.
+	// The same holds on the harmonic shapes, whose releases coincide,
+	// single frames included. Switch halts longer than the spacing of
+	// the release instants make several instants due in one event.
 	longHalts := func(t testing.TB) Config {
 		return Config{
 			Tasks: harmonicSet(t,
@@ -74,17 +72,17 @@ func TestSilentInjectorBitIdentical(t *testing.T) {
 	}
 	for _, name := range paperPolicies {
 		for si, mk := range append(harmonicShapes, longHalts) {
-			table, tableErr := Run(harmonicConfig(t, mk, name))
+			plain, plainErr := Run(harmonicConfig(t, mk, name))
 			cfg := harmonicConfig(t, mk, name)
 			cfg.Faults = fault.MustNew(fault.Plan{Seed: 99})
-			order, orderErr := Run(cfg)
-			if order != nil {
-				if order.Faults == nil || order.Faults.Total() != 0 {
-					t.Fatalf("%s shape %d: silent injector fired: %+v", name, si, order.Faults)
+			silent, silentErr := Run(cfg)
+			if silent != nil {
+				if silent.Faults == nil || silent.Faults.Total() != 0 {
+					t.Fatalf("%s shape %d: silent injector fired: %+v", name, si, silent.Faults)
 				}
-				order.Faults = nil
+				silent.Faults = nil
 			}
-			requireSameAsScalar(t, fmt.Sprintf("%s shape %d", name, si), table, tableErr, order, orderErr)
+			requireSameAsScalar(t, fmt.Sprintf("%s shape %d", name, si), plain, plainErr, silent, silentErr)
 		}
 	}
 }

@@ -188,8 +188,6 @@ func (p *corruptingPolicy) OnRelease(sys core.System, _ int) {
 // TestInvariantPickOrder seeds one fault each into the ready bitmask,
 // under EDF (the deadline order) and RM (the static period order), and
 // into the release order's head key; the pick check must report each.
-// The periods are off the integer grid, so releases come from the
-// release order rather than a table.
 func TestInvariantPickOrder(t *testing.T) {
 	ts, err := task.NewSet(
 		task.Task{Period: 10.5, WCET: 2},

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -64,8 +65,8 @@ type MultiConfig struct {
 	Exec string
 	// Seed seeds stateful execution models (see execSeedStride).
 	Seed int64
-	// Horizon is the simulated duration in ms; 0 selects 20 × the
-	// longest period.
+	// Horizon is the simulated duration in ms; 0 (or any non-positive
+	// value) selects 20 × the longest period. NaN and ±Inf are refused.
 	Horizon float64
 	// Overhead optionally models operating-point switch stop intervals.
 	Overhead *machine.SwitchOverhead
@@ -280,6 +281,9 @@ func validateMulti(cfg *MultiConfig) (int, error) {
 	}
 	if cfg.Policy == "" {
 		return 0, fmt.Errorf("sim: empty policy name")
+	}
+	if math.IsNaN(cfg.Horizon) || math.IsInf(cfg.Horizon, 0) {
+		return 0, fmt.Errorf("sim: horizon %g is not finite", cfg.Horizon)
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 20 * cfg.Tasks.MaxPeriod()

@@ -25,8 +25,8 @@ import (
 var gangPolicies = []string{"gangStaticEDF", "gangCCEDF", "gangLAEDF"}
 
 // globalPinSets are the workload shapes of the global-placement pin: a
-// seeded random set (release order), an integral harmonic set with phases
-// (release table) and a single-frame set (frame bitmask).
+// seeded random set, an integral harmonic set with phases and a
+// single-frame set.
 func globalPinSets(t *testing.T) []struct {
 	name string
 	ts   *task.Set

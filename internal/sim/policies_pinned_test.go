@@ -123,12 +123,32 @@ func quantisedSet(t *testing.T, n int, u, scale float64, seed int64) *task.Set {
 	return ts
 }
 
+// frameShape builds an n-task single frame: every task shares one
+// period and one phase, so every release coincides and every active job
+// carries one deadline. WCETs are drawn as in quantisedSet and scaled to
+// utilization u.
+func frameShape(t *testing.T, n int, u, period, phase float64, seed int64) *task.Set {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	tasks := make([]task.Task, n)
+	var sum float64
+	for i := range tasks {
+		tasks[i] = task.Task{Period: period, WCET: (0.5 + rng.Float64()) * period, Phase: phase}
+		sum += tasks[i].WCET / period
+	}
+	for i := range tasks {
+		tasks[i].WCET *= u / sum
+	}
+	return mustSet(t, tasks...)
+}
+
 // queueShapes are the shapes the simulator's release order and run
 // queue must get right: equal periods that are not one frame (releases
 // coincide, deadlines tie), non-zero phases, each on a non-integral grid
-// (no release table) and an integral one (table), an overloaded set
-// whose jobs miss and abort, and quantised sets at the 64-task bitmask
-// boundary.
+// and an integral one, an overloaded set whose jobs miss and abort,
+// single frames (one of them overloaded, so its jobs abort together at
+// the shared deadline), and quantised sets and a frame at the 64-task
+// bitmask boundary.
 func queueShapes(t *testing.T) []queueShape {
 	t.Helper()
 	return []queueShape{
@@ -149,6 +169,9 @@ func queueShapes(t *testing.T) []queueShape {
 			task.Task{Period: 40, WCET: 6, Phase: 7}, task.Task{Period: 20, WCET: 2, Phase: 5},
 			task.Task{Period: 10, WCET: 1, Phase: 3}), 600},
 		{"overload", quantisedSet(t, 12, 1.2, 1, 12), 400},
+		{"frame12", frameShape(t, 12, 0.8, 20, 4, 120), 400},
+		{"frame12-overload", frameShape(t, 12, 1.2, 20, 4, 120), 400},
+		{"frame64", frameShape(t, 64, 0.9, 25, 0, 1264), 400},
 		{"n63", quantisedSet(t, 63, 0.8, 1, 63), 400},
 		{"n64", quantisedSet(t, 64, 0.8, 1, 64), 400},
 		{"n64-scaled", quantisedSet(t, 64, 0.9, 1.5, 640), 600},
@@ -162,10 +185,13 @@ func queueShapes(t *testing.T) []queueShape {
 // run of the paper's six policies × {wcet, uniform} × {no injector,
 // silent injector} × {no overhead, K6-2-like stop intervals} on Machine1,
 // plus global runs of gangStaticEDF and gangLAEDF at m ∈ {2, 4}. A run
-// that fails hashes its error instead. On an integral set the plain run
-// takes its releases from the release table and the silent injector's
-// from the release order; 65 tasks exceed the 64-bit ready set. Float
-// results may differ across architectures, so the digests are amd64's.
+// that fails hashes its error instead. Every set of up to 64 tasks runs
+// on the release order and ready bitmask, and 65 tasks exceed them. The
+// frame shapes' digests were recorded while integral sets still took
+// their releases from a per-hyperperiod table and single frames kept a
+// ready set of their own, so they pin the order against those results.
+// Float results may differ across architectures, so the digests are
+// amd64's.
 func TestQueueShapesPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("queue-shape digests are recorded for amd64, not %s", runtime.GOARCH)
@@ -222,15 +248,18 @@ func TestQueueShapesPinned(t *testing.T) {
 
 // queueShapeDigests are TestQueueShapesPinned's recorded digests.
 var queueShapeDigests = map[string]string{
-	"ties":            "283645b0f0e9dd2dc13255f0ffdee2f86c316bf63feffc4040848a1b6b15f68a",
-	"ties-integral":   "6cf15b1899a1dc983ce850c3c3b99c001b458f3c598d0333efff76f021d30993",
-	"phases":          "c4249e4110dbc7f1bc9ee9ea38a40424ede507c4ca4d3f0ac0d1a5849e46e14c",
-	"phases-integral": "a9190c50a032821aa8b2e95eb6db3a53fc4f1474076db19cc104390ccd551642",
-	"overload":        "1f1bb57dbfcb25b40cda5e67ef9c8f2b8520b4e8eeb5ce0a693b0b201247a9cf",
-	"n63":             "a75b834e4460d7c4d579658093334a27e19cda069bf13e0cf02942a447ce28e9",
-	"n64":             "dc34ca6e01a36679c90946a6d4352c6fd547bc28ebf0b8c805c328453af51572",
-	"n64-scaled":      "5c6fa31e018a5c34c62748a1b681b8ad60f85ea843466c651ebda5fac686e6fb",
-	"n64-overload":    "1328601e6dbdef808c8f094fb8650bf5ad260454d1e99c98d5f7691c857256ab",
-	"n65":             "111db140076d820e9a12c060656958d89f88b7e81fbcfbc85644d57b85f1a165",
-	"n65-overload":    "ed9ee2499d68706aaf21a4ae7a32d832ae76b07606ab8fb312ee821461a8042b",
+	"ties":             "283645b0f0e9dd2dc13255f0ffdee2f86c316bf63feffc4040848a1b6b15f68a",
+	"ties-integral":    "6cf15b1899a1dc983ce850c3c3b99c001b458f3c598d0333efff76f021d30993",
+	"phases":           "c4249e4110dbc7f1bc9ee9ea38a40424ede507c4ca4d3f0ac0d1a5849e46e14c",
+	"phases-integral":  "a9190c50a032821aa8b2e95eb6db3a53fc4f1474076db19cc104390ccd551642",
+	"overload":         "1f1bb57dbfcb25b40cda5e67ef9c8f2b8520b4e8eeb5ce0a693b0b201247a9cf",
+	"frame12":          "296236c32ae65e2f86d226d141356f09fd358e00e3f23fcff75458f07da3d775",
+	"frame12-overload": "388a979d39c7b60ea0ce903ef35574d1e3f8c5c2b78e3df0f5570a2c2ed5aa8e",
+	"frame64":          "ef33753c33d202d92cbbbe673022ab3b85f4c2ef28e6c813ffce7c798f7484b0",
+	"n63":              "a75b834e4460d7c4d579658093334a27e19cda069bf13e0cf02942a447ce28e9",
+	"n64":              "dc34ca6e01a36679c90946a6d4352c6fd547bc28ebf0b8c805c328453af51572",
+	"n64-scaled":       "5c6fa31e018a5c34c62748a1b681b8ad60f85ea843466c651ebda5fac686e6fb",
+	"n64-overload":     "1328601e6dbdef808c8f094fb8650bf5ad260454d1e99c98d5f7691c857256ab",
+	"n65":              "111db140076d820e9a12c060656958d89f88b7e81fbcfbc85644d57b85f1a165",
+	"n65-overload":     "ed9ee2499d68706aaf21a4ae7a32d832ae76b07606ab8fb312ee821461a8042b",
 }

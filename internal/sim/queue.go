@@ -9,10 +9,15 @@ import (
 
 // The release order and the run queue. Since a task's deadline is also
 // its next release, one order of the tasks by (deadline, index) serves
-// as both the release timer and EDF's run queue. A set of up to 64
+// as both the release timer and EDF's run queue. Every set of up to 64
 // tasks keeps that order in three parallel slices and its ready set in
-// one uint64 over a priority order; a larger set keeps the two index
-// heaps of internal/sched.
+// one uint64 over a priority order: the deadline order itself under EDF,
+// the static (period, index) order under RM. A single frame, whose tasks
+// share one period and phase, needs no path of its own: its tasks all
+// carry one key, so the order is index order, a release instant moves
+// each task back by one comparison (processReleases), and the pick is
+// the lowest-index active task. A larger set keeps the two index heaps
+// of internal/sched.
 
 // maxBitmaskTasks is the largest set whose ready set fits one uint64.
 const maxBitmaskTasks = 64
@@ -23,7 +28,6 @@ func (s *simulator) resetQueues() {
 	n := s.ts.Len()
 	s.readyBits = 0
 	s.heaps = n > maxBitmaskTasks
-	s.ordered, s.carry = false, false
 	if s.heaps {
 		s.timers.Reset(n)
 		s.ready.Reset(n)
@@ -32,25 +36,17 @@ func (s *simulator) resetQueues() {
 		}
 		return
 	}
-	// EDF's run queue is the deadline order itself, except in a single
-	// frame, where every active job carries one deadline and index order
-	// is the answer. The release table makes the order unnecessary as a
-	// timer.
-	s.carry = s.kind == sched.EDF && !s.frame
-	s.ordered = !s.table || s.carry
-	if s.ordered {
-		s.ord, s.ordKey, s.ordPos = growZeroed(s.ord, n), growZeroed(s.ordKey, n), growZeroed(s.ordPos, n)
-		for i := range n {
-			s.ord[i], s.ordKey[i] = i, s.ts.Task(i).Phase
-		}
-		sortOrder(s.ord, s.ordKey, s.ordPos)
+	s.ord, s.ordKey, s.ordPos = growZeroed(s.ord, n), growZeroed(s.ordKey, n), growZeroed(s.ordPos, n)
+	for i := range n {
+		s.ord[i], s.ordKey[i] = i, s.ts.Task(i).Phase
 	}
-	if s.carry {
+	sortOrder(s.ord, s.ordKey, s.ordPos)
+	// EDF's run queue is the deadline order itself; RM's is the static
+	// (period, index) order.
+	if s.kind == sched.EDF {
 		s.prio, s.rank = s.ord, s.ordPos
 		return
 	}
-	// RM, or a single frame under EDF: the static (period, index) order,
-	// which is index order for a frame.
 	s.static, s.staticKey, s.staticPos = growZeroed(s.static, n), growZeroed(s.staticKey, n), growZeroed(s.staticPos, n)
 	for i := range n {
 		s.static[i], s.staticKey[i] = i, s.ts.Task(i).Period
@@ -96,7 +92,7 @@ func (s *simulator) reorder(i int) {
 		q++
 	}
 	s.ord[q], s.ordKey[q], s.ordPos[i] = i, key, q
-	if s.carry && q > p {
+	if s.kind == sched.EDF && q > p {
 		b := s.readyBits
 		passed := (uint64(1)<<uint(q+1) - 1) &^ (uint64(1)<<uint(p+1) - 1)
 		moved := b >> uint(p) & 1
@@ -170,16 +166,12 @@ func (s *simulator) readyRemove(i int) {
 	s.readyBits &^= 1 << uint(s.rank[i])
 }
 
-// nextReleaseTime returns the earliest pending release: the release
-// table's cursor, the timer heap's minimum, or the head of the release
-// order.
+// nextReleaseTime returns the earliest pending release: the head of the
+// release order, or the timer heap's minimum.
 //
 //rtdvs:hotpath
 func (s *simulator) nextReleaseTime() float64 {
-	switch {
-	case s.table:
-		return s.tab.next
-	case s.heaps:
+	if s.heaps {
 		return s.timers.PeekKey()
 	}
 	return s.ordKey[0]

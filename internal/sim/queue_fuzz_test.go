@@ -68,8 +68,8 @@ func fuzzSeed(n, util, flags int, f func(i int) (period, phase, weight int)) []b
 // (laEDF), RM (ccRM) and global gangLAEDF with the invariant checker on,
 // which compares every pick and next release time with an O(n) scan.
 // No run may fail, and each scalar run must equal its silent-injector
-// twin, which takes its releases from the release order instead of a
-// release table. The policies that read deadlines must also give the
+// twin, whose picks the checker scans even in a single frame. The
+// policies that read deadlines must also give the
 // same results whether they read the simulator's deadline order or sort
 // their own (orderSources).
 func FuzzSimulatorQueues(f *testing.F) {

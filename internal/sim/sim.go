@@ -21,19 +21,16 @@
 // queue, and the ready set is one uint64 over a priority order (queue.go):
 // the deadline order under EDF, the static period order under RM. A
 // release moves one task back by one insertion; a pick is the lowest set
-// bit. A larger set keeps two index heaps from internal/sched. A set on
-// an exact integer grid takes its releases from a precomputed
-// per-hyperperiod release table instead, and a single-frame set's ready
-// set stays in index order (release.go). A Runner amortizes every buffer
-// across sequential runs — the experiment harness executes hundreds of
-// simulations per worker on a single Runner without reallocating.
+// bit. A larger set keeps two index heaps from internal/sched. A Runner
+// amortizes every buffer across sequential runs — the experiment harness
+// executes hundreds of simulations per worker on a single Runner without
+// reallocating.
 package sim
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"testing"
 
 	"rtdvs/internal/core"
@@ -70,8 +67,9 @@ type Config struct {
 	Policy core.Policy
 	// Exec models actual per-invocation computation; nil means FullWCET.
 	Exec task.ExecModel
-	// Horizon is the simulated duration in milliseconds; 0 selects
-	// 20 × the longest period.
+	// Horizon is the simulated duration in milliseconds; 0 (or any
+	// non-positive value) selects 20 × the longest period. NaN and ±Inf
+	// are refused.
 	Horizon float64
 	// Overhead optionally models the mandatory stop interval of operating
 	// point transitions. Nil means instantaneous switches, the paper's
@@ -289,15 +287,13 @@ type simulator struct {
 	timers sched.ReadyQueue
 	ready  sched.ReadyQueue
 
-	// A set of up to 64 tasks keeps, while ordered is set, every task in
-	// ord by (deadline, index), with the keys in ordKey and each task's
-	// position in ordPos. Its ready set is readyBits: bit k is set when
-	// task prio[k] is active, and rank inverts prio. Under EDF (carry)
-	// prio and rank alias ord and ordPos, so a reorder carries the ready
-	// bits along; otherwise they are static, the (period, index) order in
-	// static, staticKey and staticPos.
-	ordered   bool
-	carry     bool
+	// A set of up to 64 tasks keeps every task in ord by (deadline,
+	// index), with the keys in ordKey and each task's position in ordPos.
+	// Its ready set is readyBits: bit k is set when task prio[k] is
+	// active, and rank inverts prio. Under EDF prio and rank alias ord and
+	// ordPos, so a reorder carries the ready bits along; under RM they are
+	// static, the (period, index) order in static, staticKey and
+	// staticPos.
 	ord       []int
 	ordKey    []float64
 	ordPos    []int
@@ -307,15 +303,6 @@ type simulator struct {
 	prio      []int
 	rank      []int
 	readyBits uint64
-
-	// With table set, releases come from tab; with frame set (which
-	// implies table), the ready set stays in index order. Both engage
-	// only without a fault injector, so a silent injector runs the
-	// release order that TestSilentInjectorBitIdentical compares the
-	// table against.
-	table bool
-	tab   releaseTable
-	frame bool
 
 	due      []int // scratch: tasks due for release this instant
 	released []int // scratch: release events pending policy callbacks
@@ -424,6 +411,9 @@ func validate(cfg *Config) error {
 	if cfg.Exec == nil {
 		cfg.Exec = task.FullWCET{}
 	}
+	if math.IsNaN(cfg.Horizon) || math.IsInf(cfg.Horizon, 0) {
+		return fmt.Errorf("sim: horizon %g is not finite", cfg.Horizon)
+	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 20 * cfg.Tasks.MaxPeriod()
 	}
@@ -488,8 +478,6 @@ func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) err
 		Misses:     s.res.Misses[:0],
 		PerTask:    growZeroed(s.res.PerTask, n),
 	}
-	s.table = cfg.Faults == nil && s.tab.build(cfg.Tasks, cfg.Horizon)
-	s.frame = s.table && frameSet(cfg.Tasks)
 	for i := range s.states {
 		// Deadline of the "previous" (nonexistent) invocation is the
 		// first release: deadline == next release holds from the start.
@@ -541,14 +529,14 @@ func (s *simulator) Now() float64 { return s.now }
 
 func (s *simulator) Deadline(i int) float64 { return s.states[i].deadline }
 
-// DeadlineOrder implements core.OrderedSystem: while the run keeps its
-// release order, that order and its keys are the tasks in (deadline,
-// index) order. Releases reorder before any policy callback, so the
-// order is current at every hook.
+// DeadlineOrder implements core.OrderedSystem: a set of up to 64 tasks
+// keeps its release order, whose tasks and keys are the (deadline,
+// index) order; a heap run keeps none. Releases reorder before any
+// policy callback, so the order is current at every hook.
 //
 //rtdvs:hotpath
 func (s *simulator) DeadlineOrder() ([]int, []float64) {
-	if !s.ordered {
+	if s.heaps {
 		return nil, nil
 	}
 	return s.ord, s.ordKey
@@ -558,12 +546,17 @@ func (s *simulator) DeadlineOrder() ([]int, []float64) {
 
 // processReleases fires every release scheduled at or before now and
 // then notifies the policy once per released task. Due tasks come from
-// the release table's bitmask, the prefix of the release order whose
-// keys pass fpx.Le (the comparison is monotone in the key, so that prefix
-// is exactly what a heap drain pops), or the timer heap, and every way
-// replays them in ascending task-index order — the event order of the
-// original full-scan implementation — so miss records, release
-// counters, and policy callbacks are bit-identical to it.
+// the prefix of the release order whose keys pass fpx.Le (the comparison
+// is monotone in the key, so that prefix is exactly what a heap drain
+// pops) or from the timer heap, and both ways replay them in ascending
+// task-index order — the event order of the original full-scan
+// implementation — so miss records, release counters, and policy
+// callbacks are bit-identical to it.
+//
+// The fired tasks move back in the release order only once all have
+// fired, last position first, so each passes only tasks already in
+// place: a single frame, whose n tasks all fire at once, costs n steps
+// where reordering each task as it fires would cost n².
 //
 //rtdvs:hotpath
 func (s *simulator) processReleases() {
@@ -571,13 +564,8 @@ func (s *simulator) processReleases() {
 		return
 	}
 	s.released = s.released[:0]
-	switch {
-	case s.table:
-		for due := s.tab.drain(s.now); due != 0; due &= due - 1 {
-			s.fireReleases(bits.TrailingZeros64(due))
-		}
-	case s.heaps:
-		s.due = s.due[:0]
+	s.due = s.due[:0]
+	if s.heaps {
 		for fpx.Le(s.timers.PeekKey(), s.now) {
 			s.due = append(s.due, s.timers.Pop())
 		}
@@ -586,14 +574,18 @@ func (s *simulator) processReleases() {
 			s.fireReleases(i)
 			s.timerAdd(i, s.states[i].deadline)
 		}
-	default:
-		s.due = s.due[:0]
-		for k := 0; k < len(s.ord) && fpx.Le(s.ordKey[k], s.now); k++ {
-			s.due = append(s.due, s.ord[k])
+	} else {
+		k := 0
+		for k < len(s.ord) && fpx.Le(s.ordKey[k], s.now) {
+			k++
 		}
+		s.due = append(s.due, s.ord[:k]...)
 		sortIndexes(s.due)
 		for _, i := range s.due {
 			s.fireReleases(i)
+		}
+		for k--; k >= 0; k-- {
+			s.reorder(s.ord[k])
 		}
 	}
 	for _, i := range s.released {
@@ -608,7 +600,6 @@ func (s *simulator) processReleases() {
 // invocation still running at its deadline (== this release), draws the
 // new invocation's actual demand, sets its deadline — which is also the
 // task's next release — and queues the task for its OnRelease callback.
-// The new deadline then moves the task back in the release order.
 //
 //rtdvs:hotpath
 func (s *simulator) fireReleases(i int) {
@@ -643,9 +634,6 @@ func (s *simulator) fireReleases(i int) {
 		s.res.PerTask[i].Releases++
 		s.readyAdd(i)
 		s.released = append(s.released, i)
-	}
-	if s.ordered {
-		s.reorder(i)
 	}
 }
 

@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"rtdvs/internal/core"
 	"rtdvs/internal/machine"
@@ -54,6 +58,40 @@ func TestDefaultHorizon(t *testing.T) {
 	}
 	if res.Horizon != 20*14 {
 		t.Errorf("default horizon = %v, want 280 (20×longest period)", res.Horizon)
+	}
+}
+
+// A horizon that is not finite is refused by the scalar and both
+// multi-core engines alike: NaN used to run nothing and report success,
+// and +Inf to run until cancelled. Each run gets a deadline of its own,
+// so an engine that accepts +Inf fails the test instead of hanging it.
+func TestNonFiniteHorizonRefused(t *testing.T) {
+	ts := task.PaperExample()
+	for _, h := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		runs := map[string]func(ctx context.Context) error{
+			"scalar": func(ctx context.Context) error {
+				_, err := NewRunner().RunContext(ctx, Config{Tasks: ts, Machine: machine.Machine0(), Policy: mustPolicy(t, "ccEDF"), Horizon: h})
+				return err
+			},
+			"global": func(ctx context.Context) error {
+				_, err := NewMultiRunner().RunContext(ctx, MultiConfig{Tasks: ts, Machine: machine.Machine0().WithCores(2),
+					Policy: "gangLAEDF", Placement: sched.Global, Horizon: h})
+				return err
+			},
+			"partitioned": func(ctx context.Context) error {
+				_, err := NewMultiRunner().RunContext(ctx, MultiConfig{Tasks: ts, Machine: machine.Machine0().WithCores(2),
+					Policy: "ccEDF", Placement: sched.PartitionedFF, Horizon: h})
+				return err
+			},
+		}
+		for name, run := range runs {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			err := run(ctx)
+			cancel()
+			if err == nil || !strings.Contains(err.Error(), "horizon "+fmt.Sprint(h)+" is not finite") {
+				t.Errorf("%s, horizon %g: error %v, want the horizon refused", name, h, err)
+			}
+		}
 	}
 }
 
