@@ -31,6 +31,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -104,8 +105,8 @@ func main() {
 				fmt.Println("usage: step <ms>")
 				continue
 			}
-			ms, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil || ms <= 0 {
+			ms, err := parseDuration(fields[1])
+			if err != nil {
 				fmt.Printf("bad duration %q\n", fields[1])
 				continue
 			}
@@ -129,6 +130,20 @@ func main() {
 	if err := sc.Err(); err != nil {
 		fatal(err)
 	}
+}
+
+// parseDuration reads the step command's duration: a positive, finite
+// number of milliseconds. An infinite one would step the kernel toward a
+// target it never reaches.
+func parseDuration(s string) (float64, error) {
+	ms, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if !(ms > 0) || math.IsInf(ms, 1) {
+		return 0, fmt.Errorf("duration must be positive and finite, got %v", ms)
+	}
+	return ms, nil
 }
 
 // newKernel builds the shell's kernel: the named machine with the K6-2+

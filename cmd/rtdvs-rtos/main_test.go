@@ -26,3 +26,18 @@ func TestNewKernelResolvesExtendedPolicies(t *testing.T) {
 		t.Error("unknown machine accepted")
 	}
 }
+
+// The step command takes a positive, finite duration; anything else is
+// a bad duration, "inf" included, which ParseFloat accepts.
+func TestParseDuration(t *testing.T) {
+	for _, s := range []string{"10", "0.5", "1e3"} {
+		if _, err := parseDuration(s); err != nil {
+			t.Errorf("parseDuration(%q): %v", s, err)
+		}
+	}
+	for _, s := range []string{"0", "-1", "inf", "+Inf", "-inf", "NaN", "1e400", "ten", ""} {
+		if ms, err := parseDuration(s); err == nil {
+			t.Errorf("parseDuration(%q) = %v, want an error", s, ms)
+		}
+	}
+}

@@ -101,6 +101,8 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/rtos.Kernel.abortJob":        "BenchmarkKernelStep",
 	"rtdvs/internal/rtos.Kernel.pick":            "BenchmarkKernelStep",
 	"rtdvs/internal/rtos.Kernel.nextReleaseTime": "BenchmarkKernelStep",
+	"rtdvs/internal/rtos.Kernel.activate":        "BenchmarkKernelStep",
+	"rtdvs/internal/rtos.Kernel.deactivate":      "BenchmarkKernelStep",
 
 	// Closure-free operating-point lookup used by every dynamic policy.
 	"rtdvs/internal/machine.PointSelector.AtLeast": "TestSelectorMatchesLowestAtLeast",

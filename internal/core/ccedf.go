@@ -39,7 +39,7 @@ func (p *reservation) reserve(ncores int) {
 	p.util = growZeroed(p.util, p.ts.Len())
 	p.sum, p.lmax = 0, 0
 	for i := range p.util {
-		u := p.ts.Task(i).Utilization()
+		u := p.tp[i].util
 		p.util[i] = u
 		p.sum += u
 		if u > p.lmax {
@@ -71,13 +71,13 @@ func (p *reservation) Scheduler() sched.Kind { return sched.EDF }
 
 //rtdvs:hotpath
 func (p *reservation) OnRelease(_ System, i int) {
-	p.adjust(i, p.ts.Task(i).Utilization())
+	p.adjust(i, p.tp[i].util)
 	p.selectFrequency()
 }
 
 //rtdvs:hotpath
 func (p *reservation) OnCompletion(_ System, i int, used float64) {
-	p.adjust(i, used/p.ts.Task(i).Period)
+	p.adjust(i, used/p.tp[i].period)
 	p.selectFrequency()
 }
 
@@ -127,7 +127,7 @@ func (p *budgeted) reserveBudgets() {
 func (p *budgeted) charge(i int, b float64) {
 	p.budget[i] = b
 	p.used[i] = 0
-	p.adjust(i, b/p.ts.Task(i).Period)
+	p.adjust(i, b/p.tp[i].period)
 	p.selectFrequency()
 }
 
@@ -139,10 +139,10 @@ func (p *budgeted) charge(i int, b float64) {
 func (p *budgeted) OnExecute(i int, cycles float64) {
 	p.used[i] += cycles
 	if fpx.GtTol(p.used[i], p.budget[i], fpx.Tiny) {
-		wcet := p.ts.Task(i).WCET
+		wcet := p.tp[i].wcet
 		if fpx.Ne(p.budget[i], wcet) {
 			p.budget[i] = wcet
-			p.adjust(i, wcet/p.ts.Task(i).Period)
+			p.adjust(i, p.tp[i].util)
 			p.selectFrequency()
 		}
 	}

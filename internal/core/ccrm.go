@@ -74,7 +74,7 @@ func (p *ccRM) Attach(ts *task.Set, m *machine.Spec) error {
 // rmBefore is the RM priority order: shorter period first, ties by
 // ascending task index (matching task.Set.ByPeriod's stable sort).
 func (p *ccRM) rmBefore(a, b int) bool {
-	pa, pb := p.ts.Task(a).Period, p.ts.Task(b).Period
+	pa, pb := p.tp[a].period, p.tp[b].period
 	switch {
 	case pa < pb:
 		return true
@@ -144,7 +144,7 @@ func (p *ccRM) selectFrequency(interval float64) {
 
 //rtdvs:hotpath
 func (p *ccRM) OnRelease(sys System, i int) {
-	p.cleft[i] = p.ts.Task(i).WCET
+	p.cleft[i] = p.tp[i].wcet
 	// Progress to match: what the statically-scaled RM schedule would
 	// retire by the next deadline.
 	interval := p.nextDeadline(sys) - sys.Now()

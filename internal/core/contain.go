@@ -64,8 +64,8 @@ type ContainmentReporter interface {
 // job runs arbitrarily far past its reservation.
 type contained struct {
 	inner Policy
-	name  string // inner.Name() + "+contain", fixed at construction
-	ts    *task.Set
+	name  string       // inner.Name() + "+contain", fixed at construction
+	tp    []taskParams // the attached set's parameters
 	m     *machine.Spec
 
 	used  []float64 // cycles consumed by the current invocation, per task
@@ -120,7 +120,7 @@ func (p *contained) Attach(ts *task.Set, m *machine.Spec) error {
 	if err := p.inner.Attach(ts, m); err != nil {
 		return err
 	}
-	p.ts, p.m = ts, m
+	p.tp, p.m = cacheParams(p.tp, ts), m
 	n := ts.Len()
 	p.used = growZeroed(p.used, n)
 	p.over = growZeroed(p.over, n)
@@ -149,7 +149,7 @@ func (p *contained) recoverStale(sys System) {
 		if !p.over[i] || math.IsNaN(p.dl[i]) {
 			continue
 		}
-		if now <= p.dl[i]+containRecoverHysteresis*p.ts.Task(i).Period {
+		if now <= p.dl[i]+containRecoverHysteresis*p.tp[i].period {
 			continue
 		}
 		if !math.IsNaN(p.overAt[i]) && p.dl[i] > p.overAt[i] {
@@ -218,14 +218,14 @@ func (p *contained) OnCompletion(sys System, i int, used float64) {
 	// Clamp to the declared bound: the inner policy reserved at most
 	// C_i/P_i, and crediting more would push e.g. ccEDF's utilization
 	// bookkeeping past the admission test it was verified against.
-	if wcet := p.ts.Task(i).WCET; used > wcet {
+	if wcet := p.tp[i].wcet; used > wcet {
 		used = wcet
 	}
 	p.inner.OnCompletion(sys, i, used)
 }
 
 func (p *contained) OnExecute(i int, cycles float64) {
-	wcet := p.ts.Task(i).WCET
+	wcet := p.tp[i].wcet
 	prev := p.used[i]
 	p.used[i] += cycles
 	// Self-detection fallback for substrates without OverrunAware

@@ -169,7 +169,7 @@ func (p *fbEDF) OnRelease(_ System, i int) {
 //rtdvs:hotpath
 func (p *fbEDF) OnCompletion(_ System, i int, used float64) {
 	p.inFlight[i] = false
-	delta := p.ewma * (used/p.ts.Task(i).Period - p.uhat[i])
+	delta := p.ewma * (used/p.tp[i].period - p.uhat[i])
 	p.uhat[i] += delta
 	p.sum += delta
 	p.setLowestAtLeast(p.sum + p.out)

@@ -47,8 +47,7 @@ type laEDF struct {
 	// sort from its previous state — near-linear per event.
 	order []int
 	key   []float64
-	util  []float64 // C_i/P_i per task, fixed per Attach
-	u0    float64   // ΣC_i/P_i of the attached set, fixed per Attach
+	u0    float64 // ΣC_i/P_i of the attached set, fixed per Attach
 	// peakU is the largest cumulative utilization reached during the last
 	// defer_ walk. The walk reserves C_j/P_j for every earlier-deadline
 	// task and re-adds only non-deferred work, so for an admitted set
@@ -77,10 +76,6 @@ func (p *laEDF) Attach(ts *task.Set, m *machine.Spec) error {
 		p.order[i] = i
 	}
 	p.key = growZeroed(p.key, n)
-	p.util = growZeroed(p.util, n)
-	for i := range p.util {
-		p.util[i] = ts.Task(i).Utilization()
-	}
 	p.u0 = ts.Utilization()
 	p.peakU = 0
 	p.point = m.Min() // nothing to do before the first release
@@ -134,7 +129,7 @@ func (p *laEDF) defer_(sys System) {
 			k = lo
 		}
 		i := order[k]
-		u -= p.util[i]
+		u -= p.tp[i].util
 		if p.cleft[i] <= 0 {
 			// Nothing left to run (cleft is never negative). For a finite
 			// window x below is +0, since rate·window ≥ 0, and the re-add
@@ -228,7 +223,7 @@ func (p *laEDF) repair(sys System) ([]int, []float64) {
 
 //rtdvs:hotpath
 func (p *laEDF) OnRelease(sys System, i int) {
-	p.cleft[i] = p.ts.Task(i).WCET
+	p.cleft[i] = p.tp[i].wcet
 	p.defer_(sys)
 }
 

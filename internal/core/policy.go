@@ -236,13 +236,32 @@ func growZeroed[T any](s []T, n int) []T {
 }
 
 // base carries the state common to every policy: the attached task set,
-// machine, and currently selected operating point.
+// its per-task parameters, the machine, and the currently selected
+// operating point.
 type base struct {
 	ts         *task.Set
+	tp         []taskParams
 	m          *machine.Spec
 	sel        machine.PointSelector
 	point      machine.OperatingPoint
 	guaranteed bool
+}
+
+// taskParams caches one task's static parameters at Attach, so a hook
+// reads a float instead of copying a task.Task out of the set.
+type taskParams struct {
+	wcet, period, util float64 // C_i, P_i and C_i/P_i
+}
+
+// cacheParams fills tp with the parameters of ts's tasks, reusing tp's
+// backing array when its capacity suffices.
+func cacheParams(tp []taskParams, ts *task.Set) []taskParams {
+	tp = growZeroed(tp, ts.Len())
+	for i := range tp {
+		t := ts.Task(i)
+		tp[i] = taskParams{wcet: t.WCET, period: t.Period, util: t.Utilization()}
+	}
+	return tp
 }
 
 func (b *base) attach(ts *task.Set, m *machine.Spec) error {
@@ -256,6 +275,7 @@ func (b *base) attach(ts *task.Set, m *machine.Spec) error {
 		return err
 	}
 	b.ts, b.m = ts, m
+	b.tp = cacheParams(b.tp, ts)
 	b.sel = m.Selector()
 	b.point = m.Max()
 	b.guaranteed = false

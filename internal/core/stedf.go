@@ -69,7 +69,7 @@ func (p *stEDF) Attach(ts *task.Set, m *machine.Spec) error {
 // task i: the learned q-th quantile once enough history exists, the
 // worst case before that (and never more than the worst case).
 func (p *stEDF) quantileBudget(i int) float64 {
-	wcet := p.ts.Task(i).WCET
+	wcet := p.tp[i].wcet
 	const warmup = 10 // invocations before trusting the estimate
 	if p.est[i].N() < warmup {
 		return wcet

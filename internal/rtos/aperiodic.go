@@ -76,8 +76,12 @@ var (
 
 // Replay feeds a workload trace into a server, stepping the kernel to
 // each arrival instant and then to the horizon, and returns the mean
-// response time over completed jobs (NaN when none completed).
+// response time over completed jobs (NaN when none completed). The
+// horizon must be finite.
 func Replay(k *Kernel, sink JobSink, arrivals []Arrival, horizon float64) (meanResponse float64, err error) {
+	if math.IsNaN(horizon) || math.IsInf(horizon, 0) {
+		return 0, fmt.Errorf("rtos: replay horizon must be finite, got %v", horizon)
+	}
 	for _, a := range arrivals {
 		if a.Time > k.Now() {
 			k.Step(a.Time)

@@ -3,6 +3,7 @@ package rtos
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"rtdvs/internal/backoff"
@@ -118,13 +119,27 @@ type ktask struct {
 type Kernel struct {
 	cpu    *CPU
 	policy core.Policy
-	// kind caches the policy's scheduling discipline for pick.
+	// kind caches the policy's scheduling discipline for pick, and aware
+	// the policy as a core.OverrunAware (nil when it is not one); both
+	// are set with the policy.
 	kind   sched.Kind
+	aware  core.OverrunAware
 	now    float64
 	tasks  []*ktask
 	nextID TaskID
 	// released is processReleases' scratch list of the indices it fired.
 	released []int
+
+	// The index beside the registry, so that a scheduling point visits
+	// tasks only when there is something to find: earliest is the
+	// earliest nextRelease of any task, sporadics the number of sporadic
+	// tasks, and ready holds one bit per task index, set while that
+	// task's invocation is active. The registry operations rebuild it
+	// (reindex); Trigger, processReleases, a completion in Step and
+	// AddDemand keep it current where they change a task.
+	earliest  float64
+	sporadics int
+	ready     []uint64
 
 	misses   []MissEvent
 	overruns []OverrunEvent
@@ -178,7 +193,8 @@ func NewKernel(spec *machine.Spec, overhead machine.SwitchOverhead, policy core.
 	if policy == nil {
 		return nil, fmt.Errorf("rtos: nil policy module")
 	}
-	return &Kernel{cpu: cpu, policy: policy, kind: policy.Scheduler()}, nil
+	aware, _ := policy.(core.OverrunAware)
+	return &Kernel{cpu: cpu, policy: policy, kind: policy.Scheduler(), aware: aware, earliest: math.Inf(1)}, nil
 }
 
 // Now returns the current virtual time in milliseconds.
@@ -329,9 +345,11 @@ func (k *Kernel) AddTask(cfg TaskConfig, opts AddOptions) (TaskID, error) {
 	k.nextID++
 	k.tasks = append(k.tasks, kt)
 	if err := k.reattach(); err != nil {
+		// The registry is as it was, so the index still describes it.
 		k.tasks = k.tasks[:len(k.tasks)-1]
 		return 0, err
 	}
+	k.reindex()
 	k.logEvent(Event{Kind: EvTaskAdded, Task: kt.id, Name: cfg.Name, Value: start})
 	return kt.id, nil
 }
@@ -342,6 +360,7 @@ func (k *Kernel) RemoveTask(id TaskID) error {
 	for i, t := range k.tasks {
 		if t.id == id {
 			k.tasks = append(k.tasks[:i], k.tasks[i+1:]...)
+			k.reindex()
 			k.logEvent(Event{Kind: EvTaskRemoved, Task: t.id, Name: t.cfg.Name})
 			return k.reattach()
 		}
@@ -355,14 +374,51 @@ func (k *Kernel) SetPolicy(p core.Policy) error {
 	if p == nil {
 		return fmt.Errorf("rtos: nil policy module")
 	}
-	old, oldKind := k.policy, k.kind
+	old, oldKind, oldAware := k.policy, k.kind, k.aware
 	k.policy, k.kind = p, p.Scheduler()
+	k.aware, _ = p.(core.OverrunAware)
 	if err := k.reattach(); err != nil {
-		k.policy, k.kind = old, oldKind
+		k.policy, k.kind, k.aware = old, oldKind, oldAware
 		return err
 	}
 	k.logEvent(Event{Kind: EvPolicySwap, Name: p.Name()})
 	return nil
+}
+
+// reindex rebuilds the index from the registry in one scan, after a
+// task is added or removed or changes kind.
+func (k *Kernel) reindex() {
+	k.earliest, k.sporadics = math.Inf(1), 0
+	k.ready = make([]uint64, (len(k.tasks)+63)/64)
+	for i, t := range k.tasks {
+		if t.nextRelease < k.earliest {
+			k.earliest = t.nextRelease
+		}
+		if t.sporadic {
+			k.sporadics++
+		}
+		if t.active {
+			k.ready[i>>6] |= 1 << (i & 63)
+		}
+	}
+}
+
+// activate marks task i's invocation released and not yet complete, in
+// its control block and in the ready bitset.
+//
+//rtdvs:hotpath
+func (k *Kernel) activate(i int) {
+	k.tasks[i].active = true
+	k.ready[i>>6] |= 1 << (i & 63)
+}
+
+// deactivate ends task i's invocation in its control block and in the
+// ready bitset.
+//
+//rtdvs:hotpath
+func (k *Kernel) deactivate(i int) {
+	k.tasks[i].active = false
+	k.ready[i>>6] &^= 1 << (i & 63)
 }
 
 // findByName returns the task with the given name, or nil.
@@ -443,20 +499,19 @@ func (k *Kernel) demand(t *ktask, rel float64) float64 {
 }
 
 // nextReleaseTime returns the next instant the schedule can change
-// without a completion: the earliest pending release, a running sporadic
-// job's deadline, and a pending switch retry.
+// without a completion: the earliest pending release (the index's), a
+// running sporadic job's deadline, and a pending switch retry.
 //
 //rtdvs:hotpath
 func (k *Kernel) nextReleaseTime() float64 {
-	t := math.Inf(1)
-	for _, kt := range k.tasks {
-		if kt.nextRelease < t {
-			t = kt.nextRelease
-		}
+	t := k.earliest
+	if k.sporadics > 0 {
 		// A running sporadic invocation has no follow-on release to
 		// expose a deadline overrun, so its deadline is an event too.
-		if kt.sporadic && kt.active && kt.deadline < t {
-			t = kt.deadline
+		for _, kt := range k.tasks {
+			if kt.sporadic && kt.active && kt.deadline < t {
+				t = kt.deadline
+			}
 		}
 	}
 	if k.faults != nil && k.switchRetryAt > k.now+timeEps && k.switchRetryAt < t {
@@ -465,71 +520,87 @@ func (k *Kernel) nextReleaseTime() float64 {
 	return t
 }
 
-// abortJob ends t's active invocation at its deadline and records the
-// miss, unless the task is soft.
+// abortJob ends task i's active invocation at its deadline and records
+// the miss, unless the task is soft.
 //
 //rtdvs:hotpath
-func (k *Kernel) abortJob(t *ktask) {
+func (k *Kernel) abortJob(i int) {
+	t := k.tasks[i]
 	if !t.cfg.Soft {
 		t.misses++
 		k.misses = append(k.misses, MissEvent{Task: t.id, Name: t.cfg.Name, Inv: t.inv - 1, Deadline: t.deadline})
 		k.logEvent(Event{Kind: EvMiss, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
 	}
-	t.active = false
+	k.deactivate(i)
 }
 
 // processReleases aborts jobs whose deadlines passed, fires every due
 // release, notifies the policy of the releases in task order, and then
-// runs the overrun watchdog and the load shedder's window.
+// runs the overrun watchdog and the load shedder's window. The sporadic
+// deadline pass runs only when a sporadic task exists, and the release
+// pass only when the index's earliest release is due; the release pass
+// visits every task, so it recomputes that earliest release as it goes.
+// The watchdog and the shedder run at every point, so a threshold
+// changed between Step calls acts at the next point.
 //
 //rtdvs:hotpath
 func (k *Kernel) processReleases() {
-	k.released = k.released[:0]
-	// Sporadic invocations have no follow-on release to catch an overrun,
-	// so their deadlines are checked directly.
-	for i, t := range k.tasks {
-		if t.sporadic && t.active && t.deadline <= k.now+timeEps {
-			k.abortJob(t)
-			k.policy.OnCompletion(k, i, t.used) // close out the aborted invocation
+	due := k.now + timeEps
+	if k.sporadics > 0 {
+		// Sporadic invocations have no follow-on release to catch an
+		// overrun, so their deadlines are checked directly.
+		for i, t := range k.tasks {
+			if t.sporadic && t.active && t.deadline <= due {
+				k.abortJob(i)
+				k.policy.OnCompletion(k, i, t.used) // close out the aborted invocation
+			}
 		}
 	}
-	for i, t := range k.tasks {
-		for t.nextRelease <= k.now+timeEps {
-			if t.active {
-				k.abortJob(t)
-			}
-			if t.shed && !t.sporadic && k.shedSkips(t.inv) {
-				// Degraded service: this job is dropped whole at its release
-				// instant — never released, never run, never a miss. The slot
-				// it would have occupied is the relief the shedder traded for
-				// the rest of the set's deadlines.
-				t.skips++
+	if k.earliest <= due {
+		k.released = k.released[:0]
+		earliest := math.Inf(1)
+		for i, t := range k.tasks {
+			for t.nextRelease <= due {
+				if t.active {
+					k.abortJob(i)
+				}
+				if t.shed && !t.sporadic && k.shedSkips(t.inv) {
+					// Degraded service: this job is dropped whole at its
+					// release instant — never released, never run, never a
+					// miss. The slot it would have occupied is the relief the
+					// shedder traded for the rest of the set's deadlines.
+					t.skips++
+					t.inv++
+					t.nextRelease += t.cfg.Period
+					k.logEvent(Event{Kind: EvSkip, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
+					continue
+				}
+				rel := t.nextRelease
+				t.remaining = k.demand(t, rel)
+				t.used = 0
+				t.overNotified = false
+				t.releasedAt = rel
+				t.deadline = rel + t.cfg.Period
+				t.lastRelease = rel
+				if t.sporadic {
+					t.nextRelease = math.Inf(1) // armed again by the next Trigger
+				} else {
+					t.nextRelease = t.deadline
+				}
+				k.activate(i)
 				t.inv++
-				t.nextRelease += t.cfg.Period
-				k.logEvent(Event{Kind: EvSkip, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
-				continue
+				t.releases++
+				k.released = append(k.released, i)
+				k.logEvent(Event{Kind: EvRelease, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
 			}
-			rel := t.nextRelease
-			t.remaining = k.demand(t, rel)
-			t.used = 0
-			t.overNotified = false
-			t.releasedAt = rel
-			t.deadline = rel + t.cfg.Period
-			t.lastRelease = rel
-			if t.sporadic {
-				t.nextRelease = math.Inf(1) // armed again by the next Trigger
-			} else {
-				t.nextRelease = t.deadline
+			if t.nextRelease < earliest {
+				earliest = t.nextRelease
 			}
-			t.active = true
-			t.inv++
-			t.releases++
-			k.released = append(k.released, i)
-			k.logEvent(Event{Kind: EvRelease, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
 		}
-	}
-	for _, i := range k.released {
-		k.policy.OnRelease(k, i)
+		k.earliest = earliest
+		for _, i := range k.released {
+			k.policy.OnRelease(k, i)
+		}
 	}
 	k.enforceOverrunPolicy()
 	k.evalShedWindow()
@@ -630,24 +701,25 @@ func (k *Kernel) enforceOverrunPolicy() {
 }
 
 // pick returns the ready task of highest priority under the attached
-// discipline, or -1 when none is ready. The key is sim.readyKey's: the
-// absolute deadline under EDF, the period under RM; ties go to the lower
-// index.
+// discipline, or -1 when none is ready. It visits the ready bitset's set
+// bits in ascending index order. The key is sim.readyKey's: the absolute
+// deadline under EDF, the period under RM; ties go to the lower index.
 //
 //rtdvs:hotpath
 func (k *Kernel) pick() int {
 	rm := k.kind == sched.RM
 	best, bestKey := -1, math.Inf(1)
-	for i, t := range k.tasks {
-		if !t.active {
-			continue
-		}
-		key := t.deadline
-		if rm {
-			key = t.cfg.Period
-		}
-		if key < bestKey {
-			best, bestKey = i, key
+	for w, word := range k.ready {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			t := k.tasks[i]
+			key := t.deadline
+			if rm {
+				key = t.cfg.Period
+			}
+			if key < bestKey {
+				best, bestKey = i, key
+			}
 		}
 	}
 	return best
@@ -656,24 +728,32 @@ func (k *Kernel) pick() int {
 // Step advances virtual time to `until`, executing tasks, switching
 // operating points as the policy dictates, and accounting energy in the
 // CPU device. It may be called repeatedly, with registry and policy
-// changes between calls. A target at or before Now, or NaN, leaves the
-// kernel as it is: virtual time never runs backwards.
+// changes between calls. A target at or before Now, or one that is not
+// finite (NaN or ±Inf), leaves the kernel as it is: virtual time never
+// runs backwards, and a run toward +Inf would never end.
 //
-// Each scheduling point makes one release pass, one pick and one
-// next-event scan. The next event is read after the operating-point
-// decision, so a retry armed by a refused transition bounds the span
-// that follows, idle or busy.
+// Each scheduling point releases what is due, picks among the ready
+// tasks and reads the next event, visiting the task table only where the
+// index says there is something to find. The next event is read after
+// the operating-point decision, so a retry armed by a refused transition
+// bounds the span that follows, idle or busy. Minima are branches rather
+// than math.Min calls: every operand is a non-negative time (or +Inf),
+// where the two agree exactly.
 //
 //rtdvs:hotpath
 func (k *Kernel) Step(until float64) {
-	if !(until > k.now) {
+	if !(until > k.now) || math.IsInf(until, 1) {
 		return
 	}
 	for k.now < until-timeEps {
 		// Finish any in-progress transition stop interval first; it may
 		// have been started near the end of a previous Step.
 		if k.now < k.haltUntil-timeEps {
-			span := math.Min(k.haltUntil, until) - k.now
+			end := k.haltUntil
+			if until < end {
+				end = until
+			}
+			span := end - k.now
 			k.cpu.AccountHalt(span)
 			k.now += span
 			continue
@@ -696,7 +776,10 @@ func (k *Kernel) Step(until float64) {
 			continue // elapse the stop interval at the loop top
 		}
 		next := k.nextReleaseTime()
-		nextRel := math.Min(next, until)
+		nextRel := next
+		if until < nextRel {
+			nextRel = until
+		}
 
 		if pick < 0 {
 			if nextRel > k.now {
@@ -715,17 +798,21 @@ func (k *Kernel) Step(until float64) {
 		t := k.tasks[pick]
 		f := k.cpu.Point().Freq
 		finish := k.now + t.remaining/f
-		end := math.Min(finish, nextRel)
+		end := finish
+		if nextRel < end {
+			end = nextRel
+		}
 		// With an overrun-aware policy, split the segment at WCET-budget
 		// exhaustion so OnOverrun fires the moment the job runs past its
 		// declared bound (stock policies keep the unsplit segments and
 		// their byte-identical traces).
-		oa, aware := k.policy.(core.OverrunAware)
 		budgetEnd := math.Inf(1)
-		if aware && !t.overNotified {
+		if k.aware != nil && !t.overNotified {
 			if left := t.cfg.WCET - t.used; left > timeEps && left < t.remaining-timeEps {
 				budgetEnd = k.now + left/f
-				end = math.Min(end, budgetEnd)
+				if budgetEnd < end {
+					end = budgetEnd
+				}
 			}
 		}
 		dur := end - k.now
@@ -745,18 +832,18 @@ func (k *Kernel) Step(until float64) {
 
 		if t.remaining <= timeEps {
 			t.remaining = 0
-			t.active = false
+			k.deactivate(pick)
 			t.completions++
 			k.logEvent(Event{Kind: EvComplete, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
 			k.policy.OnCompletion(k, pick, t.used)
 			if t.cfg.OnComplete != nil {
 				t.cfg.OnComplete(k.now, t.inv-1)
 			}
-		} else if aware && !t.overNotified && t.used >= t.cfg.WCET-timeEps {
+		} else if k.aware != nil && !t.overNotified && t.used >= t.cfg.WCET-timeEps {
 			t.overNotified = true
 			t.containments++
 			k.logEvent(Event{Kind: EvContain, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
-			oa.OnOverrun(k, pick)
+			k.aware.OnOverrun(k, pick)
 		}
 	}
 	k.now = until
@@ -806,7 +893,7 @@ func (k *Kernel) AddDemand(id TaskID, cycles float64) (accepted float64, err err
 	accepted = math.Min(cycles, room)
 	wasActive := t.active
 	t.remaining += accepted
-	t.active = true
+	k.activate(idx)
 	if !wasActive {
 		// Conservative policy re-notification: a fresh worst-case release
 		// with progress credited.

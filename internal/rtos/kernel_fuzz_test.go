@@ -16,8 +16,9 @@ import (
 // immediate, smart, sporadic), remove, trigger, policy swap, command —
 // and checks global invariants after each: time and energy are monotone,
 // time components conserve, the policy's point is always a point of the
-// machine, counters stay consistent, and nothing panics. This is the
-// closest a deterministic test gets to fuzzing the executive.
+// machine, counters stay consistent, the index agrees with the registry,
+// and nothing panics. This is the closest a deterministic test gets to
+// fuzzing the executive.
 func TestKernelRandomOperations(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
@@ -149,6 +150,9 @@ func randomOperations(t *testing.T, seed int64) *Kernel {
 			if ts.Completions > ts.Releases {
 				t.Fatalf("op %d: task %s completed more than released: %+v", op, ts.Name, ts)
 			}
+		}
+		if err := indexError(k); err != nil {
+			t.Fatalf("op %d: %v", op, err)
 		}
 	}
 	return k
@@ -287,6 +291,9 @@ func FuzzKernelOps(f *testing.F) {
 					t.Fatalf("op %d: task %s injected %d exceeds overruns %d",
 						op, ts.Name, ts.Injected, ts.Overruns)
 				}
+			}
+			if err := indexError(k); err != nil {
+				t.Fatalf("op %d: %v", op, err)
 			}
 		}
 		if s := k.Status(); len(s) == 0 {

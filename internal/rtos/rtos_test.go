@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"rtdvs/internal/core"
 	"rtdvs/internal/fault"
@@ -316,6 +317,7 @@ func TestKernelPick(t *testing.T) {
 				k.tasks = append(k.tasks, &ktask{cfg: TaskConfig{Period: p, WCET: 1},
 					deadline: tc.deadlines[i], active: tc.ready[i]})
 			}
+			k.reindex()
 			for _, want := range []struct {
 				kind sched.Kind
 				pick int
@@ -388,6 +390,62 @@ func TestKernelStepNeverRewinds(t *testing.T) {
 			t.Errorf("after Step(%v): busy+idle+halt = %v ms, want %v", until, acc, want)
 		}
 	}
+}
+
+// Step toward a target that is not finite leaves the kernel as it is,
+// empty or not, and Replay refuses such a horizon: neither can reach its
+// target. Each case runs under a wall-clock deadline, so a kernel that
+// steps toward +Inf fails the test instead of hanging it.
+func TestKernelStepRefusesNonFiniteTarget(t *testing.T) {
+	within := func(t *testing.T, run func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			run()
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("did not return within 5 s")
+		}
+	}
+	for _, n := range []int{0, 1} {
+		t.Run(fmt.Sprintf("tasks%d", n), func(t *testing.T) {
+			k := newTestKernel(t, "ccEDF")
+			if n > 0 {
+				if _, err := k.AddTask(TaskConfig{Name: "T", Period: 10, WCET: 2}, AddOptions{Immediate: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, until := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+				within(t, func() { k.Step(until) })
+				cpu := k.CPU()
+				if k.Now() != 0 || cpu.IdleTime() != 0 || cpu.Energy() != 0 {
+					t.Errorf("after Step(%v): Now %v, idle %v, energy %v; want 0, 0, 0",
+						until, k.Now(), cpu.IdleTime(), cpu.Energy())
+				}
+			}
+			k.Step(20)
+			if k.Now() != 20 {
+				t.Errorf("Step(20) after the refused targets reached %v", k.Now())
+			}
+		})
+	}
+	t.Run("replay", func(t *testing.T) {
+		k := newTestKernel(t, "ccEDF")
+		s, err := NewDeferrableServer(k, "ds", 10, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []float64{math.Inf(1), math.NaN()} {
+			within(t, func() {
+				if _, err := Replay(k, s, []Arrival{{Name: "j", Time: 1, Cycles: 1}}, h); err == nil {
+					t.Errorf("Replay accepted horizon %v", h)
+				}
+			})
+		}
+	})
 }
 
 func TestKernelEmptyIdles(t *testing.T) {

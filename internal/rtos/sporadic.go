@@ -30,6 +30,7 @@ func (k *Kernel) AddSporadic(cfg TaskConfig) (TaskID, error) {
 	// Until the first trigger, the earliest possible deadline is one
 	// period out; Deadline() tracks this dynamically.
 	t.deadline = k.now
+	k.reindex()
 	return id, nil
 }
 
@@ -59,6 +60,9 @@ func (k *Kernel) Trigger(id TaskID) error {
 				k.now, t.lastRelease+t.cfg.Period)
 		}
 		t.nextRelease = k.now
+		if k.now < k.earliest {
+			k.earliest = k.now
+		}
 		return nil
 	}
 	return fmt.Errorf("rtos: no task with id %d", id)
