@@ -47,7 +47,7 @@ chaos:
 # validate+run path, the demand samplers and the simulator's release
 # order and run queue a short coverage-guided budget on every run; raise
 # -fuzztime locally when hunting for real bugs. A simulator input runs
-# up to 70 tasks five times, so its minimization is capped to leave the
+# up to 140 tasks five times, so its minimization is capped to leave the
 # budget for new inputs. CI's fuzz step runs this target.
 fuzz:
 	go test ./internal/rtos/ -run='^$$' -fuzz=FuzzKernelOps -fuzztime=20s

@@ -860,8 +860,9 @@ func BenchmarkServeSimulateBatch(b *testing.B) {
 	b.ReportMetric(float64(len(items)), "items/req")
 }
 
-// BenchmarkReadyQueue compares the O(n) scan picker against the
-// O(log n) heap queue at increasing task counts.
+// BenchmarkReadyQueueHeap128 times one pop and one push on a 128-task
+// sched.ReadyQueue, the heap the system benchmark's ladder times; no
+// engine uses it.
 func BenchmarkReadyQueueHeap128(b *testing.B) {
 	b.ReportAllocs()
 	q := sched.NewReadyQueue()

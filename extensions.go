@@ -61,7 +61,10 @@ type Arrival = rtos.Arrival
 type JobSink = rtos.JobSink
 
 // ReplayAperiodic feeds a workload trace into a server and returns the
-// mean response time of the completed jobs.
+// mean response time of the completed jobs. It refuses, before stepping
+// the kernel, a horizon that is not finite and an arrival whose time is
+// not finite, is earlier than the arrival before it (or, for the first,
+// than the kernel's Now), or is past the horizon.
 func ReplayAperiodic(k *Kernel, sink JobSink, arrivals []Arrival, horizon float64) (float64, error) {
 	return rtos.Replay(k, sink, arrivals, horizon)
 }

@@ -32,13 +32,14 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/sim.simulator.abort":           "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.sortIndexes":               "BenchmarkSimulatorThroughput",
 
-	// The two heaps a set of more than 64 tasks keeps: a reused Runner
-	// runs a 65-task set at 0 allocs/op.
-	"rtdvs/internal/sim.simulator.timerAdd": "TestHeapRunSteadyStateAllocs",
-	"rtdvs/internal/sim.simulator.readyKey": "TestHeapRunSteadyStateAllocs",
+	// The run-queue key the invariant checker's scan compares by: a
+	// reused Runner runs a 130-task set, whose ready set takes three
+	// words, at 0 allocs/op with the checker on.
+	"rtdvs/internal/sim.simulator.readyKey": "TestLargeSetSteadyStateAllocs",
 
-	// Indexed-heap ready queue: a warmed push/drain cycle allocates
-	// nothing (also pinned by TestReadyQueueReuse's AllocsPerRun check).
+	// Indexed-heap ready queue (timed by the system benchmark's ladder;
+	// no engine uses it): a warmed push/drain cycle allocates nothing
+	// (also pinned by TestReadyQueueReuse's AllocsPerRun check).
 	"rtdvs/internal/sched.ReadyQueue.Push":     "BenchmarkReadyQueueHeap128",
 	"rtdvs/internal/sched.ReadyQueue.Pop":      "BenchmarkReadyQueueHeap128",
 	"rtdvs/internal/sched.ReadyQueue.Peek":     "BenchmarkReadyQueueHeap128",

@@ -46,19 +46,18 @@ type System interface {
 // keeps its tasks in ascending (deadline, index) order, the order in
 // which Figures 6 and 8 visit them. DeadlineOrder returns that order and
 // its keys position by position: order[k] is a task index, keys[k] is
-// Deadline(order[k]), and consecutive positions satisfy OrderBefore. It
-// returns nil slices when the substrate keeps no order for the current
-// run; a policy then builds the order itself from Deadline. The slices
-// alias the substrate's state: they are valid during the callback only
-// and must not be modified.
+// Deadline(order[k]), and consecutive positions satisfy OrderBefore. On
+// a System without it a policy builds the order itself from Deadline.
+// The slices alias the substrate's state: they are valid during the
+// callback only and must not be modified.
 type OrderedSystem interface {
 	System
 	DeadlineOrder() (order []int, keys []float64)
 }
 
-// deadlineOrder returns sys's (deadline, index) order when sys keeps
-// one for the current run, and nil slices otherwise. Written with named
-// results, it stays within the inliner's budget.
+// deadlineOrder returns sys's (deadline, index) order when sys is an
+// OrderedSystem, and nil slices otherwise. Written with named results,
+// it stays within the inliner's budget.
 //
 //rtdvs:hotpath
 func deadlineOrder(sys System) (order []int, keys []float64) {

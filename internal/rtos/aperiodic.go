@@ -77,10 +77,27 @@ var (
 // Replay feeds a workload trace into a server, stepping the kernel to
 // each arrival instant and then to the horizon, and returns the mean
 // response time over completed jobs (NaN when none completed). The
-// horizon must be finite.
+// horizon must be finite, and every arrival time finite, no earlier than
+// the one before it (the first no earlier than the kernel's Now) and no
+// later than the horizon: a job submitted at any other time would report
+// an arrival it did not have, or run the kernel past the horizon. Replay
+// checks the whole trace before it steps the kernel, so a refused trace
+// leaves the kernel untouched.
 func Replay(k *Kernel, sink JobSink, arrivals []Arrival, horizon float64) (meanResponse float64, err error) {
 	if math.IsNaN(horizon) || math.IsInf(horizon, 0) {
 		return 0, fmt.Errorf("rtos: replay horizon must be finite, got %v", horizon)
+	}
+	prev := k.Now()
+	for i, a := range arrivals {
+		switch {
+		case math.IsNaN(a.Time) || math.IsInf(a.Time, 0):
+			return 0, fmt.Errorf("rtos: replay arrival %d at %v is not finite", i, a.Time)
+		case a.Time < prev:
+			return 0, fmt.Errorf("rtos: replay arrival %d at %v is earlier than %v", i, a.Time, prev)
+		case a.Time > horizon:
+			return 0, fmt.Errorf("rtos: replay arrival %d at %v is past the horizon %v", i, a.Time, horizon)
+		}
+		prev = a.Time
 	}
 	for _, a := range arrivals {
 		if a.Time > k.Now() {

@@ -666,17 +666,24 @@ func (k *Kernel) schedulableWith(target *ktask, wcet float64) bool {
 	return sched.Test(k.policy.Scheduler())(ps, 1)
 }
 
-// enforceOverrunPolicy is the admission-control watchdog: a hard task
-// that keeps overrunning its declared worst case has lied to the
+// enforceOverrunPolicy runs the admission-control watchdog at a
+// scheduling point while it is armed. The test is inlinable and the
+// watchdog outlined, so a kernel without it makes no call.
+func (k *Kernel) enforceOverrunPolicy() {
+	if k.overrunThreshold <= 0 {
+		return
+	}
+	k.overrunWatchdog()
+}
+
+// overrunWatchdog is the admission-control watchdog: a hard task that
+// keeps overrunning its declared worst case has lied to the
 // schedulability test, so the kernel re-runs that test against the
 // observed peak demand. If the set still passes, the task's WCET is
 // redeclared upward (honest admission); if not, the task is demoted to
 // soft — its own guarantee is shed so the remaining hard tasks keep
 // theirs. Either way the policy re-attaches to the corrected set.
-func (k *Kernel) enforceOverrunPolicy() {
-	if k.overrunThreshold <= 0 {
-		return
-	}
+func (k *Kernel) overrunWatchdog() {
 	changed := false
 	for _, t := range k.tasks {
 		if t.cfg.Soft || t.sinceAdapt < k.overrunThreshold {

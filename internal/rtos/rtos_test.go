@@ -448,6 +448,46 @@ func TestKernelStepRefusesNonFiniteTarget(t *testing.T) {
 	})
 }
 
+// Replay checks the whole trace before it steps the kernel: an arrival
+// that is not finite, earlier than the one before it or the kernel's
+// Now, or past the horizon is refused with its index and time, and the
+// kernel stays where it was.
+func TestReplayRefusesBadTrace(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		start    float64 // the kernel's Now when Replay starts
+		times    []float64
+		fragment string
+	}{
+		{"NaN", 0, []float64{30, math.NaN()}, "arrival 1 at NaN is not finite"},
+		{"+Inf", 0, []float64{30, math.Inf(1)}, "arrival 1 at +Inf is not finite"},
+		{"out of order", 0, []float64{30, 5}, "arrival 1 at 5 is earlier than 30"},
+		{"before Now", 20, []float64{10, 30}, "arrival 0 at 10 is earlier than 20"},
+		{"past the horizon", 0, []float64{30, 150}, "arrival 1 at 150 is past the horizon 100"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k := newTestKernel(t, "ccEDF")
+			s, err := NewDeferrableServer(k, "ds", 10, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.Step(c.start)
+			arrivals := make([]Arrival, len(c.times))
+			for i, at := range c.times {
+				arrivals[i] = Arrival{Name: fmt.Sprintf("j%d", i), Time: at, Cycles: 1}
+			}
+			_, err = Replay(k, s, arrivals, 100)
+			if err == nil || !strings.Contains(err.Error(), c.fragment) {
+				t.Errorf("Replay returned %v, want an error mentioning %q", err, c.fragment)
+			}
+			if k.Now() != c.start || s.Pending() != 0 || len(s.Completed()) != 0 {
+				t.Errorf("refused trace moved the kernel: Now %v, %d pending, %d completed; want %v, 0, 0",
+					k.Now(), s.Pending(), len(s.Completed()), c.start)
+			}
+		})
+	}
+}
+
 func TestKernelEmptyIdles(t *testing.T) {
 	k := newTestKernel(t, "ccEDF")
 	k.Step(100)

@@ -155,15 +155,22 @@ func (k *Kernel) resetShedWindow() {
 	k.winMiss0 = len(k.misses)
 }
 
-// evalShedWindow closes the observation window once its end has passed,
-// classifies it against the hysteresis band, and sheds or restores one
-// task when the consecutive-window counters reach their thresholds.
+// evalShedWindow closes the observation window once its end has passed.
 // Called from processReleases, so windows close at the first scheduling
-// event past their nominal end.
+// event past their nominal end. The test is inlinable and the close
+// outlined, so a kernel without load shedding makes no call.
 func (k *Kernel) evalShedWindow() {
 	if k.shedCfg.Window <= 0 || k.now < k.winEnd-timeEps {
 		return
 	}
+	k.closeShedWindow()
+}
+
+// closeShedWindow classifies the window that just ended against the
+// hysteresis band, sheds or restores one task when the
+// consecutive-window counters reach their thresholds, and opens the next
+// window.
+func (k *Kernel) closeShedWindow() {
 	rel := k.sumTasks(func(t *ktask) int { return t.releases }) - k.winRel0
 	bad := len(k.misses) - k.winMiss0
 	var ratio float64

@@ -10,9 +10,8 @@ import (
 // lane its own ReadyQueue would scatter L small heaps across the
 // allocator, whereas one LaneHeaps keeps all state in two contiguous
 // slices indexed by lane, so growing to L lanes is two allocations total
-// and resetting touches no allocator at all. No simulator engine uses it
-// any more (every sim.Runner owns its own ReadyQueues); the system
-// benchmark's ladder (bench/ladder.go) still times it.
+// and resetting touches no allocator at all. No engine uses it; the
+// system benchmark's ladder (bench/ladder.go) still times it.
 //
 // Each lane's queue has exactly ReadyQueue's semantics: float64 keys,
 // lower key = higher priority, ties broken by task index, duplicate

@@ -6,13 +6,11 @@ import (
 )
 
 // ReadyQueue is a priority queue of tasks keyed by a float64 priority.
-// The simulator uses two of them per run of more than 64 tasks — one as
-// the EDF/RM ready queue (key: absolute deadline or period) and one as
-// the release timer queue (key: next release time) — turning the
-// per-event O(n) scans into O(log n) heap operations; smaller sets keep
-// one deadline order and a ready bitmask instead. Keys follow the
-// discipline: lower key = higher priority (earlier timer), ties broken
-// by task index for determinism.
+// No engine uses it: the simulator keeps one deadline order and a ready
+// bitset for every set size, and the rtos kernel a ready bitset. The
+// system benchmark's ladder (bench/ladder.go) still times it. Keys
+// follow the discipline: lower key = higher priority (earlier timer),
+// ties broken by task index for determinism.
 //
 // The implementation is a hand-rolled indexed binary heap rather than
 // container/heap: the standard library interface boxes every pushed item
@@ -21,8 +19,7 @@ import (
 // contiguous in this repository), giving O(1) membership tests and
 // O(log n) removal/update with zero steady-state allocations. Reset
 // retains both backing arrays, so a drained-and-reset queue performs no
-// allocation at all on reuse — the property the simulator's Runner
-// leans on when it replays hundreds of runs per worker.
+// allocation at all on reuse.
 type ReadyQueue struct {
 	items []readyItem
 	// pos maps task index to heap position; -1 means not queued. It grows

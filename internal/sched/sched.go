@@ -2,10 +2,11 @@
 // builds on — Rate Monotonic (static priority by period) and
 // Earliest-Deadline-First (dynamic priority by absolute deadline) — with
 // their schedulability tests, including the frequency-scaled variants of
-// Figure 1 that underpin every RT-DVS policy, and the indexed-heap run
-// queue the simulator dispatches from. Each engine picks by the
-// discipline's key itself: the simulator through a ReadyQueue, the rtos
-// kernel by a scan of its task table.
+// Figure 1 that underpin every RT-DVS policy, and two indexed-heap
+// priority queues that only the system benchmark's ladder times. Each
+// engine picks by the discipline's key itself: the simulator from a
+// ready bitset over its priority order, the rtos kernel from a ready
+// bitset over its task table.
 package sched
 
 import "fmt"

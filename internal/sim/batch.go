@@ -11,8 +11,8 @@ import (
 // executes configuration l on its own retained Runner, and RunMulti
 // executes item i on its own retained MultiRunner, so every result is
 // exactly what a standalone run of the same configuration returns. Each
-// Runner keeps its own release order or heaps (queue.go), so a batch
-// needs no engine of its own.
+// Runner keeps its own release order and ready set (queue.go), so a
+// batch needs no engine of its own.
 //
 // Like Runner, a BatchRunner reuses every internal buffer, so
 // steady-state batches perform no allocation; the returned Results alias

@@ -188,9 +188,8 @@ func TestBatchLanePermutationInvariant(t *testing.T) {
 	}
 }
 
-// Lanes with fault injection (which runs the heaps) or trace recording
-// mixed with plain lanes must still report every lane identical to a
-// standalone scalar run.
+// Lanes with fault injection or trace recording mixed with plain lanes
+// must still report every lane identical to a standalone scalar run.
 func TestBatchMixedFallbackLanes(t *testing.T) {
 	mkFault := func() *fault.Injector {
 		return fault.MustNew(fault.Plan{Seed: 11, OverrunProb: 0.3, OverrunFactor: 1.5})

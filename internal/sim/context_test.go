@@ -122,8 +122,9 @@ func TestRunnerReuseAfterFailure(t *testing.T) {
 
 	poison := []func(t *testing.T){
 		func(t *testing.T) {
-			// Cancelled mid-run: the event loop stops with live heaps,
-			// partial per-task state, and a half-filled result.
+			// Cancelled mid-run: the event loop stops with a live
+			// release order and ready set, partial per-task state, and
+			// a half-filled result.
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			if _, err := runner.RunContext(ctx, longRunConfig(t, 1e6)); err == nil {

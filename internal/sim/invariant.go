@@ -43,11 +43,12 @@ type UtilizationReporter interface {
 //     smallest (key, index), the key being the deadline under EDF and
 //     the period under RM (a global run's picks are the first m active
 //     tasks in that order), and the next release time is the earliest
-//     deadline. A single frame of up to 64 tasks run without a fault
-//     injector skips the scan, for cost alone: its events are the
-//     cheapest the loop has, and the scan would double them. The same
-//     frames run with a silent injector (TestQueueShapesPinned,
-//     FuzzSimulatorQueues) and frames of more than 64 tasks keep it.
+//     deadline. A single frame of up to maxExemptFrame tasks run
+//     without a fault injector skips the scan, for cost alone: its
+//     events are the cheapest the loop has, and the scan would double
+//     them. The same frames run with a silent injector
+//     (TestQueueShapesPinned, FuzzSimulatorQueues) and larger frames
+//     keep it.
 //
 // Invariants 3 and 4 carry fault provenance: both are derived from the
 // task model the admission test ran against, so once an injected fault
@@ -79,11 +80,15 @@ type invariantChecker struct {
 	err       error
 }
 
+// maxExemptFrame is the largest single frame invariant 6's scan
+// exempts.
+const maxExemptFrame = 64
+
 // newInvariantChecker returns a checker for the run s has just attached.
 func newInvariantChecker(s *simulator) invariantChecker {
 	ur, _ := s.cfg.Policy.(UtilizationReporter)
 	return invariantChecker{s: s, ur: ur, guaranteed: s.cfg.Policy.Guaranteed(),
-		frame: s.cfg.Faults == nil && !s.heaps && singleFrame(s.ts)}
+		frame: s.cfg.Faults == nil && s.ts.Len() <= maxExemptFrame && singleFrame(s.ts)}
 }
 
 // singleFrame reports whether every task of ts shares one period and one

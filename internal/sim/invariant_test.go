@@ -185,9 +185,11 @@ func (p *corruptingPolicy) OnRelease(sys core.System, _ int) {
 	}
 }
 
-// TestInvariantPickOrder seeds one fault each into the ready bitmask,
-// under EDF (the deadline order) and RM (the static period order), and
-// into the release order's head key; the pick check must report each.
+// TestInvariantPickOrder seeds one fault each into the ready set, under
+// EDF (the deadline order) and RM (the static period order), and into
+// the release order's head key; the pick check must report each. A set
+// of 70 tasks, all released at once, loses a ready bit in its second
+// word.
 func TestInvariantPickOrder(t *testing.T) {
 	ts, err := task.NewSet(
 		task.Task{Period: 10.5, WCET: 2},
@@ -197,19 +199,37 @@ func TestInvariantPickOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropFirst := func(s *simulator) { s.readyBits &= s.readyBits - 1 }
+	wide := make([]task.Task, 70)
+	for i := range wide {
+		p := 10.5 * float64(1+i%4)
+		wide[i] = task.Task{Period: p, WCET: 0.6 * p / 70}
+	}
+	large := mustSet(t, wide...)
+	// dropFirst clears the lowest set bit of the ready set from word w on.
+	dropFirst := func(w int) func(s *simulator) {
+		return func(s *simulator) {
+			for k := w; k < len(s.readyBits); k++ {
+				if b := s.readyBits[k]; b != 0 {
+					s.readyBits[k] = b & (b - 1)
+					return
+				}
+			}
+		}
+	}
 	for _, c := range []struct {
 		name     string
+		ts       *task.Set
 		kind     sched.Kind
 		corrupt  func(s *simulator)
 		fragment string
 	}{
-		{"EDF ready bit", sched.EDF, dropFirst, "active tasks come at or before it"},
-		{"RM ready bit", sched.RM, dropFirst, "active tasks come at or before it"},
-		{"release order", sched.EDF, func(s *simulator) { s.ordKey[0]++ }, "but the earliest deadline is"},
+		{"EDF ready bit", ts, sched.EDF, dropFirst(0), "active tasks come at or before it"},
+		{"RM ready bit", ts, sched.RM, dropFirst(0), "active tasks come at or before it"},
+		{"release order", ts, sched.EDF, func(s *simulator) { s.ordKey[0]++ }, "but the earliest deadline is"},
+		{"second-word ready bit", large, sched.EDF, dropFirst(1), "active tasks come at or before it"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := Config{Tasks: ts, Machine: machine.Machine0(), Horizon: 100, CheckInvariants: true}
+			cfg := Config{Tasks: c.ts, Machine: machine.Machine0(), Horizon: 100, CheckInvariants: true}
 			cfg.Policy = &corruptingPolicy{kind: c.kind, corrupt: func(*simulator) {}}
 			if _, err := Run(cfg); err != nil {
 				t.Fatalf("uncorrupted run: %v", err)

@@ -716,23 +716,18 @@ func (s *simulator) execSlots(nextRel float64) {
 
 // pickSlots collects the (up to) m highest-priority active jobs in
 // priority order, ties by task index: the tasks at the lowest m set bits
-// of the ready set, or, for a set larger than the bitmask, the run
-// queue's first m pops, pushed back unchanged.
+// of the ready set, visiting its words in order.
 //
 //rtdvs:hotpath
 func (s *simulator) pickSlots() {
 	s.picks = s.picks[:0]
-	if !s.heaps {
-		for b := s.readyBits; b != 0 && len(s.picks) < s.m; b &= b - 1 {
-			s.picks = append(s.picks, s.prio[bits.TrailingZeros64(b)])
+	for w, b := range s.readyBits {
+		for ; b != 0; b &= b - 1 {
+			if len(s.picks) == s.m {
+				return
+			}
+			s.picks = append(s.picks, s.prio[w<<6|bits.TrailingZeros64(b)])
 		}
-		return
-	}
-	for range min(s.ready.Len(), s.m) {
-		s.picks = append(s.picks, s.ready.Pop())
-	}
-	for _, t := range s.picks {
-		s.readyAdd(t)
 	}
 }
 

@@ -16,35 +16,77 @@ import (
 // interface hides the simulator's DeadlineOrder method.
 type orderless struct{ core.System }
 
-// orderBlind runs a policy on orderless views of the system, so the
-// policy builds the deadline order itself, as it does in the rtos kernel.
-// It forwards what the simulator asks of a policy beyond core.Policy:
-// overrun notices, the utilization the invariant checker audits, and the
-// gang marker of a global run.
-type orderBlind struct{ core.Policy }
+// orderBlind is a viewPolicy view that hides the deadline order, so the
+// policy builds the order itself, as it does in the rtos kernel.
+func orderBlind(sys core.System) core.System { return orderless{sys} }
 
-func (p orderBlind) OnRelease(sys core.System, i int) {
-	p.Policy.OnRelease(orderless{sys}, i)
+// viewPolicy runs a policy on view(sys) in place of the system at every
+// hook. It forwards what the simulator asks of a policy beyond
+// core.Policy: overrun notices, the utilization the invariant checker
+// audits, and the gang marker of a global run.
+type viewPolicy struct {
+	core.Policy
+	view func(core.System) core.System
 }
 
-func (p orderBlind) OnCompletion(sys core.System, i int, used float64) {
-	p.Policy.OnCompletion(orderless{sys}, i, used)
+func (p viewPolicy) OnRelease(sys core.System, i int) {
+	p.Policy.OnRelease(p.view(sys), i)
 }
 
-func (p orderBlind) OnOverrun(sys core.System, i int) {
+func (p viewPolicy) OnCompletion(sys core.System, i int, used float64) {
+	p.Policy.OnCompletion(p.view(sys), i, used)
+}
+
+func (p viewPolicy) OnOverrun(sys core.System, i int) {
 	if oa, ok := p.Policy.(core.OverrunAware); ok {
-		oa.OnOverrun(orderless{sys}, i)
+		oa.OnOverrun(p.view(sys), i)
 	}
 }
 
-func (p orderBlind) ReservedUtilization() float64 {
+func (p viewPolicy) ReservedUtilization() float64 {
 	if ur, ok := p.Policy.(UtilizationReporter); ok {
 		return ur.ReservedUtilization()
 	}
 	return 0
 }
 
-func (p orderBlind) Gang() {}
+func (p viewPolicy) Gang() {}
+
+// orderCheck's view passes the system through and checks, at every
+// hook, the deadline order it hands the policy (core.OrderedSystem): it
+// counts the hooks and the hooks that got no order, and requires a
+// handed order to hold all n tasks once, in (deadline, index) order,
+// with each key its task's current deadline.
+type orderCheck struct {
+	t              *testing.T
+	n              int
+	hooks, missing int
+}
+
+func (c *orderCheck) view(sys core.System) core.System {
+	c.hooks++
+	var order []int
+	var keys []float64
+	if o, ok := sys.(core.OrderedSystem); ok {
+		order, keys = o.DeadlineOrder()
+	}
+	if order == nil {
+		c.missing++
+		return sys
+	}
+	if len(order) != c.n || len(keys) != c.n {
+		c.t.Fatalf("t=%g: an order of %d tasks with %d keys for %d tasks", sys.Now(), len(order), len(keys), c.n)
+	}
+	for k, i := range order {
+		if d := sys.Deadline(i); keys[k] < d || keys[k] > d {
+			c.t.Fatalf("t=%g: order key %g at position %d, but task %d's deadline is %g", sys.Now(), keys[k], k, i, d)
+		}
+		if k > 0 && !core.OrderBefore(keys[k-1], order[k-1], keys[k], i) {
+			c.t.Fatalf("t=%g: task %d after task %d is out of (deadline, index) order", sys.Now(), i, order[k-1])
+		}
+	}
+	return sys
+}
 
 // orderPolicies are the policies that read deadlines at their hooks.
 var orderPolicies = []string{"laEDF", "ccRM", "laEDF+contain", "ccRM+contain"}
@@ -57,22 +99,16 @@ func runGlobalWith(mr *MultiRunner, cfg MultiConfig, p core.Policy) (*MultiResul
 }
 
 // orderSources runs every policy that reads deadlines on ts twice, once
-// reading the simulator's deadline order and once through orderBlind,
-// and requires identical results, errors included: the scalar policies
-// of orderPolicies and global gangLAEDF on each of cores, under each exec
-// spec and switch overhead. It returns how many direct runs the
-// simulator kept its order for, and how many (heap runs) it did not.
-func orderSources(t *testing.T, ts *task.Set, horizon float64, cores []int, execs []string, overheads []*machine.SwitchOverhead) (ordered, unordered int) {
+// reading the simulator's deadline order through an orderCheck and once
+// through orderBlind, and requires identical results, errors included:
+// the scalar policies of orderPolicies and global gangLAEDF on each of
+// cores, under each exec spec and switch overhead. Every hook of every
+// direct run must get the simulator's order.
+func orderSources(t *testing.T, ts *task.Set, horizon float64, cores []int, execs []string, overheads []*machine.SwitchOverhead) {
 	t.Helper()
 	r, rb := NewRunner(), NewRunner()
 	mr, mrb := NewMultiRunner(), NewMultiRunner()
-	count := func(s *simulator) {
-		if !s.heaps {
-			ordered++
-		} else {
-			unordered++
-		}
-	}
+	check := &orderCheck{t: t, n: ts.Len()}
 	for _, spec := range execs {
 		for _, ov := range overheads {
 			for _, name := range orderPolicies {
@@ -84,23 +120,23 @@ func orderSources(t *testing.T, ts *task.Set, horizon float64, cores []int, exec
 					}
 					return r.Run(Config{Tasks: ts, Machine: machine.Machine1(), Policy: p, Exec: exec, Horizon: horizon, Overhead: ov})
 				}
-				want, wantErr := run(r, mustExtended(t, name))
-				count(&r.s)
-				got, gotErr := run(rb, orderBlind{mustExtended(t, name)})
+				want, wantErr := run(r, viewPolicy{mustExtended(t, name), check.view})
+				got, gotErr := run(rb, viewPolicy{mustExtended(t, name), orderBlind})
 				requireSameRun(t, label, got, want, gotErr, wantErr)
 			}
 			for _, m := range cores {
 				label := fmt.Sprintf("gangLAEDF/m=%d/%s/overhead=%v on %v", m, spec, ov != nil, ts)
 				cfg := MultiConfig{Tasks: ts, Machine: machine.Machine1().WithCores(m), Policy: "gangLAEDF",
 					Placement: sched.Global, Exec: spec, Seed: 7, Horizon: horizon, Overhead: ov}
-				want, wantErr := mr.Run(cfg)
-				count(&mr.g)
-				got, gotErr := runGlobalWith(mrb, cfg, orderBlind{mustExtended(t, "gangLAEDF")})
+				want, wantErr := runGlobalWith(mr, cfg, viewPolicy{mustExtended(t, "gangLAEDF"), check.view})
+				got, gotErr := runGlobalWith(mrb, cfg, viewPolicy{mustExtended(t, "gangLAEDF"), orderBlind})
 				requireSameRun(t, label, got, want, gotErr, wantErr)
 			}
 		}
 	}
-	return ordered, unordered
+	if check.hooks == 0 || check.missing > 0 {
+		t.Errorf("on %v: %d of %d hooks of the direct runs got no deadline order", ts, check.missing, check.hooks)
+	}
 }
 
 // requireSameRun requires a run without the deadline order to agree
@@ -126,77 +162,20 @@ func requireSameRun(t *testing.T, label string, got, want any, gotErr, wantErr e
 // variants and gangLAEDF at m ∈ {2, 4} must give identical results
 // reading the simulator's order and sorting their own, on every shape of
 // TestQueueShapesPinned (ties, phases on and off the integer grid,
-// overload, single frames, 63/64/65 tasks), without and with switch
-// overhead. Sets of more than 64 tasks keep no order, so both runs take
-// the fallback there; the rest must exercise the order.
+// overload, single frames, 63 to 200 tasks), without and with switch
+// overhead. Every hook of every direct run must read the simulator's
+// order, whatever the set's size.
 func TestDeadlineOrderMatchesFallback(t *testing.T) {
 	overheads := []*machine.SwitchOverhead{nil, {FreqOnly: 0.041, VoltageChange: 0.4}}
-	var ordered, unordered int
 	for _, sh := range queueShapes(t) {
-		o, u := orderSources(t, sh.ts, sh.horizon, []int{2, 4}, []string{"wcet", "uniform"}, overheads)
-		ordered += o
-		unordered += u
+		orderSources(t, sh.ts, sh.horizon, []int{2, 4}, []string{"wcet", "uniform"}, overheads)
 	}
-	if ordered == 0 || unordered == 0 {
-		t.Fatalf("%d direct runs read the simulator's order and %d did not; want both paths exercised", ordered, unordered)
-	}
-}
-
-// orderProbe wraps a policy and checks, at every release and completion
-// hook, the deadline order the system hands it (core.OrderedSystem): it
-// counts the hooks that got one and the hooks that did not, and requires
-// a handed order to hold every task once, in (deadline, index) order,
-// with each key its task's current deadline.
-type orderProbe struct {
-	core.Policy
-	t             *testing.T
-	n             int
-	with, without int
-}
-
-func (p *orderProbe) Attach(ts *task.Set, m *machine.Spec) error {
-	p.n = ts.Len()
-	return p.Policy.Attach(ts, m)
-}
-
-func (p *orderProbe) probe(sys core.System) {
-	var order []int
-	var keys []float64
-	if o, ok := sys.(core.OrderedSystem); ok {
-		order, keys = o.DeadlineOrder()
-	}
-	if order == nil {
-		p.without++
-		return
-	}
-	p.with++
-	if len(order) != p.n || len(keys) != p.n {
-		p.t.Fatalf("t=%g: an order of %d tasks with %d keys for %d tasks", sys.Now(), len(order), len(keys), p.n)
-	}
-	for k, i := range order {
-		if d := sys.Deadline(i); keys[k] < d || keys[k] > d {
-			p.t.Fatalf("t=%g: order key %g at position %d, but task %d's deadline is %g", sys.Now(), keys[k], k, i, d)
-		}
-		if k > 0 && !core.OrderBefore(keys[k-1], order[k-1], keys[k], i) {
-			p.t.Fatalf("t=%g: task %d after task %d is out of (deadline, index) order", sys.Now(), i, order[k-1])
-		}
-	}
-}
-
-func (p *orderProbe) OnRelease(sys core.System, i int) {
-	p.probe(sys)
-	p.Policy.OnRelease(sys, i)
-}
-
-func (p *orderProbe) OnCompletion(sys core.System, i int, used float64) {
-	p.probe(sys)
-	p.Policy.OnCompletion(sys, i, used)
 }
 
 // TestEveryBitmaskRunKeepsTheOrder requires the simulator to hand its
-// deadline order to every policy hook of every run of up to 64 tasks,
-// whatever the set's grid, frame, scheduling discipline or fault
-// injector, and to hand none to a run of 65 tasks, which keeps heaps.
+// deadline order to every policy hook of every run, whatever the set's
+// grid, frame, scheduling discipline, fault injector or size: the sets
+// of 65, 128 and 129 tasks hold their ready sets in two and three words.
 func TestEveryBitmaskRunKeepsTheOrder(t *testing.T) {
 	integral := harmonicSet(t,
 		task.Task{Period: 10, WCET: 2},
@@ -209,21 +188,22 @@ func TestEveryBitmaskRunKeepsTheOrder(t *testing.T) {
 		ts     *task.Set
 		policy string
 		faults bool
-		order  bool
 	}{
-		{"integral under EDF", integral, "ccEDF", false, true},
-		{"integral under RM", integral, "ccRM", false, true},
-		{"single frame under EDF", frame, "ccEDF", false, true},
-		{"single frame under RM", frame, "ccRM", false, true},
-		{"non-integral", mustSet(t, task.Task{Period: 10.5, WCET: 2}, task.Task{Period: 14, WCET: 3}), "ccEDF", false, true},
-		{"faulted", frame, "ccEDF", true, true},
-		{"64 tasks", quantisedSet(t, 64, 0.8, 1, 64), "ccEDF", false, true},
-		{"65 tasks", quantisedSet(t, 65, 0.8, 1, 65), "ccEDF", false, false},
+		{"integral under EDF", integral, "ccEDF", false},
+		{"integral under RM", integral, "ccRM", false},
+		{"single frame under EDF", frame, "ccEDF", false},
+		{"single frame under RM", frame, "ccRM", false},
+		{"non-integral", mustSet(t, task.Task{Period: 10.5, WCET: 2}, task.Task{Period: 14, WCET: 3}), "ccEDF", false},
+		{"faulted", frame, "ccEDF", true},
+		{"64 tasks", quantisedSet(t, 64, 0.8, 1, 64), "ccEDF", false},
+		{"65 tasks", quantisedSet(t, 65, 0.8, 1, 65), "ccEDF", false},
+		{"128 tasks under RM", quantisedSet(t, 128, 0.8, 1, 128), "ccRM", false},
+		{"129 tasks", quantisedSet(t, 129, 0.8, 1.5, 129), "ccEDF", false},
 	}
 	r := NewRunner()
 	for _, c := range cases {
-		p := &orderProbe{Policy: mustPolicy(t, c.policy), t: t}
-		cfg := Config{Tasks: c.ts, Machine: machine.Machine0(), Policy: p, Horizon: 100}
+		check := &orderCheck{t: t, n: c.ts.Len()}
+		cfg := Config{Tasks: c.ts, Machine: machine.Machine0(), Policy: viewPolicy{mustPolicy(t, c.policy), check.view}, Horizon: 100}
 		if c.faults {
 			cfg.Faults = fault.MustNew(fault.Plan{Seed: 3})
 		}
@@ -231,12 +211,10 @@ func TestEveryBitmaskRunKeepsTheOrder(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		switch {
-		case p.with+p.without == 0:
+		case check.hooks == 0:
 			t.Errorf("%s: no policy hook ran", c.name)
-		case c.order && p.without > 0:
-			t.Errorf("%s: %d of %d hooks got no deadline order", c.name, p.without, p.with+p.without)
-		case !c.order && p.with > 0:
-			t.Errorf("%s: %d of %d hooks got a deadline order from a heap run", c.name, p.with, p.with+p.without)
+		case check.missing > 0:
+			t.Errorf("%s: %d of %d hooks got no deadline order", c.name, check.missing, check.hooks)
 		}
 	}
 }

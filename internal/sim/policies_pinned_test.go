@@ -147,8 +147,9 @@ func frameShape(t *testing.T, n int, u, period, phase float64, seed int64) *task
 // coincide, deadlines tie), non-zero phases, each on a non-integral grid
 // and an integral one, an overloaded set whose jobs miss and abort,
 // single frames (one of them overloaded, so its jobs abort together at
-// the shared deadline), and quantised sets and a frame at the 64-task
-// bitmask boundary.
+// the shared deadline), and quantised sets and frames on the word edges
+// of the ready set: 63 to 65 tasks, 127 to 129, 200, and frames of 64
+// and 128.
 func queueShapes(t *testing.T) []queueShape {
 	t.Helper()
 	return []queueShape{
@@ -178,6 +179,11 @@ func queueShapes(t *testing.T) []queueShape {
 		{"n64-overload", quantisedSet(t, 64, 1.1, 1, 641), 400},
 		{"n65", quantisedSet(t, 65, 0.8, 1, 65), 400},
 		{"n65-overload", quantisedSet(t, 65, 1.1, 1.5, 651), 600},
+		{"n127", quantisedSet(t, 127, 0.8, 1, 127), 400},
+		{"n128", quantisedSet(t, 128, 0.9, 1.5, 128), 600},
+		{"n129-overload", quantisedSet(t, 129, 1.1, 1, 129), 400},
+		{"n200", quantisedSet(t, 200, 0.8, 1, 200), 400},
+		{"frame128", frameShape(t, 128, 0.9, 25, 0, 1128), 400},
 	}
 }
 
@@ -185,11 +191,13 @@ func queueShapes(t *testing.T) []queueShape {
 // run of the paper's six policies × {wcet, uniform} × {no injector,
 // silent injector} × {no overhead, K6-2-like stop intervals} on Machine1,
 // plus global runs of gangStaticEDF and gangLAEDF at m ∈ {2, 4}. A run
-// that fails hashes its error instead. Every set of up to 64 tasks runs
-// on the release order and ready bitmask, and 65 tasks exceed them. The
-// frame shapes' digests were recorded while integral sets still took
-// their releases from a per-hyperperiod table and single frames kept a
-// ready set of their own, so they pin the order against those results.
+// that fails hashes its error instead. Every set runs on the release
+// order and a ready set of one uint64 word per 64 tasks. The frame
+// shapes' digests were recorded while integral sets still took their
+// releases from a per-hyperperiod table and single frames kept a ready
+// set of their own, and the digests of the sets of more than 64 tasks
+// while those ran on two heaps, so they pin the order against those
+// results.
 // Float results may differ across architectures, so the digests are
 // amd64's.
 func TestQueueShapesPinned(t *testing.T) {
@@ -262,4 +270,9 @@ var queueShapeDigests = map[string]string{
 	"n64-overload":     "1328601e6dbdef808c8f094fb8650bf5ad260454d1e99c98d5f7691c857256ab",
 	"n65":              "111db140076d820e9a12c060656958d89f88b7e81fbcfbc85644d57b85f1a165",
 	"n65-overload":     "ed9ee2499d68706aaf21a4ae7a32d832ae76b07606ab8fb312ee821461a8042b",
+	"n127":             "2f090bd469383197b45c0ef32fefc04792723ee4e6a9687761fd1fbb1bab0d55",
+	"n128":             "c82bceeaf389785767f7ddb5d01ddff70f5f090eed8cd23e25e20089f92a5249",
+	"n129-overload":    "dd4eb73a3f67e3048b13fa073fad21869ad7d16c82ab8324dc5cebf8d2792d32",
+	"n200":             "6a3a0c523c48596aa61724921c589f85f05fd2c414583e80aee0aadceb49b67f",
+	"frame128":         "593bde0547939ee6bdc47cc5e01ef9ba119068904fbee2fdffc8347bb581368c",
 }

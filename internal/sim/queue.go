@@ -9,33 +9,20 @@ import (
 
 // The release order and the run queue. Since a task's deadline is also
 // its next release, one order of the tasks by (deadline, index) serves
-// as both the release timer and EDF's run queue. Every set of up to 64
-// tasks keeps that order in three parallel slices and its ready set in
-// one uint64 over a priority order: the deadline order itself under EDF,
-// the static (period, index) order under RM. A single frame, whose tasks
-// share one period and phase, needs no path of its own: its tasks all
-// carry one key, so the order is index order, a release instant moves
-// each task back by one comparison (processReleases), and the pick is
-// the lowest-index active task. A larger set keeps the two index heaps
-// of internal/sched.
-
-// maxBitmaskTasks is the largest set whose ready set fits one uint64.
-const maxBitmaskTasks = 64
+// as both the release timer and EDF's run queue. Every set keeps that
+// order in three parallel slices and its ready set in []uint64 words over
+// a priority order, one bit per position: the deadline order itself under
+// EDF, the static (period, index) order under RM. A single frame, whose
+// tasks share one period and phase, needs no path of its own: its tasks
+// all carry one key, so the order is index order, a release instant
+// moves each task back by one comparison (processReleases), and the pick
+// is the lowest-index active task.
 
 // resetQueues builds the run's release order and run queue from the
 // attached task set. A task's first deadline is its phase.
 func (s *simulator) resetQueues() {
 	n := s.ts.Len()
-	s.readyBits = 0
-	s.heaps = n > maxBitmaskTasks
-	if s.heaps {
-		s.timers.Reset(n)
-		s.ready.Reset(n)
-		for i := range n {
-			s.timerAdd(i, s.ts.Task(i).Phase)
-		}
-		return
-	}
+	s.readyBits = growZeroed(s.readyBits, (n+63)>>6)
 	s.ord, s.ordKey, s.ordPos = growZeroed(s.ord, n), growZeroed(s.ordKey, n), growZeroed(s.ordPos, n)
 	for i := range n {
 		s.ord[i], s.ordKey[i] = i, s.ts.Task(i).Phase
@@ -57,10 +44,9 @@ func (s *simulator) resetQueues() {
 
 // sortOrder insertion-sorts the permutation ord, with its parallel keys,
 // into (key, index) order and fills pos with its inverse. The order is
-// core.OrderBefore's, which compares exactly like sched.ReadyQueue.less,
-// so it is a strict total order, and the policies that read the release
-// order as the deadline order (core.OrderedSystem) see the order they
-// would sort themselves.
+// core.OrderBefore's, a strict total order, so the policies that read
+// the release order as the deadline order (core.OrderedSystem) see the
+// order they would sort themselves.
 func sortOrder(ord []int, key []float64, pos []int) {
 	for k := 1; k < len(ord); k++ {
 		i, ki := ord[k], key[k]
@@ -78,8 +64,11 @@ func sortOrder(ord []int, key []float64, pos []int) {
 
 // reorder moves task i, whose deadline has just moved later, back to its
 // place in the release order by one insertion. Under EDF the order is
-// also the run queue: the moved task carries its ready bit, and the bits
-// of the tasks it passes shift down one place.
+// also the run queue: the moved task carries its ready bit from position
+// p to q, and the bits of the tasks it passes, p+1..q, shift down one
+// place, word by word. Each word's span of positions within p..q takes
+// the bits above it shifted down, and its top position takes the next
+// word's lowest bit, or the moved bit in q's word.
 //
 //rtdvs:hotpath
 func (s *simulator) reorder(i int) {
@@ -92,23 +81,21 @@ func (s *simulator) reorder(i int) {
 		q++
 	}
 	s.ord[q], s.ordKey[q], s.ordPos[i] = i, key, q
-	if s.kind == sched.EDF && q > p {
-		b := s.readyBits
-		passed := (uint64(1)<<uint(q+1) - 1) &^ (uint64(1)<<uint(p+1) - 1)
-		moved := b >> uint(p) & 1
-		s.readyBits = b&^(passed|1<<uint(p)) | (b&passed)>>1 | moved<<uint(q)
+	if s.kind != sched.EDF || q == p {
+		return
 	}
-}
-
-// timerAdd enqueues task i's next release on the timer heap of a set
-// larger than the bitmask. The heap holds every task exactly once
-// outside processReleases, so a failed push is an engine bug, not a
-// recoverable condition.
-//
-//rtdvs:hotpath
-func (s *simulator) timerAdd(i int, at float64) {
-	if err := s.timers.Push(i, at); err != nil {
-		panic(err)
+	rb := s.readyBits
+	moved := rb[p>>6] >> uint(p&63) & 1
+	for w, lo := p>>6, uint(p&63); w <= q>>6; w, lo = w+1, 0 {
+		hi, in := uint(63), moved
+		if w == q>>6 {
+			hi = uint(q & 63)
+		} else {
+			in = rb[w+1] & 1
+		}
+		span := (uint64(1)<<hi<<1 - 1) &^ (uint64(1)<<lo - 1)
+		b := rb[w]
+		rb[w] = b&^span | (b&span&^(1<<lo))>>1 | in<<hi
 	}
 }
 
@@ -126,19 +113,12 @@ func (s *simulator) readyKey(i int) float64 {
 }
 
 // readyAdd enqueues a newly activated task: its bit in the priority
-// order, or a run-queue push for a set larger than the bitmask.
-// Activation is always paired with deactivation (completion, miss,
-// abort), so a duplicate push is an engine bug.
+// order.
 //
 //rtdvs:hotpath
 func (s *simulator) readyAdd(i int) {
-	if s.heaps {
-		if err := s.ready.Push(i, s.readyKey(i)); err != nil {
-			panic(err)
-		}
-		return
-	}
-	s.readyBits |= 1 << uint(s.rank[i])
+	k := s.rank[i]
+	s.readyBits[k>>6] |= 1 << uint(k&63)
 }
 
 // readyPeek returns the highest-priority active task, or -1 when idle:
@@ -146,33 +126,26 @@ func (s *simulator) readyAdd(i int) {
 //
 //rtdvs:hotpath
 func (s *simulator) readyPeek() int {
-	if s.heaps {
-		return s.ready.Peek()
+	for w, b := range s.readyBits {
+		if b != 0 {
+			return s.prio[w<<6|bits.TrailingZeros64(b)]
+		}
 	}
-	if s.readyBits == 0 {
-		return -1
-	}
-	return s.prio[bits.TrailingZeros64(s.readyBits)]
+	return -1
 }
 
 // readyRemove drops a completed or aborted task from the ready set.
 //
 //rtdvs:hotpath
 func (s *simulator) readyRemove(i int) {
-	if s.heaps {
-		s.ready.Remove(i)
-		return
-	}
-	s.readyBits &^= 1 << uint(s.rank[i])
+	k := s.rank[i]
+	s.readyBits[k>>6] &^= 1 << uint(k&63)
 }
 
 // nextReleaseTime returns the earliest pending release: the head of the
-// release order, or the timer heap's minimum.
+// release order.
 //
 //rtdvs:hotpath
 func (s *simulator) nextReleaseTime() float64 {
-	if s.heaps {
-		return s.timers.PeekKey()
-	}
 	return s.ordKey[0]
 }

@@ -15,7 +15,7 @@ import (
 var fuzzPeriods = []int{10, 20, 25, 40, 50, 100}
 
 // fuzzQueueSet decodes a fuzz input into a task set and a core count.
-// Byte 0 picks n in [1, 70], byte 1 the utilization in (0, 1.2], and
+// Byte 0 picks n in [1, 140], byte 1 the utilization in (0, 1.2], and
 // byte 2 the period scale (bit 0: 1.5, off the integer grid) and the core
 // count of the global run (2–4). Each task then takes three bytes: a
 // period, a phase on the period's 5-unit grid and a weight for its share
@@ -28,7 +28,7 @@ func fuzzQueueSet(data []byte) (*task.Set, int, error) {
 		}
 		return 0
 	}
-	n := 1 + at(0)%70
+	n := 1 + at(0)%140
 	u := 1.2 * float64(1+at(1)) / 256
 	scale := 1.0
 	if at(2)&1 == 1 {
@@ -63,15 +63,15 @@ func fuzzSeed(n, util, flags int, f func(i int) (period, phase, weight int)) []b
 	return b
 }
 
-// FuzzSimulatorQueues runs fuzzed sets of up to 70 tasks — at most 64 on
-// the release order and ready bitmask, more on the heaps — under EDF
-// (laEDF), RM (ccRM) and global gangLAEDF with the invariant checker on,
-// which compares every pick and next release time with an O(n) scan.
+// FuzzSimulatorQueues runs fuzzed sets of up to 140 tasks — ready sets of
+// one, two and three words — under EDF (laEDF), RM (ccRM) and global
+// gangLAEDF with the invariant checker on, which compares every pick and
+// next release time with an O(n) scan.
 // No run may fail, and each scalar run must equal its silent-injector
 // twin, whose picks the checker scans even in a single frame. The
-// policies that read deadlines must also give the
-// same results whether they read the simulator's deadline order or sort
-// their own (orderSources).
+// policies that read deadlines must also get the simulator's deadline
+// order at every hook and give the same results whether they read it or
+// sort their own (orderSources).
 func FuzzSimulatorQueues(f *testing.F) {
 	mixed := func(i int) (int, int, int) { return i % 6, (i * 7) % 20, i % 8 }
 	f.Add(fuzzSeed(6, 150, 1, func(i int) (int, int, int) { return []int{0, 0, 1, 1, 0, 2}[i], 0, i })) // ties
@@ -80,7 +80,7 @@ func FuzzSimulatorQueues(f *testing.F) {
 	f.Add(fuzzSeed(5, 160, 0, func(i int) (int, int, int) { return i, 3 * i, 2 * i }))                  // phases, integral
 	f.Add(fuzzSeed(4, 200, 0, func(int) (int, int, int) { return 1, 0, 3 }))                            // one frame
 	f.Add(fuzzSeed(12, 255, 1, mixed))                                                                  // overload
-	for _, n := range []int{63, 64, 65} {
+	for _, n := range []int{63, 64, 65, 127, 128, 129} {
 		f.Add(fuzzSeed(n, 170, 0, mixed))
 		f.Add(fuzzSeed(n, 170, 5, mixed))
 	}

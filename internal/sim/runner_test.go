@@ -111,13 +111,12 @@ func TestResultCloneSurvivesRunnerReuse(t *testing.T) {
 	}
 }
 
-// A set of more than 64 tasks runs on the two heaps instead of the
-// release order and the ready bitmask; a reused Runner must run it
-// without allocating all the same.
-func TestHeapRunSteadyStateAllocs(t *testing.T) {
+// A set of more than 128 tasks holds its ready set in three words; a
+// reused Runner must run it without allocating all the same.
+func TestLargeSetSteadyStateAllocs(t *testing.T) {
 	r := NewRunner()
 	cfg := Config{
-		Tasks:   quantisedSet(t, 65, 0.8, 1.5, 65),
+		Tasks:   quantisedSet(t, 130, 0.8, 1.5, 130),
 		Machine: machine.Machine1(),
 		Policy:  mustPolicy(t, "laEDF"),
 		Exec:    task.ConstantFraction{C: 0.7},
@@ -126,8 +125,8 @@ func TestHeapRunSteadyStateAllocs(t *testing.T) {
 	if _, err := r.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if !r.s.heaps {
-		t.Fatal("a 65-task set did not run on the heaps")
+	if got := len(r.s.readyBits); got != 3 {
+		t.Fatalf("a 130-task set's ready set took %d words, want 3", got)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := r.Run(cfg); err != nil {
@@ -135,6 +134,6 @@ func TestHeapRunSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state 65-task Run allocated %v times per run, want 0", allocs)
+		t.Errorf("steady-state 130-task Run allocated %v times per run, want 0", allocs)
 	}
 }

@@ -16,15 +16,14 @@
 //
 // The event loop is designed to be allocation-free in steady state, and
 // all per-run state is held in reusable buffers. A task's deadline is
-// also its next release, so for a set of up to 64 tasks one order of the
-// tasks by (deadline, index) is both the release timer and EDF's run
-// queue, and the ready set is one uint64 over a priority order (queue.go):
-// the deadline order under EDF, the static period order under RM. A
-// release moves one task back by one insertion; a pick is the lowest set
-// bit. A larger set keeps two index heaps from internal/sched. A Runner
-// amortizes every buffer across sequential runs — the experiment harness
-// executes hundreds of simulations per worker on a single Runner without
-// reallocating.
+// also its next release, so one order of the tasks by (deadline, index)
+// is both the release timer and EDF's run queue, and the ready set is a
+// bitset in uint64 words over a priority order (queue.go): the deadline
+// order under EDF, the static period order under RM. A release moves one
+// task back by one insertion; a pick is the lowest set bit. Every set
+// size takes this one path. A Runner amortizes every buffer across
+// sequential runs — the experiment harness executes hundreds of
+// simulations per worker on a single Runner without reallocating.
 package sim
 
 import (
@@ -279,20 +278,13 @@ type simulator struct {
 
 	hw machine.OperatingPoint // current hardware operating point
 
-	// A set of more than 64 tasks keeps two index heaps: timers holds
-	// every task keyed by its next release time, ready the active tasks
-	// keyed by the scheduling discipline (absolute deadline under EDF,
-	// period under RM, ties by task index).
-	heaps  bool
-	timers sched.ReadyQueue
-	ready  sched.ReadyQueue
-
-	// A set of up to 64 tasks keeps every task in ord by (deadline,
-	// index), with the keys in ordKey and each task's position in ordPos.
-	// Its ready set is readyBits: bit k is set when task prio[k] is
-	// active, and rank inverts prio. Under EDF prio and rank alias ord and
-	// ordPos, so a reorder carries the ready bits along; under RM they are
-	// static, the (period, index) order in static, staticKey and
+	// Every task sits in ord by (deadline, index), with the keys in
+	// ordKey and each task's position in ordPos. The ready set is
+	// readyBits, one bit per position of the priority order in uint64
+	// words: bit k&63 of word k>>6 is set when task prio[k] is active,
+	// and rank inverts prio. Under EDF prio and rank alias ord and
+	// ordPos, so a reorder carries the ready bits along; under RM they
+	// are static, the (period, index) order in static, staticKey and
 	// staticPos.
 	ord       []int
 	ordKey    []float64
@@ -302,7 +294,7 @@ type simulator struct {
 	staticPos []int
 	prio      []int
 	rank      []int
-	readyBits uint64
+	readyBits []uint64
 
 	due      []int // scratch: tasks due for release this instant
 	released []int // scratch: release events pending policy callbacks
@@ -340,8 +332,9 @@ type simulator struct {
 }
 
 // Runner executes simulation runs back to back, reusing all internal
-// buffers (task state, heaps, result slices, policy-facing scratch), so
-// steady-state runs perform no allocation. Not safe for concurrent use.
+// buffers (task state, release order, ready set, result slices,
+// policy-facing scratch), so steady-state runs perform no allocation.
+// Not safe for concurrent use.
 //
 // The *Result returned by Run aliases the Runner's buffers: it is valid
 // until the next Run call on the same Runner. Use Result.Clone to retain
@@ -529,29 +522,24 @@ func (s *simulator) Now() float64 { return s.now }
 
 func (s *simulator) Deadline(i int) float64 { return s.states[i].deadline }
 
-// DeadlineOrder implements core.OrderedSystem: a set of up to 64 tasks
-// keeps its release order, whose tasks and keys are the (deadline,
-// index) order; a heap run keeps none. Releases reorder before any
-// policy callback, so the order is current at every hook.
+// DeadlineOrder implements core.OrderedSystem: the release order's tasks
+// and keys are the (deadline, index) order. Releases reorder before any
+// policy callback, so the order is current at every hook of every run.
 //
 //rtdvs:hotpath
 func (s *simulator) DeadlineOrder() ([]int, []float64) {
-	if s.heaps {
-		return nil, nil
-	}
 	return s.ord, s.ordKey
 }
 
 // --- engine ---
 
 // processReleases fires every release scheduled at or before now and
-// then notifies the policy once per released task. Due tasks come from
-// the prefix of the release order whose keys pass fpx.Le (the comparison
-// is monotone in the key, so that prefix is exactly what a heap drain
-// pops) or from the timer heap, and both ways replay them in ascending
-// task-index order — the event order of the original full-scan
-// implementation — so miss records, release counters, and policy
-// callbacks are bit-identical to it.
+// then notifies the policy once per released task. Due tasks are the
+// prefix of the release order whose keys pass fpx.Le (the comparison is
+// monotone in the key, so the prefix holds every due task), replayed in
+// ascending task-index order — the event order of the original
+// full-scan implementation — so miss records, release counters, and
+// policy callbacks are bit-identical to it.
 //
 // The fired tasks move back in the release order only once all have
 // fired, last position first, so each passes only tasks already in
@@ -565,28 +553,17 @@ func (s *simulator) processReleases() {
 	}
 	s.released = s.released[:0]
 	s.due = s.due[:0]
-	if s.heaps {
-		for fpx.Le(s.timers.PeekKey(), s.now) {
-			s.due = append(s.due, s.timers.Pop())
-		}
-		sortIndexes(s.due)
-		for _, i := range s.due {
-			s.fireReleases(i)
-			s.timerAdd(i, s.states[i].deadline)
-		}
-	} else {
-		k := 0
-		for k < len(s.ord) && fpx.Le(s.ordKey[k], s.now) {
-			k++
-		}
-		s.due = append(s.due, s.ord[:k]...)
-		sortIndexes(s.due)
-		for _, i := range s.due {
-			s.fireReleases(i)
-		}
-		for k--; k >= 0; k-- {
-			s.reorder(s.ord[k])
-		}
+	k := 0
+	for k < len(s.ord) && fpx.Le(s.ordKey[k], s.now) {
+		k++
+	}
+	s.due = append(s.due, s.ord[:k]...)
+	sortIndexes(s.due)
+	for _, i := range s.due {
+		s.fireReleases(i)
+	}
+	for k--; k >= 0; k-- {
+		s.reorder(s.ord[k])
 	}
 	for _, i := range s.released {
 		s.cfg.Policy.OnRelease(s, i)
