@@ -126,17 +126,26 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/sched.LaneHeaps.less":     "BenchmarkLaneHeaps",
 
 	// Keyed Beta demand draws: one DistExec.Cycles call on a parsed
-	// "beta=2,5" model allocates nothing.
-	"rtdvs/internal/task.DistExec.Cycles": "BenchmarkBetaDraw",
-	"rtdvs/internal/task.Beta.Quantile":   "BenchmarkBetaDraw",
-	"rtdvs/internal/task.betaNorm":        "BenchmarkBetaDraw",
-	"rtdvs/internal/task.betaWindow":      "BenchmarkBetaDraw",
-	"rtdvs/internal/task.betaNewton":      "BenchmarkBetaDraw",
-	"rtdvs/internal/task.betaGuess":       "BenchmarkBetaDraw",
-	"rtdvs/internal/task.regIncBeta":      "BenchmarkBetaDraw",
-	"rtdvs/internal/task.betaCF":          "BenchmarkBetaDraw",
-	"rtdvs/internal/task.sampleU01":       "BenchmarkBetaDraw",
-	"rtdvs/internal/task.splitmix64":      "BenchmarkBetaDraw",
+	// "beta=2,5" model allocates nothing. A Beta{A, B} literal derives
+	// its shape constants per call (newBetaShape) by value.
+	"rtdvs/internal/task.DistExec.Cycles":          "BenchmarkBetaDraw",
+	"rtdvs/internal/task.Beta.Quantile":            "BenchmarkBetaDraw",
+	"rtdvs/internal/task.bisectToWindow":           "BenchmarkBetaDraw",
+	"rtdvs/internal/task.Beta.shaped":              "BenchmarkBetaDraw",
+	"rtdvs/internal/task.newBetaShape":             "BenchmarkBetaDraw",
+	"rtdvs/internal/task.betaShape.window":         "BenchmarkBetaDraw",
+	"rtdvs/internal/task.betaShape.newton":         "BenchmarkBetaDraw",
+	"rtdvs/internal/task.betaShape.regIncBeta":     "BenchmarkBetaDraw",
+	"rtdvs/internal/task.betaShape.regIncBetaPair": "BenchmarkBetaDraw",
+	"rtdvs/internal/task.betaShape.prefactor":      "BenchmarkBetaDraw",
+	"rtdvs/internal/task.betaShape.fromPrefactor":  "BenchmarkBetaDraw",
+	"rtdvs/internal/task.betaGuess":                "BenchmarkBetaDraw",
+	"rtdvs/internal/task.betaCF":                   "BenchmarkBetaDraw",
+	"rtdvs/internal/task.betaCFPair":               "BenchmarkBetaDraw",
+	"rtdvs/internal/task.lentz":                    "BenchmarkBetaDraw",
+	"rtdvs/internal/task.lentzInv":                 "BenchmarkBetaDraw",
+	"rtdvs/internal/task.sampleU01":                "BenchmarkBetaDraw",
+	"rtdvs/internal/task.splitmix64":               "BenchmarkBetaDraw",
 
 	// Metrics instrument updates: one atomic op each, pinned at exactly
 	// zero allocations so instruments may sit on the simulator hot path.

@@ -219,17 +219,18 @@ func TestRunContextCancelKeepsFaultRecord(t *testing.T) {
 }
 
 // TestStalledRunEnds corrupts the release order at the first release:
-// the head task's recorded position moves one place on, so when that
-// task next fires its reorder starts from the wrong place and its old
-// key stays at the head. The next release time stays due, and the loop
-// re-processes one instant forever unless its progress guard ends the
-// run. The run is under RM, so the ready set is the static order and
-// only the release order is corrupted. Plain and cancellable runs share
-// the guard. The test's own deadline turns a hang into a failure.
+// the head task's recorded position moves to the tail. Its next deadline
+// (21) comes after its successor's (15), so when it next fires it must
+// move, its reorder starts from the tail, and its old key stays at the
+// head. The next release time stays due, and the loop re-processes one
+// instant forever unless its progress guard ends the run. The run is
+// under RM, so the ready set is the static order and only the release
+// order is corrupted. Plain and cancellable runs share the guard. The
+// test's own deadline turns a hang into a failure.
 func TestStalledRunEnds(t *testing.T) {
 	ts, err := task.NewSet(
 		task.Task{Period: 10.5, WCET: 2},
-		task.Task{Period: 21, WCET: 3},
+		task.Task{Period: 15, WCET: 3},
 		task.Task{Period: 42, WCET: 5},
 	)
 	if err != nil {
@@ -237,7 +238,7 @@ func TestStalledRunEnds(t *testing.T) {
 	}
 	for _, cancellable := range []bool{false, true} {
 		cfg := Config{Tasks: ts, Machine: machine.Machine0(), Horizon: 100,
-			Policy: &corruptingPolicy{kind: sched.RM, corrupt: func(s *simulator) { s.ordPos[s.ord[0]]++ }}}
+			Policy: &corruptingPolicy{kind: sched.RM, corrupt: func(s *simulator) { s.ordPos[s.ord[0]] = len(s.ord) - 1 }}}
 		done := make(chan error, 1)
 		go func() {
 			if !cancellable {

@@ -15,8 +15,8 @@ import (
 // EDF, the static (period, index) order under RM. A single frame, whose
 // tasks share one period and phase, needs no path of its own: its tasks
 // all carry one key, so the order is index order, a release instant
-// moves each task back by one comparison (processReleases), and the pick
-// is the lowest-index active task.
+// compares each task with its successor once and moves none
+// (processReleases), and the pick is the lowest-index active task.
 
 // resetQueues builds the run's release order and run queue from the
 // attached task set. A task's first deadline is its phase.

@@ -539,12 +539,16 @@ func (s *simulator) DeadlineOrder() ([]int, []float64) {
 // monotone in the key, so the prefix holds every due task), replayed in
 // ascending task-index order — the event order of the original
 // full-scan implementation — so miss records, release counters, and
-// policy callbacks are bit-identical to it.
+// policy callbacks are bit-identical to it. Tasks due at one instant
+// usually share a key, so the prefix is already in index order and
+// fires in place; otherwise a sorted copy fires.
 //
 // The fired tasks move back in the release order only once all have
 // fired, last position first, so each passes only tasks already in
 // place: a single frame, whose n tasks all fire at once, costs n steps
-// where reordering each task as it fires would cost n².
+// where reordering each task as it fires would cost n². A task whose
+// new key still comes before its successor's keeps its place and takes
+// only the new key.
 //
 //rtdvs:hotpath
 func (s *simulator) processReleases() {
@@ -552,18 +556,31 @@ func (s *simulator) processReleases() {
 		return
 	}
 	s.released = s.released[:0]
-	s.due = s.due[:0]
-	k := 0
+	k, ascending := 0, true
 	for k < len(s.ord) && fpx.Le(s.ordKey[k], s.now) {
+		if k > 0 && s.ord[k] < s.ord[k-1] {
+			ascending = false
+		}
 		k++
 	}
-	s.due = append(s.due, s.ord[:k]...)
-	sortIndexes(s.due)
-	for _, i := range s.due {
+	due := s.ord[:k]
+	if !ascending {
+		s.due = s.due[:0]
+		s.due = append(s.due, due...)
+		sortIndexes(s.due)
+		due = s.due
+	}
+	for _, i := range due {
 		s.fireReleases(i)
 	}
 	for k--; k >= 0; k-- {
-		s.reorder(s.ord[k])
+		i := s.ord[k]
+		key := s.states[i].deadline
+		if k+1 < len(s.ord) && core.OrderBefore(s.ordKey[k+1], s.ord[k+1], key, i) {
+			s.reorder(i)
+		} else {
+			s.ordKey[k] = key
+		}
 	}
 	for _, i := range s.released {
 		s.cfg.Policy.OnRelease(s, i)

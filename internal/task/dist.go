@@ -3,6 +3,7 @@ package task
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"rtdvs/internal/fpx"
@@ -83,8 +84,29 @@ func clampFrac(f float64) float64 {
 // two-parameter family for bounded execution times (α=β=1 is uniform;
 // α>1, β>1 is unimodal; α<1 or β<1 pushes mass to the edges). Sampling
 // is by inverse CDF on a single keyed uniform draw.
+//
+// NewBeta caches the shape-only constants of the CDF. A Beta{A, B}
+// literal, or a value whose A or B changed after NewBeta, derives them
+// on every CDF and Quantile call instead, with the same bits.
 type Beta struct {
 	A, B float64
+
+	shape betaShape
+}
+
+// betaShape is a Beta's shape with the constants every evaluation of its
+// CDF reads.
+type betaShape struct {
+	a, b float64
+	// norm is ln Γ(a+b) − ln Γ(a) − ln Γ(b), the log of 1/B(a, b): the
+	// shape-only part of the CDF's prefactor. mag is
+	// |lnΓ(a+b)| + |lnΓ(a)| + |lnΓ(b)|, the size norm's rounding scales
+	// with.
+	norm, mag float64
+	// sw is (a+1)/(a+b+2), the switch of the symmetry
+	// I_x(a,b) = 1 − I_{1−x}(b,a): below it the continued fraction runs
+	// on (a, b, x), from it on (b, a, 1−x).
+	sw float64
 }
 
 // maxBetaShape bounds the Beta shape parameters. Near the mean the
@@ -100,7 +122,34 @@ func NewBeta(a, b float64) (Beta, error) {
 	if !(a > 0) || !(b > 0) || a > maxBetaShape || b > maxBetaShape {
 		return Beta{}, fmt.Errorf("task: beta shapes must lie in (0, %g], got a=%v b=%v", maxBetaShape, a, b)
 	}
-	return Beta{A: a, B: b}, nil
+	return Beta{A: a, B: b, shape: newBetaShape(a, b)}, nil
+}
+
+// newBetaShape derives the shape constants of Beta(a, b).
+//
+//rtdvs:hotpath
+func newBetaShape(a, b float64) betaShape {
+	lab, _ := math.Lgamma(a + b)
+	la, _ := math.Lgamma(a)
+	lb, _ := math.Lgamma(b)
+	return betaShape{
+		a: a, b: b,
+		norm: lab - la - lb,
+		mag:  math.Abs(lab) + math.Abs(la) + math.Abs(lb),
+		sw:   (a + 1) / (a + b + 2),
+	}
+}
+
+// shaped returns d's shape constants: the cached ones when they belong
+// to d's A and B, bit for bit, and freshly derived ones otherwise.
+//
+//rtdvs:hotpath
+func (d Beta) shaped() betaShape {
+	if s := d.shape; s.sw > 0 && math.Float64bits(s.a) == math.Float64bits(d.A) &&
+		math.Float64bits(s.b) == math.Float64bits(d.B) {
+		return s
+	}
+	return newBetaShape(d.A, d.B)
 }
 
 // Mean implements Dist: E[X] = α/(α+β).
@@ -108,37 +157,37 @@ func (d Beta) Mean() float64 { return d.A / (d.A + d.B) }
 
 // CDF implements Dist: the regularized incomplete beta function I_x(α, β).
 func (d Beta) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x >= 1 {
-		return 1
-	}
-	norm, _ := betaNorm(d.A, d.B)
-	return regIncBeta(norm, d.A, d.B, x)
+	s := d.shaped()
+	return s.regIncBeta(x)
 }
 
 // Quantile implements Dist by monotone bisection on the CDF, at most 64
 // steps from [0, 1], with no rejection loop to bound. It returns the bits
-// of the original loop, which evaluated the CDF at every midpoint; it
-// only skips evaluations whose outcome is already known.
+// of the original loop, which evaluated the CDF at every midpoint: every
+// step still decides regIncBeta(mid) < p at the same midpoint, and the
+// loop only skips evaluations whose outcome is already known and runs
+// the rest two at a time.
 //
 // The log normaliser depends only on the shape, so it is computed once
-// per call rather than once per step. regIncBeta must keep it the first
-// term of the prefactor sum: the sum then rounds exactly as if the three
-// log-gamma values were summed in place, so every CDF evaluation has the
-// same bits.
+// (by NewBeta, or per call for a literal) rather than once per step.
+// regIncBeta must keep it the first term of the prefactor sum: the sum
+// then rounds exactly as if the three log-gamma values were summed in
+// place, so every CDF evaluation has the same bits.
 //
-// Window. betaWindow finds an approximate quantile x̂ by Newton steps and
-// verifies a window [wlo, whi] around it with two evaluations of the
-// computed CDF F: F(wlo) < p−ε and F(whi) ≥ p+ε. Let δ bound the
+// Window. window finds an approximate quantile x̂ by Newton steps and
+// verifies a window [wlo, whi] around it with one paired evaluation of
+// the computed CDF F: F(wlo) < p−ε and F(whi) ≥ p+ε. Let δ bound the
 // absolute error of F against the exact CDF G, which is monotone. A
 // midpoint m < wlo then has F(m) ≤ G(m)+δ ≤ G(wlo)+δ ≤ F(wlo)+2δ < p, as
 // ε ≥ 2δ, so the original loop moved lo to m; this loop does so without
 // evaluating. Symmetrically a midpoint above whi has F(m) ≥ p and moves
-// hi. Midpoints inside the window are evaluated by regIncBeta as before.
-// Every step takes the original branch, so the bracket and the result
-// are unchanged.
+// hi. Midpoints inside the window are evaluated by regIncBeta's
+// arithmetic as before. Every step takes the original branch, so the
+// bracket and the result are unchanged. The argument rests on the
+// verified edges alone: how x̂ and the half-width τ were found only
+// decides how often a window verifies and how narrow it is. The steps
+// before the first midpoint inside the window evaluate nothing, and
+// bisectToWindow takes them at once.
 //
 // The bound. F is a prefactor exp(norm + a ln x + b ln(1−x)) times the
 // continued fraction, subtracted from 1 above the mean. The log
@@ -152,6 +201,21 @@ func (d Beta) CDF(x float64) float64 {
 // covers both with room, and ε = 2δ, taken at the last Newton point.
 // Away from x̂ a log term grows only toward the tail whose CDF term the
 // prefactor shrinks, so the bound holds at the skipped midpoints too.
+//
+// Newton. Each step takes one Log, Log1p and Exp, which serve ε, F and
+// the pdf, pre/(x(1−x)); the pdf only sizes the step and τ, so its
+// rounding cannot change a result. The iteration stops once F is within
+// ε of p or the Halley-corrected step moves x by less than newtonStop of
+// min(x, 1−x), and returns the corrected point without evaluating it:
+// the window check, not Newton, makes the result exact. τ = 1.5·ε/pdf
+// puts the edges at about p ∓ 1.5ε, so a converged x̂ verifies with ε/2
+// to spare.
+//
+// Pairs. Inside the window the loop evaluates the midpoint together with
+// the midpoint after it on the path toward x̂, and takes that second
+// decision only when the first went as x̂ predicted, under the same
+// 64-step cap and stop rule. regIncBetaPair gives each point regIncBeta's
+// bits, so a pair decides exactly what two single steps would.
 //
 // Fallback. When Newton leaves (0, 1) or does not converge, or the
 // window fails verification after windowTries widenings (NaN p, p within
@@ -167,8 +231,9 @@ func (d Beta) CDF(x float64) float64 {
 // the returned 0.5·(lo+hi) is that midpoint either way. Stopping early
 // therefore returns exactly the bits the full 64 steps would.
 // TestBetaQuantileMatchesSeedBisection pins the result against the
-// original loop; TestBetaWindowBracketsReference and
-// FuzzBetaQuantileBitIdentical pin the window.
+// original loop, TestBetaWindowBracketsReference and
+// FuzzBetaQuantileBitIdentical pin the window, and
+// TestBisectToWindowMatchesSkipping pins the skipped steps.
 //
 //rtdvs:hotpath
 func (d Beta) Quantile(p float64) float64 {
@@ -178,23 +243,58 @@ func (d Beta) Quantile(p float64) float64 {
 	if p >= 1 {
 		return 1
 	}
-	norm, lgMag := betaNorm(d.A, d.B)
-	wlo, whi, _ := betaWindow(norm, lgMag, d.A, d.B, p)
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 64; i++ {
+	s := d.shaped()
+	wlo, whi, xhat, ok := s.window(p)
+	lo, hi, i := 0.0, 1.0, 0
+	if ok {
+		lo, hi, i = bisectToWindow(wlo, whi)
+	}
+	for ; i < 64; i++ {
 		mid := 0.5 * (lo + hi)
 		if !(lo < mid && mid < hi) {
 			break
 		}
-		switch {
-		case mid < wlo:
+		if mid < wlo {
 			lo = mid
-		case mid > whi:
+			continue
+		}
+		if mid > whi {
 			hi = mid
-		case regIncBeta(norm, d.A, d.B, mid) < p:
+			continue
+		}
+		up := mid < xhat // the predicted decision: F(mid) < p
+		next := 0.5 * (lo + mid)
+		if up {
+			next = 0.5 * (mid + hi)
+		}
+		if i+1 == 64 || next < wlo || next > whi {
+			// No second step to evaluate: the cap binds, or the window
+			// decides the next midpoint without an evaluation.
+			if s.regIncBeta(mid) < p {
+				lo = mid
+			} else {
+				hi = mid
+			}
+			continue
+		}
+		fm, fn := s.regIncBetaPair(mid, next)
+		below := fm < p
+		if below {
 			lo = mid
-		default:
+		} else {
 			hi = mid
+		}
+		if below != up {
+			continue
+		}
+		i++
+		if !(lo < next && next < hi) {
+			break
+		}
+		if fn < p {
+			lo = next
+		} else {
+			hi = next
 		}
 	}
 	return 0.5 * (lo + hi)
@@ -202,62 +302,106 @@ func (d Beta) Quantile(p float64) float64 {
 
 func (d Beta) String() string { return fmt.Sprintf("beta=%g,%g", d.A, d.B) }
 
+// bisectToWindow returns the bracket [lo, hi] and the step i at which
+// bisection from [0, 1] first meets a midpoint inside [wlo, whi], for
+// 0 < wlo ≤ whi < 1, taking every earlier step at once. In units of
+// 2⁻⁶⁴ step i's midpoint is an odd multiple of 2^(63−i), so the one met
+// first is m, the multiple of the highest power of two in
+// [⌈wlo·2⁶⁴⌉, ⌊whi·2⁶⁴⌋]; every earlier midpoint lies outside the window
+// on the side of the bracket it moves. Both ends of that range have at
+// most 53 significant bits, the images of floats or integers below 2⁵³,
+// and m is one of them with low bits cleared, so m, its bracket and
+// every earlier midpoint are floats: the original loop reached them by
+// exact steps. When no multiple of 2⁻⁶⁴ lies in the window, it returns
+// [0, 1] at step 0 for the loop to walk.
+//
+//rtdvs:hotpath
+func bisectToWindow(wlo, whi float64) (lo, hi float64, i int) {
+	l, h := uint64(math.Ceil(wlo*0x1p64)), uint64(whi*0x1p64)
+	if l > h {
+		return 0, 1, 0
+	}
+	// m is l unless l and h differ; then the highest bit b where they do
+	// is set in h, and m is h cleared below b, unless l itself is a
+	// multiple of 2^(b+1).
+	m := l
+	if l != h {
+		b := bits.Len64(l^h) - 1
+		if l&(1<<(b+1)-1) != 0 {
+			m = h >> b << b
+		}
+	}
+	tz := bits.TrailingZeros64(m)
+	lo = float64(m-1<<tz) * 0x1p-64
+	return lo, lo + math.Ldexp(1, tz-63), 63 - tz
+}
+
 const (
-	// newtonSteps bounds betaNewton's iteration. From the invbetai guess
+	// newtonSteps bounds newton's iteration. From the invbetai guess
 	// the admitted shapes converge in two to four steps.
 	newtonSteps = 8
+	// newtonStop is the move, relative to min(x, 1−x), below which a
+	// Newton step counts as converged. From a move of 1e-5 the Halley
+	// step's error is far inside τ: on the 12 non-tiny shapes of the
+	// bit-identity pin one of 240k keyed draws had to widen its window,
+	// while 1e-4 widened it on about 19% of Beta(100, 200) draws.
+	newtonStop = 1e-5
 	// windowTries bounds the window verification attempts; each failed
 	// attempt widens τ sixteenfold.
 	windowTries = 3
 )
 
-// betaWindow returns a window [lo, hi] around the p-th quantile whose
-// edges are verified against p with margin ε (see Beta.Quantile), or
-// [0, 1] and ok = false when it cannot verify one. norm and lgMag are
-// betaNorm(a, b).
+// window returns a window [lo, hi] around the p-th quantile whose edges
+// are verified against p with margin ε (see Beta.Quantile), or [0, 1]
+// and ok = false when it cannot verify one, and the Newton estimate x̂
+// either way.
 //
 //rtdvs:hotpath
-func betaWindow(norm, lgMag, a, b, p float64) (lo, hi float64, ok bool) {
-	x, eps, tau := betaNewton(norm, lgMag, a, b, p)
+func (s *betaShape) window(p float64) (lo, hi, xhat float64, ok bool) {
+	xhat, eps, tau := s.newton(p)
 	if !(tau > 0) {
-		return 0, 1, false
+		return 0, 1, xhat, false
 	}
 	okLo, okHi := false, false
 	for try := 0; try < windowTries; try++ {
+		// A verified edge stays where it is, and evaluating it again
+		// repeats its verdict.
 		if !okLo {
-			lo = x - tau
-			okLo = lo > 0 && regIncBeta(norm, a, b, lo) < p-eps
+			lo = xhat - tau
 		}
 		if !okHi {
-			hi = x + tau
-			okHi = hi < 1 && regIncBeta(norm, a, b, hi) >= p+eps
+			hi = xhat + tau
 		}
+		flo, fhi := s.regIncBetaPair(lo, hi)
+		okLo = lo > 0 && flo < p-eps
+		okHi = hi < 1 && fhi >= p+eps
 		if okLo && okHi {
-			return lo, hi, true
+			return lo, hi, xhat, true
 		}
 		tau *= 16
 	}
-	return 0, 1, false
+	return 0, 1, xhat, false
 }
 
-// betaNewton runs safeguarded Newton steps on F(x) = p from betaGuess,
-// each with invbetai's Halley correction for the pdf's log-slope
+// newton runs safeguarded Newton steps on F(x) = p from betaGuess, each
+// with invbetai's Halley correction for the pdf's log-slope
 // (α−1)/x − (β−1)/(1−x). It returns the approximate quantile x̂, the
 // window margin ε at the last evaluated point, and the window half-width
-// τ, which is 0 when the iteration left (0, 1) or did not bring F within
-// ε of p.
+// τ, which is 0 when the iteration left (0, 1) or did not converge.
 //
 //rtdvs:hotpath
-func betaNewton(norm, lgMag, a, b, p float64) (x, eps, tau float64) {
+func (s *betaShape) newton(p float64) (x, eps, tau float64) {
+	a, b := s.a, s.b
 	x = betaGuess(a, b, p)
 	for i := 0; i < newtonSteps; i++ {
 		if !(x > 0 && x < 1) {
 			return x, eps, 0
 		}
 		lx, l1x := math.Log(x), math.Log1p(-x)
-		eps = 1e-13 + 8*0x1p-52*(lgMag+a*math.Abs(lx)+b*math.Abs(l1x))
-		pdf := math.Exp(norm + (a-1)*lx + (b-1)*l1x)
-		f := regIncBeta(norm, a, b, x) - p
+		eps = 1e-13 + 8*0x1p-52*(s.mag+a*math.Abs(lx)+b*math.Abs(l1x))
+		pre := math.Exp(s.norm + a*lx + b*l1x)
+		f := s.fromPrefactor(x, pre) - p
+		pdf := pre / (x * (1 - x))
 		u := f / pdf
 		next := x - u/(1-0.5*math.Min(1, u*((a-1)/x-(b-1)/(1-x))))
 		// Safeguard: a step that leaves (0, 1), or is NaN, halves the
@@ -267,13 +411,13 @@ func betaNewton(norm, lgMag, a, b, p float64) (x, eps, tau float64) {
 		} else if !(next < 1) {
 			next = 0.5 * (x + 1)
 		}
-		x = next
-		if math.Abs(f) <= eps {
-			// F(x) was already within ε of p, so the step lands far
-			// closer than ε/pdf to the quantile; 2ε/pdf puts the window
-			// edges at about p ∓ 2ε.
-			return x, eps, 2 * eps / pdf
+		if math.Abs(f) <= eps || math.Abs(next-x) < newtonStop*math.Min(x, 1-x) {
+			// Either F(x) was already within ε of p or the step was
+			// negligible, so next lands far closer than ε/pdf to the
+			// quantile; 1.5ε/pdf puts the window edges at about p ∓ 1.5ε.
+			return next, eps, 1.5 * eps / pdf
 		}
+		x = next
 	}
 	return x, eps, 0
 }
@@ -309,89 +453,151 @@ func betaGuess(a, b, p float64) float64 {
 	return 1 - math.Pow(b*w*(1-p), 1/b)
 }
 
-// betaNorm returns ln Γ(a+b) − ln Γ(a) − ln Γ(b), the log of 1/B(a, b):
-// the shape-only part of regIncBeta's prefactor. mag is
-// |lnΓ(a+b)| + |lnΓ(a)| + |lnΓ(b)|, the size norm's rounding scales with.
-//
-//rtdvs:hotpath
-func betaNorm(a, b float64) (norm, mag float64) {
-	lab, _ := math.Lgamma(a + b)
-	la, _ := math.Lgamma(a)
-	lb, _ := math.Lgamma(b)
-	return lab - la - lb, math.Abs(lab) + math.Abs(la) + math.Abs(lb)
-}
-
 // regIncBeta computes the regularized incomplete beta function I_x(a, b)
 // with the standard continued-fraction expansion (Numerical Recipes
 // §6.4), using the symmetry I_x(a,b) = 1 − I_{1−x}(b,a) to stay in the
-// rapidly converging region. norm is the first result of betaNorm(a, b).
+// rapidly converging region.
 //
 //rtdvs:hotpath
-func regIncBeta(norm, a, b, x float64) float64 {
+func (s *betaShape) regIncBeta(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
 	if x >= 1 {
 		return 1
 	}
-	// ln of the prefactor x^a (1−x)^b / (a·B(a,b)).
-	lnPre := norm + a*math.Log(x) + b*math.Log1p(-x)
-	if x < (a+1)/(a+b+2) {
-		return math.Exp(lnPre) * betaCF(a, b, x) / a
-	}
-	return 1 - math.Exp(lnPre)*betaCF(b, a, 1-x)/b
+	return s.fromPrefactor(x, s.prefactor(x))
 }
 
+// fromPrefactor returns I_x(a, b) for x in (0, 1) from its prefactor
+// pre = prefactor(x): pre times the continued fraction below the switch,
+// its complement above it.
+//
+//rtdvs:hotpath
+func (s *betaShape) fromPrefactor(x, pre float64) float64 {
+	if x < s.sw {
+		return pre * betaCF(s.a, s.b, x) / s.a
+	}
+	return 1 - pre*betaCF(s.b, s.a, 1-x)/s.b
+}
+
+// regIncBetaPair returns regIncBeta(x) and regIncBeta(y), each with its
+// own bits. Two points in (0, 1) on the same side of the switch share
+// one loop over both continued fractions; otherwise it makes two single
+// evaluations.
+//
+//rtdvs:hotpath
+func (s *betaShape) regIncBetaPair(x, y float64) (fx, fy float64) {
+	if !(x > 0 && x < 1 && y > 0 && y < 1) || (x < s.sw) != (y < s.sw) {
+		return s.regIncBeta(x), s.regIncBeta(y)
+	}
+	px, py := s.prefactor(x), s.prefactor(y)
+	if x < s.sw {
+		hx, hy := betaCFPair(s.a, s.b, x, y)
+		return px * hx / s.a, py * hy / s.a
+	}
+	hx, hy := betaCFPair(s.b, s.a, 1-x, 1-y)
+	return 1 - px*hx/s.b, 1 - py*hy/s.b
+}
+
+// prefactor returns x^a (1−x)^b / B(a, b), with norm the first term of
+// its log (see Beta.Quantile).
+//
+//rtdvs:hotpath
+func (s *betaShape) prefactor(x float64) float64 {
+	return math.Exp(s.norm + s.a*math.Log(x) + s.b*math.Log1p(-x))
+}
+
+// The continued fraction's bounds: at most cfMaxIter terms, a stop at a
+// relative change below cfEps, and Numerical Recipes' floor cfMin on
+// the Lentz denominators. For the shapes NewBeta admits it converges
+// well inside the bound.
+const (
+	cfMaxIter = 200
+	cfEps     = 3e-14
+	cfMin     = 1e-300
+)
+
 // betaCF evaluates the incomplete-beta continued fraction by the
-// modified Lentz method. Iteration is bounded; for the shapes NewBeta
-// admits it converges well inside the bound.
+// modified Lentz method.
 //
 //rtdvs:hotpath
 func betaCF(a, b, x float64) float64 {
-	const (
-		maxIter = 200
-		eps     = 3e-14
-		fpmin   = 1e-300
-	)
 	qab, qap, qam := a+b, a+1, a-1
-	c := 1.0
-	d := 1 - qab*x/qap
-	if math.Abs(d) < fpmin {
-		d = fpmin
-	}
-	d = 1 / d
+	c, d := 1.0, lentzInv(1-qab*x/qap)
 	h := d
-	for m := 1; m <= maxIter; m++ {
-		m2 := float64(2 * m)
-		fm := float64(m)
-		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		h *= d * c
-		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		del := d * c
+	for m := 1; m <= cfMaxIter; m++ {
+		m2, fm := float64(2*m), float64(m)
+		var del float64
+		c, d, del = lentz(c, d, fm*(b-fm)*x/((qam+m2)*(a+m2)))
 		h *= del
-		if math.Abs(del-1) < eps {
+		c, d, del = lentz(c, d, -(a+fm)*(qab+fm)*x/((a+m2)*(qap+m2)))
+		h *= del
+		if math.Abs(del-1) < cfEps {
 			break
 		}
 	}
 	return h
+}
+
+// betaCFPair evaluates betaCF(a, b, x) and betaCF(a, b, y) in one loop.
+// Each lane has its own Lentz state and stops at its own convergence,
+// so each returns betaCF's bits; the two interleaved dependency chains
+// keep the divider busy where one leaves it waiting.
+//
+//rtdvs:hotpath
+func betaCFPair(a, b, x, y float64) (hx, hy float64) {
+	qab, qap, qam := a+b, a+1, a-1
+	cx, dx := 1.0, lentzInv(1-qab*x/qap)
+	cy, dy := 1.0, lentzInv(1-qab*y/qap)
+	hx, hy = dx, dy
+	liveX, liveY := true, true
+	for m := 1; m <= cfMaxIter && (liveX || liveY); m++ {
+		m2, fm := float64(2*m), float64(m)
+		en, ed := fm*(b-fm), (qam+m2)*(a+m2)
+		on, od := -(a+fm)*(qab+fm), (a+m2)*(qap+m2)
+		var del float64
+		if liveX {
+			cx, dx, del = lentz(cx, dx, en*x/ed)
+			hx *= del
+			cx, dx, del = lentz(cx, dx, on*x/od)
+			hx *= del
+			liveX = !(math.Abs(del-1) < cfEps)
+		}
+		if liveY {
+			cy, dy, del = lentz(cy, dy, en*y/ed)
+			hy *= del
+			cy, dy, del = lentz(cy, dy, on*y/od)
+			hy *= del
+			liveY = !(math.Abs(del-1) < cfEps)
+		}
+	}
+	return hx, hy
+}
+
+// lentz applies one term aa of the fraction to the modified-Lentz state
+// (c, d) and returns the new state with the factor d·c the fraction
+// takes.
+//
+//rtdvs:hotpath
+func lentz(c, d, aa float64) (c2, d2, del float64) {
+	d = lentzInv(1 + aa*d)
+	c = 1 + aa/c
+	if math.Abs(c) < cfMin {
+		c = cfMin
+	}
+	return c, d, d * c
+}
+
+// lentzInv floors a Lentz denominator's magnitude at cfMin, as Numerical
+// Recipes does, and returns its reciprocal.
+//
+//rtdvs:hotpath
+func lentzInv(d float64) float64 {
+	if math.Abs(d) < cfMin {
+		d = cfMin
+	}
+	return 1 / d
 }
 
 // --- Bimodal distribution ---

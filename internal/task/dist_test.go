@@ -78,8 +78,9 @@ func TestBetaShapeLimitConverges(t *testing.T) {
 
 // refRegIncBeta and refBetaQuantile freeze the original sampler: 64
 // bisection steps from [0, 1], each CDF evaluation recomputing the three
-// log-gamma values, with no early stop. Beta.Quantile must return the
-// same bits for every shape and probability.
+// log-gamma values and running the original continued fraction
+// refBetaCF, with no early stop. Beta.Quantile must return the same bits
+// for every shape and probability.
 func refRegIncBeta(a, b, x float64) float64 {
 	if x <= 0 {
 		return 0
@@ -92,9 +93,59 @@ func refRegIncBeta(a, b, x float64) float64 {
 	lb, _ := math.Lgamma(b)
 	lnPre := lbeta - la - lb + a*math.Log(x) + b*math.Log1p(-x)
 	if x < (a+1)/(a+b+2) {
-		return math.Exp(lnPre) * betaCF(a, b, x) / a
+		return math.Exp(lnPre) * refBetaCF(a, b, x) / a
 	}
-	return 1 - math.Exp(lnPre)*betaCF(b, a, 1-x)/b
+	return 1 - math.Exp(lnPre)*refBetaCF(b, a, 1-x)/b
+}
+
+// refBetaCF is the original sampler's continued fraction, kept apart
+// from the production betaCF so that a change to the fraction's
+// arithmetic cannot move the reference along with it.
+func refBetaCF(a, b, x float64) float64 {
+	const (
+		maxIter = 200
+		eps     = 3e-14
+		fpmin   = 1e-300
+	)
+	qab, qap, qam := a+b, a+1, a-1
+	c := 1.0
+	d := 1 - qab*x/qap
+	if math.Abs(d) < fpmin {
+		d = fpmin
+	}
+	d = 1 / d
+	h := d
+	for m := 1; m <= maxIter; m++ {
+		m2 := float64(2 * m)
+		fm := float64(m)
+		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
+		d = 1 + aa*d
+		if math.Abs(d) < fpmin {
+			d = fpmin
+		}
+		c = 1 + aa/c
+		if math.Abs(c) < fpmin {
+			c = fpmin
+		}
+		d = 1 / d
+		h *= d * c
+		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
+		d = 1 + aa*d
+		if math.Abs(d) < fpmin {
+			d = fpmin
+		}
+		c = 1 + aa/c
+		if math.Abs(c) < fpmin {
+			c = fpmin
+		}
+		d = 1 / d
+		del := d * c
+		h *= del
+		if math.Abs(del-1) < eps {
+			break
+		}
+	}
+	return h
 }
 
 func refBetaQuantile(a, b, p float64) float64 {
@@ -166,7 +217,7 @@ func TestBetaQuantileMatchesSeedBisection(t *testing.T) {
 }
 
 // TestBetaWindowBracketsReference pins the window Beta.Quantile skips
-// CDF evaluations outside of. Whenever betaWindow verifies a window, the
+// CDF evaluations outside of. Whenever window verifies a window, the
 // frozen reference quantile lies inside it, up to the width of the
 // reference's final bracket: the window overlaps that bracket. On the
 // TestBetaMomentsAndInverse shapes, the first seven of
@@ -186,10 +237,10 @@ func TestBetaWindowBracketsReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewBeta(%v,%v): %v", s.a, s.b, err)
 			}
-			norm, lgMag := betaNorm(s.a, s.b)
+			sh := newBetaShape(s.a, s.b)
 			fallbackMatches := func(p float64) {
 				t.Helper()
-				if _, _, ok := betaWindow(norm, lgMag, s.a, s.b, p); ok {
+				if _, _, _, ok := sh.window(p); ok {
 					t.Fatalf("p=%v verified a window, want the fallback", p)
 				}
 				got, want := d.Quantile(p), refBetaQuantile(s.a, s.b, p)
@@ -203,7 +254,7 @@ func TestBetaWindowBracketsReference(t *testing.T) {
 			verified := 0
 			for i := 0; i < keys; i++ {
 				p := sampleU01(int64(si), i%8, i/8)
-				lo, hi, ok := betaWindow(norm, lgMag, s.a, s.b, p)
+				lo, hi, _, ok := sh.window(p)
 				if !ok {
 					fallbackMatches(p)
 					continue
@@ -225,7 +276,7 @@ func TestBetaWindowBracketsReference(t *testing.T) {
 
 // FuzzBetaQuantileBitIdentical holds Beta.Quantile to the frozen
 // reference bisection, bit for bit, for any admitted shape and any p,
-// and holds every window betaWindow verifies to bracket the reference.
+// and holds every window it verifies to bracket the reference.
 // The seeds include probabilities and shapes that reach the fallback.
 func FuzzBetaQuantileBitIdentical(f *testing.F) {
 	f.Add(2.0, 5.0, 0.3)
@@ -238,6 +289,15 @@ func FuzzBetaQuantileBitIdentical(f *testing.F) {
 	f.Add(0.3, 3.0, math.Nextafter(1, 0))
 	f.Add(1e-3, 1e-3, 0.7)
 	f.Add(1e-3, 2.0, 0.5)
+	// Quantiles at the switch point (a+1)/(a+b+2), where a window or a
+	// pair can straddle the two branches of regIncBeta.
+	for _, s := range []struct{ a, b float64 }{{2, 5}, {0.5, 0.5}, {100, 200}} {
+		f.Add(s.a, s.b, Beta{A: s.a, B: s.b}.CDF((s.a+1)/(s.a+s.b+2)))
+	}
+	// Quantiles below 2⁻⁶⁴, where the 64-step cap binds: the first
+	// reaches it on paired evaluations from the [0, 1] fallback.
+	f.Add(1e-3, 2.0, 1e-300)
+	f.Add(2.0, 5.0, 1e-40)
 	f.Fuzz(func(t *testing.T, a, b, p float64) {
 		d, err := NewBeta(a, b)
 		if err != nil {
@@ -247,13 +307,150 @@ func FuzzBetaQuantileBitIdentical(f *testing.F) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("Beta(%v,%v).Quantile(%v) = %v, reference %v", a, b, p, got, want)
 		}
-		norm, lgMag := betaNorm(a, b)
-		if lo, hi, ok := betaWindow(norm, lgMag, a, b, p); ok {
+		sh := newBetaShape(a, b)
+		if lo, hi, _, ok := sh.window(p); ok {
 			if rlo, rhi := refBetaBracket(a, b, p); !(lo <= rhi && rlo <= hi) {
 				t.Fatalf("Beta(%v,%v) p=%v: window [%v, %v] misses reference bracket [%v, %v]", a, b, p, lo, hi, rlo, rhi)
 			}
 		}
 	})
+}
+
+// skipOutside is the bisection's skipping from step i: while the
+// midpoint lies outside [wlo, whi] it moves the bracket, and it stops at
+// the first midpoint inside, at the stop rule or at the 64-step cap.
+func skipOutside(wlo, whi, lo, hi float64, i int) (float64, float64, int) {
+	for ; i < 64; i++ {
+		mid := 0.5 * (lo + hi)
+		switch {
+		case !(lo < mid && mid < hi):
+			return lo, hi, i
+		case mid < wlo:
+			lo = mid
+		case mid > whi:
+			hi = mid
+		default:
+			return lo, hi, i
+		}
+	}
+	return lo, hi, i
+}
+
+// TestBisectToWindowMatchesSkipping holds bisectToWindow to the steps it
+// replaces: skipping on from where it lands ends where skipping from
+// [0, 1] does, for windows with dyadic and non-dyadic edges, degenerate,
+// tiny and near-edge windows, and the windows verified for the
+// bit-identity shapes. On a window at least 1e-15 wide inside
+// [0.01, 0.99] it must take every skipped step itself.
+func TestBisectToWindowMatchesSkipping(t *testing.T) {
+	type window struct{ lo, hi float64 }
+	ws := []window{
+		{0.5, 0.5}, {0.25, 0.75}, {0.375, 0.375}, {0.375, 0.4}, {0.3, 0.375},
+		{0.1, 0.1}, {1e-300, 2e-300}, {1e-30, 1e-29}, {0x1p-64, 0x1p-64},
+		{0x1p-53, 0x1p-52}, {1e-19, 1e-19 + 1e-30}, {math.Nextafter(1, 0), math.Nextafter(1, 0)},
+		{1 - 0x1p-40, 1 - 0x1p-41}, {0x1p-11, 0x1p-11}, {3 * 0x1p-60, 3 * 0x1p-60},
+		{0.3, 0.3}, {0.3, math.Nextafter(0.3, 1)}, {math.Nextafter(0.3, 0), 0.3}, {0.7, 0.7},
+	}
+	for k := 0; k < 20000; k++ {
+		c := 0.01 + 0.98*sampleU01(1, k, 0)
+		w := math.Pow(10, -15+14*sampleU01(2, k, 0))
+		ws = append(ws, window{c - w*sampleU01(3, k, 0), c + w*sampleU01(4, k, 0)})
+	}
+	for si, s := range bitIdenticalShapes {
+		sh := newBetaShape(s.a, s.b)
+		for k := 0; k < 500; k++ {
+			if lo, hi, _, ok := sh.window(sampleU01(int64(si), k, 1)); ok {
+				ws = append(ws, window{lo, hi})
+			}
+		}
+	}
+	for _, w := range ws {
+		lo, hi, i := bisectToWindow(w.lo, w.hi)
+		glo, ghi, gi := skipOutside(w.lo, w.hi, lo, hi, i)
+		rlo, rhi, ri := skipOutside(w.lo, w.hi, 0, 1, 0)
+		if math.Float64bits(glo) != math.Float64bits(rlo) || math.Float64bits(ghi) != math.Float64bits(rhi) || gi != ri {
+			t.Fatalf("window [%v, %v]: landed at [%v, %v] step %d, skipping on ends at [%v, %v] step %d, from [0, 1] at [%v, %v] step %d",
+				w.lo, w.hi, lo, hi, i, glo, ghi, gi, rlo, rhi, ri)
+		}
+		if w.hi-w.lo >= 1e-15 && w.lo >= 0.01 && w.hi <= 0.99 && i != ri {
+			t.Fatalf("window [%v, %v]: bisectToWindow stopped at step %d, skipping reaches step %d", w.lo, w.hi, i, ri)
+		}
+	}
+}
+
+// TestRegIncBetaPairLanes holds each lane of the paired evaluation to
+// the single evaluation's bits: regIncBetaPair against regIncBeta, and
+// betaCFPair against betaCF for the fractions the pair runs.
+func TestRegIncBetaPairLanes(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		a, b    float64
+		x, y    float64
+		clamped bool // a lane of betaCFPair(a, b, x, y) floors a Lentz denominator
+	}{
+		{name: "lower branch", a: 2, b: 5, x: 0.25, y: 0.25 + 1e-13},
+		{name: "upper branch", a: 2, b: 5, x: 0.6, y: 0.6 - 1e-13},
+		{name: "upper branch, skewed", a: 0.5, b: 0.5, x: 0.9, y: 0.7},
+		{name: "lanes converge apart", a: 2, b: 8, x: 1e-3, y: 0.2},
+		{name: "lanes converge apart, swapped", a: 2, b: 8, x: 0.2, y: 1e-3},
+		{name: "straddles the switch", a: 2, b: 5, x: 0.3, y: 0.4},
+		{name: "outside (0, 1)", a: 2, b: 5, x: -0.1, y: 0.3},
+		// The fractions of these shapes reach 0 exactly in a Lentz
+		// denominator: before the loop at (1, 3, 0.5), in d at
+		// (1, 4, 0.5) and in c at (2, 8, 0.9375).
+		{name: "initial clamp in x", a: 1, b: 3, x: 0.5, y: 0.25, clamped: true},
+		{name: "initial clamp in y", a: 1, b: 3, x: 0.25, y: 0.5, clamped: true},
+		{name: "d clamp", a: 1, b: 4, x: 0.5, y: 0.125, clamped: true},
+		{name: "c clamp", a: 2, b: 8, x: 0.5, y: 0.9375, clamped: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			same := func(what string, got, want float64) {
+				t.Helper()
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s = %v (%#x), single evaluation %v (%#x)",
+						what, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+			s := newBetaShape(c.a, c.b)
+			fx, fy := s.regIncBetaPair(c.x, c.y)
+			same("regIncBetaPair x lane", fx, s.regIncBeta(c.x))
+			same("regIncBetaPair y lane", fy, s.regIncBeta(c.y))
+			hx, hy := betaCFPair(c.a, c.b, c.x, c.y)
+			same("betaCFPair x lane", hx, betaCF(c.a, c.b, c.x))
+			same("betaCFPair y lane", hy, betaCF(c.a, c.b, c.y))
+			if c.clamped {
+				same("betaCF against the original fraction, x", betaCF(c.a, c.b, c.x), refBetaCF(c.a, c.b, c.x))
+				same("betaCF against the original fraction, y", betaCF(c.a, c.b, c.y), refBetaCF(c.a, c.b, c.y))
+			}
+		})
+	}
+}
+
+// TestBetaLiteralMatchesNewBeta holds the shape constants NewBeta caches
+// to the ones a Beta{A, B} literal derives per call, and a constructed
+// value whose shapes were reassigned to the literal of its new shapes:
+// CDF and Quantile give the same bits.
+func TestBetaLiteralMatchesNewBeta(t *testing.T) {
+	for si, s := range bitIdenticalShapes {
+		built, err := NewBeta(s.a, s.b)
+		if err != nil {
+			t.Fatalf("NewBeta(%v,%v): %v", s.a, s.b, err)
+		}
+		moved, _ := NewBeta(1, 1)
+		moved.A, moved.B = s.a, s.b
+		lit := Beta{A: s.a, B: s.b}
+		for i := 0; i < 200; i++ {
+			p := sampleU01(int64(si), i, 0)
+			for _, d := range []Beta{built, moved} {
+				if got, want := d.Quantile(p), lit.Quantile(p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Beta(%v,%v).Quantile(%v) = %v, literal %v", s.a, s.b, p, got, want)
+				}
+				if got, want := d.CDF(p), lit.CDF(p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Beta(%v,%v).CDF(%v) = %v, literal %v", s.a, s.b, p, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestBimodalQuantileAndMass(t *testing.T) {
