@@ -44,8 +44,9 @@ chaos:
 	go test -race -timeout 5m ./internal/fabric/... ./cmd/rtdvs-sweep/...
 
 # fuzz gives the kernel op interpreter, the HTTP API's decode+
-# validate+run path, the demand samplers and the simulator's release
-# order and run queue a short coverage-guided budget on every run; raise
+# validate+run path, the demand samplers, the shared release order and
+# run queue (against a sorted reference) and the simulator's use of it a
+# short coverage-guided budget on every run; raise
 # -fuzztime locally when hunting for real bugs. A simulator input runs
 # up to 140 tasks five times, so its minimization is capped to leave the
 # budget for new inputs. CI's fuzz step runs this target.
@@ -57,6 +58,7 @@ fuzz:
 	go test ./internal/task/ -run='^$$' -fuzz=FuzzBetaQuantileBitIdentical -fuzztime=20s
 	go test ./internal/serve/ -run='^$$' -fuzz=FuzzMultiCoreConfig -fuzztime=20s
 	go test ./internal/sim/ -run='^$$' -fuzz=FuzzSimulatorQueues -fuzztime=20s -fuzzminimizetime=5s
+	go test ./internal/sched/ -run='^$$' -fuzz=FuzzOrder -fuzztime=20s
 
 # bench runs the suite through cmd/rtdvs-bench: it parses ns/op, B/op
 # and allocs/op, writes the JSON report (BENCH_OUT), and fails if a

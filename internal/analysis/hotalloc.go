@@ -20,7 +20,7 @@ import (
 //   - map, slice, and &-composite literals (allocation per evaluation);
 //   - explicit conversions to an interface type (boxing);
 //   - append calls not of the self-assign form x = append(x, ...) — the
-//     amortized buffer-reuse shape growZeroed and the drained heaps rely
+//     amortized buffer-reuse shape sched.GrowZeroed and the drained heaps rely
 //     on; anything else grows a fresh backing array per call.
 //
 // Struct literals by value, type assertions, and self-assign appends are
@@ -206,7 +206,7 @@ func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, selfAppend m
 	case isBuiltin(pass, call, "make"):
 		pass.Reportf(call.Pos(),
 			"make in //rtdvs:hotpath function %s allocates; grow a reused "+
-				"buffer (growZeroed) at attach/reset time instead", fn.Name.Name)
+				"buffer (sched.GrowZeroed) at attach/reset time instead", fn.Name.Name)
 	case isBuiltin(pass, call, "new"):
 		pass.Reportf(call.Pos(),
 			"new in //rtdvs:hotpath function %s allocates; reuse preallocated "+

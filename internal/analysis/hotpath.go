@@ -14,23 +14,35 @@ package analysis
 // the registry row, and a pinning benchmark — and removing any one of
 // them breaks vet or the tests until the other two follow.
 var HotpathRegistry = map[string]string{
-	// Simulator event loop and its per-event helpers, the release order
-	// and the ready bitmask included: one laEDF run on a reused Runner
-	// must stay at 0 allocs/op.
+	// Simulator event loop and its per-event helpers: one laEDF run on a
+	// reused Runner must stay at 0 allocs/op.
 	"rtdvs/internal/sim.simulator.run":             "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.processReleases": "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.switchTo":        "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.record":          "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.poll":            "BenchmarkSimulatorThroughput",
-	"rtdvs/internal/sim.simulator.readyAdd":        "BenchmarkSimulatorThroughput",
-	"rtdvs/internal/sim.simulator.readyPeek":       "BenchmarkSimulatorThroughput",
-	"rtdvs/internal/sim.simulator.readyRemove":     "BenchmarkSimulatorThroughput",
-	"rtdvs/internal/sim.simulator.reorder":         "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.DeadlineOrder":   "BenchmarkSimulatorThroughput",
-	"rtdvs/internal/sim.simulator.nextReleaseTime": "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.fireReleases":    "BenchmarkSimulatorThroughput",
 	"rtdvs/internal/sim.simulator.abort":           "BenchmarkSimulatorThroughput",
-	"rtdvs/internal/sim.sortIndexes":               "BenchmarkSimulatorThroughput",
+
+	// The release order and run queue the simulator and the rtos kernel
+	// share, and its (key, index) comparator, which also orders laEDF's
+	// own deadline order: the laEDF runs above fire releases, settle the
+	// order and pick from its ready set at every event. Later moves one
+	// task back, which only the kernel does, when a sporadic job ends:
+	// its pin triggers and completes sporadic jobs.
+	"rtdvs/internal/sched.Before":       "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sched.Order.Head":   "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sched.Order.Tasks":  "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sched.Order.Due":    "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sched.Order.SetKey": "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sched.Order.Settle": "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sched.Order.move":   "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sched.Order.Add":    "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sched.Order.Remove": "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sched.Order.Peek":   "BenchmarkSimulatorThroughput",
+	"rtdvs/internal/sched.Order.Later":  "TestSporadicJobZeroAllocs",
+	"rtdvs/internal/sched.Order.Top":    "BenchmarkMultiCoreThroughput",
 
 	// The run-queue key the invariant checker's scan compares by: a
 	// reused Runner runs a 130-task set, whose ready set takes three
@@ -55,11 +67,9 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/sched.ReadyQueue.growPos":  "BenchmarkReadyQueueHeap128",
 
 	// The deadline order the simulator hands laEDF and ccRM
-	// (core.OrderedSystem), and its comparator, which also orders the
-	// simulator's release order: the laEDF runs above read the order at
-	// every hook.
+	// (core.OrderedSystem): the laEDF runs above read the order at every
+	// hook.
 	"rtdvs/internal/core.deadlineOrder": "BenchmarkSimulatorThroughput",
-	"rtdvs/internal/core.OrderBefore":   "BenchmarkSimulatorThroughput",
 
 	// Incremental policy callbacks, invoked once per release/completion.
 	// The reservation and the walk also run gangCCEDF, gangLAEDF, stEDF
@@ -99,11 +109,16 @@ var HotpathRegistry = map[string]string{
 	// a simulated second allocates nothing.
 	"rtdvs/internal/rtos.Kernel.Step":            "BenchmarkKernelStep",
 	"rtdvs/internal/rtos.Kernel.processReleases": "BenchmarkKernelStep",
+	"rtdvs/internal/rtos.Kernel.release":         "BenchmarkKernelStep",
 	"rtdvs/internal/rtos.Kernel.abortJob":        "BenchmarkKernelStep",
-	"rtdvs/internal/rtos.Kernel.pick":            "BenchmarkKernelStep",
 	"rtdvs/internal/rtos.Kernel.nextReleaseTime": "BenchmarkKernelStep",
 	"rtdvs/internal/rtos.Kernel.activate":        "BenchmarkKernelStep",
 	"rtdvs/internal/rtos.Kernel.deactivate":      "BenchmarkKernelStep",
+	"rtdvs/internal/rtos.Kernel.elapseHalt":      "BenchmarkKernelStep",
+	"rtdvs/internal/rtos.Kernel.workDue":         "BenchmarkKernelStep",
+	"rtdvs/internal/rtos.Kernel.releaseDue":      "BenchmarkKernelStep",
+	"rtdvs/internal/rtos.Kernel.shedDue":         "BenchmarkKernelStep",
+	"rtdvs/internal/rtos.ktask.next":             "BenchmarkKernelStep",
 
 	// Closure-free operating-point lookup used by every dynamic policy.
 	"rtdvs/internal/machine.PointSelector.AtLeast": "TestSelectorMatchesLowestAtLeast",

@@ -36,7 +36,7 @@ type reservation struct {
 // selects the rail frequency.
 func (p *reservation) reserve(ncores int) {
 	p.ncores = ncores
-	p.util = growZeroed(p.util, p.ts.Len())
+	p.util = sched.GrowZeroed(p.util, p.ts.Len())
 	p.sum, p.lmax = 0, 0
 	for i := range p.util {
 		u := p.tp[i].util
@@ -116,8 +116,8 @@ type budgeted struct {
 // reserveBudgets sizes the budgets and charges every task its worst
 // case on one core.
 func (p *budgeted) reserveBudgets() {
-	p.budget = growZeroed(p.budget, p.ts.Len())
-	p.used = growZeroed(p.used, p.ts.Len())
+	p.budget = sched.GrowZeroed(p.budget, p.ts.Len())
+	p.used = sched.GrowZeroed(p.used, p.ts.Len())
 	p.reserve(1)
 }
 

@@ -46,12 +46,12 @@ func (p *ccRM) Attach(ts *task.Set, m *machine.Spec) error {
 	p.fstatic = staticOp.Freq
 	p.guaranteed = ok
 	n := ts.Len()
-	p.cleft = growZeroed(p.cleft, n)
-	p.d = growZeroed(p.d, n)
+	p.cleft = sched.GrowZeroed(p.cleft, n)
+	p.d = sched.GrowZeroed(p.d, n)
 	// RM priority order: period ascending, ties by index — the same
 	// ordering ts.ByPeriod() returns, rebuilt in place so a reused
 	// instance does not reallocate.
-	p.rmOrder = growZeroed(p.rmOrder, n)
+	p.rmOrder = sched.GrowZeroed(p.rmOrder, n)
 	for i := range p.rmOrder {
 		p.rmOrder[i] = i
 	}

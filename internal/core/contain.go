@@ -122,12 +122,12 @@ func (p *contained) Attach(ts *task.Set, m *machine.Spec) error {
 	}
 	p.tp, p.m = cacheParams(p.tp, ts), m
 	n := ts.Len()
-	p.used = growZeroed(p.used, n)
-	p.over = growZeroed(p.over, n)
-	p.perTk = growZeroed(p.perTk, n)
+	p.used = sched.GrowZeroed(p.used, n)
+	p.over = sched.GrowZeroed(p.over, n)
+	p.perTk = sched.GrowZeroed(p.perTk, n)
 	p.total, p.nOver = 0, 0
-	p.overAt = growZeroed(p.overAt, n)
-	p.dl = growZeroed(p.dl, n)
+	p.overAt = sched.GrowZeroed(p.overAt, n)
+	p.dl = sched.GrowZeroed(p.dl, n)
 	for i := range p.overAt {
 		p.overAt[i] = math.NaN()
 		p.dl[i] = math.NaN()

@@ -97,8 +97,8 @@ func (p *fbEDF) Attach(ts *task.Set, m *machine.Spec) error {
 	// guarantee by construction.
 	p.guaranteed = false
 	n := ts.Len()
-	p.inFlight = growZeroed(p.inFlight, n)
-	p.uhat = growZeroed(p.uhat, n)
+	p.inFlight = sched.GrowZeroed(p.inFlight, n)
+	p.uhat = sched.GrowZeroed(p.uhat, n)
 	p.sum = 0
 	for i := 0; i < n; i++ {
 		// Start from the declared worst case: the estimator can only

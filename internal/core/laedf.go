@@ -70,12 +70,12 @@ func (p *laEDF) Attach(ts *task.Set, m *machine.Spec) error {
 	p.guaranteed = sched.EDFTest(ts, 1)
 	p.ncores = 1
 	n := ts.Len()
-	p.cleft = growZeroed(p.cleft, n)
-	p.order = growZeroed(p.order, n)
+	p.cleft = sched.GrowZeroed(p.cleft, n)
+	p.order = sched.GrowZeroed(p.order, n)
 	for i := range p.order {
 		p.order[i] = i
 	}
-	p.key = growZeroed(p.key, n)
+	p.key = sched.GrowZeroed(p.key, n)
 	p.u0 = ts.Utilization()
 	p.peakU = 0
 	p.point = m.Min() // nothing to do before the first release
@@ -200,7 +200,7 @@ func (p *laEDF) defer_(sys System) {
 // repair is the fallback deadline order: it refreshes the cached keys
 // from sys and restores ascending (deadline, index) order by insertion
 // sort. Only the tasks whose deadline moved since the last hook are out
-// of place, and OrderBefore is a strict total order, so the result is
+// of place, and sched.Before is a strict total order, so the result is
 // the unique sorted permutation whatever state the repair starts from.
 //
 //rtdvs:hotpath
@@ -212,7 +212,7 @@ func (p *laEDF) repair(sys System) ([]int, []float64) {
 	for k := 1; k < len(order); k++ {
 		i, d := order[k], key[k]
 		j := k
-		for j > 0 && OrderBefore(d, i, key[j-1], order[j-1]) {
+		for j > 0 && sched.Before(d, i, key[j-1], order[j-1]) {
 			order[j], key[j] = order[j-1], key[j-1]
 			j--
 		}

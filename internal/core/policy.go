@@ -46,7 +46,7 @@ type System interface {
 // keeps its tasks in ascending (deadline, index) order, the order in
 // which Figures 6 and 8 visit them. DeadlineOrder returns that order and
 // its keys position by position: order[k] is a task index, keys[k] is
-// Deadline(order[k]), and consecutive positions satisfy OrderBefore. On
+// Deadline(order[k]), and consecutive positions satisfy sched.Before. On
 // a System without it a policy builds the order itself from Deadline.
 // The slices alias the substrate's state: they are valid during the
 // callback only and must not be modified.
@@ -65,22 +65,6 @@ func deadlineOrder(sys System) (order []int, keys []float64) {
 		order, keys = o.DeadlineOrder()
 	}
 	return
-}
-
-// OrderBefore is the (key, index) order of a deadline order: smaller key
-// first, ties to the lower task index. It compares exactly, with two
-// strict comparisons, so it is a strict total order and the sorted
-// permutation of any keys is unique.
-//
-//rtdvs:hotpath
-func OrderBefore(ka float64, a int, kb float64, b int) bool {
-	switch {
-	case ka < kb:
-		return true
-	case ka > kb:
-		return false
-	}
-	return a < b
 }
 
 // Policy selects the processor operating point in response to scheduler
@@ -221,19 +205,6 @@ func All() []Policy {
 	return ps
 }
 
-// growZeroed returns a zeroed slice of length n, reusing s's backing
-// array when its capacity suffices. Policy Attach methods use it so a
-// reused instance (the documented contract: Attach resets all state)
-// reaches steady state without reallocating its bookkeeping arrays.
-func growZeroed[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
 // base carries the state common to every policy: the attached task set,
 // its per-task parameters, the machine, and the currently selected
 // operating point.
@@ -255,7 +226,7 @@ type taskParams struct {
 // cacheParams fills tp with the parameters of ts's tasks, reusing tp's
 // backing array when its capacity suffices.
 func cacheParams(tp []taskParams, ts *task.Set) []taskParams {
-	tp = growZeroed(tp, ts.Len())
+	tp = sched.GrowZeroed(tp, ts.Len())
 	for i := range tp {
 		t := ts.Task(i)
 		tp[i] = taskParams{wcet: t.WCET, period: t.Period, util: t.Utilization()}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rtdvs/internal/machine"
+	"rtdvs/internal/sched"
 	"rtdvs/internal/stats"
 	"rtdvs/internal/task"
 )
@@ -53,7 +54,7 @@ func (p *stEDF) Attach(ts *task.Set, m *machine.Spec) error {
 	}
 	// The deadline guarantee is statistical by design, never absolute.
 	p.guaranteed = false
-	p.est = growZeroed(p.est, ts.Len())
+	p.est = sched.GrowZeroed(p.est, ts.Len())
 	for i := range p.est {
 		est, err := stats.NewQuantile(p.q)
 		if err != nil {

@@ -67,8 +67,8 @@ func (p *stSelect) Attach(ts *task.Set, m *machine.Spec) error {
 		return err
 	}
 	n := ts.Len()
-	p.plan = growZeroed(p.plan, n)
-	p.means = growZeroed(p.means, n)
+	p.plan = sched.GrowZeroed(p.plan, n)
+	p.means = sched.GrowZeroed(p.means, n)
 
 	// Expected utilization of the whole set under the planning model —
 	// the background load each task's budget optimization assumes.

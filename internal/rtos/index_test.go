@@ -3,43 +3,75 @@ package rtos
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
+
+	"rtdvs/internal/sched"
 )
 
-// indexError compares the kernel's index with a scan of its registry:
-// the earliest release, the sporadic count, and the ready bitset bit by
-// bit against each task's active flag, with no bit set past the last
-// task. It returns nil when they agree.
+// indexError checks the kernel's release order against its registry:
+// every task's key is its next event (its deadline while active, its
+// next release otherwise), the order holds each task once, sorted by
+// (key, index), and the ready set holds exactly the active tasks, in
+// (deadline, index) order under EDF and (period, index) order under RM,
+// so that the pick is the first of them. The order's positions, which
+// the kernel cannot see, are checked by the sched tests. It returns nil
+// when they agree.
 func indexError(k *Kernel) error {
-	earliest, sporadics := math.Inf(1), 0
-	for _, t := range k.tasks {
-		earliest = math.Min(earliest, t.nextRelease)
-		if t.sporadic {
-			sporadics++
+	n := len(k.tasks)
+	order, keys := k.q.Tasks()
+	if len(order) != n {
+		return fmt.Errorf("order of %d tasks for a registry of %d", len(order), n)
+	}
+	seen := make([]bool, n)
+	for p, i := range order {
+		if i < 0 || i >= n || seen[i] {
+			return fmt.Errorf("position %d holds task %d twice or out of range", p, i)
+		}
+		seen[i] = true
+		t := k.tasks[i]
+		want := t.nextRelease
+		if t.active {
+			want = t.deadline
+		}
+		if math.Float64bits(keys[p]) != math.Float64bits(want) {
+			return fmt.Errorf("task %d keyed %v, its next event is %v", i, keys[p], want)
+		}
+		if p > 0 && !sched.Before(keys[p-1], order[p-1], keys[p], i) {
+			return fmt.Errorf("positions %d and %d out of (key, index) order", p-1, p)
 		}
 	}
-	if k.earliest != earliest {
-		return fmt.Errorf("cached earliest release %v, registry %v", k.earliest, earliest)
-	}
-	if k.sporadics != sporadics {
-		return fmt.Errorf("cached sporadic count %d, registry %d", k.sporadics, sporadics)
-	}
-	if len(k.ready)*64 < len(k.tasks) {
-		return fmt.Errorf("ready bitset of %d words for %d tasks", len(k.ready), len(k.tasks))
-	}
-	for i := 0; i < len(k.ready)*64; i++ {
-		bit := k.ready[i>>6]>>(i&63)&1 == 1
-		active := i < len(k.tasks) && k.tasks[i].active
-		if bit != active {
-			return fmt.Errorf("ready bit %d is %v, task active %v", i, bit, active)
+	prio := func(i int) float64 {
+		if k.kind == sched.RM {
+			return k.tasks[i].cfg.Period
 		}
+		return k.tasks[i].deadline
+	}
+	var active []int
+	for i, t := range k.tasks {
+		if t.active {
+			active = append(active, i)
+		}
+	}
+	sort.Slice(active, func(a, b int) bool {
+		return sched.Before(prio(active[a]), active[a], prio(active[b]), active[b])
+	})
+	if ready := k.q.Top(n, nil); fmt.Sprint(ready) != fmt.Sprint(active) {
+		return fmt.Errorf("%v ready set %v, want the active tasks %v", k.kind, ready, active)
+	}
+	pick := -1
+	if len(active) > 0 {
+		pick = active[0]
+	}
+	if got := k.q.Peek(); got != pick {
+		return fmt.Errorf("%v pick %d, want %d", k.kind, got, pick)
 	}
 	return nil
 }
 
-// A Trigger on a kernel idling toward a far periodic release lowers the
-// earliest release to the trigger instant, so the sporadic job is
-// released then and not at the periodic release.
+// A Trigger on a kernel idling toward a far periodic release moves the
+// order's head to the trigger instant, so the sporadic job is released
+// then and not at the periodic release.
 func TestTriggerReleasesAtTriggerInstant(t *testing.T) {
 	k := newTestKernel(t, "ccEDF")
 	if _, err := k.AddTask(TaskConfig{Name: "P", Period: 100, WCET: 1}, AddOptions{Immediate: true}); err != nil {
@@ -98,7 +130,7 @@ func TestAddDemandReactivationIsPicked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := k.pick(); got != 0 {
+	if got := k.q.Peek(); got != 0 {
 		t.Fatalf("pick after the re-activation = %d, want 0", got)
 	}
 	k.Step(5)

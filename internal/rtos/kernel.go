@@ -3,7 +3,6 @@ package rtos
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"rtdvs/internal/backoff"
@@ -130,16 +129,15 @@ type Kernel struct {
 	// released is processReleases' scratch list of the indices it fired.
 	released []int
 
-	// The index beside the registry, so that a scheduling point visits
-	// tasks only when there is something to find: earliest is the
-	// earliest nextRelease of any task, sporadics the number of sporadic
-	// tasks, and ready holds one bit per task index, set while that
-	// task's invocation is active. The registry operations rebuild it
-	// (reindex); Trigger, processReleases, a completion in Step and
-	// AddDemand keep it current where they change a task.
-	earliest  float64
-	sporadics int
-	ready     []uint64
+	// q is the release order and run queue the simulator runs on too
+	// (sched.Order): every task keyed by its next event (ktask.next), so
+	// the head is the next release or sporadic deadline and a release
+	// pass visits only the due prefix, with the ready set over that order
+	// under EDF and over the static period order under RM. The registry
+	// operations, a policy swap, a trigger and a sporadic job's
+	// re-activation rebuild it (rebuild); a release pass and a completion
+	// move keys later in place.
+	q sched.Order
 
 	misses   []MissEvent
 	overruns []OverrunEvent
@@ -194,7 +192,7 @@ func NewKernel(spec *machine.Spec, overhead machine.SwitchOverhead, policy core.
 		return nil, fmt.Errorf("rtos: nil policy module")
 	}
 	aware, _ := policy.(core.OverrunAware)
-	return &Kernel{cpu: cpu, policy: policy, kind: policy.Scheduler(), aware: aware, earliest: math.Inf(1)}, nil
+	return &Kernel{cpu: cpu, policy: policy, kind: policy.Scheduler(), aware: aware}, nil
 }
 
 // Now returns the current virtual time in milliseconds.
@@ -345,11 +343,11 @@ func (k *Kernel) AddTask(cfg TaskConfig, opts AddOptions) (TaskID, error) {
 	k.nextID++
 	k.tasks = append(k.tasks, kt)
 	if err := k.reattach(); err != nil {
-		// The registry is as it was, so the index still describes it.
+		// The registry is as it was, so the order still describes it.
 		k.tasks = k.tasks[:len(k.tasks)-1]
 		return 0, err
 	}
-	k.reindex()
+	k.rebuild()
 	k.logEvent(Event{Kind: EvTaskAdded, Task: kt.id, Name: cfg.Name, Value: start})
 	return kt.id, nil
 }
@@ -360,7 +358,7 @@ func (k *Kernel) RemoveTask(id TaskID) error {
 	for i, t := range k.tasks {
 		if t.id == id {
 			k.tasks = append(k.tasks[:i], k.tasks[i+1:]...)
-			k.reindex()
+			k.rebuild()
 			k.logEvent(Event{Kind: EvTaskRemoved, Task: t.id, Name: t.cfg.Name})
 			return k.reattach()
 		}
@@ -381,44 +379,57 @@ func (k *Kernel) SetPolicy(p core.Policy) error {
 		k.policy, k.kind, k.aware = old, oldKind, oldAware
 		return err
 	}
+	if k.kind != oldKind {
+		k.rebuild() // the ready set follows the new discipline's order
+	}
 	k.logEvent(Event{Kind: EvPolicySwap, Name: p.Name()})
 	return nil
 }
 
-// reindex rebuilds the index from the registry in one scan, after a
-// task is added or removed or changes kind.
-func (k *Kernel) reindex() {
-	k.earliest, k.sporadics = math.Inf(1), 0
-	k.ready = make([]uint64, (len(k.tasks)+63)/64)
+// next returns t's key in the release order: the instant of its next
+// event, its deadline while an invocation is active and its next release
+// otherwise. A periodic task's active deadline is its next release, so
+// its key moves only at a release; a sporadic task's moves from its
+// deadline to its next trigger (+Inf until one) when the job ends.
+//
+//rtdvs:hotpath
+func (t *ktask) next() float64 {
+	if t.active {
+		return t.deadline
+	}
+	return t.nextRelease
+}
+
+// rebuild rebuilds the release order and the ready set from the
+// registry, after a task is added or removed or changes kind, the
+// policy changes discipline, or a key moves earlier.
+func (k *Kernel) rebuild() {
+	k.q.Reset(k.kind, len(k.tasks), func(i int) (float64, float64) {
+		return k.tasks[i].next(), k.tasks[i].cfg.Period
+	})
 	for i, t := range k.tasks {
-		if t.nextRelease < k.earliest {
-			k.earliest = t.nextRelease
-		}
-		if t.sporadic {
-			k.sporadics++
-		}
 		if t.active {
-			k.ready[i>>6] |= 1 << (i & 63)
+			k.q.Add(i)
 		}
 	}
 }
 
 // activate marks task i's invocation released and not yet complete, in
-// its control block and in the ready bitset.
+// its control block and in the ready set.
 //
 //rtdvs:hotpath
 func (k *Kernel) activate(i int) {
 	k.tasks[i].active = true
-	k.ready[i>>6] |= 1 << (i & 63)
+	k.q.Add(i)
 }
 
 // deactivate ends task i's invocation in its control block and in the
-// ready bitset.
+// ready set.
 //
 //rtdvs:hotpath
 func (k *Kernel) deactivate(i int) {
 	k.tasks[i].active = false
-	k.ready[i>>6] &^= 1 << (i & 63)
+	k.q.Remove(i)
 }
 
 // findByName returns the task with the given name, or nil.
@@ -499,21 +510,12 @@ func (k *Kernel) demand(t *ktask, rel float64) float64 {
 }
 
 // nextReleaseTime returns the next instant the schedule can change
-// without a completion: the earliest pending release (the index's), a
-// running sporadic job's deadline, and a pending switch retry.
+// without a completion: the release order's head, the earliest pending
+// release or running sporadic job's deadline, or a pending switch retry.
 //
 //rtdvs:hotpath
 func (k *Kernel) nextReleaseTime() float64 {
-	t := k.earliest
-	if k.sporadics > 0 {
-		// A running sporadic invocation has no follow-on release to
-		// expose a deadline overrun, so its deadline is an event too.
-		for _, kt := range k.tasks {
-			if kt.sporadic && kt.active && kt.deadline < t {
-				t = kt.deadline
-			}
-		}
-	}
+	t := k.q.Head()
 	if k.faults != nil && k.switchRetryAt > k.now+timeEps && k.switchRetryAt < t {
 		t = k.switchRetryAt
 	}
@@ -534,76 +536,84 @@ func (k *Kernel) abortJob(i int) {
 	k.deactivate(i)
 }
 
-// processReleases aborts jobs whose deadlines passed, fires every due
-// release, notifies the policy of the releases in task order, and then
-// runs the overrun watchdog and the load shedder's window. The sporadic
-// deadline pass runs only when a sporadic task exists, and the release
-// pass only when the index's earliest release is due; the release pass
-// visits every task, so it recomputes that earliest release as it goes.
-// The watchdog and the shedder run at every point, so a threshold
-// changed between Step calls acts at the next point.
+// processReleases fires the release order's due prefix; Step calls it
+// once the head is due. At most release instants the head alone is due,
+// for a release that is neither a catch-up (its next one also due), the
+// abort of a running job nor a shed skip: that task fires and moves back
+// on its own (Later). Otherwise the due tasks are visited in index order
+// twice: first the running sporadic jobs, whose keys are their
+// deadlines, are aborted (they have no follow-on release to catch an
+// overrun), then every due release fires. Either way the policy hears
+// of the releases in task order once the fired tasks are back in place.
 //
 //rtdvs:hotpath
 func (k *Kernel) processReleases() {
 	due := k.now + timeEps
-	if k.sporadics > 0 {
-		// Sporadic invocations have no follow-on release to catch an
-		// overrun, so their deadlines are checked directly.
-		for i, t := range k.tasks {
-			if t.sporadic && t.active && t.deadline <= due {
-				k.abortJob(i)
-				k.policy.OnCompletion(k, i, t.used) // close out the aborted invocation
-			}
-		}
-	}
-	if k.earliest <= due {
-		k.released = k.released[:0]
-		earliest := math.Inf(1)
-		for i, t := range k.tasks {
-			for t.nextRelease <= due {
-				if t.active {
-					k.abortJob(i)
-				}
-				if t.shed && !t.sporadic && k.shedSkips(t.inv) {
-					// Degraded service: this job is dropped whole at its
-					// release instant — never released, never run, never a
-					// miss. The slot it would have occupied is the relief the
-					// shedder traded for the rest of the set's deadlines.
-					t.skips++
-					t.inv++
-					t.nextRelease += t.cfg.Period
-					k.logEvent(Event{Kind: EvSkip, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
-					continue
-				}
-				rel := t.nextRelease
-				t.remaining = k.demand(t, rel)
-				t.used = 0
-				t.overNotified = false
-				t.releasedAt = rel
-				t.deadline = rel + t.cfg.Period
-				t.lastRelease = rel
-				if t.sporadic {
-					t.nextRelease = math.Inf(1) // armed again by the next Trigger
-				} else {
-					t.nextRelease = t.deadline
-				}
-				k.activate(i)
-				t.inv++
-				t.releases++
-				k.released = append(k.released, i)
-				k.logEvent(Event{Kind: EvRelease, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
-			}
-			if t.nextRelease < earliest {
-				earliest = t.nextRelease
-			}
-		}
-		k.earliest = earliest
-		for _, i := range k.released {
+	if ord, keys := k.q.Tasks(); len(ord) == 1 || keys[1] > due {
+		i := ord[0]
+		if t := k.tasks[i]; !t.active && !t.shed && t.nextRelease+t.cfg.Period > due {
+			k.release(t, i)
+			k.q.Later(i, t.next())
 			k.policy.OnRelease(k, i)
+			return
 		}
 	}
-	k.enforceOverrunPolicy()
-	k.evalShedWindow()
+	tasks := k.q.Due(k.now)
+	for _, i := range tasks {
+		if t := k.tasks[i]; t.sporadic && t.active {
+			k.abortJob(i)
+			k.policy.OnCompletion(k, i, t.used) // close out the aborted invocation
+		}
+	}
+	k.released = k.released[:0]
+	for _, i := range tasks {
+		t := k.tasks[i]
+		for t.nextRelease <= due {
+			if t.active {
+				k.abortJob(i)
+			}
+			if t.shed && !t.sporadic && k.shedSkips(t.inv) {
+				// Degraded service: this job is dropped whole at its
+				// release instant — never released, never run, never a
+				// miss. The slot it would have occupied is the relief the
+				// shedder traded for the rest of the set's deadlines.
+				t.skips++
+				t.inv++
+				t.nextRelease += t.cfg.Period
+				k.logEvent(Event{Kind: EvSkip, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
+				continue
+			}
+			k.release(t, i)
+			k.released = append(k.released, i)
+		}
+		k.q.SetKey(i, t.next())
+	}
+	k.q.Settle()
+	for _, i := range k.released {
+		k.policy.OnRelease(k, i)
+	}
+}
+
+// release starts task i's invocation due at its next release.
+//
+//rtdvs:hotpath
+func (k *Kernel) release(t *ktask, i int) {
+	rel := t.nextRelease
+	t.remaining = k.demand(t, rel)
+	t.used = 0
+	t.overNotified = false
+	t.releasedAt = rel
+	t.deadline = rel + t.cfg.Period
+	t.lastRelease = rel
+	if t.sporadic {
+		t.nextRelease = math.Inf(1) // armed again by the next Trigger
+	} else {
+		t.nextRelease = t.deadline
+	}
+	k.activate(i)
+	t.inv++
+	t.releases++
+	k.logEvent(Event{Kind: EvRelease, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
 }
 
 // Backoff bounds (ms) for retrying operating-point transitions the
@@ -615,16 +625,14 @@ const (
 	switchBackoffMax  = 2.0
 )
 
-// setPoint moves the CPU to the requested operating point, tracing the
-// transition when an event log is attached. A transition the hardware
+// setPoint moves the CPU to the requested operating point, which differs
+// from the current one, tracing the transition when an event log is
+// attached. A transition the hardware
 // refuses (possible only under fault injection) leaves the processor at
 // its previous point; the kernel then backs off and retries at
 // switchRetryAt, doubling the backoff on each consecutive refusal so a
 // stuck regulator is not hammered every scheduling decision.
 func (k *Kernel) setPoint(op machine.OperatingPoint) float64 {
-	if op == k.cpu.Point() {
-		return 0
-	}
 	if k.now < k.switchRetryAt-timeEps {
 		return 0 // backing off after a refusal: hold the current point
 	}
@@ -707,30 +715,35 @@ func (k *Kernel) overrunWatchdog() {
 	}
 }
 
-// pick returns the ready task of highest priority under the attached
-// discipline, or -1 when none is ready. It visits the ready bitset's set
-// bits in ascending index order. The key is sim.readyKey's: the absolute
-// deadline under EDF, the period under RM; ties go to the lower index.
+// elapseHalt lets the in-progress stop interval elapse, up to until.
 //
 //rtdvs:hotpath
-func (k *Kernel) pick() int {
-	rm := k.kind == sched.RM
-	best, bestKey := -1, math.Inf(1)
-	for w, word := range k.ready {
-		for ; word != 0; word &= word - 1 {
-			i := w<<6 | bits.TrailingZeros64(word)
-			t := k.tasks[i]
-			key := t.deadline
-			if rm {
-				key = t.cfg.Period
-			}
-			if key < bestKey {
-				best, bestKey = i, key
-			}
-		}
+func (k *Kernel) elapseHalt(until float64) {
+	end := k.haltUntil
+	if until < end {
+		end = until
 	}
-	return best
+	span := end - k.now
+	k.cpu.AccountHalt(span)
+	k.now += span
 }
+
+// releaseDue reports whether the release order's head, a release or a
+// running sporadic job's deadline, is due: the release pass's gate.
+//
+//rtdvs:hotpath
+func (k *Kernel) releaseDue() bool { return k.q.Head() <= k.now+timeEps }
+
+// workDue reports whether the loop top of Step, at the end of a stop
+// interval started at this scheduling point, would find work before the
+// segment: the release pass or the shed window due, by the predicates
+// the loop top gates them with. A switch retry cannot be pending, for
+// the transition that started the interval succeeded, and the overrun
+// watchdog cannot be due to adapt: it ran at this point, and only a
+// release raises an overrun count.
+//
+//rtdvs:hotpath
+func (k *Kernel) workDue() bool { return k.releaseDue() || k.shedDue() }
 
 // Step advances virtual time to `until`, executing tasks, switching
 // operating points as the policy dictates, and accounting energy in the
@@ -739,10 +752,14 @@ func (k *Kernel) pick() int {
 // finite (NaN or ±Inf), leaves the kernel as it is: virtual time never
 // runs backwards, and a run toward +Inf would never end.
 //
-// Each scheduling point releases what is due, picks among the ready
-// tasks and reads the next event, visiting the task table only where the
-// index says there is something to find. The next event is read after
-// the operating-point decision, so a retry armed by a refused transition
+// Each scheduling point makes one decision: it releases what is due
+// (the release order's due prefix), picks the lowest ready bit, sets the
+// operating point and reads the next event from the order's head. A
+// transition's stop interval elapses at once, and the segment after it
+// runs on the pick and the point already decided, unless the loop top
+// would find work by the interval's end (workDue), in which case Step
+// decides again there. The next event is read after the
+// operating-point decision, so a retry armed by a refused transition
 // bounds the span that follows, idle or busy. Minima are branches rather
 // than math.Min calls: every operand is a non-negative time (or +Inf),
 // where the two agree exactly.
@@ -753,16 +770,10 @@ func (k *Kernel) Step(until float64) {
 		return
 	}
 	for k.now < until-timeEps {
-		// Finish any in-progress transition stop interval first; it may
-		// have been started near the end of a previous Step.
+		// The rest of a stop interval started near the end of a previous
+		// Step elapses first.
 		if k.now < k.haltUntil-timeEps {
-			end := k.haltUntil
-			if until < end {
-				end = until
-			}
-			span := end - k.now
-			k.cpu.AccountHalt(span)
-			k.now += span
+			k.elapseHalt(until)
 			continue
 		}
 		if len(k.tasks) == 0 {
@@ -770,17 +781,27 @@ func (k *Kernel) Step(until float64) {
 			k.now = until
 			return
 		}
-		k.processReleases()
+		// The release pass, then the overrun watchdog and the load
+		// shedder's window, which run at every point, so a threshold
+		// changed between Step calls acts at the next point.
+		if k.releaseDue() {
+			k.processReleases()
+		}
+		k.enforceOverrunPolicy()
+		k.evalShedWindow()
 
-		pick := k.pick()
+		pick := k.q.Peek()
 		var op machine.OperatingPoint
 		if pick < 0 {
 			op = k.policy.IdlePoint()
 		} else {
 			op = k.policy.Point()
 		}
-		if halt := k.setPoint(op); halt > 0 {
-			continue // elapse the stop interval at the loop top
+		if op != k.cpu.Point() && k.setPoint(op) > 0 {
+			k.elapseHalt(until)
+			if !(k.now < until-timeEps) || k.workDue() {
+				continue
+			}
 		}
 		next := k.nextReleaseTime()
 		nextRel := next
@@ -840,6 +861,9 @@ func (k *Kernel) Step(until float64) {
 		if t.remaining <= timeEps {
 			t.remaining = 0
 			k.deactivate(pick)
+			if t.sporadic {
+				k.q.Later(pick, t.nextRelease) // its key leaves its deadline for its next trigger
+			}
 			t.completions++
 			k.logEvent(Event{Kind: EvComplete, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
 			k.policy.OnCompletion(k, pick, t.used)
@@ -902,6 +926,9 @@ func (k *Kernel) AddDemand(id TaskID, cycles float64) (accepted float64, err err
 	t.remaining += accepted
 	k.activate(idx)
 	if !wasActive {
+		if t.sporadic {
+			k.rebuild() // its key moves earlier, from its next trigger to its deadline
+		}
 		// Conservative policy re-notification: a fresh worst-case release
 		// with progress credited.
 		k.policy.OnRelease(k, idx)

@@ -289,7 +289,7 @@ func TestKernelMatchesSimulator(t *testing.T) {
 	}
 }
 
-// pick orders ready tasks by absolute deadline under EDF and by period
+// The pick orders ready tasks by absolute deadline under EDF and by period
 // under RM, ties to the lower index, and answers -1 when nothing is
 // ready. Each row is checked under both disciplines.
 func TestKernelPick(t *testing.T) {
@@ -317,13 +317,13 @@ func TestKernelPick(t *testing.T) {
 				k.tasks = append(k.tasks, &ktask{cfg: TaskConfig{Period: p, WCET: 1},
 					deadline: tc.deadlines[i], active: tc.ready[i]})
 			}
-			k.reindex()
 			for _, want := range []struct {
 				kind sched.Kind
 				pick int
 			}{{sched.EDF, tc.edf}, {sched.RM, tc.rm}} {
 				k.kind = want.kind
-				if got := k.pick(); got != want.pick {
+				k.rebuild()
+				if got := k.q.Peek(); got != want.pick {
 					t.Errorf("%v pick = %d, want %d", want.kind, got, want.pick)
 				}
 			}

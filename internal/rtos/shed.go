@@ -155,15 +155,20 @@ func (k *Kernel) resetShedWindow() {
 	k.winMiss0 = len(k.misses)
 }
 
+// shedDue reports whether load shedding is on and the observation
+// window's end has passed.
+//
+//rtdvs:hotpath
+func (k *Kernel) shedDue() bool { return k.shedCfg.Window > 0 && k.now >= k.winEnd-timeEps }
+
 // evalShedWindow closes the observation window once its end has passed.
-// Called from processReleases, so windows close at the first scheduling
-// event past their nominal end. The test is inlinable and the close
-// outlined, so a kernel without load shedding makes no call.
+// Step calls it at every scheduling point, so windows close at the first
+// scheduling event past their nominal end. The test is inlinable and the
+// close outlined, so a kernel without load shedding makes no call.
 func (k *Kernel) evalShedWindow() {
-	if k.shedCfg.Window <= 0 || k.now < k.winEnd-timeEps {
-		return
+	if k.shedDue() {
+		k.closeShedWindow()
 	}
-	k.closeShedWindow()
 }
 
 // closeShedWindow classifies the window that just ended against the

@@ -258,3 +258,30 @@ func TestPhaseRobustMarkers(t *testing.T) {
 		}
 	}
 }
+
+// A triggered sporadic job that runs to completion allocates nothing:
+// the trigger rebuilds the release order in its buffers, and the
+// completion moves the job's key back with Order.Later.
+func TestSporadicJobZeroAllocs(t *testing.T) {
+	k := newTestKernel(t, "ccEDF")
+	addPaperExample(t, k, 0.5)
+	id, err := k.AddSporadic(TaskConfig{Name: "alarm", Period: 50, WCET: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Step(100)
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := k.Trigger(id); err != nil {
+			t.Fatal(err)
+		}
+		k.Step(k.Now() + 50)
+	})
+	if allocs != 0 {
+		t.Errorf("trigger and step: %v allocs, want 0", allocs)
+	}
+	for _, ts := range k.Tasks() {
+		if ts.ID == id && (ts.Completions != ts.Releases || ts.Releases < 20 || ts.Misses != 0) {
+			t.Fatalf("sporadic task: %+v, want every triggered job completed", ts)
+		}
+	}
+}

@@ -6,11 +6,10 @@ import (
 )
 
 // ReadyQueue is a priority queue of tasks keyed by a float64 priority.
-// No engine uses it: the simulator keeps one deadline order and a ready
-// bitset for every set size, and the rtos kernel a ready bitset. The
-// system benchmark's ladder (bench/ladder.go) still times it. Keys
-// follow the discipline: lower key = higher priority (earlier timer),
-// ties broken by task index for determinism.
+// No engine uses it: the simulator and the rtos kernel both run on
+// Order. The system benchmark's ladder (bench/ladder.go) still times it.
+// Keys follow the discipline: lower key = higher priority (earlier
+// timer), ties broken by task index for determinism.
 //
 // The implementation is a hand-rolled indexed binary heap rather than
 // container/heap: the standard library interface boxes every pushed item

@@ -2,11 +2,10 @@
 // builds on — Rate Monotonic (static priority by period) and
 // Earliest-Deadline-First (dynamic priority by absolute deadline) — with
 // their schedulability tests, including the frequency-scaled variants of
-// Figure 1 that underpin every RT-DVS policy, and two indexed-heap
-// priority queues that only the system benchmark's ladder times. Each
-// engine picks by the discipline's key itself: the simulator from a
-// ready bitset over its priority order, the rtos kernel from a ready
-// bitset over its task table.
+// Figure 1 that underpin every RT-DVS policy, the one release order and
+// run queue (Order) that the simulator and the rtos kernel both run on,
+// and two indexed-heap priority queues that only the system benchmark's
+// ladder times.
 package sched
 
 import "fmt"
@@ -29,4 +28,17 @@ func (k Kind) String() string {
 		return "RM"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// GrowZeroed returns a zeroed slice of length n, reusing s's backing
+// array when its capacity suffices, so a structure rebuilt for each run
+// (an Order, a simulator's state, a policy's bookkeeping on Attach)
+// reaches a steady state that allocates nothing.
+func GrowZeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -5,13 +5,14 @@ import (
 	"fmt"
 
 	"rtdvs/internal/core"
+	"rtdvs/internal/sched"
 )
 
 // BatchRunner executes a batch of independent configurations: Run
 // executes configuration l on its own retained Runner, and RunMulti
 // executes item i on its own retained MultiRunner, so every result is
 // exactly what a standalone run of the same configuration returns. Each
-// Runner keeps its own release order and ready set (queue.go), so a
+// Runner keeps its own release order and ready set (a sched.Order), so a
 // batch needs no engine of its own.
 //
 // Like Runner, a BatchRunner reuses every internal buffer, so
@@ -64,8 +65,8 @@ func (b *BatchRunner) RunContext(ctx context.Context, cfgs []Config) ([]*Result,
 // executes the rest one after another.
 func (b *BatchRunner) run(ctx context.Context, cfgs []Config) ([]*Result, []error) {
 	k := len(cfgs)
-	b.results = growZeroed(b.results, k)
-	b.errs = growZeroed(b.errs, k)
+	b.results = sched.GrowZeroed(b.results, k)
+	b.errs = sched.GrowZeroed(b.errs, k)
 	for i := len(b.runners); i < k; i++ {
 		b.runners = append(b.runners, NewRunner())
 	}
@@ -110,8 +111,8 @@ func (b *BatchRunner) RunMultiContext(ctx context.Context, cfgs []MultiConfig) (
 
 func (b *BatchRunner) runMulti(ctx context.Context, cfgs []MultiConfig) ([]*MultiResult, []error) {
 	k := len(cfgs)
-	b.mresults = growZeroed(b.mresults, k)
-	b.merrs = growZeroed(b.merrs, k)
+	b.mresults = sched.GrowZeroed(b.mresults, k)
+	b.merrs = sched.GrowZeroed(b.merrs, k)
 	for i := len(b.multis); i < k; i++ {
 		b.multis = append(b.multis, NewMultiRunner())
 	}

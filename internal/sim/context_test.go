@@ -219,11 +219,12 @@ func TestRunContextCancelKeepsFaultRecord(t *testing.T) {
 }
 
 // TestStalledRunEnds corrupts the release order at the first release:
-// the head task's recorded position moves to the tail. Its next deadline
-// (21) comes after its successor's (15), so when it next fires it must
-// move, its reorder starts from the tail, and its old key stays at the
-// head. The next release time stays due, and the loop re-processes one
-// instant forever unless its progress guard ends the run. The run is
+// its head position names task 1, whose own position is 1, under a key
+// of 10.25, before any real deadline. At 10.25 the due prefix fires task
+// 1, which is not due, and its key goes to its own position, so the head
+// keeps its key. The next release time stays due, and the loop
+// re-processes one instant forever unless its progress guard ends the
+// run. The run is
 // under RM, so the ready set is the static order and only the release
 // order is corrupted. Plain and cancellable runs share the guard. The
 // test's own deadline turns a hang into a failure.
@@ -238,7 +239,10 @@ func TestStalledRunEnds(t *testing.T) {
 	}
 	for _, cancellable := range []bool{false, true} {
 		cfg := Config{Tasks: ts, Machine: machine.Machine0(), Horizon: 100,
-			Policy: &corruptingPolicy{kind: sched.RM, corrupt: func(s *simulator) { s.ordPos[s.ord[0]] = len(s.ord) - 1 }}}
+			Policy: &corruptingPolicy{kind: sched.RM, corrupt: func(s *simulator) {
+				order, keys := s.q.Tasks()
+				order[0], keys[0] = order[1], 10.25
+			}}}
 		done := make(chan error, 1)
 		go func() {
 			if !cancellable {
@@ -257,10 +261,10 @@ func TestStalledRunEnds(t *testing.T) {
 			if !errors.As(err, &st) {
 				t.Fatalf("cancellable=%v: error %T %v, want *Stalled", cancellable, err, err)
 			}
-			if st.At < 10.5 || st.At > 10.5 || st.Events <= 0 {
-				t.Errorf("cancellable=%v: stalled at t=%g after %d events, want t=10.5", cancellable, st.At, st.Events)
+			if st.At < 10.25 || st.At > 10.25 || st.Events <= 0 {
+				t.Errorf("cancellable=%v: stalled at t=%g after %d events, want t=10.25", cancellable, st.At, st.Events)
 			}
-			if st.Violation == nil || !strings.Contains(err.Error(), "next release at 10.5") {
+			if st.Violation == nil || !strings.Contains(err.Error(), "next release at 10.25") {
 				t.Errorf("cancellable=%v: %v does not carry the checker's violation", cancellable, err)
 			}
 		case <-time.After(10 * time.Second):

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"rtdvs/internal/core"
 	"rtdvs/internal/fpx"
 	"rtdvs/internal/machine"
+	"rtdvs/internal/sched"
 	"rtdvs/internal/task"
 )
 
@@ -250,6 +250,18 @@ func (c *invariantChecker) occupancy() {
 	}
 }
 
+// readyKey returns task i's run-queue priority under the attached
+// scheduling discipline: absolute deadline for EDF, period for RM, ties
+// to the lower index in the queue.
+//
+//rtdvs:hotpath
+func (s *simulator) readyKey(i int) float64 {
+	if s.kind == sched.RM {
+		return s.states[i].period
+	}
+	return s.states[i].deadline
+}
+
 // pick checks a scheduling point's pick (-1 when idle): it must be the
 // active task with the smallest (key, index), or -1 when no task is
 // active.
@@ -282,7 +294,7 @@ func (c *invariantChecker) picks() {
 			c.failf("run queue picked inactive task %d", t)
 			return
 		}
-		if last >= 0 && !core.OrderBefore(s.readyKey(last), last, s.readyKey(t), t) {
+		if last >= 0 && !sched.Before(s.readyKey(last), last, s.readyKey(t), t) {
 			c.failf("run queue picked task %d after task %d, out of (key, index) order", t, last)
 			return
 		}
@@ -313,7 +325,7 @@ func (c *invariantChecker) checkTop(last, count, limit int) {
 			continue
 		}
 		active++
-		if last >= 0 && !core.OrderBefore(lastKey, last, s.readyKey(i), i) {
+		if last >= 0 && !sched.Before(lastKey, last, s.readyKey(i), i) {
 			upTo++
 		}
 	}
@@ -325,7 +337,7 @@ func (c *invariantChecker) checkTop(last, count, limit int) {
 	default:
 		// Exact: every structure that yields the next release time holds
 		// deadlines, not recomputations of them.
-		if next := s.nextReleaseTime(); next < earliest || next > earliest {
+		if next := s.q.Head(); next < earliest || next > earliest {
 			c.failf("next release at %g, but the earliest deadline is %g", next, earliest)
 		}
 	}

@@ -205,12 +205,26 @@ func TestInvariantPickOrder(t *testing.T) {
 		wide[i] = task.Task{Period: p, WCET: 0.6 * p / 70}
 	}
 	large := mustSet(t, wide...)
-	// dropFirst clears the lowest set bit of the ready set from word w on.
+	// dropFirst clears the ready bit of the first ready task at or past
+	// position 64*w of the priority order: the release order under EDF,
+	// the period order under RM (where only w = 0 is used).
 	dropFirst := func(w int) func(s *simulator) {
 		return func(s *simulator) {
-			for k := w; k < len(s.readyBits); k++ {
-				if b := s.readyBits[k]; b != 0 {
-					s.readyBits[k] = b & (b - 1)
+			ready := s.q.Top(s.ts.Len(), nil)
+			if w == 0 {
+				if len(ready) > 0 {
+					s.q.Remove(ready[0])
+				}
+				return
+			}
+			isReady := make([]bool, s.ts.Len())
+			for _, i := range ready {
+				isReady[i] = true
+			}
+			order, _ := s.q.Tasks()
+			for _, i := range order[64*w:] {
+				if isReady[i] {
+					s.q.Remove(i)
 					return
 				}
 			}
@@ -225,7 +239,7 @@ func TestInvariantPickOrder(t *testing.T) {
 	}{
 		{"EDF ready bit", ts, sched.EDF, dropFirst(0), "active tasks come at or before it"},
 		{"RM ready bit", ts, sched.RM, dropFirst(0), "active tasks come at or before it"},
-		{"release order", ts, sched.EDF, func(s *simulator) { s.ordKey[0]++ }, "but the earliest deadline is"},
+		{"release order", ts, sched.EDF, func(s *simulator) { _, keys := s.q.Tasks(); keys[0]++ }, "but the earliest deadline is"},
 		{"second-word ready bit", large, sched.EDF, dropFirst(1), "active tasks come at or before it"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -244,8 +258,9 @@ func TestInvariantPickOrder(t *testing.T) {
 // directly: the picks must be the first m active tasks in (deadline,
 // index) order, in that order.
 func TestInvariantGlobalPickOrder(t *testing.T) {
-	s := &simulator{kind: sched.EDF, m: 2, ordKey: []float64{5, 7, 9}}
+	s := &simulator{kind: sched.EDF, m: 2}
 	s.states = []taskState{{deadline: 9, active: true}, {deadline: 5, active: true}, {deadline: 7, active: true}}
+	s.q.Reset(sched.EDF, 3, func(i int) (float64, float64) { return s.states[i].deadline, 0 })
 	c := &invariantChecker{s: s}
 	s.picks = []int{1, 2}
 	c.checkPicks()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -356,8 +355,8 @@ func (r *MultiRunner) resetResult(cfg MultiConfig, m int) *MultiResult {
 		Cores:     m,
 		Horizon:   cfg.Horizon,
 		Misses:    res.Misses[:0],
-		PerTask:   growZeroed(res.PerTask, cfg.Tasks.Len()),
-		PerCore:   growZeroed(res.PerCore, m),
+		PerTask:   sched.GrowZeroed(res.PerTask, cfg.Tasks.Len()),
+		PerCore:   sched.GrowZeroed(res.PerCore, m),
 	}
 	for c := range res.PerCore {
 		res.PerCore[c].Tasks = res.PerCore[c].Tasks[:0]
@@ -692,14 +691,14 @@ func (s *simulator) execSlots(nextRel float64) {
 			s.finished = append(s.finished, t)
 		}
 	}
-	sortIndexes(s.finished)
+	slices.Sort(s.finished)
 	for _, t := range s.finished {
 		c := s.taskCore[t]
 		s.running[c] = -1 // completed, not preempted
 		st := &s.states[t]
 		st.remaining = 0
 		st.active = false
-		s.readyRemove(t)
+		s.q.Remove(t)
 		s.res.Completions++
 		s.res.PerTask[t].Completions++
 		s.cores[c].Completions++
@@ -716,19 +715,11 @@ func (s *simulator) execSlots(nextRel float64) {
 
 // pickSlots collects the (up to) m highest-priority active jobs in
 // priority order, ties by task index: the tasks at the lowest m set bits
-// of the ready set, visiting its words in order.
+// of the ready set.
 //
 //rtdvs:hotpath
 func (s *simulator) pickSlots() {
-	s.picks = s.picks[:0]
-	for w, b := range s.readyBits {
-		for ; b != 0; b &= b - 1 {
-			if len(s.picks) == s.m {
-				return
-			}
-			s.picks = append(s.picks, s.prio[w<<6|bits.TrailingZeros64(b)])
-		}
-	}
+	s.picks = s.q.Top(s.m, s.picks[:0])
 }
 
 // assign maps this segment's picks onto the run slots. A slot still

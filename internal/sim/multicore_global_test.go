@@ -300,8 +300,10 @@ func TestMultiCoreMetricsMatchResults(t *testing.T) {
 }
 
 // pollCountdown is a cancellable context whose Err turns to Canceled on
-// its n-th call. The event loop polls once per cancelCheckInterval
-// events, so every engine stops after the same number of events.
+// its n-th call. The event loop reads Err only once Done is closed, so
+// Done is closed from the start, and the loop reads Err at each poll,
+// once per cancelCheckInterval events: every engine stops after the
+// same number of events.
 type pollCountdown struct {
 	context.Context
 	done chan struct{}
@@ -309,7 +311,9 @@ type pollCountdown struct {
 }
 
 func newPollCountdown(n int) *pollCountdown {
-	return &pollCountdown{Context: context.Background(), done: make(chan struct{}), n: n}
+	c := &pollCountdown{Context: context.Background(), done: make(chan struct{}), n: n}
+	close(c.done)
+	return c
 }
 
 func (c *pollCountdown) Done() <-chan struct{} { return c.done }

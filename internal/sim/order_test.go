@@ -81,7 +81,7 @@ func (c *orderCheck) view(sys core.System) core.System {
 		if d := sys.Deadline(i); keys[k] < d || keys[k] > d {
 			c.t.Fatalf("t=%g: order key %g at position %d, but task %d's deadline is %g", sys.Now(), keys[k], k, i, d)
 		}
-		if k > 0 && !core.OrderBefore(keys[k-1], order[k-1], keys[k], i) {
+		if k > 0 && !sched.Before(keys[k-1], order[k-1], keys[k], i) {
 			c.t.Fatalf("t=%g: task %d after task %d is out of (deadline, index) order", sys.Now(), i, order[k-1])
 		}
 	}

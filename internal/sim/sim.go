@@ -18,10 +18,11 @@
 // all per-run state is held in reusable buffers. A task's deadline is
 // also its next release, so one order of the tasks by (deadline, index)
 // is both the release timer and EDF's run queue, and the ready set is a
-// bitset in uint64 words over a priority order (queue.go): the deadline
-// order under EDF, the static period order under RM. A release moves one
-// task back by one insertion; a pick is the lowest set bit. Every set
-// size takes this one path. A Runner amortizes every buffer across
+// bitset in uint64 words over a priority order: the deadline order under
+// EDF, the static period order under RM. The order is sched.Order, which
+// the rtos kernel runs on too. A release moves one task back by one
+// insertion; a pick is the lowest set bit. Every set size takes this one
+// path. A Runner amortizes every buffer across
 // sequential runs — the experiment harness executes hundreds of
 // simulations per worker on a single Runner without reallocating.
 package sim
@@ -278,25 +279,12 @@ type simulator struct {
 
 	hw machine.OperatingPoint // current hardware operating point
 
-	// Every task sits in ord by (deadline, index), with the keys in
-	// ordKey and each task's position in ordPos. The ready set is
-	// readyBits, one bit per position of the priority order in uint64
-	// words: bit k&63 of word k>>6 is set when task prio[k] is active,
-	// and rank inverts prio. Under EDF prio and rank alias ord and
-	// ordPos, so a reorder carries the ready bits along; under RM they
-	// are static, the (period, index) order in static, staticKey and
-	// staticPos.
-	ord       []int
-	ordKey    []float64
-	ordPos    []int
-	static    []int
-	staticKey []float64
-	staticPos []int
-	prio      []int
-	rank      []int
-	readyBits []uint64
+	// q is the release order and run queue (sched.Order): every task
+	// keyed by its deadline, which is also its next release, with the
+	// ready set over the deadline order under EDF and the static period
+	// order under RM.
+	q sched.Order
 
-	due      []int // scratch: tasks due for release this instant
 	released []int // scratch: release events pending policy callbacks
 
 	// lastRun is the task index executed by the most recent execution
@@ -319,12 +307,16 @@ type simulator struct {
 	migrations int
 
 	// The loop's periodic checks (poll): tick counts events down to the
-	// next one. ctx is nil when the run is not cancellable (plain Run).
-	// The progress guard keeps the simulated time of the last check in
-	// tickNow and counts the events since time last moved in still, in
-	// whole check intervals; past stallLimit the run has stalled.
+	// next one. ctx is nil when the run is not cancellable (plain Run);
+	// done caches its Done channel, which a non-blocking receive reads
+	// without the lock ctx.Err takes, a lock the experiment workers
+	// share. The progress guard keeps the simulated time of the last
+	// check in tickNow and counts the events since time last moved in
+	// still, in whole check intervals; past stallLimit the run has
+	// stalled.
 	tick       int
 	ctx        context.Context
+	done       <-chan struct{}
 	ctxErr     error
 	tickNow    float64
 	still      int
@@ -445,8 +437,7 @@ func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) err
 	s.ts = cfg.Tasks
 	s.now = 0
 	s.kind = cfg.Policy.Scheduler()
-	s.states = growZeroed(s.states, n)
-	s.due = s.due[:0]
+	s.states = sched.GrowZeroed(s.states, n)
 	s.released = s.released[:0]
 	s.lastRun = -1
 	s.global = cores != nil
@@ -457,7 +448,10 @@ func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) err
 		s.taskCore = fillInts(s.taskCore, n, -1)
 		s.migrations = 0
 	}
-	s.ctx = ctx
+	s.ctx, s.done = ctx, nil
+	if ctx != nil {
+		s.done = ctx.Done()
+	}
 	s.tick = 0 // poll before the first event: an expired ctx does no work
 	s.ctxErr = nil
 	s.tickNow = math.Inf(-1)
@@ -469,7 +463,7 @@ func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) err
 		Horizon:    cfg.Horizon,
 		Guaranteed: cfg.Policy.Guaranteed(),
 		Misses:     s.res.Misses[:0],
-		PerTask:    growZeroed(s.res.PerTask, n),
+		PerTask:    sched.GrowZeroed(s.res.PerTask, n),
 	}
 	for i := range s.states {
 		// Deadline of the "previous" (nonexistent) invocation is the
@@ -478,7 +472,10 @@ func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) err
 		t := cfg.Tasks.Task(i)
 		s.states[i] = taskState{deadline: t.Phase, period: t.Period, wcet: t.WCET}
 	}
-	s.resetQueues()
+	s.q.Reset(s.kind, n, func(i int) (float64, float64) {
+		t := cfg.Tasks.Task(i)
+		return t.Phase, t.Period
+	})
 	if cfg.CheckInvariants || testing.Testing() {
 		s.invStore = newInvariantChecker(s)
 		s.inv = &s.invStore
@@ -495,21 +492,10 @@ func (s *simulator) exec(ctx context.Context, cfg Config, cores []CoreStats) err
 	return s.inv.Err()
 }
 
-// growZeroed returns a zeroed slice of length n, reusing s's backing
-// array when its capacity suffices.
-func growZeroed[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
 // fillInts returns a slice of length n with every element v, reusing
 // s's backing array when its capacity suffices.
 func fillInts(s []int, n, v int) []int {
-	s = growZeroed(s, n)
+	s = sched.GrowZeroed(s, n)
 	for i := range s {
 		s[i] = v
 	}
@@ -528,60 +514,29 @@ func (s *simulator) Deadline(i int) float64 { return s.states[i].deadline }
 //
 //rtdvs:hotpath
 func (s *simulator) DeadlineOrder() ([]int, []float64) {
-	return s.ord, s.ordKey
+	return s.q.Tasks()
 }
 
 // --- engine ---
 
 // processReleases fires every release scheduled at or before now and
-// then notifies the policy once per released task. Due tasks are the
-// prefix of the release order whose keys pass fpx.Le (the comparison is
-// monotone in the key, so the prefix holds every due task), replayed in
-// ascending task-index order — the event order of the original
-// full-scan implementation — so miss records, release counters, and
-// policy callbacks are bit-identical to it. Tasks due at one instant
-// usually share a key, so the prefix is already in index order and
-// fires in place; otherwise a sorted copy fires.
-//
-// The fired tasks move back in the release order only once all have
-// fired, last position first, so each passes only tasks already in
-// place: a single frame, whose n tasks all fire at once, costs n steps
-// where reordering each task as it fires would cost n². A task whose
-// new key still comes before its successor's keeps its place and takes
-// only the new key.
+// then notifies the policy once per released task. The due tasks are the
+// release order's due prefix, fired in ascending task-index order — the
+// event order of the original full-scan implementation — so miss
+// records, release counters, and policy callbacks are bit-identical to
+// it; then they move back in the order (sched.Order.Settle).
 //
 //rtdvs:hotpath
 func (s *simulator) processReleases() {
-	if !fpx.Le(s.nextReleaseTime(), s.now) {
+	if !fpx.Le(s.q.Head(), s.now) {
 		return
 	}
 	s.released = s.released[:0]
-	k, ascending := 0, true
-	for k < len(s.ord) && fpx.Le(s.ordKey[k], s.now) {
-		if k > 0 && s.ord[k] < s.ord[k-1] {
-			ascending = false
-		}
-		k++
-	}
-	due := s.ord[:k]
-	if !ascending {
-		s.due = s.due[:0]
-		s.due = append(s.due, due...)
-		sortIndexes(s.due)
-		due = s.due
-	}
-	for _, i := range due {
+	for _, i := range s.q.Due(s.now) {
 		s.fireReleases(i)
+		s.q.SetKey(i, s.states[i].deadline)
 	}
-	for k--; k >= 0; k-- {
-		i := s.ord[k]
-		key := s.states[i].deadline
-		if k+1 < len(s.ord) && core.OrderBefore(s.ordKey[k+1], s.ord[k+1], key, i) {
-			s.reorder(i)
-		} else {
-			s.ordKey[k] = key
-		}
-	}
+	s.q.Settle()
 	for _, i := range s.released {
 		s.cfg.Policy.OnRelease(s, i)
 	}
@@ -626,7 +581,7 @@ func (s *simulator) fireReleases(i int) {
 		st.inv++
 		s.res.Releases++
 		s.res.PerTask[i].Releases++
-		s.readyAdd(i)
+		s.q.Add(i)
 		s.released = append(s.released, i)
 	}
 }
@@ -653,25 +608,9 @@ func (s *simulator) abort(i int) {
 	}
 	s.inv.checkMiss(i, st.inv-1, st.deadline)
 	st.active = false
-	s.readyRemove(i)
+	s.q.Remove(i)
 	if s.lastRun == i {
 		s.lastRun = -1
-	}
-}
-
-// sortIndexes insertion-sorts a (short) batch of due task indexes into
-// ascending order.
-//
-//rtdvs:hotpath
-func sortIndexes(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i
-		for j > 0 && xs[j-1] > v {
-			xs[j] = xs[j-1]
-			j--
-		}
-		xs[j] = v
 	}
 }
 
@@ -740,10 +679,14 @@ func (s *simulator) record(taskIdx int, start, end float64, op machine.Operating
 //rtdvs:hotpath
 func (s *simulator) poll() bool {
 	s.tick = cancelCheckInterval
-	if s.ctx != nil {
-		if err := s.ctx.Err(); err != nil {
-			s.ctxErr = err
-			return true
+	if s.done != nil {
+		select {
+		case <-s.done:
+			if err := s.ctx.Err(); err != nil {
+				s.ctxErr = err
+				return true
+			}
+		default:
 		}
 	}
 	if s.now > s.tickNow {
@@ -769,11 +712,11 @@ func (s *simulator) run() {
 		s.res.Events++
 		s.processReleases()
 
-		nextRel := s.nextReleaseTime()
+		nextRel := s.q.Head()
 		if s.cfg.Horizon < nextRel {
 			nextRel = s.cfg.Horizon
 		}
-		pick := s.readyPeek()
+		pick := s.q.Peek()
 		s.inv.checkPick(pick)
 
 		if pick < 0 {
@@ -805,12 +748,12 @@ func (s *simulator) run() {
 		if fpx.Ge(s.now, s.cfg.Horizon) {
 			break
 		}
-		if fpx.Le(s.nextReleaseTime(), s.now) {
+		if fpx.Le(s.q.Head(), s.now) {
 			// A release became due during the stop interval; process it
 			// (and let the policy react) before execution resumes.
 			continue
 		}
-		nextRel = s.nextReleaseTime()
+		nextRel = s.q.Head()
 		if s.cfg.Horizon < nextRel {
 			nextRel = s.cfg.Horizon
 		}
@@ -867,7 +810,7 @@ func (s *simulator) run() {
 		if fpx.Le(st.remaining, 0) {
 			st.remaining = 0
 			st.active = false
-			s.readyRemove(pick)
+			s.q.Remove(pick)
 			s.res.Completions++
 			s.res.PerTask[pick].Completions++
 			if resp := s.now - st.releasedAt; resp > s.res.PerTask[pick].MaxResponse {

@@ -274,6 +274,33 @@ func TestBetaWindowBracketsReference(t *testing.T) {
 	}
 }
 
+// A deep-tail draw of a skewed shape starts from the tail's leading
+// term, so its window verifies where the normal deviate's guess ran
+// Newton out of steps and fell back to the full bisection: Beta(50, 1)
+// at p = 1.27e-6, whose quantile p^(1/50) = 0.762 the term gives
+// exactly, and its mirror Beta(1, 50) at 1 − p.
+func TestBetaDeepTailWindowVerifies(t *testing.T) {
+	const p = 1.27e-6
+	for _, c := range []struct{ a, b, p, want float64 }{
+		{50, 1, p, math.Pow(p, 1.0/50)},
+		{1, 50, 1 - p, 1 - math.Pow(p, 1.0/50)},
+	} {
+		sh := newBetaShape(c.a, c.b)
+		lo, hi, _, ok := sh.window(c.p)
+		if !ok {
+			t.Errorf("Beta(%v,%v) p=%v fell back to the full bisection", c.a, c.b, c.p)
+			continue
+		}
+		if !(lo <= c.want && c.want <= hi) {
+			t.Errorf("Beta(%v,%v) p=%v: window [%v, %v] misses the quantile %v", c.a, c.b, c.p, lo, hi, c.want)
+		}
+		d, _ := NewBeta(c.a, c.b)
+		if got, want := d.Quantile(c.p), refBetaQuantile(c.a, c.b, c.p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("Beta(%v,%v).Quantile(%v) = %v, reference %v", c.a, c.b, c.p, got, want)
+		}
+	}
+}
+
 // FuzzBetaQuantileBitIdentical holds Beta.Quantile to the frozen
 // reference bisection, bit for bit, for any admitted shape and any p,
 // and holds every window it verifies to bracket the reference.
@@ -298,6 +325,9 @@ func FuzzBetaQuantileBitIdentical(f *testing.F) {
 	// reaches it on paired evaluations from the [0, 1] fallback.
 	f.Add(1e-3, 2.0, 1e-300)
 	f.Add(2.0, 5.0, 1e-40)
+	// Deep-tail draws that start from the tail's leading term.
+	f.Add(50.0, 1.0, 1.27e-6)
+	f.Add(1.0, 50.0, 1-1.27e-6)
 	f.Fuzz(func(t *testing.T, a, b, p float64) {
 		d, err := NewBeta(a, b)
 		if err != nil {
