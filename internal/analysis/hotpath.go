@@ -111,7 +111,6 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/rtos.Kernel.processReleases": "BenchmarkKernelStep",
 	"rtdvs/internal/rtos.Kernel.release":         "BenchmarkKernelStep",
 	"rtdvs/internal/rtos.Kernel.abortJob":        "BenchmarkKernelStep",
-	"rtdvs/internal/rtos.Kernel.nextReleaseTime": "BenchmarkKernelStep",
 	"rtdvs/internal/rtos.Kernel.activate":        "BenchmarkKernelStep",
 	"rtdvs/internal/rtos.Kernel.deactivate":      "BenchmarkKernelStep",
 	"rtdvs/internal/rtos.Kernel.elapseHalt":      "BenchmarkKernelStep",

@@ -1,20 +1,10 @@
 // Package backoff is the repository's one definition of jittered
-// exponential backoff. Two layers share the same doubling schedule:
-//
-//   - Seq, a pure value type over float64 "delay units", used by the
-//     RTOS kernel to pace retries of refused operating-point switches
-//     in *simulated* milliseconds. It allocates nothing and never
-//     touches the wall clock, so it is safe inside the deterministic
-//     simulation packages.
-//   - Backoff, a seeded wall-clock schedule over time.Duration with
-//     uniform jitter, used by the distributed sweep coordinator
-//     (internal/fabric) between a worker's consecutive failed shard
-//     dispatches. The coordinator is the repository's only wall-clock
-//     retry layer; the same seed always yields the same delay
-//     sequence.
-//
-// Both produce the sequence base, 2·base, 4·base, ... capped at max;
-// Exp is that shared arithmetic.
+// exponential backoff: Backoff, a seeded wall-clock schedule over
+// time.Duration with uniform jitter, used by the distributed sweep
+// coordinator (internal/fabric) between a worker's consecutive failed
+// shard dispatches. The coordinator is the repository's only retry
+// layer; the same seed always yields the same delay sequence. Exp is
+// the schedule's arithmetic: base, 2·base, 4·base, ... capped at max.
 package backoff
 
 import (
@@ -37,37 +27,6 @@ func Exp(base, max float64, n int) float64 {
 	}
 	return d
 }
-
-// Seq is the stateful form of the schedule for callers that count
-// consecutive failures rather than attempts: each Next call returns the
-// current delay and doubles the stored one. The zero value is ready to
-// use and Reset returns it there. Seq is a plain value — no allocation,
-// no clock — so it may live inside simulator state.
-type Seq struct {
-	cur float64
-}
-
-// Active reports whether at least one Next call happened since the last
-// Reset — i.e. the caller is inside a retry episode.
-func (s *Seq) Active() bool { return s.cur > 0 }
-
-// Next returns the delay to apply after one more consecutive failure
-// and advances the schedule: the first call returns base, later calls
-// double up to max.
-func (s *Seq) Next(base, max float64) float64 {
-	if s.cur < base {
-		s.cur = base
-	}
-	d := s.cur
-	s.cur *= 2
-	if s.cur > max {
-		s.cur = max
-	}
-	return d
-}
-
-// Reset ends the retry episode after a success.
-func (s *Seq) Reset() { s.cur = 0 }
 
 // The wall-clock schedule: 50 ms doubling to 2 s, each delay scaled by
 // a uniform factor in [1−jitter, 1.0) to decorrelate competing workers.

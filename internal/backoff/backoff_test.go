@@ -29,46 +29,6 @@ func TestExpSchedule(t *testing.T) {
 	}
 }
 
-// Seq must reproduce the kernel's historical doubling behavior exactly:
-// first failure waits base, each consecutive failure doubles, capped at
-// max, and a success resets the episode.
-func TestSeqMatchesKernelSchedule(t *testing.T) {
-	const base, max = 0.05, 2.0
-	var s Seq
-	if s.Active() {
-		t.Fatal("zero Seq reports active")
-	}
-	want := []float64{0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0}
-	for i, w := range want {
-		if got := s.Next(base, max); got != w {
-			t.Fatalf("failure %d: delay %g, want %g", i+1, got, w)
-		}
-		if !s.Active() {
-			t.Fatalf("failure %d: Seq not active mid-episode", i+1)
-		}
-	}
-	s.Reset()
-	if s.Active() {
-		t.Fatal("Seq active after Reset")
-	}
-	if got := s.Next(base, max); got != base {
-		t.Fatalf("first delay after Reset = %g, want %g", got, base)
-	}
-}
-
-// Seq never allocates: it sits inside the kernel, one arithmetic step
-// per refused switch.
-func TestSeqAllocs(t *testing.T) {
-	var s Seq
-	allocs := testing.AllocsPerRun(100, func() {
-		s.Next(0.05, 2.0)
-		s.Reset()
-	})
-	if allocs != 0 {
-		t.Errorf("Seq.Next/Reset allocate %v per run, want 0", allocs)
-	}
-}
-
 // The same seed must yield the same jittered delay sequence — that is
 // what keeps a coordinator's retries reproducible under test.
 func TestBackoffDeterministicUnderSeed(t *testing.T) {

@@ -2,16 +2,15 @@
 // the RT-DVS substrates (the discrete-event simulator in internal/sim
 // and the RTOS kernel in internal/rtos).
 //
-// The paper's deadline guarantees (Section 3) rest on two assumptions:
-// every job finishes within its declared worst case, and every
-// operating-point transition completes within the measured stop
-// interval. The cycle-conserving and look-ahead policies actively
-// *spend* the slack those assumptions create, so a single violation —
-// an overrunning job, a stuck voltage regulator — can cascade into
-// deadline misses plain EDF at full speed would never see.
-// This package injects exactly those violations, deterministically, so
-// the degradation machinery (core.Contained, the kernel's overrun
-// watchdog and switch retry path) can be exercised and measured.
+// The paper's deadline guarantees (Section 3) rest on every job
+// finishing within its declared worst case. The cycle-conserving and
+// look-ahead policies actively *spend* the slack that assumption
+// creates, so a single overrunning job can cascade into deadline misses
+// plain EDF at full speed would never see. This package injects exactly
+// that violation, deterministically, so the degradation machinery
+// (core.Contained, the kernel's overrun watchdog and load shedder) can
+// be exercised and measured. An operating-point transition always
+// completes after its stop interval, as on the paper's §4 prototype.
 //
 // Injectable faults:
 //
@@ -19,9 +18,6 @@
 //     is inflated to OverrunFactor×WCET plus an optional exponential
 //     tail — demand beyond the declared bound, condition the admission
 //     test assumed impossible.
-//   - Frequency-switch failures: a requested transition is denied
-//     outright, the operating point gets stuck for StuckSpan ms, or the
-//     mandatory stop interval is inflated by OverheadFactor.
 //   - Overload regimes: a per-task on/off Markov chain under which every
 //     release in an "on" phase overruns to OverloadFactor×WCET — the
 //     sustained-overload and burst scenarios (see SustainedOverload and
@@ -31,8 +27,6 @@
 // invocation) rather than consumed from a shared stream, so the overrun
 // and overload sequences of a given task set are identical across policies
 // — robustness curves compare policies under the *same* fault history.
-// Switch faults are keyed by an attempt counter and therefore form an
-// independent stream per run.
 package fault
 
 import (
@@ -40,7 +34,6 @@ import (
 	"math"
 
 	"rtdvs/internal/fpx"
-	"rtdvs/internal/machine"
 )
 
 // Kind classifies injected faults.
@@ -48,13 +41,10 @@ type Kind int
 
 // Fault kinds, in the order they appear in Plan. A kind's number keys
 // its hashed draws (see u01), so renumbering one would change every
-// fault history; 1 and 2 are unused.
+// fault history; 1 to 5 are unused.
 const (
-	KindOverrun          Kind = 0
-	KindSwitchDenied     Kind = 3
-	KindSwitchStuck      Kind = 4
-	KindOverheadInflated Kind = 5
-	KindOverload         Kind = 6
+	KindOverrun  Kind = 0
+	KindOverload Kind = 6
 )
 
 // String implements fmt.Stringer.
@@ -62,12 +52,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindOverrun:
 		return "overrun"
-	case KindSwitchDenied:
-		return "switch-denied"
-	case KindSwitchStuck:
-		return "switch-stuck"
-	case KindOverheadInflated:
-		return "overhead-inflated"
 	case KindOverload:
 		return "overload"
 	}
@@ -78,18 +62,15 @@ func (k Kind) String() string {
 type Event struct {
 	Time float64 `json:"time"`
 	Kind Kind    `json:"kind"`
-	// Task is the task index the fault hit, or -1 for switch faults.
+	// Task is the task the fault hit: its index in a simulator run, its
+	// stable TaskID in a kernel run.
 	Task int `json:"task"`
-	// Value carries the kind-specific magnitude: the inflated demand for
-	// overruns and overloads, the requested frequency for switch faults,
-	// the inflated halt for overhead inflation.
+	// Value is the inflated demand.
 	Value float64 `json:"value"`
 }
 
 // Plan configures an Injector. The zero value injects nothing; each
-// fault class is enabled by its probability. All probabilities are per
-// opportunity (per release for overruns, per transition attempt for
-// switch faults).
+// fault class is enabled by its probability.
 type Plan struct {
 	// Seed keys every draw; two injectors with equal plans fire
 	// identical fault sequences.
@@ -105,18 +86,6 @@ type Plan struct {
 	// OverrunFactor + OverrunTail·X with X ~ Exp(1), modeling the
 	// heavy-tailed demand spikes of stochastic execution models.
 	OverrunTail float64 `json:"overrunTail,omitempty"`
-
-	// SwitchDenyProb denies a transition attempt outright: the hardware
-	// stays at its previous operating point.
-	SwitchDenyProb float64 `json:"switchDenyProb,omitempty"`
-	// StuckProb sticks the operating point for StuckSpan ms: every
-	// transition attempted before the span expires is denied.
-	StuckProb float64 `json:"stuckProb,omitempty"`
-	StuckSpan float64 `json:"stuckSpan,omitempty"`
-	// OverheadProb inflates the mandatory stop interval of a granted
-	// transition by OverheadFactor (> 1).
-	OverheadProb   float64 `json:"overheadProb,omitempty"`
-	OverheadFactor float64 `json:"overheadFactor,omitempty"`
 
 	// Overload regimes: a per-task two-state Markov (on/off) chain,
 	// advanced one step per invocation. While a task's chain is "on",
@@ -167,8 +136,7 @@ func (p Plan) Validate() error {
 		name string
 		v    float64
 	}{
-		{"OverrunProb", p.OverrunProb}, {"SwitchDenyProb", p.SwitchDenyProb},
-		{"StuckProb", p.StuckProb}, {"OverheadProb", p.OverheadProb},
+		{"OverrunProb", p.OverrunProb},
 		{"OverloadOnProb", p.OverloadOnProb}, {"OverloadOffProb", p.OverloadOffProb},
 	} {
 		if pr.v < 0 || pr.v > 1 || math.IsNaN(pr.v) {
@@ -187,24 +155,16 @@ func (p Plan) Validate() error {
 	if p.OverloadTail < 0 {
 		return fmt.Errorf("fault: OverloadTail must be non-negative, got %v", p.OverloadTail)
 	}
-	if p.StuckSpan < 0 {
-		return fmt.Errorf("fault: StuckSpan must be non-negative, got %v", p.StuckSpan)
-	}
-	if p.OverheadProb > 0 && p.OverheadFactor < 1 {
-		return fmt.Errorf("fault: OverheadFactor must be ≥ 1 when OverheadProb > 0, got %v", p.OverheadFactor)
-	}
 	return nil
 }
 
 // Record accumulates the faults an injector has fired.
 type Record struct {
 	// Counters per fault class.
-	Overruns          int `json:"overruns"`
-	SwitchesDenied    int `json:"switchesDenied"`
-	SwitchesStuck     int `json:"switchesStuck"`
-	OverheadsInflated int `json:"overheadsInflated"`
-	Overloads         int `json:"overloads,omitempty"`
-	// TaskOverruns counts injected overruns per task index.
+	Overruns  int `json:"overruns"`
+	Overloads int `json:"overloads,omitempty"`
+	// TaskOverruns counts injected overruns per task, keyed as
+	// Event.Task.
 	TaskOverruns map[int]int `json:"taskOverruns,omitempty"`
 	// Events holds the first maxEvents fired faults in order.
 	Events []Event `json:"events,omitempty"`
@@ -214,8 +174,7 @@ type Record struct {
 
 // Total returns the total number of fired faults.
 func (r Record) Total() int {
-	return r.Overruns + r.SwitchesDenied + r.SwitchesStuck +
-		r.OverheadsInflated + r.Overloads
+	return r.Overruns + r.Overloads
 }
 
 // maxEvents bounds the per-injector event list (the counters keep full
@@ -223,19 +182,12 @@ func (r Record) Total() int {
 const maxEvents = 4096
 
 // Injector draws faults deterministically from a Plan. It is stateful
-// (overload chains, stuck spans, the fired-fault record) and not safe for
-// concurrent use; create one per run.
+// (overload chains, the fired-fault record) and not safe for concurrent
+// use; create one per run.
 type Injector struct {
-	plan Plan
-	rec  Record
-
-	// violated latches once a fired fault has broken the task model the
-	// admission guarantee was computed against (see noteViolation).
-	violated bool
-
-	stuckUntil float64        // operating point stuck until this time
-	switchSeq  uint64         // transition attempt counter (draw key)
-	regimes    map[int]regime // per-task overload Markov-chain state
+	plan    Plan
+	rec     Record
+	regimes map[int]regime // per-task overload Markov-chain state
 }
 
 // regime is one task's overload-chain state. The chain is advanced
@@ -289,14 +241,11 @@ func (in *Injector) Record() Record {
 }
 
 // ModelViolated reports whether any fired fault has broken an assumption
-// the admission guarantee depends on: an injected overrun or overload, a
-// denied/stuck transition to a *higher* frequency, or an inflated stop
-// interval. A configured-but-silent injector reports false — the
-// provenance the invariant checker needs to keep the no-miss claim fully
-// enforced until a fault actually fires.
-func (in *Injector) ModelViolated() bool { return in.violated }
-
-func (in *Injector) noteViolation() { in.violated = true }
+// the admission guarantee depends on, as every fault class does: an
+// injected overrun or overload. A configured-but-silent injector reports
+// false — the provenance the invariant checker needs to keep the no-miss
+// claim fully enforced until a fault actually fires.
+func (in *Injector) ModelViolated() bool { return in.rec.Total() > 0 }
 
 func (in *Injector) fire(e Event) {
 	switch e.Kind {
@@ -306,12 +255,6 @@ func (in *Injector) fire(e Event) {
 			in.rec.TaskOverruns = map[int]int{}
 		}
 		in.rec.TaskOverruns[e.Task]++
-	case KindSwitchDenied:
-		in.rec.SwitchesDenied++
-	case KindSwitchStuck:
-		in.rec.SwitchesStuck++
-	case KindOverheadInflated:
-		in.rec.OverheadsInflated++
 	case KindOverload:
 		in.rec.Overloads++
 	}
@@ -344,7 +287,6 @@ func (in *Injector) Demand(now float64, ti, inv int, wcet, nominal float64) floa
 		// demand still fits the declared bound, so nothing fired.
 		if od := wcet * factor; od > wcet {
 			in.fire(Event{Time: now, Kind: KindOverrun, Task: ti, Value: od})
-			in.noteViolation()
 			if od > d {
 				d = od
 			}
@@ -358,7 +300,6 @@ func (in *Injector) Demand(now float64, ti, inv int, wcet, nominal float64) floa
 		}
 		if od := wcet * factor; od > wcet {
 			in.fire(Event{Time: now, Kind: KindOverload, Task: ti, Value: od})
-			in.noteViolation()
 			if od > d {
 				d = od
 			}
@@ -399,48 +340,3 @@ const (
 	kindOverrunTail  Kind = 100
 	kindOverloadTail Kind = 103
 )
-
-// Switch adjudicates a transition attempt from -> to whose nominal stop
-// interval is halt. allowed=false means the hardware refused the
-// transition and stays at from; otherwise adjHalt is the (possibly
-// inflated) stop interval to charge. A denial of an *upward* transition
-// (to.Freq > from.Freq) breaks the task model — the policy needed more
-// speed than it got; downward denials only cost energy.
-func (in *Injector) Switch(now float64, from, to machine.OperatingPoint, halt float64) (allowed bool, adjHalt float64) {
-	if in == nil {
-		return true, halt
-	}
-	seq := in.switchSeq
-	in.switchSeq++
-
-	deny := false
-	kind := KindSwitchDenied
-	if now < in.stuckUntil {
-		deny = true
-		kind = KindSwitchStuck
-	} else {
-		if in.plan.StuckProb > 0 &&
-			u01(in.plan.Seed, KindSwitchStuck, int(seq), 0) < in.plan.StuckProb {
-			in.stuckUntil = now + in.plan.StuckSpan
-			deny = true
-			kind = KindSwitchStuck
-		} else if in.plan.SwitchDenyProb > 0 &&
-			u01(in.plan.Seed, KindSwitchDenied, int(seq), 0) < in.plan.SwitchDenyProb {
-			deny = true
-		}
-	}
-	if deny {
-		in.fire(Event{Time: now, Kind: kind, Task: -1, Value: to.Freq})
-		if to.Freq > from.Freq {
-			in.noteViolation()
-		}
-		return false, 0
-	}
-	if halt > 0 && in.plan.OverheadProb > 0 &&
-		u01(in.plan.Seed, KindOverheadInflated, int(seq), 0) < in.plan.OverheadProb {
-		halt *= in.plan.OverheadFactor
-		in.fire(Event{Time: now, Kind: KindOverheadInflated, Task: -1, Value: halt})
-		in.noteViolation()
-	}
-	return true, halt
-}

@@ -3,19 +3,15 @@ package fault
 import (
 	"math"
 	"testing"
-
-	"rtdvs/internal/machine"
 )
 
 func TestPlanValidate(t *testing.T) {
 	bad := []Plan{
 		{OverrunProb: -0.1},
 		{OverrunProb: 1.5},
-		{SwitchDenyProb: math.NaN()},
+		{OverloadOnProb: math.NaN()},
 		{OverrunFactor: 0.5},
 		{OverrunTail: -1},
-		{StuckSpan: -2},
-		{OverheadProb: 0.5, OverheadFactor: 0.9},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -26,7 +22,7 @@ func TestPlanValidate(t *testing.T) {
 		{},
 		Default(1),
 		{OverrunProb: 1, OverrunFactor: 2, OverrunTail: 0.5},
-		{SwitchDenyProb: 0.2, StuckProb: 0.1, StuckSpan: 5, OverheadProb: 1, OverheadFactor: 3},
+		Burst(1),
 	}
 	for i, p := range good {
 		if err := p.Validate(); err != nil {
@@ -48,17 +44,17 @@ func TestDefaultScenario(t *testing.T) {
 func TestDemandDeterministicAndKeyed(t *testing.T) {
 	a := MustNew(Plan{Seed: 42, OverrunProb: 0.3, OverrunFactor: 1.5})
 	b := MustNew(Plan{Seed: 42, OverrunProb: 0.3, OverrunFactor: 1.5})
-	// b consumes switch draws in between; demand draws must not shift.
-	for i := 0; i < 50; i++ {
-		b.Switch(float64(i), machine.OperatingPoint{Freq: 0.5, Voltage: 3},
-			machine.OperatingPoint{Freq: 1, Voltage: 5}, 0)
-	}
+	var da [3][200]float64
 	for ti := 0; ti < 3; ti++ {
 		for inv := 0; inv < 200; inv++ {
-			da := a.Demand(0, ti, inv, 10, 9)
-			db := b.Demand(0, ti, inv, 10, 9)
-			if da != db {
-				t.Fatalf("draw (%d,%d) differs: %v vs %v", ti, inv, da, db)
+			da[ti][inv] = a.Demand(0, ti, inv, 10, 9)
+		}
+	}
+	// b draws in another order; a keyed draw must not shift.
+	for inv := 199; inv >= 0; inv-- {
+		for ti := 2; ti >= 0; ti-- {
+			if db := b.Demand(0, ti, inv, 10, 9); db != da[ti][inv] {
+				t.Fatalf("draw (%d,%d) differs: %v vs %v", ti, inv, da[ti][inv], db)
 			}
 		}
 	}
@@ -114,66 +110,6 @@ func TestDemandTail(t *testing.T) {
 	}
 	if above == 0 {
 		t.Error("exponential tail never exceeded the base factor")
-	}
-}
-
-func TestSwitchDenialAndStuck(t *testing.T) {
-	lo := machine.OperatingPoint{Freq: 0.5, Voltage: 3}
-	hi := machine.OperatingPoint{Freq: 1, Voltage: 5}
-
-	deny := MustNew(Plan{Seed: 9, SwitchDenyProb: 1})
-	if ok, _ := deny.Switch(0, lo, hi, 0.4); ok {
-		t.Fatal("p=1 denial allowed a switch")
-	}
-	if !deny.ModelViolated() {
-		t.Error("denied upward switch did not mark the model violated")
-	}
-	if deny.Record().SwitchesDenied != 1 {
-		t.Errorf("record = %+v", deny.Record())
-	}
-
-	// Downward denial: energy is wasted but no deadline is endangered.
-	down := MustNew(Plan{Seed: 9, SwitchDenyProb: 1})
-	if ok, _ := down.Switch(0, hi, lo, 0.4); ok {
-		t.Fatal("p=1 denial allowed a switch")
-	}
-	if down.ModelViolated() {
-		t.Error("denied downward switch marked the model violated")
-	}
-
-	stuck := MustNew(Plan{Seed: 2, StuckProb: 1, StuckSpan: 5})
-	if ok, _ := stuck.Switch(0, hi, lo, 0); ok {
-		t.Fatal("stuck injector allowed the first switch")
-	}
-	if ok, _ := stuck.Switch(4.9, lo, hi, 0); ok {
-		t.Fatal("switch allowed inside the stuck span")
-	}
-	if stuck.Record().SwitchesStuck != 2 {
-		t.Errorf("stuck count = %d, want 2", stuck.Record().SwitchesStuck)
-	}
-}
-
-func TestSwitchOverheadInflation(t *testing.T) {
-	in := MustNew(Plan{Seed: 4, OverheadProb: 1, OverheadFactor: 3})
-	lo := machine.OperatingPoint{Freq: 0.5, Voltage: 3}
-	hi := machine.OperatingPoint{Freq: 1, Voltage: 5}
-	ok, halt := in.Switch(0, lo, hi, 0.4)
-	if !ok || math.Abs(halt-1.2) > 1e-12 {
-		t.Fatalf("Switch = (%v, %v), want (true, 1.2)", ok, halt)
-	}
-	if !in.ModelViolated() || in.Record().OverheadsInflated != 1 {
-		t.Errorf("inflation not recorded: %+v", in.Record())
-	}
-
-	// A zero nominal halt (no overhead model) cannot be inflated: the
-	// fault class has no physical effect and must not fire.
-	zero := MustNew(Plan{Seed: 4, OverheadProb: 1, OverheadFactor: 3})
-	ok, halt = zero.Switch(0, lo, hi, 0)
-	if !ok || halt != 0 {
-		t.Fatalf("Switch = (%v, %v), want (true, 0)", ok, halt)
-	}
-	if zero.ModelViolated() || zero.Record().Total() != 0 {
-		t.Error("inflation fired on a zero halt")
 	}
 }
 

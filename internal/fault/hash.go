@@ -4,7 +4,7 @@ package fault
 // (seed, class, a, b) through splitmix64 instead of consuming a shared
 // math/rand stream, so the draw for a given opportunity is independent
 // of every other draw: two runs of the same task set see identical
-// overrun and overload sequences regardless of how many switch faults the
+// overrun and overload sequences regardless of which other draws the
 // policy under test happened to trigger in between.
 
 // splitmix64 is the finalizer of Steele et al.'s SplitMix64 generator —

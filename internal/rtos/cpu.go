@@ -6,14 +6,6 @@ import (
 	"rtdvs/internal/machine"
 )
 
-// SwitchGate vets a requested operating-point transition before the
-// hardware commits to it — the hook fault injection uses to model a
-// flaky voltage regulator. ok=false refuses the transition (the
-// processor stays at from); otherwise adjHalt replaces the nominal stop
-// interval (a slow regulator settles late). A nil gate admits every
-// transition unchanged.
-type SwitchGate func(from, to machine.OperatingPoint, halt float64) (ok bool, adjHalt float64)
-
 // CPU models the DVS-capable processor device: the PowerNow!-style
 // interface of Section 4.1. Software selects an operating point; the
 // hardware imposes a mandatory stop interval (programmable in multiples of
@@ -23,7 +15,6 @@ type CPU struct {
 	spec     *machine.Spec
 	overhead machine.SwitchOverhead
 	point    machine.OperatingPoint
-	gate     SwitchGate
 
 	execEnergy float64 // cycle·V² units
 	idleEnergy float64
@@ -32,7 +23,6 @@ type CPU struct {
 	idleTime   float64
 	haltTime   float64
 	switches   int
-	denied     int
 }
 
 // NewCPU creates a CPU at the platform's maximum point (the reset state).
@@ -52,34 +42,21 @@ func (c *CPU) Spec() *machine.Spec { return c.spec }
 // Point returns the current operating point.
 func (c *CPU) Point() machine.OperatingPoint { return c.point }
 
-// SetGate installs (or with nil removes) the transition gate.
-func (c *CPU) SetGate(g SwitchGate) { c.gate = g }
-
-// SetPoint requests a transition to the given operating point and returns
+// SetPoint moves the processor to the given operating point and returns
 // the mandatory stop interval the caller must let elapse (0 when the
-// point is unchanged) plus whether the hardware accepted the request. A
-// refusal (ok=false, only possible with a SwitchGate installed) leaves
-// the processor at its previous point; the caller decides when to retry.
+// point is unchanged). Every transition completes.
 // The processor consumes no energy while halted for the transition
 // (Section 3.1); the caller accounts the elapsed halt time with
 // AccountHalt as virtual time advances, so a stop interval can span
 // scheduling boundaries without double counting.
-func (c *CPU) SetPoint(op machine.OperatingPoint) (halt float64, ok bool) {
+func (c *CPU) SetPoint(op machine.OperatingPoint) float64 {
 	if op == c.point {
-		return 0, true
+		return 0
 	}
-	halt = c.overhead.Halt(c.point, op)
-	if c.gate != nil {
-		gok, adj := c.gate(c.point, op, halt)
-		if !gok {
-			c.denied++
-			return 0, false
-		}
-		halt = adj
-	}
+	halt := c.overhead.Halt(c.point, op)
 	c.point = op
 	c.switches++
-	return halt, true
+	return halt
 }
 
 // AccountHalt records dur milliseconds actually spent inside a
@@ -116,8 +93,10 @@ func (c *CPU) Cycles() float64 { return c.cycles }
 // Switches returns the number of operating point transitions.
 func (c *CPU) Switches() int { return c.switches }
 
-// Denied returns the number of transition requests the gate refused.
-func (c *CPU) Denied() int { return c.denied }
+// Denied returns the number of refused transition requests: always 0,
+// for every transition completes. It stays because the system
+// benchmark's kernel outcome reports it.
+func (c *CPU) Denied() int { return 0 }
 
 // HaltTime returns the total time spent in transition stop intervals.
 func (c *CPU) HaltTime() float64 { return c.haltTime }

@@ -18,9 +18,9 @@ const (
 	EvTaskAdded
 	EvTaskRemoved
 	EvPolicySwap
-	// EvSwitchDenied records a transition the hardware refused; the
-	// kernel holds its point and retries with backoff.
-	EvSwitchDenied
+	// 8 is unused: a kind's number is hashed by the kernel pins, so the
+	// kinds after it keep theirs.
+	_
 	// EvContain records the containment layer escalating to full speed
 	// for a job running past its declared worst case.
 	EvContain
@@ -59,8 +59,6 @@ func (k EventKind) String() string {
 		return "task-"
 	case EvPolicySwap:
 		return "policy"
-	case EvSwitchDenied:
-		return "DENIED"
 	case EvContain:
 		return "contain"
 	case EvRedeclare:
@@ -93,7 +91,7 @@ type Event struct {
 // String formats the event as one trace line.
 func (e Event) String() string {
 	switch e.Kind {
-	case EvSwitch, EvSwitchDenied:
+	case EvSwitch:
 		return fmt.Sprintf("%10.3f  %-8s f=%.3g", e.Time, e.Kind, e.Value)
 	case EvRedeclare:
 		return fmt.Sprintf("%10.3f  %-8s %s(%d) wcet=%g", e.Time, e.Kind, e.Name, e.Task, e.Value)

@@ -2,7 +2,6 @@ package rtos
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -83,79 +82,6 @@ func TestKernelOverrunContainment(t *testing.T) {
 	cr := k.Policy().(core.ContainmentReporter)
 	if cr.Containments() != st.Containments {
 		t.Errorf("policy reports %d containments, kernel counted %d", cr.Containments(), st.Containments)
-	}
-}
-
-// Denied transitions: the kernel holds its point, logs the denial, backs
-// off, and retries later rather than hammering the regulator at every
-// scheduling decision.
-func TestKernelSwitchRetryWithBackoff(t *testing.T) {
-	k := newTestKernel(t, "ccEDF")
-	log := NewEventLog(8192)
-	k.SetEventLog(log)
-	k.SetFaults(fault.MustNew(fault.Plan{Seed: 7, SwitchDenyProb: 0.6}))
-	// Variable demand keeps ccEDF hopping between points so plenty of
-	// transitions get attempted (and refused).
-	fracs := []float64{0.2, 0.9, 0.4, 0.7, 0.3, 0.8}
-	for _, row := range []struct {
-		name         string
-		period, wcet float64
-	}{{"T1", 8, 3}, {"T2", 10, 3}, {"T3", 14, 1}} {
-		wcet := row.wcet
-		if _, err := k.AddTask(TaskConfig{
-			Name: row.name, Period: row.period, WCET: wcet,
-			Work: func(inv int) float64 { return fracs[inv%len(fracs)] * wcet },
-		}, AddOptions{Immediate: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	k.Step(2000)
-
-	if k.SwitchDenials() == 0 {
-		t.Fatal("no transitions denied at p=0.6")
-	}
-	if k.SwitchRetries() == 0 {
-		t.Error("denials never retried")
-	}
-	if k.CPU().Switches() == 0 {
-		t.Error("no transition ever succeeded despite retries")
-	}
-	if got := len(log.Filter(EvSwitchDenied)); got == 0 {
-		t.Error("no EvSwitchDenied events logged")
-	}
-	if k.CPU().Denied() != k.SwitchDenials() {
-		t.Errorf("device denials %d != kernel denials %d", k.CPU().Denied(), k.SwitchDenials())
-	}
-	if len(k.Misses()) != 0 {
-		t.Errorf("switch denials alone caused %d misses (policy runs no slower than requested)", len(k.Misses()))
-	}
-}
-
-// A retry armed while the processor idles bounds the idle span: the idle
-// point's refused transition at 5.15 ms is asked again 2 ms later, not
-// at the next release 45 ms on.
-func TestKernelIdleRetryIsPunctual(t *testing.T) {
-	k := newTestKernel(t, "ccEDF")
-	log := NewEventLog(256)
-	k.SetEventLog(log)
-	k.SetFaults(fault.MustNew(fault.Plan{SwitchDenyProb: 1}))
-	if _, err := k.AddTask(TaskConfig{Name: "T", Period: 50, WCET: 5}, AddOptions{Immediate: true}); err != nil {
-		t.Fatal(err)
-	}
-	k.Step(20)
-
-	denied := log.Filter(EvSwitchDenied)
-	at := -1
-	for i, e := range denied {
-		if math.Abs(e.Time-5.15) < 1e-9 {
-			at = i
-		}
-	}
-	if at < 0 {
-		t.Fatalf("no denial at 5.15 ms (job done at 5 ms, backoff capped at 2 ms):\n%s", log)
-	}
-	if at+1 >= len(denied) || math.Abs(denied[at+1].Time-7.15) > 1e-9 {
-		t.Fatalf("denial after 5.15 ms is not at 7.15 ms:\n%s", log)
 	}
 }
 
@@ -255,9 +181,8 @@ func TestStatusNamesEveryFaultClass(t *testing.T) {
 	if rec.Overloads == 0 {
 		t.Fatalf("sustained overload fired no overload: %+v", rec)
 	}
-	want := fmt.Sprintf("faults: %d injected (%d overruns, %d switches denied, %d switches stuck, "+
-		"%d overheads inflated, %d overloads)", rec.Total(), rec.Overruns, rec.SwitchesDenied,
-		rec.SwitchesStuck, rec.OverheadsInflated, rec.Overloads)
+	want := fmt.Sprintf("faults: %d injected (%d overruns, %d overloads)",
+		rec.Total(), rec.Overruns, rec.Overloads)
 	if s := k.Status(); !strings.Contains(s, want) {
 		t.Errorf("Status missing %q:\n%s", want, s)
 	}
@@ -282,7 +207,7 @@ func TestStatusRendersFaultCounters(t *testing.T) {
 	s := k.Status()
 	st := k.Tasks()[0]
 	for _, want := range []string{
-		"faults:", "switch denials:", "inj", "cont",
+		"faults:", "inj", "cont",
 		fmt.Sprintf("(%d overruns", st.Injected),
 	} {
 		if !strings.Contains(s, want) {

@@ -46,8 +46,7 @@ func inHalt(k *Kernel) bool { return k.now < k.haltUntil-timeEps }
 //     containment;
 //   - sporadic triggers between Step calls inside a stop interval, a
 //     sporadic job whose deadline passes inside one (its period is
-//     shorter than a voltage halt), and sporadic deadlines as events;
-//   - transitions refused and then retried with backoff.
+//     shorter than a voltage halt), and sporadic deadlines as events.
 //
 // Each run also checks that its case occurred, where the kernel's state
 // shows it. Counted at the loop top after each elapsed stop interval, the
@@ -174,20 +173,6 @@ func TestKernelHaltPathsPinned(t *testing.T) {
 		}
 		return kernelDigest(k)
 	}})
-	for _, policy := range []string{"ccEDF", "ccRM"} {
-		policy := policy
-		pins = append(pins, pin{"deny/" + policy, func(t *testing.T) string {
-			k := pinKernel(t, spec(), machine.K62SwitchOverhead, policy)
-			k.SetEventLog(NewEventLog(1 << 15))
-			k.SetFaults(fault.MustNew(fault.Plan{Seed: 7, SwitchDenyProb: 0.3, OverheadProb: 0.2, OverheadFactor: 3}))
-			addHaltTasks(t, k)
-			k.Step(1500)
-			if k.SwitchDenials() == 0 || k.SwitchRetries() == 0 {
-				t.Fatalf("%d denials and %d retries, want both", k.SwitchDenials(), k.SwitchRetries())
-			}
-			return kernelDigest(k)
-		}})
-	}
 
 	want := map[string]string{
 		"releases/ccEDF":         "ce4b84cb9493aa1d0fed61c1e3a762a6cc4eeca4735ec6fef82eb9092bfc48e6",
@@ -201,8 +186,6 @@ func TestKernelHaltPathsPinned(t *testing.T) {
 		"shed/laEDF":             "df894b20950342c8f96244bfaa7f9af6ef3ccc087af48377db9c903a680f6cd6",
 		"watchdog/laEDF+contain": "c7a418a259872e641a687f666a53e38f752056b504348f677734ff979974859a",
 		"sporadic/ccEDF":         "e43a2d4f05eb57d46a2a427f5302b0e9cf1fcc31c7807f25aa18f7bbf65a9b70",
-		"deny/ccEDF":             "6cc021e2d8e0a2e1ed6ca144ddde0612e2a1c728aeb0c9729338f22c0f913680",
-		"deny/ccRM":              "5aa8f6560fb825e8d0e0dc1fc24b1feaf28b0012f13a033f6cb9f2bd26432cd7",
 	}
 	for _, p := range pins {
 		p := p

@@ -108,7 +108,7 @@ func TestRemoveEarliestTaskMovesNextEvent(t *testing.T) {
 	if err := k.RemoveTask(a); err != nil {
 		t.Fatal(err)
 	}
-	if next := k.nextReleaseTime(); next != 30 {
+	if next := k.q.Head(); next != 30 {
 		t.Errorf("next event after removing A = %v, want 30", next)
 	}
 }

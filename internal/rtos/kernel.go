@@ -3,9 +3,7 @@ package rtos
 import (
 	"fmt"
 	"math"
-	"sort"
 
-	"rtdvs/internal/backoff"
 	"rtdvs/internal/core"
 	"rtdvs/internal/fault"
 	"rtdvs/internal/machine"
@@ -149,19 +147,8 @@ type Kernel struct {
 	// misses from unguarded task addition).
 	admitAll bool
 
-	// faults, when set, filters demand and operating-point transitions
-	// through the injector.
+	// faults, when set, filters task demand through the injector.
 	faults *fault.Injector
-	// switchRetryAt/switchSeq implement retry-with-backoff for refused
-	// operating-point transitions: after a denial the kernel holds its
-	// point until switchRetryAt, then asks again, with the shared
-	// internal/backoff schedule doubling the delay on each consecutive
-	// refusal. switchSeq advances in simulated milliseconds — the kernel
-	// never reads the wall clock.
-	switchRetryAt float64
-	switchSeq     backoff.Seq
-	switchDenials int
-	switchRetries int
 	// overrunThreshold arms the overrun watchdog (0 = disabled).
 	overrunThreshold int
 
@@ -213,32 +200,14 @@ func (k *Kernel) Overruns() []OverrunEvent { return append([]OverrunEvent(nil), 
 // SetAdmitAll disables (true) or enables (false) admission control.
 func (k *Kernel) SetAdmitAll(v bool) { k.admitAll = v }
 
-// SetFaults installs a fault injector: task demand and operating-point
-// transitions are filtered through it from then on. nil removes
-// injection. The injector is stateful (stuck-regulator spans, overload
-// chains), so install it before the workload starts for reproducible
-// runs.
-func (k *Kernel) SetFaults(in *fault.Injector) {
-	k.faults = in
-	if in == nil {
-		k.cpu.SetGate(nil)
-		return
-	}
-	k.cpu.SetGate(func(from, to machine.OperatingPoint, halt float64) (bool, float64) {
-		return in.Switch(k.now, from, to, halt)
-	})
-}
+// SetFaults installs a fault injector: task demand is filtered through
+// it from then on. nil removes injection. The injector is stateful
+// (overload chains), so install it before the workload starts for
+// reproducible runs.
+func (k *Kernel) SetFaults(in *fault.Injector) { k.faults = in }
 
 // Faults returns the installed fault injector, if any.
 func (k *Kernel) Faults() *fault.Injector { return k.faults }
-
-// SwitchDenials returns how many operating-point transitions the hardware
-// refused; SwitchRetries returns how many retry attempts followed a
-// refusal (successful or not).
-func (k *Kernel) SwitchDenials() int { return k.switchDenials }
-
-// SwitchRetries returns the number of post-denial retry attempts.
-func (k *Kernel) SwitchRetries() int { return k.switchRetries }
 
 // SetOverrunThreshold arms the overrun watchdog: once a hard task
 // accumulates n overruns since its last adaptation, the kernel re-runs
@@ -509,19 +478,6 @@ func (k *Kernel) demand(t *ktask, rel float64) float64 {
 	return c
 }
 
-// nextReleaseTime returns the next instant the schedule can change
-// without a completion: the release order's head, the earliest pending
-// release or running sporadic job's deadline, or a pending switch retry.
-//
-//rtdvs:hotpath
-func (k *Kernel) nextReleaseTime() float64 {
-	t := k.q.Head()
-	if k.faults != nil && k.switchRetryAt > k.now+timeEps && k.switchRetryAt < t {
-		t = k.switchRetryAt
-	}
-	return t
-}
-
 // abortJob ends task i's active invocation at its deadline and records
 // the miss, unless the task is soft.
 //
@@ -616,39 +572,11 @@ func (k *Kernel) release(t *ktask, i int) {
 	k.logEvent(Event{Kind: EvRelease, Task: t.id, Name: t.cfg.Name, Value: float64(t.inv - 1)})
 }
 
-// Backoff bounds (ms) for retrying operating-point transitions the
-// hardware refused: start small (one stop-interval-ish), double per
-// consecutive refusal (backoff.Seq), cap well under typical task
-// periods.
-const (
-	switchBackoffInit = 0.05
-	switchBackoffMax  = 2.0
-)
-
 // setPoint moves the CPU to the requested operating point, which differs
 // from the current one, tracing the transition when an event log is
-// attached. A transition the hardware
-// refuses (possible only under fault injection) leaves the processor at
-// its previous point; the kernel then backs off and retries at
-// switchRetryAt, doubling the backoff on each consecutive refusal so a
-// stuck regulator is not hammered every scheduling decision.
+// attached, and returns the transition's stop interval.
 func (k *Kernel) setPoint(op machine.OperatingPoint) float64 {
-	if k.now < k.switchRetryAt-timeEps {
-		return 0 // backing off after a refusal: hold the current point
-	}
-	retrying := k.switchSeq.Active()
-	halt, ok := k.cpu.SetPoint(op)
-	if retrying {
-		k.switchRetries++
-	}
-	if !ok {
-		k.switchDenials++
-		k.logEvent(Event{Kind: EvSwitchDenied, Value: op.Freq})
-		k.switchRetryAt = k.now + k.switchSeq.Next(switchBackoffInit, switchBackoffMax)
-		return 0
-	}
-	k.switchSeq.Reset()
-	k.switchRetryAt = 0
+	halt := k.cpu.SetPoint(op)
 	k.logEvent(Event{Kind: EvSwitch, Value: op.Freq})
 	if halt > 0 {
 		k.haltUntil = k.now + halt
@@ -737,10 +665,9 @@ func (k *Kernel) releaseDue() bool { return k.q.Head() <= k.now+timeEps }
 // workDue reports whether the loop top of Step, at the end of a stop
 // interval started at this scheduling point, would find work before the
 // segment: the release pass or the shed window due, by the predicates
-// the loop top gates them with. A switch retry cannot be pending, for
-// the transition that started the interval succeeded, and the overrun
-// watchdog cannot be due to adapt: it ran at this point, and only a
-// release raises an overrun count.
+// the loop top gates them with. The overrun watchdog cannot be due to
+// adapt: it ran at this point, and only a release raises an overrun
+// count.
 //
 //rtdvs:hotpath
 func (k *Kernel) workDue() bool { return k.releaseDue() || k.shedDue() }
@@ -758,11 +685,9 @@ func (k *Kernel) workDue() bool { return k.releaseDue() || k.shedDue() }
 // transition's stop interval elapses at once, and the segment after it
 // runs on the pick and the point already decided, unless the loop top
 // would find work by the interval's end (workDue), in which case Step
-// decides again there. The next event is read after the
-// operating-point decision, so a retry armed by a refused transition
-// bounds the span that follows, idle or busy. Minima are branches rather
-// than math.Min calls: every operand is a non-negative time (or +Inf),
-// where the two agree exactly.
+// decides again there. Minima are branches rather than math.Min calls:
+// every operand is a non-negative time (or +Inf), where the two agree
+// exactly.
 //
 //rtdvs:hotpath
 func (k *Kernel) Step(until float64) {
@@ -803,7 +728,7 @@ func (k *Kernel) Step(until float64) {
 				continue
 			}
 		}
-		next := k.nextReleaseTime()
+		next := k.q.Head()
 		nextRel := next
 		if until < nextRel {
 			nextRel = until
@@ -963,7 +888,9 @@ type TaskStatus struct {
 	Skips int  `json:"skips,omitempty"`
 }
 
-// Tasks returns the status of every registered task, sorted by id.
+// Tasks returns the status of every registered task, in id order: the
+// registry's own order, for AddTask appends ascending ids and RemoveTask
+// keeps the order of the rest.
 func (k *Kernel) Tasks() []TaskStatus {
 	out := make([]TaskStatus, 0, len(k.tasks))
 	for _, t := range k.tasks {
@@ -976,6 +903,5 @@ func (k *Kernel) Tasks() []TaskStatus {
 			Shed: t.shed, Skips: t.skips,
 		})
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
 }

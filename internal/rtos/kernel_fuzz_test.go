@@ -16,8 +16,8 @@ import (
 // immediate, smart, sporadic), remove, trigger, policy swap, command —
 // and checks global invariants after each: time and energy are monotone,
 // time components conserve, the policy's point is always a point of the
-// machine, counters stay consistent, the index agrees with the registry,
-// and nothing panics. This is the closest a deterministic test gets to
+// machine, counters stay consistent, Tasks lists ascending ids, the
+// index agrees with the registry, and nothing panics. This is the closest a deterministic test gets to
 // fuzzing the executive.
 func TestKernelRandomOperations(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
@@ -146,7 +146,12 @@ func randomOperations(t *testing.T, seed int64) *Kernel {
 				t.Fatalf("op %d: policy point %v not on machine %s", op, pt, spec.Name)
 			}
 		}
+		prevID := TaskID(-1)
 		for _, ts := range k.Tasks() {
+			if ts.ID <= prevID {
+				t.Fatalf("op %d: Tasks lists id %d after %d, not in id order", op, ts.ID, prevID)
+			}
+			prevID = ts.ID
 			if ts.Completions > ts.Releases {
 				t.Fatalf("op %d: task %s completed more than released: %+v", op, ts.Name, ts)
 			}
@@ -163,8 +168,8 @@ func randomOperations(t *testing.T, seed int64) *Kernel {
 // bytes program the kernel configuration — platform, fault-injection
 // plan, overrun watchdog — and an operation sequence, and the kernel's
 // global invariants are asserted after every operation. Unlike the
-// seeded test above it explores the fault-injection and containment
-// paths, which is where PR 2's new state machines live.
+// seeded test above it explores the fault-injection, containment and
+// watchdog paths.
 func FuzzKernelOps(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0x80, 0x20, 3, 40, 200, 10, 10, 10, 10})
@@ -198,14 +203,9 @@ func FuzzKernelOps(f *testing.F) {
 		k.SetEventLog(NewEventLog(256))
 		// A byte-programmed fault plan; the zero plan is a silent injector.
 		k.SetFaults(fault.MustNew(fault.Plan{
-			Seed:           int64(next()),
-			OverrunProb:    frac() * 0.5,
-			OverrunFactor:  1 + frac(),
-			SwitchDenyProb: frac() * 0.5,
-			StuckProb:      frac() * 0.2,
-			StuckSpan:      frac() * 5,
-			OverheadProb:   frac() * 0.5,
-			OverheadFactor: 1 + frac()*4,
+			Seed:          int64(next()),
+			OverrunProb:   frac() * 0.5,
+			OverrunFactor: 1 + frac(),
 		}))
 		k.SetOverrunThreshold(int(next()) % 5) // 0 disables the watchdog
 
@@ -271,8 +271,7 @@ func FuzzKernelOps(f *testing.F) {
 			if total > k.Now()+1e-6 {
 				t.Fatalf("op %d: accounted time %v exceeds now %v", op, total, k.Now())
 			}
-			// Denied transitions must leave the hardware on the machine's
-			// grid regardless of what the injector did.
+			// The hardware stays on the machine's grid.
 			hw := k.CPU().Point()
 			onGrid := false
 			for _, op2 := range spec.Points {

@@ -28,10 +28,8 @@ func (k *Kernel) Status() string {
 	}
 	if k.faults != nil {
 		rec := k.faults.Record()
-		fmt.Fprintf(&b, "faults: %d injected (%d overruns, %d switches denied, %d switches stuck, "+
-			"%d overheads inflated, %d overloads)  switch denials: %d  retries: %d\n",
-			rec.Total(), rec.Overruns, rec.SwitchesDenied, rec.SwitchesStuck,
-			rec.OverheadsInflated, rec.Overloads, k.switchDenials, k.switchRetries)
+		fmt.Fprintf(&b, "faults: %d injected (%d overruns, %d overloads)\n",
+			rec.Total(), rec.Overruns, rec.Overloads)
 	}
 
 	var t stats.Table

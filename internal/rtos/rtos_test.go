@@ -103,9 +103,9 @@ func TestCPUDevice(t *testing.T) {
 	if cpu.Energy() != 100 {
 		t.Errorf("energy = %v, want 100", cpu.Energy())
 	}
-	halt, ok := cpu.SetPoint(machine.Machine0().Min()) // voltage change
-	if halt != 0.4 || !ok {
-		t.Errorf("voltage-change halt = %v ok=%v, want 0.4 true", halt, ok)
+	halt := cpu.SetPoint(machine.Machine0().Min()) // voltage change
+	if halt != 0.4 || cpu.Point() != machine.Machine0().Min() {
+		t.Errorf("voltage-change halt = %v at %v, want 0.4 at the minimum point", halt, cpu.Point())
 	}
 	cpu.AccountHalt(halt) // the kernel elapses the stop interval
 	if cpu.Switches() != 1 || cpu.HaltTime() != 0.4 {
@@ -115,8 +115,8 @@ func TestCPUDevice(t *testing.T) {
 	if cpu.HaltTime() != 0.4 {
 		t.Errorf("negative halt accounted: %v", cpu.HaltTime())
 	}
-	if h, ok := cpu.SetPoint(cpu.Point()); h != 0 || !ok {
-		t.Errorf("same-point transition halt = %v ok=%v", h, ok)
+	if h := cpu.SetPoint(cpu.Point()); h != 0 || cpu.Switches() != 1 {
+		t.Errorf("same-point transition halt = %v, switches %d", h, cpu.Switches())
 	}
 	cpu.Idle(10) // perfect halt: no energy
 	if cpu.Energy() != 100 || cpu.IdleTime() != 10 {

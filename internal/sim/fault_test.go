@@ -147,55 +147,6 @@ func TestSilentInjectorDoesNotRelaxNoMissInvariant(t *testing.T) {
 	}
 }
 
-// Denied and stuck transitions leave the hardware at its previous
-// (valid) operating point; the run completes and the denials are
-// recorded. The point-discreteness invariant stays live throughout.
-func TestSwitchDenialsLeaveHardwareOnGrid(t *testing.T) {
-	cfg := Config{
-		Tasks:   task.PaperExample(),
-		Machine: machine.Machine0(),
-		Policy:  mustPolicy(t, "ccEDF"),
-		// Variable demand keeps ccEDF hopping between points, so the run
-		// attempts plenty of transitions for the injector to refuse.
-		Exec: task.UniformFraction{Lo: 0.2, Hi: 0.9, Rand: rand.New(rand.NewSource(6))},
-		Faults: fault.MustNew(fault.Plan{
-			Seed: 7, SwitchDenyProb: 0.4, StuckProb: 0.1, StuckSpan: 3,
-		}),
-	}
-	res := mustRun(t, cfg)
-	rec := res.Faults
-	if rec.SwitchesDenied == 0 && rec.SwitchesStuck == 0 {
-		t.Fatalf("no switch faults fired: %+v", rec)
-	}
-	if res.Switches == 0 {
-		t.Error("every switch denied at p=0.4; retry path never succeeded")
-	}
-}
-
-// Inflated stop intervals charge more halt time than the fault-free
-// overhead model.
-func TestOverheadInflationChargesLongerHalts(t *testing.T) {
-	newCfg := func() Config {
-		return Config{
-			Tasks:    task.PaperExample(),
-			Machine:  machine.Machine0(),
-			Policy:   mustPolicy(t, "ccEDF"),
-			Overhead: &machine.SwitchOverhead{FreqOnly: 0.1, VoltageChange: 0.5},
-		}
-	}
-	base := mustRun(t, newCfg())
-	cfg := newCfg()
-	cfg.Faults = fault.MustNew(fault.Plan{Seed: 5, OverheadProb: 1, OverheadFactor: 3})
-	inflated := mustRun(t, cfg)
-	if inflated.Faults.OverheadsInflated == 0 {
-		t.Fatal("no inflation events at p=1")
-	}
-	if inflated.HaltTime <= base.HaltTime {
-		t.Errorf("inflated halt time %g not above nominal %g",
-			inflated.HaltTime, base.HaltTime)
-	}
-}
-
 // Task-keyed fault classes (overruns, overloads) depend only on
 // (seed, task, invocation), so two different policies experience the
 // identical fault history — the property robustness curves rely on for

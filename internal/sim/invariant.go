@@ -53,7 +53,7 @@ type UtilizationReporter interface {
 // Invariants 3 and 4 carry fault provenance: both are derived from the
 // task model the admission test ran against, so once an injected fault
 // has actually broken that model (fault.Injector.ModelViolated — an
-// overrun, a refused speed-up, an inflated stop) a miss or an over-reserve
+// overrun or an overload) a miss or an over-reserve
 // no longer falsifies the policy and the check stands down. The
 // relaxation is exactly that narrow: a configured-but-silent injector
 // relaxes nothing, and invariants 1, 2, 5 and 6 (point discreteness,

@@ -81,9 +81,9 @@ type Config struct {
 	// invariant.go); a violation makes Run return an error. The checker
 	// is always on when running under `go test`, regardless of this flag.
 	CheckInvariants bool
-	// Faults optionally injects model violations — WCET overruns,
-	// overload regimes, operating-point switch failures (see
-	// internal/fault). Nil runs the fault-free model, bit-identical to a
+	// Faults optionally injects model violations — WCET overruns and
+	// overload regimes (see internal/fault); operating-point transitions
+	// always complete. Nil runs the fault-free model, bit-identical to a
 	// simulator without the injection hooks. Injectors are stateful:
 	// create one per run.
 	Faults *fault.Injector
@@ -619,10 +619,7 @@ func (s *simulator) abort(i int) {
 // spent halted produces no energy (the processor does not operate during
 // the switching interval) but does elapse. The m slots of a global run
 // share the rail, so they halt together: one switch, m core-intervals
-// of HaltTime. With fault injection active
-// the transition may be denied or stuck — the hardware then silently
-// stays put and the main loop retries at the next scheduling event — or
-// its stop interval inflated.
+// of HaltTime. Every transition completes, fault injection or not.
 //
 //rtdvs:hotpath
 func (s *simulator) switchTo(op machine.OperatingPoint) {
@@ -632,13 +629,6 @@ func (s *simulator) switchTo(op machine.OperatingPoint) {
 	var halt float64
 	if s.cfg.Overhead != nil {
 		halt = s.cfg.Overhead.Halt(s.hw, op)
-	}
-	if s.cfg.Faults != nil {
-		ok, adj := s.cfg.Faults.Switch(s.now, s.hw, op, halt)
-		if !ok {
-			return
-		}
-		halt = adj
 	}
 	s.res.Switches++
 	if halt > 0 {
